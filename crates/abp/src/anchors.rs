@@ -13,15 +13,16 @@
 //!   non-token bytes), which makes the tokenized fast path emit exactly
 //!   the buckets the old per-token index visited, in the same order.
 //! * [`HostLabelTrie`] — a reversed-domain-label trie for the element
-//!   hiding index: walking the subject host's labels right-to-left
-//!   collects every `domain=`-scoped rule bucket in one pass, replacing
-//!   a hash probe per label suffix.
+//!   hiding index and the request path's first-party gate: walking the
+//!   subject host's labels right-to-left collects every `domain=`-scoped
+//!   rule bucket in one pass, replacing a hash probe per label suffix.
 //!
 //! Both are vendor-free by design (like the CSR token index before
 //! them) and store their string data in a shared [`ByteArena`] instead
 //! of per-node heap allocations.
 
 use crate::intern::{ByteArena, Span};
+use std::collections::BTreeMap;
 
 /// "No node" sentinel in `fail`/`out_link` chains.
 const NONE: u32 = u32::MAX;
@@ -297,7 +298,9 @@ impl Automaton {
 /// Build-time trie node for [`HostLabelTrie`].
 #[derive(Debug, Default)]
 struct LabelBuildNode {
-    edges: Vec<(String, u32)>,
+    /// Ordered by label, which is the order the flattened form's edge
+    /// search needs; a node under a popular suffix has thousands.
+    edges: BTreeMap<String, u32>,
     ids: Vec<u32>,
 }
 
@@ -331,11 +334,11 @@ impl HostLabelTrieBuilder {
     fn walk_or_create(&mut self, domain: &str) -> usize {
         let mut v = 0usize;
         for label in domain.rsplit('.') {
-            v = match self.nodes[v].edges.iter().find(|(l, _)| l == label) {
-                Some(&(_, child)) => child as usize,
+            v = match self.nodes[v].edges.get(label) {
+                Some(&child) => child as usize,
                 None => {
                     let child = self.nodes.len() as u32;
-                    self.nodes[v].edges.push((label.to_string(), child));
+                    self.nodes[v].edges.insert(label.to_string(), child);
                     self.nodes.push(LabelBuildNode::default());
                     child as usize
                 }
@@ -345,19 +348,20 @@ impl HostLabelTrieBuilder {
     }
 
     /// Flatten into the immutable query form.
-    pub fn build(mut self) -> HostLabelTrie {
+    pub fn build(self) -> HostLabelTrie {
         let n = self.nodes.len();
         let mut arena = ByteArena::new();
         let mut edge_starts = Vec::with_capacity(n + 1);
+        let mut edge_keys = Vec::new();
         let mut edge_labels = Vec::new();
         let mut edge_targets = Vec::new();
         let mut id_starts = Vec::with_capacity(n + 1);
         let mut ids = Vec::new();
         edge_starts.push(0u32);
         id_starts.push(0u32);
-        for node in &mut self.nodes {
-            node.edges.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        for node in &self.nodes {
             for (label, t) in &node.edges {
+                edge_keys.push(label_key(label.as_bytes()));
                 edge_labels.push(arena.push(label.as_bytes()));
                 edge_targets.push(*t);
             }
@@ -368,12 +372,24 @@ impl HostLabelTrieBuilder {
         HostLabelTrie {
             arena,
             edge_starts,
+            edge_keys,
             edge_labels,
             edge_targets,
             id_starts,
             ids,
         }
     }
+}
+
+/// The first eight bytes of a label, big-endian and zero-padded: byte
+/// strings in lexicographic order are in non-decreasing key order, so a
+/// node's sorted edges can be searched on keys alone and the label bytes
+/// read only to tell equal keys apart.
+fn label_key(label: &[u8]) -> u64 {
+    let mut key = [0u8; 8];
+    let n = label.len().min(8);
+    key[..n].copy_from_slice(&label[..n]);
+    u64::from_be_bytes(key)
 }
 
 /// A reversed-domain-label trie mapping hosts to the id buckets of
@@ -385,6 +401,10 @@ impl HostLabelTrieBuilder {
 pub struct HostLabelTrie {
     arena: ByteArena,
     edge_starts: Vec<u32>,
+    /// [`label_key`] of each edge label: the dense array the per-node
+    /// binary search runs over (a node under a popular suffix has
+    /// thousands of children).
+    edge_keys: Vec<u64>,
     edge_labels: Vec<Span>,
     edge_targets: Vec<u32>,
     id_starts: Vec<u32>,
@@ -409,6 +429,12 @@ impl HostLabelTrie {
         self.edge_starts.len() - 1
     }
 
+    /// The number of ids registered under each node, in node order (0
+    /// for the root and for pure path nodes).
+    pub fn bucket_sizes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.id_starts.windows(2).map(|w| (w[1] - w[0]) as usize)
+    }
+
     /// Walk `host_lower`'s labels right to left as far as edges exist
     /// and return the node where the walk stops (the root, index 0,
     /// when the first label already has no edge).
@@ -422,16 +448,27 @@ impl HostLabelTrie {
     pub fn terminal(&self, host_lower: &str) -> u32 {
         let mut v = 0u32;
         for label in host_lower.rsplit('.') {
-            let lo = self.edge_starts[v as usize] as usize;
-            let hi = self.edge_starts[v as usize + 1] as usize;
-            let found = self.edge_labels[lo..hi]
-                .binary_search_by(|span| self.arena.get(*span).cmp(label.as_bytes()));
-            match found {
-                Ok(i) => v = self.edge_targets[lo + i],
-                Err(_) => return v,
+            match self.child(v, label.as_bytes()) {
+                Some(t) => v = t,
+                None => return v,
             }
         }
         v
+    }
+
+    /// The child of node `v` along `label`, if that edge exists.
+    fn child(&self, v: u32, label: &[u8]) -> Option<u32> {
+        let lo = self.edge_starts[v as usize] as usize;
+        let hi = self.edge_starts[v as usize + 1] as usize;
+        let key = label_key(label);
+        let mut i = lo + self.edge_keys[lo..hi].partition_point(|&k| k < key);
+        while i < hi && self.edge_keys[i] == key {
+            if self.arena.get(self.edge_labels[i]) == label {
+                return Some(self.edge_targets[i]);
+            }
+            i += 1;
+        }
+        None
     }
 
     /// Append the id buckets of every registered domain that
@@ -443,13 +480,9 @@ impl HostLabelTrie {
         }
         let mut v = 0u32;
         for label in host_lower.rsplit('.') {
-            let lo = self.edge_starts[v as usize] as usize;
-            let hi = self.edge_starts[v as usize + 1] as usize;
-            let found = self.edge_labels[lo..hi]
-                .binary_search_by(|span| self.arena.get(*span).cmp(label.as_bytes()));
-            match found {
-                Ok(i) => v = self.edge_targets[lo + i],
-                Err(_) => return,
+            match self.child(v, label.as_bytes()) {
+                Some(t) => v = t,
+                None => return,
             }
             let ilo = self.id_starts[v as usize] as usize;
             let ihi = self.id_starts[v as usize + 1] as usize;
@@ -605,6 +638,40 @@ mod tests {
         assert_eq!(collect(&trie, "example.com.evil"), Vec::<u32>::new());
         assert_eq!(collect(&trie, "other.net"), vec![3]);
         assert_eq!(collect(&trie, "com"), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn host_trie_tells_labels_with_equal_key_prefixes_apart() {
+        // Sibling labels agreeing on their first eight bytes share a
+        // search key; so do a label and its NUL-padded twin.
+        let mut b = HostLabelTrieBuilder::new();
+        for (id, domain) in [
+            "publisher-one.example",
+            "publisher-two.example",
+            "publisher.example",
+            "publishe.example",
+            "pub.example",
+            "pub\0.example",
+        ]
+        .iter()
+        .enumerate()
+        {
+            b.insert(domain, id as u32);
+        }
+        let trie = b.build();
+        assert_eq!(collect(&trie, "www.publisher-one.example"), vec![0]);
+        assert_eq!(collect(&trie, "publisher-two.example"), vec![1]);
+        assert_eq!(collect(&trie, "publisher.example"), vec![2]);
+        assert_eq!(collect(&trie, "publishe.example"), vec![3]);
+        assert_eq!(collect(&trie, "pub.example"), vec![4]);
+        assert_eq!(collect(&trie, "pub\0.example"), vec![5]);
+        assert!(collect(&trie, "publisher-six.example").is_empty());
+        assert!(collect(&trie, "publish.example").is_empty());
+        assert_ne!(trie.terminal("publisher-two.example"), 0);
+        assert_eq!(
+            trie.terminal("publisher-six.example"),
+            trie.terminal("example")
+        );
     }
 
     #[test]

@@ -27,12 +27,19 @@
 //!
 //! * filter text, and the per-request subject URL, are interned
 //!   ([`IStr`]) so recording an activation never copies string bytes;
-//! * all request filters — tokenized *and* untokenized — compile into
-//!   one literal-anchor [`Automaton`](crate::anchors::Automaton): a
-//!   single pass over the lowercased URL emits exactly the candidate
-//!   set, so untokenized filters are scanned only when their longest
-//!   literal actually occurs (filters with no extractable anchor stay
-//!   in a tiny always-scan tail);
+//! * request filters with no `domain=` include list — tokenized *and*
+//!   untokenized — compile into one literal-anchor
+//!   [`Automaton`](crate::anchors::Automaton): a single pass over the
+//!   lowercased URL emits exactly the candidate set, so untokenized
+//!   filters are scanned only when their longest literal actually
+//!   occurs (filters with no extractable anchor stay in a tiny
+//!   always-scan tail);
+//! * *restricted* request filters (a non-empty `domain=` include list:
+//!   89% of the paper's whitelist, Fig 4) stay out of that automaton
+//!   and sit behind a **first-party gate**: a reversed-label
+//!   [`HostLabelTrie`] over their include domains, walked once with the
+//!   request's first party, so a filter whose `domain=` already rules
+//!   it out is never a candidate, whatever the URL says;
 //! * candidates canonicalize to ascending filter-id (list insertion)
 //!   order — one sort+dedup of a short id vector — so evaluation order
 //!   is a pure function of the subscribed lists, not of index layout,
@@ -179,10 +186,11 @@ struct StoredElementRule {
     mask: u64,
 }
 
-/// Mutable token-bucketed index over request filters, used while filters
-/// are being added. [`Compiled::build`] compiles it into the anchor
-/// automaton. Keyed by the token *string* (not a hash): the automaton
-/// needs the bytes, and distinct tokens can never alias a bucket.
+/// Mutable token-bucketed index over the request filters that have no
+/// `domain=` include list, used while filters are being added.
+/// [`Compiled::build`] compiles it into the anchor automaton. Keyed by
+/// the token *string* (not a hash): the automaton needs the bytes, and
+/// distinct tokens can never alias a bucket.
 #[derive(Debug, Default, Clone)]
 struct TokenIndexBuilder {
     by_token: HashMap<String, Vec<u32>>,
@@ -239,19 +247,6 @@ const GROUP_LIT: u8 = 4;
 /// prefilter stays sound at any tail size.
 const LIT_LANES: u32 = 128;
 
-/// Process-wide count of [`Compiled::build`] runs: how many times any
-/// engine actually compiled its automatons. The multi-tenant benches
-/// and the survey repro assert on this — one compiled core serving N
-/// tenant masks must bump it exactly once.
-static COMPILE_COUNT: AtomicU64 = AtomicU64::new(0);
-
-/// Total engine compilations in this process so far (see
-/// [`COMPILE_COUNT`]). Monotonic; diff two readings to count the
-/// compiles a code path performed.
-pub fn engine_compile_count() -> u64 {
-    COMPILE_COUNT.load(Ordering::Relaxed)
-}
-
 /// Monotonic tail-path counters, shared by clones of a compiled
 /// snapshot (relaxed atomics: these feed rates in bench output, not
 /// cross-thread ordering).
@@ -263,9 +258,19 @@ struct TailCounters {
     hiding_plan_hits: AtomicU64,
 }
 
+/// Shape of the first-party gate, counted once when the snapshot is
+/// compiled.
+#[derive(Debug, Clone, Copy, Default)]
+struct GateShape {
+    filters: u64,
+    domains: u64,
+    bucket_max: u64,
+}
+
 /// Snapshot of the engine's tail-optimization counters: how hard the
 /// required-literal prefilter and the per-suffix hiding plans are
-/// working. See [`Engine::tail_stats`].
+/// working, and the compile-time shape of the first-party gate. See
+/// [`Engine::tail_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TailStats {
     /// Untokenized tail candidates that reached the required-literal
@@ -279,6 +284,15 @@ pub struct TailStats {
     /// Queries served from an already-built per-suffix hiding plan
     /// (the rest built and memoized one).
     pub hiding_plan_hits: u64,
+    /// Request filters behind the first-party gate (non-empty `domain=`
+    /// include list).
+    pub restricted_filters: u64,
+    /// Distinct include domains the gate indexes them under.
+    pub restricted_domains: u64,
+    /// Most filters under one include domain: what a request from that
+    /// first party hands to `Filter::matches` at the least. A list that
+    /// defeats the gate (everything restricted to one site) shows here.
+    pub restricted_bucket_max: u64,
 }
 
 /// A compiled per-suffix hiding plan: everything both hiding entry
@@ -298,13 +312,19 @@ struct HidingPlan {
 }
 
 /// The immutable matching snapshot compiled from the engine's builders:
-/// the merged request anchor automaton, the `$document`/`$elemhide`
-/// gate automaton, and the element-rule domain trie with precompiled
-/// selector-cancellation links.
+/// the merged request anchor automaton, the first-party gate, the
+/// `$document`/`$elemhide` gate automaton, and the element-rule domain
+/// trie with precompiled selector-cancellation links.
 #[derive(Debug, Clone, Default)]
 struct Compiled {
-    /// One automaton over every request-filter anchor, both sides.
+    /// One automaton over the anchors of every request filter without a
+    /// `domain=` include list, both sides.
     request_auto: Automaton,
+    /// The first-party gate: ids of restricted request filters (block
+    /// and allow alike), bucketed under each of their include domains.
+    /// Restricted filters are in no other request index.
+    restricted: HostLabelTrie,
+    restricted_shape: GateShape,
     /// Untokenized block/allow filter ids, insertion order. Tail-group
     /// automaton hits are ranks into these lists; merging hit ranks
     /// with the always-scan ranks and sorting restores insertion order.
@@ -377,7 +397,7 @@ struct Compiled {
 
 impl Compiled {
     fn build(engine: &Engine) -> Compiled {
-        COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
+        engine.compiles.fetch_add(1, Ordering::Relaxed);
         let mut auto = AutomatonBuilder::new();
         // Tokenized side: each bucket token is one whole-token pattern
         // per filter in the bucket, preserving bucket insertion order.
@@ -444,6 +464,29 @@ impl Compiled {
             &mut lit_bits,
             &mut allow_tail_req,
         );
+
+        // First-party gate. `DomainConstraint::allows` requires the first
+        // party to be same-or-subdomain of an include entry, which is
+        // exactly "the host's reversed-label walk passes that entry's
+        // node" — so the walk yields a superset of the filters whose
+        // `domain=` admits the request (excludes are left to `matches`).
+        // `allows` compares case-insensitively and the walk does not,
+        // hence the fold here and in `with_host_lower` at query time.
+        let mut restricted = HostLabelTrieBuilder::new();
+        let mut restricted_filters = 0u64;
+        for (id, sf) in engine.request_filters.iter().enumerate() {
+            let include = &sf.filter.options.domains.include;
+            restricted_filters += u64::from(!include.is_empty());
+            for d in include {
+                restricted.insert(&d.to_ascii_lowercase(), id as u32);
+            }
+        }
+        let restricted = restricted.build();
+        let restricted_shape = GateShape {
+            filters: restricted_filters,
+            domains: restricted.bucket_sizes().filter(|&n| n > 0).count() as u64,
+            bucket_max: restricted.bucket_sizes().max().unwrap_or(0) as u64,
+        };
 
         // $document/$elemhide gates: prefiltered by their own automaton,
         // with values as ranks into the id-ordered gate list (sorted
@@ -525,6 +568,8 @@ impl Compiled {
 
         Compiled {
             request_auto: auto.build(),
+            restricted,
+            restricted_shape,
             block_untok: engine.block_builder.untokenized.clone(),
             allow_untok: engine.allow_builder.untokenized.clone(),
             block_always,
@@ -576,6 +621,9 @@ struct MatchScratch {
     /// with the always-scan ranks, then sorted back to insertion order.
     block_tail: Vec<u32>,
     allow_tail: Vec<u32>,
+    /// First-party gate hits (restricted filter ids, both sides), trie
+    /// walk order.
+    gate_hits: Vec<u32>,
 }
 
 impl MatchScratch {
@@ -585,6 +633,7 @@ impl MatchScratch {
         self.allow_hits.clear();
         self.block_tail.clear();
         self.allow_tail.clear();
+        self.gate_hits.clear();
     }
 }
 
@@ -681,6 +730,10 @@ pub struct Engine {
     /// added (adding requires `&mut self`, so no query can be holding
     /// a reference into the old snapshot).
     compiled: OnceLock<Compiled>,
+    /// How many times this engine and its clones ran [`Compiled::build`]
+    /// (a statistic: relaxed, publishes nothing). See
+    /// [`Engine::compile_count`].
+    compiles: Arc<AtomicU64>,
 }
 
 impl Clone for Engine {
@@ -703,6 +756,7 @@ impl Clone for Engine {
                 }
                 None => OnceLock::new(),
             },
+            compiles: Arc::clone(&self.compiles),
         }
     }
 }
@@ -778,16 +832,28 @@ impl Engine {
         self.compiled.get_or_init(|| Compiled::build(self))
     }
 
+    /// How many times this engine — and every clone of it, which shares
+    /// the counter — compiled its matching snapshot. One compiled core
+    /// serving N tenant masks reads 1; the multi-tenant bench and the
+    /// survey gate on that.
+    pub fn compile_count(&self) -> u64 {
+        self.compiles.load(Ordering::Relaxed)
+    }
+
     fn add_filter_body(&mut self, body: &FilterBody, raw: &str, source: ListSource, mask: u64) {
         // Invalidate the compiled snapshot; it re-materializes lazily.
         self.compiled = OnceLock::new();
         match body {
             FilterBody::Request(rf) => {
                 let id = self.request_filters.len() as u32;
-                let tokens = rf.pattern.tokens();
-                match rf.action {
-                    FilterAction::Block => self.block_builder.insert(id, &tokens),
-                    FilterAction::Allow => self.allow_builder.insert(id, &tokens),
+                // Restricted filters are indexed by first party at
+                // compile time, not by URL token.
+                if !rf.is_restricted() {
+                    let tokens = rf.pattern.tokens();
+                    match rf.action {
+                        FilterAction::Block => self.block_builder.insert(id, &tokens),
+                        FilterAction::Allow => self.allow_builder.insert(id, &tokens),
+                    }
                 }
                 self.request_filters.push(StoredRequestFilter {
                     filter: rf.clone(),
@@ -879,12 +945,11 @@ impl Engine {
         })
     }
 
-    fn match_request_with(
-        &self,
-        req: &Request,
-        tenant: u64,
-        scratch: &mut MatchScratch,
-    ) -> RequestOutcome {
+    /// The candidate stage: leave in `scratch.block_hits` /
+    /// `scratch.allow_hits` the ids of every filter that may match
+    /// `req`, ascending and distinct. Tenant masks, options and patterns
+    /// are the evaluation stage's business.
+    fn collect_candidates(&self, req: &Request, scratch: &mut MatchScratch) {
         let compiled = self.compiled();
         scratch.begin();
         // One pass over the lowercased URL fills all four hit buffers.
@@ -893,6 +958,7 @@ impl Engine {
             allow_hits,
             block_tail,
             allow_tail,
+            gate_hits,
         } = scratch;
         let mut seen = 0u128;
         compiled
@@ -935,6 +1001,11 @@ impl Engine {
                 c.prefilter_rejected.fetch_add(br + ar, Ordering::Relaxed);
             }
         }
+        // One walk of the first party through the gate: the restricted
+        // filters whose include list names it or a parent domain.
+        with_host_lower(&req.first_party, |host| {
+            compiled.restricted.collect(host, gate_hits)
+        });
 
         #[cfg(debug_assertions)]
         {
@@ -952,21 +1023,45 @@ impl Engine {
                 allow_tail,
                 &compiled.allow_untok,
             );
+            self.debug_assert_gate_hits(&req.first_party, gate_hits);
         }
 
         // Canonicalize both candidate streams to ascending filter-id
-        // order: map tail ranks to ids, merge with the whole-token hits,
-        // sort, dedup. Id order is list insertion order, so activations
-        // replay the subscribed lists exactly as written — and a masked
-        // (multi-tenant) evaluation of any subscription subset yields an
-        // ordered subsequence of the full-engine order, which is what
-        // makes one compiled core byte-equivalent to a per-tenant build.
+        // order: map tail ranks to ids, merge with the whole-token hits
+        // and this side's gate hits, sort, dedup (a filter listed under
+        // two matching include domains was collected twice). Id order is
+        // list insertion order, so activations replay the subscribed
+        // lists exactly as written, whichever index a filter came from —
+        // and a masked (multi-tenant) evaluation of any subscription
+        // subset yields an ordered subsequence of the full-engine order,
+        // which is what makes one compiled core byte-equivalent to a
+        // per-tenant build.
         block_hits.extend(block_tail.iter().map(|&r| compiled.block_untok[r as usize]));
+        allow_hits.extend(allow_tail.iter().map(|&r| compiled.allow_untok[r as usize]));
+        for &id in gate_hits.iter() {
+            match self.request_filters[id as usize].filter.action {
+                FilterAction::Block => block_hits.push(id),
+                FilterAction::Allow => allow_hits.push(id),
+            }
+        }
         block_hits.sort_unstable();
         block_hits.dedup();
-        allow_hits.extend(allow_tail.iter().map(|&r| compiled.allow_untok[r as usize]));
         allow_hits.sort_unstable();
         allow_hits.dedup();
+    }
+
+    fn match_request_with(
+        &self,
+        req: &Request,
+        tenant: u64,
+        scratch: &mut MatchScratch,
+    ) -> RequestOutcome {
+        self.collect_candidates(req, scratch);
+        let MatchScratch {
+            block_hits,
+            allow_hits,
+            ..
+        } = scratch;
 
         let mut activations = Vec::new();
         // The subject URL is interned once per request and shared by all
@@ -1062,14 +1157,15 @@ impl Engine {
         (before, before - tail.len() as u64)
     }
 
-    /// Debug-build guard for the satellite invariant: the automaton's
-    /// candidate stream must preserve the filter-priority order of the
-    /// old bucket-then-tail chain, so `match_many` tie-breaking can
-    /// never silently change. The token hits (first-occurrence deduped)
-    /// must *equal* the old bucket visit sequence — whole-token pruning
-    /// is exact — and the merged tail must be an ordered subsequence of
-    /// the untokenized list (the prefilter may drop entries, never
-    /// reorder them).
+    /// Debug-build guard on the automaton's half of the candidate
+    /// stream (filters with no `domain=` include list; restricted ones
+    /// come from the first-party gate, see
+    /// [`Engine::debug_assert_gate_hits`]). The token hits
+    /// (first-occurrence deduped) must *equal* the bucket visit sequence
+    /// of the URL's tokens — whole-token pruning is exact — and the
+    /// merged tail must be an ordered subsequence of the untokenized
+    /// list (the prefilter may drop entries, never reorder them). No
+    /// hit may be a restricted filter: those are in the gate only.
     #[cfg(debug_assertions)]
     fn debug_assert_candidate_order(
         &self,
@@ -1112,6 +1208,39 @@ impl Engine {
             tail_ranks.iter().all(|&r| (r as usize) < untok.len()),
             "tail rank out of range"
         );
+        let from_url = hits
+            .iter()
+            .copied()
+            .chain(tail_ranks.iter().map(|&r| untok[r as usize]));
+        for id in from_url {
+            assert!(
+                !self.request_filters[id as usize].filter.is_restricted(),
+                "restricted filter {id} is also indexed by URL"
+            );
+        }
+    }
+
+    /// Debug-build guard on the gate's half of the candidate stream:
+    /// every hit is a restricted filter with an include entry the first
+    /// party equals or is a subdomain of (the walk is exact on includes,
+    /// not merely a superset). That no admissible filter is *missing* is
+    /// the differential suite's job: checking it here would cost a pass
+    /// over every restricted filter per request.
+    #[cfg(debug_assertions)]
+    fn debug_assert_gate_hits(&self, first_party: &str, gate_hits: &[u32]) {
+        for &id in gate_hits {
+            let include = &self.request_filters[id as usize]
+                .filter
+                .options
+                .domains
+                .include;
+            assert!(
+                include
+                    .iter()
+                    .any(|d| urlkit::is_same_or_subdomain_of(first_party, d)),
+                "gate admitted filter {id} for first party {first_party:?} outside its domain= list"
+            );
+        }
     }
 
     /// Evaluate page-level gates (`$document`, `$elemhide`, sitekeys)
@@ -1429,13 +1558,26 @@ impl Engine {
     /// hiding queries/plan hits, cumulative since the current compiled
     /// snapshot was built (clones of an engine share one set).
     pub fn tail_stats(&self) -> TailStats {
-        let c = &self.compiled().counters;
+        let compiled = self.compiled();
+        let c = &compiled.counters;
         TailStats {
             prefilter_checked: c.prefilter_checked.load(Ordering::Relaxed),
             prefilter_rejected: c.prefilter_rejected.load(Ordering::Relaxed),
             hiding_queries: c.hiding_queries.load(Ordering::Relaxed),
             hiding_plan_hits: c.hiding_plan_hits.load(Ordering::Relaxed),
+            restricted_filters: compiled.restricted_shape.filters,
+            restricted_domains: compiled.restricted_shape.domains,
+            restricted_bucket_max: compiled.restricted_shape.bucket_max,
         }
+    }
+
+    /// The candidate stage's output for one request: `(block, allow)`
+    /// filter ids.
+    #[cfg(test)]
+    fn candidate_ids(&self, req: &Request) -> (Vec<u32>, Vec<u32>) {
+        let mut scratch = MatchScratch::default();
+        self.collect_candidates(req, &mut scratch);
+        (scratch.block_hits, scratch.allow_hits)
     }
 }
 
@@ -2139,9 +2281,9 @@ reddit.com#@##siteTable_organic
     }
 
     #[test]
-    fn compile_count_bumps_once_per_build() {
+    fn compile_count_is_per_engine_and_shared_with_clones() {
         let e = engine();
-        let before = engine_compile_count();
+        assert_eq!(e.compile_count(), 1, "from_lists compiles eagerly");
         // Many masked queries against one engine never recompile.
         for tenant in [u64::MAX, 0b01, 0b10, 0] {
             let _ = e.match_request_masked(
@@ -2154,12 +2296,133 @@ reddit.com#@##siteTable_organic
             );
             let _ = e.hiding_for_domain_masked("www.reddit.com", tenant);
         }
-        assert_eq!(engine_compile_count(), before);
-        let _ = Engine::from_lists([&easylist()]).match_request(&req(
-            "http://ad.doubleclick.net/x.js",
+        assert_eq!(e.compile_count(), 1);
+        // A clone carries the snapshot and the counter; another engine
+        // compiling elsewhere does not move it.
+        let mut clone = e.clone();
+        let _ = engine();
+        assert_eq!(clone.compile_count(), 1);
+        // Adding to the clone invalidates its snapshot: the recompile
+        // shows on both, since they share the count.
+        clone.add_list(&FilterList::parse(ListSource::Custom, "||late.example^\n"));
+        let _ = clone.match_request(&req(
+            "http://late.example/x.js",
             "example.com",
             ResourceType::Script,
         ));
-        assert_eq!(engine_compile_count(), before + 1);
+        assert_eq!(clone.compile_count(), 2);
+        assert_eq!(e.compile_count(), 2);
+    }
+
+    // ---- first-party gate ----------------------------------------------
+
+    #[test]
+    fn gate_keeps_same_pattern_exceptions_off_other_sites_candidate_lists() {
+        // The paper's whitelist in miniature: one pattern, a thousand
+        // `domain=` restrictions. By URL token every one of them is a
+        // candidate for every request to that host.
+        let mut wl = String::new();
+        for i in 0..1000 {
+            wl.push_str(&format!(
+                "@@||g.adnet.example/pagead/conversion/$image,domain=site{i}.example\n"
+            ));
+        }
+        let bl = FilterList::parse(ListSource::EasyList, "||adnet.example^\n");
+        let wl = FilterList::parse(ListSource::AcceptableAds, &wl);
+        let e = Engine::from_lists([&bl, &wl]);
+        let url = "http://g.adnet.example/pagead/conversion/1.gif";
+
+        let listed = req(url, "www.site7.example", ResourceType::Image);
+        let (block, allow) = e.candidate_ids(&listed);
+        assert_eq!(block, vec![0]);
+        assert!(allow.len() <= 2, "{} allow candidates", allow.len());
+        let out = e.match_request(&listed);
+        assert_eq!(out.decision, Decision::AllowedByException);
+        assert_eq!(out.activations.len(), 2);
+        assert!(out.activations[1].filter.ends_with("domain=site7.example"));
+
+        let unlisted = req(url, "elsewhere.example", ResourceType::Image);
+        let (block, allow) = e.candidate_ids(&unlisted);
+        assert_eq!(block, vec![0]);
+        assert!(allow.is_empty());
+        assert_eq!(e.match_request(&unlisted).decision, Decision::Block);
+
+        let stats = e.tail_stats();
+        assert_eq!(stats.restricted_filters, 1000);
+        assert_eq!(stats.restricted_domains, 1000);
+        assert_eq!(stats.restricted_bucket_max, 1);
+    }
+
+    #[test]
+    fn gate_handles_multi_include_excludes_and_both_sides() {
+        let list = FilterList::parse(
+            ListSource::Custom,
+            "\
+/unit/$domain=a.example|www.a.example
+/unit/$domain=a.example|~shop.a.example
+@@/unit/ok/$domain=A.example
+/unit/$domain=~a.example
+",
+        );
+        let e = Engine::from_lists([&list]);
+        let on = |first: &str, path: &str| {
+            let r = req(
+                &format!("http://cdn.example{path}"),
+                first,
+                ResourceType::Image,
+            );
+            let out = e.match_request(&r);
+            let ids: Vec<&str> = out.activations.iter().map(|a| a.filter.as_str()).collect();
+            (out.decision, ids.join(" "))
+        };
+        // Both include entries match `www.a.example`: one activation.
+        assert_eq!(
+            on("www.a.example", "/unit/x.gif"),
+            (
+                Decision::Block,
+                "/unit/$domain=a.example|www.a.example /unit/$domain=a.example|~shop.a.example"
+                    .into()
+            )
+        );
+        // The exclude under an include is `matches`' to enforce.
+        assert_eq!(
+            on("shop.a.example", "/unit/x.gif"),
+            (
+                Decision::Block,
+                "/unit/$domain=a.example|www.a.example".into()
+            )
+        );
+        // Restricted exception, mixed-case include, wins over both.
+        assert_eq!(
+            on("a.example", "/unit/ok/x.gif").0,
+            Decision::AllowedByException
+        );
+        // Exclude-only filters are not restricted: still found by URL.
+        assert_eq!(
+            on("b.example", "/unit/x.gif"),
+            (Decision::Block, "/unit/$domain=~a.example".into())
+        );
+        assert_eq!(e.tail_stats().restricted_filters, 3);
+        assert_eq!(e.tail_stats().restricted_bucket_max, 3);
+    }
+
+    #[test]
+    fn gate_folds_include_domains_the_parser_did_not() {
+        // `DomainConstraint::allows` ignores case, and its fields are
+        // public: a filter built or deserialized by hand may carry an
+        // include entry the parser would have lowercased.
+        let mut f = crate::parser::parse_filter("/unit/$domain=a.example").unwrap();
+        let FilterBody::Request(rf) = &mut f.body else {
+            panic!("request filter");
+        };
+        rf.options.domains.include = vec!["A.Example".to_string()];
+        let mut e = Engine::new();
+        e.add_filter(&f, ListSource::Custom);
+        let r = req(
+            "http://cdn.example/unit/x.gif",
+            "www.a.example",
+            ResourceType::Image,
+        );
+        assert_eq!(e.match_request(&r).decision, Decision::Block);
     }
 }

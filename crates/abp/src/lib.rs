@@ -55,7 +55,7 @@ pub mod request;
 pub mod scan;
 
 pub use activation::{Activation, MatchKind};
-pub use engine::{engine_compile_count, Decision, Engine, RequestOutcome, TailStats};
+pub use engine::{Decision, Engine, RequestOutcome, TailStats};
 pub use filter::{ElementFilter, Filter, FilterAction, FilterBody, RequestFilter};
 pub use intern::IStr;
 pub use list::{FilterList, ListMetadata, ListSource};

@@ -752,6 +752,159 @@ mod differential {
         }
     }
 
+    /// First parties for the restricted arm: a site, two of its
+    /// subdomains, a sibling site, a multi-label-suffix site, and a
+    /// host with no dots.
+    const GATE_SITES: [&str; 7] = [
+        "a.example",
+        "www.a.example",
+        "shop.a.example",
+        "b.test",
+        "news.b.test",
+        "c.co.uk",
+        "intranet",
+    ];
+
+    fn mixed_case(s: &str, rng: &mut TestRng) -> String {
+        s.chars()
+            .map(|c| {
+                if rng.below(3) == 0 {
+                    c.to_ascii_uppercase()
+                } else {
+                    c
+                }
+            })
+            .collect()
+    }
+
+    /// A restricted request filter: one of three shared patterns, so
+    /// that many filters differ only in `domain=`, whose list holds one
+    /// to four entries — includes and `~`-excludes, in any case, often
+    /// two includes that both match one first party.
+    fn restricted_line(rng: &mut TestRng) -> String {
+        const PATTERNS: [&str; 3] = ["||g.adnet0.example/pagead/", "/banner/", "||track1.test^"];
+        let prefix = if rng.below(2) == 0 { "@@" } else { "" };
+        let pattern = PATTERNS[rng.usize_in(0, PATTERNS.len())];
+        let types = ["", "image,", "script,~image,", "third-party,"][rng.usize_in(0, 4)];
+        let mut domains = vec![GATE_SITES[rng.usize_in(0, GATE_SITES.len())].to_string()];
+        for _ in 0..rng.usize_in(0, 4) {
+            let site = GATE_SITES[rng.usize_in(0, GATE_SITES.len())];
+            let negate = if rng.below(3) == 0 { "~" } else { "" };
+            domains.push(format!("{negate}{site}"));
+        }
+        // The include need not come first.
+        let first = rng.usize_in(0, domains.len());
+        domains.swap(0, first);
+        let list = mixed_case(&domains.join("|"), rng);
+        format!("{prefix}{pattern}${types}domain={list}")
+    }
+
+    /// A request aimed at the shared patterns from one of the gate
+    /// sites (sometimes a deeper subdomain, sometimes in mixed case) or
+    /// from a first party no filter names.
+    fn restricted_request(rng: &mut TestRng) -> Request {
+        const URLS: [&str; 4] = [
+            "http://g.adnet0.example/pagead/viewthrough/1.gif",
+            "http://cdn.media2.test/banner/top.js",
+            "http://track1.test/banner/p.gif",
+            "http://news.b.test/story.html",
+        ];
+        let site = GATE_SITES[rng.usize_in(0, GATE_SITES.len())];
+        let first = match rng.below(4) {
+            0 => format!("m.{site}"),
+            1 => pool_host(rng),
+            _ => site.to_string(),
+        };
+        let ty = [
+            ResourceType::Image,
+            ResourceType::Script,
+            ResourceType::Subdocument,
+        ][rng.usize_in(0, 3)];
+        let url = URLS[rng.usize_in(0, URLS.len())];
+        let mut req = Request::new(url, &mixed_case(&first, rng), ty).unwrap();
+        if rng.below(4) == 0 {
+            // `Request::new` folds the first party; a caller filling the
+            // public field (or deserializing one) may not have.
+            req.first_party = mixed_case(&req.first_party, rng);
+        }
+        req
+    }
+
+    /// Restricted-filter arm: what the first-party gate must get right.
+    /// Lists dominated by same-pattern filters that differ only in
+    /// `domain=`, on both sides, salted with the general generator's
+    /// lines; each request is checked against the linear reference over
+    /// all lists, then under random tenant masks against the reference
+    /// over exactly the tenant's lists — decisions, activation order,
+    /// serialized JSON. Debug builds also run the engine's candidate
+    /// assertions on every one of these requests.
+    #[test]
+    fn restricted_filters_match_reference_unmasked_and_masked() {
+        let mut rng = TestRng::deterministic("engine_restricted_differential_v1");
+        for case in 0..CASES {
+            let n_lists = rng.usize_in(1, 5);
+            let lists: Vec<FilterList> = (0..n_lists)
+                .map(|i| {
+                    let text: String = (0..rng.usize_in(1, 25))
+                        .map(|_| {
+                            let line = if rng.below(5) == 0 {
+                                filter_line(&mut rng)
+                            } else {
+                                restricted_line(&mut rng)
+                            };
+                            line + "\n"
+                        })
+                        .collect();
+                    let source = [ListSource::EasyList, ListSource::AcceptableAds][i % 2];
+                    FilterList::parse(source, &text)
+                })
+                .collect();
+            let refs: Vec<&FilterList> = lists.iter().collect();
+            let engine = Engine::from_lists(refs.iter().copied());
+            let full_mask = (1u64 << n_lists) - 1;
+
+            for _ in 0..4 {
+                let req = restricted_request(&mut rng);
+                let context = || {
+                    let text: String = lists.iter().map(FilterList::to_text).collect();
+                    format!(
+                        "case {case}: {} from {:?} on lists:\n{text}",
+                        req.url.as_str(),
+                        req.first_party
+                    )
+                };
+                let got = engine.match_request(&req);
+                let want = reference_match(&refs, &req);
+                assert_eq!(got, want, "{}", context());
+                assert_eq!(
+                    serde_json::to_string(&got).unwrap(),
+                    serde_json::to_string(&want).unwrap(),
+                    "{}",
+                    context()
+                );
+
+                for _ in 0..2 {
+                    let mask = rng.below(full_mask + 1);
+                    let subset: Vec<&FilterList> = refs
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| mask & Engine::list_bit(*i) != 0)
+                        .map(|(_, l)| *l)
+                        .collect();
+                    let got = engine.match_request_masked(&req, mask);
+                    let want = reference_match(&subset, &req);
+                    assert_eq!(got, want, "mask {mask:#b}, {}", context());
+                    assert_eq!(
+                        serde_json::to_string(&got).unwrap(),
+                        serde_json::to_string(&want).unwrap(),
+                        "mask {mask:#b}, {}",
+                        context()
+                    );
+                }
+            }
+        }
+    }
+
     /// Outcomes round-trip through JSON byte-identically to the
     /// reference representation (interning must be invisible on the
     /// wire — the abpd decision cache depends on this).

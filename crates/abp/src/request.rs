@@ -65,13 +65,14 @@ impl Request {
 }
 
 /// Whether two hosts belong to the same party (shared registrable domain,
-/// falling back to exact host equality for hosts without one).
+/// falling back to exact host equality for hosts without one: bare public
+/// suffixes and IP literals).
 pub fn same_party(host_a: &str, host_b: &str) -> bool {
     match (
-        urlkit::registrable_domain(host_a),
-        urlkit::registrable_domain(host_b),
+        urlkit::registrable_domain_str(host_a),
+        urlkit::registrable_domain_str(host_b),
     ) {
-        (Some(a), Some(b)) => a == b,
+        (Some(a), Some(b)) => a.eq_ignore_ascii_case(b),
         _ => host_a.eq_ignore_ascii_case(host_b),
     }
 }
@@ -136,5 +137,25 @@ mod tests {
     fn bare_suffix_hosts_compare_exactly() {
         assert!(same_party("com", "com"));
         assert!(!same_party("com", "net"));
+    }
+
+    #[test]
+    fn same_party_ignores_case_and_trailing_dots() {
+        assert!(same_party("CDN.Example.CO.UK", "www.example.co.uk."));
+        assert!(!same_party("example.co.uk", "other.co.uk"));
+    }
+
+    #[test]
+    fn ip_hosts_are_one_party_only_with_themselves() {
+        assert!(same_party("192.168.1.1", "192.168.1.1"));
+        assert!(!same_party("192.168.1.1", "10.0.1.1"));
+        assert!(same_party("[::1]", "[::1]"));
+        assert!(!same_party("[::1]", "[::2]"));
+
+        let r = |url: &str, first: &str| Request::new(url, first, ResourceType::Image).unwrap();
+        assert!(!r("http://192.168.1.1/logo.png", "192.168.1.1").third_party);
+        assert!(r("http://10.0.1.1/pixel.gif", "192.168.1.1").third_party);
+        assert!(!r("http://[::1]:8080/x.png", "[::1]").third_party);
+        assert!(r("http://[::2]:8080/x.png", "[::1]").third_party);
     }
 }

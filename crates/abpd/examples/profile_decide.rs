@@ -1,20 +1,36 @@
 //! Rough per-stage cost breakdown for one decision, used to guide
 //! optimization: run with `cargo run --release -p abpd --example
 //! profile_decide`.
+//!
+//! The request set is the first 65,536 *distinct* requests of the
+//! browsing stream on the corpus lists — what a cache miss sees, and
+//! what `benchmark/`'s `abp.request_new_ns` / `abp.match_ns` rows time —
+//! so the engine-layer split of a miss can be re-read without the
+//! harness.
 
 use abpd::{DecisionRequest, ServiceConfig};
+use std::collections::HashSet;
 use std::time::Instant;
 
 fn main() {
-    let n = 20_000usize;
+    let n = 65_536usize;
+    let mut seen = HashSet::with_capacity(n);
     let reqs: Vec<DecisionRequest> = websim::traffic::TrafficGen::new(2015)
         .samples()
-        .take(n)
         .map(|s| abpd::request_of_sample(&s))
+        .filter(|r| seen.insert((r.url.clone(), r.document.clone(), r.resource_type)))
+        .take(n)
         .collect();
 
     let engine = abpd::corpus_engine(2015);
-    println!("filters: {}", engine.request_filter_count());
+    let shape = engine.tail_stats();
+    println!(
+        "filters: {} ({} behind the first-party gate under {} domains, largest bucket {})",
+        engine.request_filter_count(),
+        shape.restricted_filters,
+        shape.restricted_domains,
+        shape.restricted_bucket_max
+    );
 
     // Stage 1: JSON serialize requests (client side).
     let t = Instant::now();
@@ -40,10 +56,15 @@ fn main() {
         .collect();
     println!("Request::new:  {:?}/req", t.elapsed() / n as u32);
 
-    // Stage 4: engine evaluation.
+    // Stage 4: engine evaluation, each request matched once.
     let t = Instant::now();
     let outcomes = engine.match_many(&built);
     println!("match:         {:?}/req", t.elapsed() / n as u32);
+    let activations: usize = outcomes.iter().map(|o| o.activations.len()).sum();
+    println!(
+        "               {:.2} activations/req",
+        activations as f64 / n as f64
+    );
 
     // Stage 5: serialize responses.
     let t = Instant::now();

@@ -213,7 +213,6 @@ fn main() {
     }
 
     let (bl, wl) = synthetic::lists_10k();
-    let compiles_before_build = abp::engine_compile_count();
     let engine = Engine::from_lists([&bl, &wl]);
     let n_urls = if quick { 20_000 } else { 100_000 };
     let reqs = synthetic::requests(n_urls);
@@ -276,7 +275,7 @@ fn main() {
     }
     let match_tenant = stats(decisions, tenant_ns);
     let match_union_paired = stats(decisions, union_ns);
-    let tenant_engine_compiles = abp::engine_compile_count() - compiles_before_build;
+    let tenant_engine_compiles = engine.compile_count();
     eprintln!(
         "  match_tenant         {:>12.0} ops/s  {:>8.0} ns/op  ({} tenants, {} compile(s), {}B/tenant)",
         match_tenant.ops_per_sec,

@@ -197,9 +197,8 @@ fn main() {
         "crawling top {} + 3x{} (use --full for paper scale) ...",
         cfg.top_n, cfg.stratum_sample
     );
-    let survey_compiles_before = abp::engine_compile_count();
     let survey = run_site_survey(&web, &corpus.easylist, &corpus.whitelist, &cfg);
-    let survey_compiles = abp::engine_compile_count() - survey_compiles_before;
+    let survey_compiles = survey.engine_compiles;
     let n = survey.top_sites.len();
     let heavy = survey.heaviest_site().expect("non-empty survey");
     println!(

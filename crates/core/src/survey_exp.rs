@@ -137,6 +137,10 @@ pub struct SiteSurveyReport {
     pub strata: Vec<(String, Vec<SiteRecord>)>,
     /// Configuration used.
     pub config: SiteSurveyConfig,
+    /// Engine compilations the survey paid for its four configurations
+    /// ([`abp::Engine::compile_count`] of the shared engine: 1).
+    #[serde(default)]
+    pub engine_compiles: u64,
 }
 
 impl SiteSurveyReport {
@@ -307,6 +311,7 @@ pub fn run_site_survey(
         top_sites,
         strata,
         config: config.clone(),
+        engine_compiles: union.compile_count(),
     }
 }
 
@@ -357,7 +362,6 @@ mod tests {
             threads: 4,
             seed: testutil::SEED,
         };
-        let before = abp::engine_compile_count();
         let union = std::sync::Arc::new(Engine::from_lists([&c.easylist, &c.whitelist]));
         let selectors = std::sync::Arc::new(crawler::selcache::SelectorCache::build(&union));
         let engines: Vec<NamedEngine> = SURVEY_TENANTS
@@ -367,8 +371,8 @@ mod tests {
         let ranks: Vec<u32> = (1..=cfg.top_n).collect();
         let visits = crawl_ranks(testutil::web(), &engines, &ranks, cfg.threads);
         assert_eq!(
-            abp::engine_compile_count(),
-            before + 1,
+            union.compile_count(),
+            1,
             "four survey configs must cost one compile"
         );
         for v in &visits {

@@ -9,19 +9,35 @@
 //! the common multi-label suffixes seen in the real whitelist
 //! (`co.uk`, `com.au`, `co.jp`, ...).
 
-/// Multi-label public suffixes recognized in addition to single-label TLDs.
+/// Second-level labels that, under the given country-code TLD, form a
+/// multi-label public suffix (`co` under `uk`: registrations happen one
+/// level deeper, at `google.co.uk`).
 ///
 /// Any final label (e.g. `com`, `net`, `de`, `cm`, `io`) is always treated
-/// as a public suffix; this table adds the two-label suffixes under which
-/// registrations happen one level deeper.
-const MULTI_LABEL_SUFFIXES: &[&str] = &[
-    "co.uk", "org.uk", "ac.uk", "gov.uk", "me.uk", "net.uk", "com.au", "net.au", "org.au",
-    "edu.au", "gov.au", "co.jp", "ne.jp", "or.jp", "ac.jp", "go.jp", "com.br", "net.br", "org.br",
-    "co.in", "net.in", "org.in", "firm.in", "co.nz", "net.nz", "org.nz", "com.cn", "net.cn",
-    "org.cn", "gov.cn", "com.tw", "org.tw", "com.mx", "org.mx", "co.za", "org.za", "com.ar",
-    "com.tr", "com.sg", "com.hk", "com.my", "com.ph", "co.kr", "or.kr", "com.ua", "co.il",
-    "com.pl", "com.ru", "com.vn", "com.eg", "com.sa",
-];
+/// as a public suffix; this table adds the two-label suffixes. Every one
+/// of them sits under a two-letter TLD, so the lookup is a switch on two
+/// bytes and a scan of at most six labels.
+fn second_level_suffix_labels(tld: &str) -> &'static [&'static str] {
+    let &[a, b] = tld.as_bytes() else {
+        return &[];
+    };
+    match &[a.to_ascii_lowercase(), b.to_ascii_lowercase()] {
+        b"uk" => &["co", "org", "ac", "gov", "me", "net"],
+        b"au" => &["com", "net", "org", "edu", "gov"],
+        b"jp" => &["co", "ne", "or", "ac", "go"],
+        b"in" => &["co", "net", "org", "firm"],
+        b"cn" => &["com", "net", "org", "gov"],
+        b"br" => &["com", "net", "org"],
+        b"nz" => &["co", "net", "org"],
+        b"tw" | b"mx" => &["com", "org"],
+        b"za" => &["co", "org"],
+        b"kr" => &["co", "or"],
+        b"il" => &["co"],
+        b"ar" | b"tr" | b"sg" | b"hk" | b"my" | b"ph" | b"ua" | b"pl" | b"ru" | b"vn" | b"eg"
+        | b"sa" => &["com"],
+        _ => &[],
+    }
+}
 
 /// Returns `true` when `host` equals `domain` or is a DNS subdomain of it.
 ///
@@ -55,20 +71,51 @@ impl EndsWithIgnoreCase for str {
     }
 }
 
-/// The number of labels occupied by the public suffix of `host`, or `None`
-/// when the host itself is only a public suffix (or empty).
-fn public_suffix_labels(host: &str) -> usize {
-    let lower = host.to_ascii_lowercase();
-    for suffix in MULTI_LABEL_SUFFIXES {
-        if lower == *suffix || is_same_or_subdomain_of(&lower, suffix) {
-            return 2;
-        }
-    }
-    1
+/// Whether `host` is an IP literal rather than a DNS name: a dotted-quad
+/// IPv4 address, or a bracketed IPv6 address (`Url::parse` keeps the
+/// brackets). IP hosts have no registrable domain.
+fn is_ip_literal(host: &str) -> bool {
+    host.starts_with('[')
+        || (host.ends_with(|c: char| c.is_ascii_digit())
+            && host.parse::<std::net::Ipv4Addr>().is_ok())
 }
 
 /// Returns the registrable domain of `host` — the public suffix plus one
-/// label — or `None` when the host has no label above its public suffix.
+/// label — as a suffix slice of `host` (case preserved, nothing
+/// allocated), or `None` when the host has no label above its public
+/// suffix, has an empty label, or is an IP literal.
+///
+/// ```
+/// use urlkit::registrable_domain_str;
+/// assert_eq!(registrable_domain_str("Maps.Google.com"), Some("Google.com"));
+/// assert_eq!(registrable_domain_str("www.google.co.uk."), Some("google.co.uk"));
+/// assert_eq!(registrable_domain_str("co.uk"), None);
+/// assert_eq!(registrable_domain_str("192.168.1.1"), None);
+/// ```
+pub fn registrable_domain_str(host: &str) -> Option<&str> {
+    let host = host.trim_matches('.');
+    if host.contains("..") || is_ip_literal(host) {
+        return None;
+    }
+    // Only the last three dots matter: TLD, second-level label, and the
+    // label above a two-label suffix.
+    let mut dots = host.rmatch_indices('.').map(|(i, _)| i);
+    let tld_dot = dots.next()?;
+    let sld_dot = dots.next();
+    let sld_start = sld_dot.map_or(0, |d| d + 1);
+    let (sld, tld) = (&host[sld_start..tld_dot], &host[tld_dot + 1..]);
+    let two_label_suffix = second_level_suffix_labels(tld)
+        .iter()
+        .any(|l| l.eq_ignore_ascii_case(sld));
+    if !two_label_suffix {
+        return Some(&host[sld_start..]);
+    }
+    // A bare two-label suffix (`co.uk`) has nothing registered above it.
+    sld_dot?;
+    Some(&host[dots.next().map_or(0, |d| d + 1)..])
+}
+
+/// The owned, lowercased form of [`registrable_domain_str`].
 ///
 /// ```
 /// use urlkit::registrable_domain;
@@ -77,20 +124,7 @@ fn public_suffix_labels(host: &str) -> usize {
 /// assert_eq!(registrable_domain("com"), None);
 /// ```
 pub fn registrable_domain(host: &str) -> Option<String> {
-    let host = host.trim_matches('.');
-    if host.is_empty() {
-        return None;
-    }
-    let labels: Vec<&str> = host.split('.').collect();
-    if labels.iter().any(|l| l.is_empty()) {
-        return None;
-    }
-    let suffix_labels = public_suffix_labels(host);
-    if labels.len() <= suffix_labels {
-        return None;
-    }
-    let keep = suffix_labels + 1;
-    Some(labels[labels.len() - keep..].join(".").to_ascii_lowercase())
+    registrable_domain_str(host).map(str::to_ascii_lowercase)
 }
 
 /// Alias matching the paper's terminology: the *effective second-level
@@ -132,63 +166,84 @@ mod tests {
         assert!(!is_same_or_subdomain_of("reddit.com", ""));
     }
 
+    /// The owned form, after checking that the borrowed form is the same
+    /// domain as a suffix slice of the input.
+    fn e2ld(host: &str) -> Option<String> {
+        let owned = registrable_domain(host);
+        let borrowed = registrable_domain_str(host);
+        assert_eq!(borrowed.map(str::to_ascii_lowercase), owned, "{host:?}");
+        if let Some(b) = borrowed {
+            assert!(host.trim_matches('.').ends_with(b), "{b:?} of {host:?}");
+        }
+        owned
+    }
+
     #[test]
     fn e2ld_single_label_suffix() {
-        assert_eq!(registrable_domain("google.com"), Some("google.com".into()));
-        assert_eq!(
-            registrable_domain("maps.google.com"),
-            Some("google.com".into())
-        );
-        assert_eq!(
-            registrable_domain("cars.about.com"),
-            Some("about.com".into())
-        );
+        assert_eq!(e2ld("google.com"), Some("google.com".into()));
+        assert_eq!(e2ld("maps.google.com"), Some("google.com".into()));
+        assert_eq!(e2ld("cars.about.com"), Some("about.com".into()));
     }
 
     #[test]
     fn e2ld_multi_label_suffix() {
-        assert_eq!(
-            registrable_domain("google.co.uk"),
-            Some("google.co.uk".into())
-        );
-        assert_eq!(
-            registrable_domain("www.google.co.uk"),
-            Some("google.co.uk".into())
-        );
-        assert_eq!(
-            registrable_domain("kayak.com.au"),
-            Some("kayak.com.au".into())
-        );
+        assert_eq!(e2ld("google.co.uk"), Some("google.co.uk".into()));
+        assert_eq!(e2ld("www.google.co.uk"), Some("google.co.uk".into()));
+        assert_eq!(e2ld("kayak.com.au"), Some("kayak.com.au".into()));
+        // `com` is a second-level suffix label under `au`, not under `uk`.
+        assert_eq!(e2ld("shop.kayak.com.uk"), Some("com.uk".into()));
     }
 
     #[test]
     fn e2ld_of_bare_suffix_is_none() {
-        assert_eq!(registrable_domain("com"), None);
-        assert_eq!(registrable_domain("co.uk"), None);
-        assert_eq!(registrable_domain(""), None);
+        assert_eq!(e2ld("com"), None);
+        assert_eq!(e2ld("co.uk"), None);
+        assert_eq!(e2ld("CO.UK"), None);
+        assert_eq!(e2ld(""), None);
+        assert_eq!(e2ld("."), None);
     }
 
     #[test]
     fn e2ld_handles_parked_typo_tlds() {
         // reddit.cm — the parked typo domain from §4.2.3.
-        assert_eq!(registrable_domain("reddit.cm"), Some("reddit.cm".into()));
-        assert_eq!(
-            registrable_domain("www.reddit.cm"),
-            Some("reddit.cm".into())
-        );
+        assert_eq!(e2ld("reddit.cm"), Some("reddit.cm".into()));
+        assert_eq!(e2ld("www.reddit.cm"), Some("reddit.cm".into()));
     }
 
     #[test]
-    fn e2ld_lowercases() {
+    fn e2ld_lowercases_owned_and_borrows_verbatim() {
+        assert_eq!(e2ld("Maps.Google.COM"), Some("google.com".into()));
         assert_eq!(
-            registrable_domain("Maps.Google.COM"),
-            Some("google.com".into())
+            registrable_domain_str("Maps.Google.COM"),
+            Some("Google.COM")
         );
+        assert_eq!(e2ld("WWW.Google.Co.UK"), Some("google.co.uk".into()));
+    }
+
+    #[test]
+    fn e2ld_ignores_trailing_and_leading_dots() {
+        assert_eq!(e2ld("www.example.com."), Some("example.com".into()));
+        assert_eq!(e2ld(".example.com"), Some("example.com".into()));
+        assert_eq!(e2ld("www.google.co.uk."), Some("google.co.uk".into()));
     }
 
     #[test]
     fn e2ld_rejects_empty_labels() {
-        assert_eq!(registrable_domain("a..com"), None);
+        assert_eq!(e2ld("a..com"), None);
+        assert_eq!(e2ld("a..b.example.com"), None);
+    }
+
+    #[test]
+    fn ip_hosts_have_no_registrable_domain() {
+        // Both used to reduce to "1.1": two unrelated hosts, one party.
+        assert_eq!(e2ld("192.168.1.1"), None);
+        assert_eq!(e2ld("10.0.1.1"), None);
+        assert_eq!(e2ld("[::1]"), None);
+        assert_eq!(e2ld("[::ffff:10.0.1.1]"), None);
+        // Not dotted quads: ordinary names that happen to hold digits.
+        assert_eq!(e2ld("1.2.3.4.5"), Some("4.5".into()));
+        assert_eq!(e2ld("999.1.1.1"), Some("1.1".into()));
+        assert_eq!(e2ld("cdn1.example.com"), Some("example.com".into()));
     }
 
     #[test]

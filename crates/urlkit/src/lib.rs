@@ -22,7 +22,10 @@ pub mod domain;
 pub mod parse;
 pub mod separator;
 
-pub use domain::{effective_second_level_domain, is_same_or_subdomain_of, registrable_domain};
+pub use domain::{
+    effective_second_level_domain, is_same_or_subdomain_of, registrable_domain,
+    registrable_domain_str,
+};
 pub use parse::{ParseError, Url};
 pub use separator::is_separator;
 

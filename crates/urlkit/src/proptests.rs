@@ -1,6 +1,6 @@
 //! Property-based tests for URL parsing and domain reduction invariants.
 
-use crate::{is_same_or_subdomain_of, registrable_domain, Url};
+use crate::{is_same_or_subdomain_of, registrable_domain, registrable_domain_str, Url};
 use proptest::prelude::*;
 
 /// Strategy producing syntactically plausible hostnames (1–5 labels).
@@ -45,6 +45,18 @@ proptest! {
             prop_assert_eq!(registrable_domain(&r), Some(r.clone()));
             // And the host is a subdomain of its registrable domain.
             prop_assert!(is_same_or_subdomain_of(&host, &r));
+        }
+    }
+
+    /// The borrowed form is a suffix slice of the input naming the same
+    /// domain as the owned form, whatever the input's case.
+    #[test]
+    fn registrable_domain_str_agrees_with_owned(host in host_strategy(), upper in any::<bool>()) {
+        let host = if upper { host.to_ascii_uppercase() } else { host };
+        let borrowed = registrable_domain_str(&host);
+        prop_assert_eq!(borrowed.map(str::to_ascii_lowercase), registrable_domain(&host));
+        if let Some(b) = borrowed {
+            prop_assert!(host.ends_with(b));
         }
     }
 
