@@ -14,6 +14,13 @@
 //! request that hits a dead, shedding, or timed-out shard is *hedged*
 //! to the next distinct shard on its ring walk.
 //!
+//! The router evaluates nothing, so it decodes nothing it does not
+//! hash: a request line is parsed once for its routing keys and for
+//! where each batch element sits, and from there on decisions are
+//! *spliced* — request bytes copied as sent into per-shard sub-batch
+//! lines, reply bytes copied as the shards encoded them into the
+//! client's reply (`abpd::wire`'s span finders; DESIGN.md §8).
+//!
 //! `Reload` and `ReloadDelta` lines fan out to every *healthy* shard
 //! and the reply reports fleet convergence: the proxy re-probes each
 //! shard's serving checksum after the swap and answers `Error` if the
@@ -35,12 +42,11 @@
 
 pub mod ring;
 
-use abpd::client::is_overloaded;
 use abpd::protocol::{
-    DecisionRequest, DecisionResponse, HealthReport, HealthState, ReloadDeltaList, ReloadList,
-    ReloadMismatch, ReloadReport, ServerMessage, StatsReport,
+    HealthReport, HealthState, ReloadDeltaList, ReloadList, ReloadMismatch, ReloadReport,
+    ServerMessage, StatsReport,
 };
-use abpd::wire::{self, ClientMessageRef, LineRead};
+use abpd::wire::{self, ClientMessageRef, DecisionRequestRef, DecisionShape, LineRead};
 use abpd::{serving_checksum, Client};
 use ring::HashRing;
 use std::collections::VecDeque;
@@ -751,7 +757,17 @@ impl BackendConns {
             c.max_reply_bytes(shared.max_line_bytes);
             self.conns[slot] = Some((epoch, c));
         }
-        Ok(&mut self.conns[slot].as_mut().expect("just ensured").1)
+        self.cached(slot)
+    }
+
+    /// The connection to `slot` as it is. Replies are read through
+    /// this: one only arrives where its request went, so a reconnect
+    /// would wait for nothing.
+    fn cached(&mut self, slot: usize) -> std::io::Result<&mut Client> {
+        match &mut self.conns[slot] {
+            Some((_, c)) => Ok(c),
+            None => Err(std::io::ErrorKind::NotConnected.into()),
+        }
     }
 
     fn drop_slot(&mut self, slot: usize) {
@@ -759,65 +775,152 @@ impl BackendConns {
     }
 }
 
-/// How one forward attempt to one shard ended.
-enum Forward<T> {
-    Ok(T),
+/// How one attempt against one shard ended.
+#[derive(Default)]
+enum Forward {
+    /// The line went out; or the shard answered it with the decisions
+    /// asked for.
+    #[default]
+    Ok,
     /// The shard shed the work; hedge without marking it dead.
     Overloaded,
-    /// The shard *answered* with a typed error — deterministic, so
-    /// hedging would just repeat it. Relay it.
+    /// The shard *answered*, but not with those decisions: a typed
+    /// error (deterministic, so hedging would just repeat it) or a
+    /// reply of the wrong shape. Relay the description.
     Rejected(String),
-    /// Transport trouble (dead shard, timeout, torn reply): mark the
-    /// slot unhealthy and hedge.
+    /// Transport trouble (dead shard, timeout, torn reply): the slot is
+    /// marked unhealthy; hedge.
     Transport,
 }
 
-fn classify<T>(res: std::io::Result<T>, broken_after: bool) -> Forward<T> {
-    match res {
-        Ok(v) => Forward::Ok(v),
-        Err(e) if is_overloaded(&e) => Forward::Overloaded,
-        Err(_) if broken_after => Forward::Transport,
-        Err(e) => Forward::Rejected(e.to_string()),
-    }
+/// A shard's reply line, copied out of its connection so the
+/// connection can carry a hedge meanwhile, and where each decision
+/// sits in it.
+#[derive(Default)]
+struct Reply {
+    line: Vec<u8>,
+    decisions: Vec<std::ops::Range<usize>>,
 }
 
-fn forward_decide(
+/// One slot's share of the batch being routed.
+#[derive(Default)]
+struct Group {
+    /// Indices into the client's batch, ascending; empty when the
+    /// slot owns none of it.
+    members: Vec<usize>,
+    /// The sub-batch line: the members' bytes as the client sent them.
+    /// Hedging sends the same line to another slot.
+    body: Vec<u8>,
+    reply: Reply,
+    state: Forward,
+}
+
+/// A connection thread's splice buffers, reused line after line.
+#[derive(Default)]
+struct Splice {
+    /// Where each element of the client's batch sits in its line.
+    spans: Vec<std::ops::Range<usize>>,
+    /// Per batch element: its owning slot and its position in that
+    /// slot's group, which is where its decision sits in the reply.
+    place: Vec<(usize, usize)>,
+    /// One per slot.
+    groups: Vec<Group>,
+    /// The reply to a single `Decide`.
+    single: Reply,
+}
+
+/// Longest description of a misbehaving shard reply the proxy puts in
+/// an `Error` of its own.
+const MAX_REPLY_ERROR_BYTES: usize = 200;
+
+fn bounded(mut msg: String) -> String {
+    msg.truncate(msg.floor_char_boundary(MAX_REPLY_ERROR_BYTES));
+    msg
+}
+
+/// Ship one line (no newline) to `slot` as it is: `Ok`, or `Transport`
+/// with the dead connection counted against the slot.
+fn send(conns: &mut BackendConns, shared: &Shared, slot: usize, line: &[u8]) -> Forward {
+    let sent = conns.get(shared, slot).and_then(|c| c.send_raw(line));
+    if sent.is_ok() {
+        return Forward::Ok;
+    }
+    shared.record_failure(slot);
+    shared.mark(slot, false);
+    Forward::Transport
+}
+
+/// Read `slot`'s answer to the line last sent to it into `reply` and
+/// settle the slot's breaker by it. `Ok` means `count` decisions in
+/// `shape`, located but not decoded, and credited to the slot as
+/// `forwarded`; every other reply goes through the typed parser to
+/// find out what it is.
+fn gather(
     conns: &mut BackendConns,
     shared: &Shared,
     slot: usize,
-    req: &DecisionRequest,
-) -> Forward<DecisionResponse> {
-    let client = match conns.get(shared, slot) {
-        Ok(c) => c,
-        Err(_) => return Forward::Transport,
-    };
-    let res = client.decide(req);
-    let broken = client.is_broken();
-    if broken {
-        conns.drop_slot(slot);
+    shape: DecisionShape,
+    count: usize,
+    reply: &mut Reply,
+) -> Forward {
+    match conns.cached(slot).and_then(|c| c.read_reply_raw()) {
+        Ok(line) => {
+            reply.line.clear();
+            reply.line.extend_from_slice(line);
+        }
+        Err(_) => {
+            // Every failed read leaves the connection out of step.
+            conns.drop_slot(slot);
+            shared.record_failure(slot);
+            shared.mark(slot, false);
+            return Forward::Transport;
+        }
     }
-    classify(res, broken)
+    let outcome = match std::str::from_utf8(&reply.line) {
+        Err(e) => Forward::Rejected(format!("reply is not UTF-8: {e}")),
+        Ok(text) => match wire::split_decisions(text, &mut reply.decisions) {
+            Ok(got) if got == shape && reply.decisions.len() == count => Forward::Ok,
+            Ok(got) => Forward::Rejected(format!(
+                "expected a {shape:?} reply of {count}, got a {got:?} of {}",
+                reply.decisions.len()
+            )),
+            Err(_) => match wire::parse_server_message(text) {
+                Ok(ServerMessage::Overloaded) => Forward::Overloaded,
+                Ok(ServerMessage::Error(e)) => Forward::Rejected(e),
+                Ok(other) => Forward::Rejected(bounded(format!("unexpected reply: {other:?}"))),
+                Err(e) => Forward::Rejected(bounded(e)),
+            },
+        },
+    };
+    if !matches!(outcome, Forward::Overloaded) {
+        // Any typed answer proves the transport works; a shed one
+        // settles the breaker neither way.
+        shared.record_success(slot);
+    }
+    if matches!(outcome, Forward::Ok) {
+        let forwarded = &shared.backends[slot].forwarded;
+        forwarded.fetch_add(count as u64, Ordering::Relaxed);
+    }
+    outcome
 }
 
-fn forward_batch(
+/// [`send`], then [`gather`].
+fn exchange(
     conns: &mut BackendConns,
     shared: &Shared,
     slot: usize,
-    reqs: &[DecisionRequest],
-) -> Forward<Vec<DecisionResponse>> {
-    let client = match conns.get(shared, slot) {
-        Ok(c) => c,
-        Err(_) => return Forward::Transport,
-    };
-    let res = client.decide_batch(reqs);
-    let broken = client.is_broken();
-    if broken {
-        conns.drop_slot(slot);
+    line: &[u8],
+    shape: DecisionShape,
+    count: usize,
+    reply: &mut Reply,
+) -> Forward {
+    match send(conns, shared, slot, line) {
+        Forward::Ok => gather(conns, shared, slot, shape, count, reply),
+        failed => failed,
     }
-    classify(res, broken)
 }
 
-fn key_of(req: &DecisionRequest) -> u64 {
+fn key_of(req: &DecisionRequestRef<'_>) -> u64 {
     ring::route_key(
         &req.url,
         &req.document,
@@ -827,15 +930,23 @@ fn key_of(req: &DecisionRequest) -> u64 {
     )
 }
 
-/// Drive `req` down its ring walk: the owner first, then each healthy
-/// successor. Every failover bumps the failed slot's `hedged_away`.
-/// Breaker-open slots are skipped without cost; attempts *after* a
-/// failed attempt draw from the fleet hedge budget, and when the
-/// bucket runs dry the request is shed instead of retried.
-fn route_one(conns: &mut BackendConns, shared: &Shared, req: &DecisionRequest, out: &mut Vec<u8>) {
+/// Drive one `Decide` line down its ring walk, as the client sent it:
+/// the owner first, then each healthy successor, relaying the first
+/// `Decision` line as the shard sent it. Every failover bumps the
+/// failed slot's `hedged_away`. Breaker-open slots are skipped without
+/// cost; attempts *after* a failed attempt draw from the fleet hedge
+/// budget, and when the bucket runs dry the request is shed instead of
+/// retried.
+fn route_one(
+    conns: &mut BackendConns,
+    shared: &Shared,
+    req: &DecisionRequestRef<'_>,
+    line: &[u8],
+    reply: &mut Reply,
+    out: &mut Vec<u8>,
+) {
     let walk = shared.ring.walk(key_of(req));
     let mut attempted = false;
-    let mut failed_before = false;
     for (nth, &slot) in walk.iter().enumerate() {
         // The owner is tried even when marked unhealthy (the probe may
         // lag a respawn); later slots must be healthy to be worth a
@@ -847,45 +958,25 @@ fn route_one(conns: &mut BackendConns, shared: &Shared, req: &DecisionRequest, o
         if !shared.breaker_allows(slot) {
             continue;
         }
-        if failed_before && !shared.take_hedge(1) {
+        if attempted && !shared.take_hedge(1) {
             break;
         }
         attempted = true;
-        match forward_decide(conns, shared, slot, req) {
-            Forward::Ok(d) => {
-                shared.record_success(slot);
-                shared.backends[slot]
-                    .forwarded
-                    .fetch_add(1, Ordering::Relaxed);
-                wire::write_decision_reply(&d, out);
-                return;
-            }
-            Forward::Rejected(e) => {
-                // A typed answer proves the transport works.
-                shared.record_success(slot);
-                wire::write_error(&e, out);
-                return;
-            }
+        match exchange(conns, shared, slot, line, DecisionShape::Single, 1, reply) {
+            Forward::Ok => return out.extend_from_slice(&reply.line),
+            Forward::Rejected(e) => return wire::write_error(&e, out),
             Forward::Overloaded => {
                 // Busy, not broken: release any half-open trial claim
                 // without settling the breaker either way.
                 shared.release_trial(slot);
-                shared.backends[slot]
-                    .hedged_away
-                    .fetch_add(1, Ordering::Relaxed);
-                failed_before = true;
             }
-            Forward::Transport => {
-                shared.record_failure(slot);
-                shared.mark(slot, false);
-                shared.backends[slot]
-                    .hedged_away
-                    .fetch_add(1, Ordering::Relaxed);
-                failed_before = true;
-            }
+            Forward::Transport => {}
         }
+        shared.backends[slot]
+            .hedged_away
+            .fetch_add(1, Ordering::Relaxed);
     }
-    if attempted || failed_before {
+    if attempted {
         // Every candidate shed, died mid-request, or the hedge budget
         // ran dry; `Overloaded` tells retrying clients to back off and
         // come again.
@@ -895,28 +986,34 @@ fn route_one(conns: &mut BackendConns, shared: &Shared, req: &DecisionRequest, o
     }
 }
 
-/// Scatter a batch across its owning shards, gather replies in slot
-/// order, hedge any failed sub-batch down its walk, and merge the
-/// decisions back into request order.
+/// Route one `DecideBatch` line by splicing: scatter each owning
+/// slot's elements, as the client sent them, in one sub-batch line;
+/// gather *every* reply; hedge the sub-batches that failed by sending
+/// the same lines elsewhere; merge by copying each decision, as its
+/// shard sent it, back into request order.
 fn route_batch(
     conns: &mut BackendConns,
     shared: &Shared,
-    reqs: &[DecisionRequest],
+    reqs: &[DecisionRequestRef<'_>],
+    line: &[u8],
+    splice: &mut Splice,
     out: &mut Vec<u8>,
 ) {
-    if reqs.is_empty() {
-        wire::write_batch_reply(&[], out);
-        return;
+    let (spans, place, groups) = (&splice.spans, &mut splice.place, &mut splice.groups);
+    // Group the elements by owning slot. Breaker-open slots are routed
+    // around for free — their keys go to walk successors.
+    place.clear();
+    for g in groups.iter_mut() {
+        g.members.clear();
     }
-    // Group request indices by owning slot. Breaker-open slots are
-    // routed around for free — their keys go to walk successors.
-    let nslots = shared.backends.len();
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); nslots];
     for (i, r) in reqs.iter().enumerate() {
         match shared.ring.route(key_of(r), |s| {
             shared.healthy(s) && !shared.breaker_open_now(s)
         }) {
-            Some(slot) => groups[slot].push(i),
+            Some(slot) => {
+                place.push((slot, groups[slot].members.len()));
+                groups[slot].members.push(i);
+            }
             None => {
                 // No healthy shard at all: shed the whole batch so
                 // retrying clients back off instead of erroring out.
@@ -925,127 +1022,81 @@ fn route_batch(
             }
         }
     }
+    let routed = |g: &Group| !g.members.is_empty();
 
     // Scatter: ship every sub-batch before reading any reply, so the
     // shards evaluate in parallel.
-    let mut wbuf = Vec::new();
-    let mut sent: Vec<bool> = vec![false; nslots];
-    let mut sub: Vec<Vec<DecisionRequest>> = vec![Vec::new(); nslots];
-    for slot in 0..nslots {
-        if groups[slot].is_empty() {
-            continue;
-        }
-        sub[slot] = groups[slot].iter().map(|&i| reqs[i].clone()).collect();
-        wbuf.clear();
-        wire::write_decide_batch(&sub[slot], &mut wbuf);
-        sent[slot] = match conns.get(shared, slot) {
-            Ok(c) => c.send_raw(&wbuf).is_ok(),
-            Err(_) => false,
-        };
+    for (slot, g) in groups.iter_mut().enumerate().filter(|(_, g)| routed(g)) {
+        g.body.clear();
+        wire::splice_decide_batch(
+            g.members.iter().map(|&i| &line[spans[i].clone()]),
+            &mut g.body,
+        );
+        g.state = send(conns, shared, slot, &g.body);
     }
 
-    // Gather, hedging any sub-batch whose shard failed.
-    let mut merged: Vec<Option<DecisionResponse>> = vec![None; reqs.len()];
-    let mut rejected: Option<String> = None;
-    let mut lost_any = false;
-    for slot in 0..nslots {
-        if groups[slot].is_empty() {
+    // Gather every scattered reply before hedging anything: a hedge
+    // goes out on these same connections, and a reply still unread on
+    // one would be taken for the hedge's answer.
+    for (slot, g) in groups.iter_mut().enumerate().filter(|(_, g)| routed(g)) {
+        if matches!(g.state, Forward::Ok) {
+            let n = g.members.len();
+            g.state = gather(conns, shared, slot, DecisionShape::Batch, n, &mut g.reply);
+        }
+    }
+
+    // Hedge each failed sub-batch whole, down the walk of its first
+    // request. Any healthy shard answers any request the same way —
+    // only cache locality is at stake — so one successor serves the
+    // whole group. Each attempt is a failure-triggered retry and draws
+    // the sub-batch's size from the fleet hedge budget.
+    for (slot, g) in groups.iter_mut().enumerate().filter(|(_, g)| routed(g)) {
+        if !matches!(g.state, Forward::Overloaded | Forward::Transport) {
             continue;
         }
-        let gathered: Forward<Vec<DecisionResponse>> = if !sent[slot] {
-            Forward::Transport
-        } else {
-            let client = conns.get(shared, slot).expect("sent over a live conn");
-            let res = client.read_reply_raw().and_then(parse_reply_line);
-            let broken = client.is_broken();
-            if broken {
-                conns.drop_slot(slot);
+        let n = g.members.len();
+        shared.backends[slot]
+            .hedged_away
+            .fetch_add(n as u64, Ordering::Relaxed);
+        for &alt in &shared.ring.walk(key_of(&reqs[g.members[0]])) {
+            if alt == slot || !shared.healthy(alt) || shared.breaker_open_now(alt) {
+                continue;
             }
-            match res {
-                Ok(ServerMessage::Batch(b)) if b.len() == sub[slot].len() => Forward::Ok(b),
-                Ok(ServerMessage::Overloaded) => Forward::Overloaded,
-                Ok(ServerMessage::Error(e)) => Forward::Rejected(e),
-                Ok(other) => Forward::Rejected(format!("unexpected reply: {other:?}")),
-                Err(_) if broken => Forward::Transport,
-                Err(e) => Forward::Rejected(e.to_string()),
+            if !shared.take_hedge(n as u64) {
+                break;
             }
-        };
-        let answered = match gathered {
-            Forward::Ok(b) => {
-                shared.record_success(slot);
-                Some((slot, b))
+            let (body, reply) = (&g.body, &mut g.reply);
+            g.state = exchange(conns, shared, alt, body, DecisionShape::Batch, n, reply);
+            if matches!(g.state, Forward::Ok | Forward::Rejected(_)) {
+                break;
             }
+        }
+    }
+
+    // Merge: a rejection is relayed, a sub-batch nobody answered sheds
+    // the batch, and otherwise every decision is copied into place.
+    let mut lost = false;
+    for g in groups.iter().filter(|g| routed(g)) {
+        match &g.state {
+            Forward::Ok => {}
             Forward::Rejected(e) => {
-                shared.record_success(slot);
-                rejected.get_or_insert(e);
-                None
+                wire::write_error(e, out);
+                return;
             }
-            failure => {
-                // Hedge the whole sub-batch down the walk of its first
-                // request; every request in it shares the owner, so
-                // they share the walk successor too. Each hedge
-                // attempt is a failure-triggered retry, so each draws
-                // the sub-batch's size from the fleet hedge budget.
-                if matches!(failure, Forward::Transport) {
-                    shared.record_failure(slot);
-                    shared.mark(slot, false);
-                }
-                shared.backends[slot]
-                    .hedged_away
-                    .fetch_add(sub[slot].len() as u64, Ordering::Relaxed);
-                let mut answer = None;
-                for &alt in &shared.ring.walk(key_of(&sub[slot][0])) {
-                    if alt == slot || !shared.healthy(alt) || shared.breaker_open_now(alt) {
-                        continue;
-                    }
-                    if !shared.take_hedge(sub[slot].len() as u64) {
-                        break;
-                    }
-                    match forward_batch(conns, shared, alt, &sub[slot]) {
-                        Forward::Ok(b) => {
-                            shared.record_success(alt);
-                            answer = Some((alt, b));
-                            break;
-                        }
-                        Forward::Rejected(e) => {
-                            shared.record_success(alt);
-                            rejected.get_or_insert(e);
-                            break;
-                        }
-                        Forward::Overloaded => {}
-                        Forward::Transport => {
-                            shared.record_failure(alt);
-                            shared.mark(alt, false);
-                        }
-                    }
-                }
-                if answer.is_none() && rejected.is_none() {
-                    lost_any = true;
-                }
-                answer
-            }
-        };
-        if let Some((winner, b)) = answered {
-            shared.backends[winner]
-                .forwarded
-                .fetch_add(b.len() as u64, Ordering::Relaxed);
-            for (&i, d) in groups[slot].iter().zip(b) {
-                merged[i] = Some(d);
-            }
+            Forward::Overloaded | Forward::Transport => lost = true,
         }
     }
-
-    if let Some(e) = rejected {
-        wire::write_error(&e, out);
-    } else if lost_any {
+    if lost {
         wire::write_overloaded(out);
-    } else {
-        let responses: Vec<DecisionResponse> = merged
-            .into_iter()
-            .map(|d| d.expect("every group gathered or the batch was shed"))
-            .collect();
-        wire::write_batch_reply(&responses, out);
+        return;
     }
+    wire::splice_batch_reply(
+        place.iter().map(|&(slot, nth)| {
+            let reply = &groups[slot].reply;
+            &reply.line[reply.decisions[nth].clone()]
+        }),
+        out,
+    );
 }
 
 /// The post-reload fleet bodies implied by one client reload line,
@@ -1124,10 +1175,7 @@ fn fanout_reload(
             continue;
         }
         tried[slot] = true;
-        sent[slot] = match conns.get(shared, slot) {
-            Ok(c) => c.send_raw(raw_line).is_ok(),
-            Err(_) => false,
-        };
+        sent[slot] = matches!(send(conns, shared, slot, raw_line), Forward::Ok);
     }
     if !tried.iter().any(|&t| t) {
         return FanoutOutcome::Failed("no healthy shard to fan the reload out to".to_string());
@@ -1140,14 +1188,13 @@ fn fanout_reload(
             continue;
         }
         if !sent[slot] {
-            shared.record_failure(slot);
-            shared.mark(slot, false);
             failure.get_or_insert_with(|| format!("shard {slot} unreachable during reload"));
             continue;
         }
-        let client = conns.get(shared, slot).expect("sent over a live conn");
-        let res = client.read_reply_raw().and_then(parse_reply_line);
-        if client.is_broken() {
+        let res = conns
+            .cached(slot)
+            .and_then(|c| c.read_reply_raw().and_then(parse_reply_line));
+        if conns.cached(slot).map_or(true, |c| c.is_broken()) {
             conns.drop_slot(slot);
             shared.record_failure(slot);
             shared.mark(slot, false);
@@ -1369,6 +1416,10 @@ fn handle_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr) {
     let mut line = Vec::new();
     let mut out: Vec<u8> = Vec::with_capacity(4096);
     let mut conns = BackendConns::new(shared.backends.len());
+    let mut splice = Splice::default();
+    splice
+        .groups
+        .resize_with(shared.backends.len(), Group::default);
 
     loop {
         out.clear();
@@ -1388,7 +1439,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr) {
                     wire::write_error("unparseable message: request line is not UTF-8", &mut out);
                 }
                 Ok(text) if text.trim().is_empty() => continue,
-                Ok(text) => match wire::parse_client_message(text) {
+                Ok(text) => match wire::parse_client_message_spans(text, &mut splice.spans) {
                     Err(e) => wire::write_error(&format!("unparseable message: {e}"), &mut out),
                     Ok(ClientMessageRef::Ping) => wire::write_pong(&mut out),
                     Ok(ClientMessageRef::Stats) => {
@@ -1397,14 +1448,16 @@ fn handle_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr) {
                     Ok(ClientMessageRef::Health) => {
                         wire::write_health_reply(&aggregate_health(&mut conns, shared), &mut out)
                     }
-                    Ok(ClientMessageRef::Decide(req)) => {
-                        let owned = req.to_owned_request();
-                        route_one(&mut conns, shared, &owned, &mut out);
-                    }
+                    Ok(ClientMessageRef::Decide(req)) => route_one(
+                        &mut conns,
+                        shared,
+                        &req,
+                        &line,
+                        &mut splice.single,
+                        &mut out,
+                    ),
                     Ok(ClientMessageRef::DecideBatch(reqs)) => {
-                        let owned: Vec<DecisionRequest> =
-                            reqs.iter().map(|r| r.to_owned_request()).collect();
-                        route_batch(&mut conns, shared, &owned, &mut out);
+                        route_batch(&mut conns, shared, &reqs, &line, &mut splice, &mut out)
                     }
                     Ok(msg @ (ClientMessageRef::Reload(_) | ClientMessageRef::ReloadDelta(_))) => {
                         // Forward the client's bytes verbatim — reload

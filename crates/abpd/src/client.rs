@@ -157,60 +157,18 @@ impl Client {
         Ok(())
     }
 
-    /// Read one reply line and parse it. Truncated (EOF mid-line) and
-    /// oversized replies are reported as protocol errors carrying the
-    /// offending byte count; a read that outlives the reply timeout
-    /// comes back as [`std::io::ErrorKind::TimedOut`]. All of these
-    /// mark the connection broken.
+    /// Read one reply line ([`Client::read_reply_raw`]) and parse it. A
+    /// reply that is not UTF-8 or not a server message marks the
+    /// connection broken like a transport failure.
     fn read_reply(&mut self) -> std::io::Result<ServerMessage> {
-        let read = wire::read_line_limited(&mut self.reader, &mut self.line, self.max_reply_bytes)
-            .map_err(|e| {
-                self.broken = true;
-                // Unix reports a passed SO_RCVTIMEO as WouldBlock;
-                // surface one typed kind either way.
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) {
-                    std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "timed out waiting for a reply",
-                    )
-                } else {
-                    e
-                }
-            })?;
-        match read {
-            LineRead::Line => {}
-            LineRead::Eof => {
-                self.broken = true;
-                return Err(protocol_error("server closed the connection"));
-            }
-            LineRead::EofMidLine => {
-                self.broken = true;
-                return Err(protocol_error(format!(
-                    "truncated reply: connection closed after {} bytes of an unterminated line",
-                    self.line.len()
-                )));
-            }
-            LineRead::TooLong(n) => {
-                self.broken = true;
-                return Err(protocol_error(format!(
-                    "oversized reply: {n} byte line exceeds the {} byte limit",
-                    self.max_reply_bytes
-                )));
-            }
-        }
-        let text = match std::str::from_utf8(&self.line) {
-            Ok(t) => t,
-            Err(e) => {
-                self.broken = true;
-                return Err(protocol_error(format!("reply is not UTF-8: {e}")));
-            }
+        self.read_reply_raw()?;
+        let parsed = match std::str::from_utf8(&self.line) {
+            Ok(text) => wire::parse_server_message(text).map_err(|e| format!("bad reply: {e}")),
+            Err(e) => Err(format!("reply is not UTF-8: {e}")),
         };
-        wire::parse_server_message(text).map_err(|e| {
+        parsed.map_err(|e| {
             self.broken = true;
-            protocol_error(format!("bad reply: {e}"))
+            protocol_error(e)
         })
     }
 
@@ -415,12 +373,17 @@ impl Client {
     }
 
     /// Read one raw reply line (without its newline). The bytes stay
-    /// valid until the next read on this client. Transport failures
-    /// poison the connection exactly like the typed reads.
+    /// valid until the next read on this client. Truncated (EOF
+    /// mid-line) and oversized replies are reported as protocol errors
+    /// carrying the offending byte count; a read that outlives the
+    /// reply timeout comes back as [`std::io::ErrorKind::TimedOut`].
+    /// All of these mark the connection broken.
     pub fn read_reply_raw(&mut self) -> std::io::Result<&[u8]> {
         let read = wire::read_line_limited(&mut self.reader, &mut self.line, self.max_reply_bytes)
             .map_err(|e| {
                 self.broken = true;
+                // Unix reports a passed SO_RCVTIMEO as WouldBlock;
+                // surface one typed kind either way.
                 if matches!(
                     e.kind(),
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut

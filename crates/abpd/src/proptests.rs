@@ -176,6 +176,390 @@ mod wire_equivalence {
         }
     }
 
+    /// Layout choices for a hand-rendered line, drawn from a seed.
+    struct Layout(u64);
+
+    impl Layout {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = crate::faults::splitmix64(self.0);
+            (self.0 % n as u64) as usize
+        }
+
+        /// Inter-token whitespace (`\r` included: only `\n` ends a line).
+        fn ws(&mut self, out: &mut String) {
+            out.push_str(["", "", " ", "\t", " \r "][self.below(5)]);
+        }
+
+        fn shuffle<T>(&mut self, items: &mut [T]) {
+            for i in (1..items.len()).rev() {
+                items.swap(i, self.below(i + 1));
+            }
+        }
+
+        /// `s` as a JSON string that decodes to `s` but is escaped the
+        /// way a foreign encoder might: `\/`, `\uXXXX` (surrogate
+        /// pairs included) and either case of hex digit, at random.
+        fn json_string(&mut self, s: &str) -> String {
+            let mut out = String::from("\"");
+            for ch in s.chars() {
+                let must = ch == '"' || ch == '\\' || (ch as u32) < 0x20;
+                match (must, self.below(8)) {
+                    (false, 0) | (true, 0..=3) => {
+                        for unit in ch.encode_utf16(&mut [0; 2]) {
+                            if self.below(2) == 0 {
+                                out.push_str(&format!("\\u{unit:04x}"));
+                            } else {
+                                out.push_str(&format!("\\u{unit:04X}"));
+                            }
+                        }
+                    }
+                    (false, 1) if ch == '/' => out.push_str("\\/"),
+                    (false, _) => out.push(ch),
+                    (true, _) => match ch {
+                        '"' => out.push_str("\\\""),
+                        '\\' => out.push_str("\\\\"),
+                        '\n' => out.push_str("\\n"),
+                        '\t' => out.push_str("\\t"),
+                        '\r' => out.push_str("\\r"),
+                        _ => out.push_str(&format!("\\u{:04x}", ch as u32)),
+                    },
+                }
+            }
+            out.push('"');
+            out
+        }
+
+        /// One request object: fields in any order, absent options as
+        /// `null` or left out, up to two fields no parser knows.
+        fn request_object(&mut self, r: &DecisionRequest, out: &mut String) {
+            const UNKNOWN: [&str; 6] = [
+                r#"{"a":[1,2,{"b":null}],"c":"]},{\""}"#,
+                r#""quote \" brace } bracket ] comma ,""#,
+                "-1.5e3",
+                "true",
+                "[]",
+                "[[ ],{ }]",
+            ];
+            let mut fields: Vec<(&str, String)> = vec![
+                ("url", self.json_string(&r.url)),
+                ("document", self.json_string(&r.document)),
+                (
+                    "resource_type",
+                    serde_json::to_string(&r.resource_type).unwrap(),
+                ),
+            ];
+            match &r.sitekey {
+                Some(k) => fields.push(("sitekey", self.json_string(k))),
+                None if self.below(2) == 0 => fields.push(("sitekey", "null".to_string())),
+                None => {}
+            }
+            match r.tenant {
+                Some(t) => fields.push(("tenant", t.to_string())),
+                None if self.below(2) == 0 => fields.push(("tenant", "null".to_string())),
+                None => {}
+            }
+            for name in ["future", "x"].iter().take(self.below(3)) {
+                fields.push((name, UNKNOWN[self.below(UNKNOWN.len())].to_string()));
+            }
+            self.shuffle(&mut fields);
+            out.push('{');
+            for (i, (key, value)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                self.ws(out);
+                out.push_str(&format!("\"{key}\""));
+                self.ws(out);
+                out.push(':');
+                self.ws(out);
+                out.push_str(value);
+                self.ws(out);
+            }
+            out.push('}');
+        }
+
+        /// A `DecideBatch` line of those objects.
+        fn decide_batch_line(&mut self, reqs: &[DecisionRequest]) -> String {
+            let mut line = String::new();
+            self.ws(&mut line);
+            line.push('{');
+            self.ws(&mut line);
+            line.push_str("\"DecideBatch\"");
+            self.ws(&mut line);
+            line.push(':');
+            self.ws(&mut line);
+            line.push('[');
+            for (i, r) in reqs.iter().enumerate() {
+                if i > 0 {
+                    line.push(',');
+                }
+                self.ws(&mut line);
+                self.request_object(r, &mut line);
+                self.ws(&mut line);
+            }
+            line.push(']');
+            self.ws(&mut line);
+            line.push('}');
+            self.ws(&mut line);
+            line
+        }
+
+        /// Damage `line`: cut it short, drop a character, or drop in
+        /// one that JSON structure hangs on.
+        fn mutate(&mut self, line: &str) -> String {
+            const HOSTILE: [char; 10] = ['"', '\\', '{', '}', '[', ']', ',', ':', 'u', ' '];
+            let mut chars: Vec<char> = line.chars().collect();
+            for _ in 0..=self.below(3) {
+                let at = self.below(chars.len() + 1);
+                match self.below(3) {
+                    0 => chars.truncate(at),
+                    1 if at < chars.len() => drop(chars.remove(at)),
+                    _ => chars.insert(at, HOSTILE[self.below(HOSTILE.len())]),
+                }
+            }
+            chars.into_iter().collect()
+        }
+    }
+
+    fn batch_of(parsed: wire::ClientMessageRef<'_>) -> Vec<DecisionRequest> {
+        match parsed {
+            wire::ClientMessageRef::DecideBatch(rs) => rs
+                .iter()
+                .map(wire::DecisionRequestRef::to_owned_request)
+                .collect(),
+            other => panic!("not a DecideBatch: {other:?}"),
+        }
+    }
+
+    /// What the two span finders must hold to on *any* input: they
+    /// return, and every span they report is one whole element — in
+    /// order, between the separators, and a complete message when
+    /// framed alone.
+    fn assert_spans_are_whole_elements(line: &str) {
+        let mut spans = Vec::new();
+        if let Ok(parsed) = wire::parse_client_message_spans(line, &mut spans) {
+            if let wire::ClientMessageRef::DecideBatch(reqs) = &parsed {
+                assert_eq!(spans.len(), reqs.len());
+                assert_separated(line, &spans);
+                for (span, req) in spans.iter().zip(reqs) {
+                    let alone = format!("{{\"Decide\":{}}}", &line[span.clone()]);
+                    assert_eq!(
+                        wire::parse_client_message(&alone),
+                        Ok(wire::ClientMessageRef::Decide(req.clone())),
+                        "span {span:?} of {line:?}"
+                    );
+                }
+            } else {
+                assert!(spans.is_empty());
+            }
+        }
+        if wire::split_decisions(line, &mut spans).is_ok() {
+            assert_separated(line, &spans);
+            for span in &spans {
+                let alone = format!("{{\"Decision\":{}}}", &line[span.clone()]);
+                let mut again = Vec::new();
+                assert_eq!(
+                    wire::split_decisions(&alone, &mut again),
+                    Ok(wire::DecisionShape::Single),
+                    "span {span:?} of {line:?}"
+                );
+                assert_eq!((again.len(), &again[0]), (1, &(12..alone.len() - 1)));
+            }
+            if let Ok(typed) = wire::parse_server_message(line) {
+                match typed {
+                    ServerMessage::Decision(_) => assert_eq!(spans.len(), 1),
+                    ServerMessage::Batch(b) => assert_eq!(spans.len(), b.len()),
+                    other => panic!("split a {other:?}"),
+                }
+            }
+        } else {
+            assert!(
+                !matches!(
+                    wire::parse_server_message(line),
+                    Ok(ServerMessage::Decision(_) | ServerMessage::Batch(_))
+                ),
+                "declined a reply the typed parser takes: {line:?}"
+            );
+        }
+    }
+
+    /// Spans are objects, in order, with exactly one comma (and
+    /// whitespace) between neighbours.
+    fn assert_separated(line: &str, spans: &[std::ops::Range<usize>]) {
+        for span in spans {
+            let raw = &line[span.clone()];
+            assert!(raw.starts_with('{') && raw.ends_with('}'), "{raw:?}");
+        }
+        for pair in spans.windows(2) {
+            assert_eq!(line[pair[0].end..pair[1].start].trim(), ",", "{line:?}");
+        }
+    }
+
+    fn arbitrary_requests(
+        urls: &[String],
+        document: &str,
+        resource_type: ResourceType,
+        sitekey: Option<&str>,
+        tenant: Option<u64>,
+    ) -> Vec<DecisionRequest> {
+        urls.iter()
+            .enumerate()
+            .map(|(i, u)| DecisionRequest {
+                url: u.clone(),
+                document: document.to_string(),
+                resource_type,
+                // Vary the options along the batch.
+                sitekey: sitekey.filter(|_| i % 2 == 0).map(str::to_string),
+                tenant: tenant.filter(|_| i % 3 != 1),
+            })
+            .collect()
+    }
+
+    fn arbitrary_responses(texts: &[String], cached: bool) -> Vec<DecisionResponse> {
+        texts
+            .iter()
+            .enumerate()
+            .map(|(i, t)| DecisionResponse {
+                outcome: RequestOutcome {
+                    decision: [
+                        Decision::NoMatch,
+                        Decision::Block,
+                        Decision::AllowedByException,
+                    ][i % 3],
+                    activations: (0..i % 3)
+                        .map(|j| Activation {
+                            filter: t.as_str().into(),
+                            source: ListSource::AcceptableAds,
+                            kind: MatchKind::AllowRequest,
+                            subject: texts[(i + j) % texts.len()].as_str().into(),
+                            donottrack: j == 1,
+                        })
+                        .collect(),
+                },
+                cached: cached ^ (i % 2 == 0),
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// Splice ≡ re-code, request side: however a valid
+        /// `DecideBatch` line is laid out, the spans are its elements,
+        /// and any sub-batch spliced from them parses to exactly those
+        /// elements of the parsed original.
+        #[test]
+        fn spliced_sub_batches_parse_like_the_partition(
+            urls in proptest::collection::vec(".{0,24}", 0..7),
+            document in ".{0,16}",
+            resource_type in prop::sample::select(&ResourceType::ALL[..]),
+            sitekey in prop::sample::select(&[
+                None,
+                Some("MFwwDQYJTESTKEY"),
+                Some("key with \"quotes\", \\slashes\\ and /"),
+                Some(""),
+            ][..]),
+            tenant in prop::sample::select(&[None, Some(0u64), Some(0b1011), Some(u64::MAX)][..]),
+            seed in any::<u64>(),
+        ) {
+            let reqs = arbitrary_requests(&urls, &document, resource_type, sitekey, tenant);
+            let mut layout = Layout(seed);
+            let line = layout.decide_batch_line(&reqs);
+            let mut spans = Vec::new();
+            let parsed = wire::parse_client_message_spans(&line, &mut spans).unwrap();
+            prop_assert_eq!(&parsed, &wire::parse_client_message(&line).unwrap());
+            prop_assert_eq!(batch_of(parsed), reqs.clone());
+            prop_assert_eq!(spans.len(), reqs.len());
+
+            let slots = 1 + layout.below(4);
+            let owner: Vec<usize> = reqs.iter().map(|_| layout.below(slots)).collect();
+            for slot in 0..slots {
+                let members: Vec<usize> = (0..reqs.len()).filter(|&i| owner[i] == slot).collect();
+                let mut sub = Vec::new();
+                wire::splice_decide_batch(
+                    members.iter().map(|&i| line[spans[i].clone()].as_bytes()),
+                    &mut sub,
+                );
+                let sub = String::from_utf8(sub).unwrap();
+                let expected: Vec<DecisionRequest> =
+                    members.iter().map(|&i| reqs[i].clone()).collect();
+                prop_assert_eq!(batch_of(wire::parse_client_message(&sub).unwrap()), expected);
+            }
+        }
+
+        /// Splice ≡ re-code, reply side: splitting a `Batch` line into
+        /// raw decisions and re-joining them in any order gives the
+        /// bytes `write_batch_reply` gives for the typed parse in that
+        /// order.
+        #[test]
+        fn batch_replies_split_and_rejoin_byte_identically(
+            texts in proptest::collection::vec(".{0,20}", 1..7),
+            cached in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let resps = arbitrary_responses(&texts, cached);
+            let mut line = Vec::new();
+            wire::write_batch_reply(&resps, &mut line);
+            let line = String::from_utf8(line).unwrap();
+            let typed = match wire::parse_server_message(&line).unwrap() {
+                ServerMessage::Batch(b) => b,
+                other => panic!("not a Batch: {other:?}"),
+            };
+            let mut spans = Vec::new();
+            prop_assert_eq!(
+                wire::split_decisions(&line, &mut spans),
+                Ok(wire::DecisionShape::Batch)
+            );
+            prop_assert_eq!(spans.len(), typed.len());
+            let first = line[spans[0].clone()].to_string();
+
+            let mut order: Vec<usize> = (0..typed.len()).collect();
+            Layout(seed).shuffle(&mut order);
+            let mut joined = Vec::new();
+            wire::splice_batch_reply(
+                order.iter().map(|&i| line[spans[i].clone()].as_bytes()),
+                &mut joined,
+            );
+            let permuted: Vec<DecisionResponse> = order.iter().map(|&i| typed[i].clone()).collect();
+            let mut recoded = Vec::new();
+            wire::write_batch_reply(&permuted, &mut recoded);
+            prop_assert_eq!(joined, recoded);
+
+            // A lone `Decision` line is its one decision.
+            let mut single = Vec::new();
+            wire::write_decision_reply(&resps[0], &mut single);
+            let single = String::from_utf8(single).unwrap();
+            prop_assert_eq!(
+                wire::split_decisions(&single, &mut spans),
+                Ok(wire::DecisionShape::Single)
+            );
+            prop_assert_eq!(&single[spans[0].clone()], first);
+        }
+
+        /// Neither span finder panics, and neither reports a span that
+        /// is not one whole element — on arbitrary text and on valid
+        /// lines cut short or salted with quotes, backslashes and
+        /// brackets.
+        #[test]
+        fn span_finders_never_panic_or_straddle(
+            junk in ".{0,48}",
+            urls in proptest::collection::vec(".{0,12}", 1..4),
+            seed in any::<u64>(),
+        ) {
+            assert_spans_are_whole_elements(&junk);
+            let mut layout = Layout(seed);
+            let reqs = arbitrary_requests(&urls, "doc.example", ResourceType::Script, Some("K\\"), Some(5));
+            let request_line = layout.decide_batch_line(&reqs);
+            let mut reply_line = Vec::new();
+            wire::write_batch_reply(&arbitrary_responses(&urls, false), &mut reply_line);
+            let reply_line = String::from_utf8(reply_line).unwrap();
+            for valid in [&request_line, &reply_line] {
+                assert_spans_are_whole_elements(valid);
+                for _ in 0..8 {
+                    assert_spans_are_whole_elements(&layout.mutate(valid));
+                }
+            }
+        }
+    }
+
     proptest! {
         /// Client messages: `write_decide`/`write_decide_batch` bytes
         /// equal `serde_json::to_string` equal `serde_json::to_vec`,

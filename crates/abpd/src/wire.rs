@@ -15,6 +15,10 @@
 //! * **Streaming encode** ([`write_decision_reply`] and friends):
 //!   appends a reply's bytes to a caller-owned `Vec<u8>`, so a
 //!   connection reuses one write buffer for its whole lifetime.
+//! * **Splicing** ([`parse_client_message_spans`], [`split_decisions`],
+//!   [`splice_decide_batch`], [`splice_batch_reply`]): a router that
+//!   only re-groups decisions finds where each one sits in a line and
+//!   copies those bytes, instead of decoding and re-encoding them.
 //!
 //! Every writer is **byte-identical** to `serde_json::to_string` of the
 //! corresponding [`protocol`](crate::protocol) value, and every parser
@@ -31,6 +35,7 @@ use abpdelta::{Delta, DeltaOp};
 use serde_json::write_escaped_str;
 use std::borrow::Cow;
 use std::io::{BufRead, Write};
+use std::ops::Range;
 
 // ------------------------------------------------------------ borrowed types
 
@@ -551,6 +556,11 @@ pub fn write_error(msg: &str, out: &mut Vec<u8>) {
 
 // ------------------------------------------------------------ parser
 
+/// Deepest nesting [`Scan::skip_value`] follows (serde_json's own
+/// limit). It recurses once per level and the sender chooses the line:
+/// unbounded, 20 KB of `[` overflow the stack.
+const MAX_SKIP_DEPTH: usize = 128;
+
 struct Scan<'a> {
     s: &'a str,
     b: &'a [u8],
@@ -730,13 +740,39 @@ impl<'a> Scan<'a> {
         }
     }
 
-    /// Skip any JSON value (for unknown fields).
-    fn skip_value(&mut self) -> ScanResult<()> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => {
-                self.string()?;
+    /// Step over a JSON string without decoding it. One without
+    /// escapes (nearly all of them) is two `memchr` passes; one with
+    /// goes through [`Scan::string`] for the escape checks.
+    fn skip_string(&mut self) -> ScanResult<()> {
+        if self.peek() == Some(b'"') {
+            let body = &self.b[self.pos + 1..];
+            if let Some(end) = abp::scan::memchr(b'"', body) {
+                if abp::scan::memchr(b'\\', &body[..end]).is_none() {
+                    self.pos += end + 2;
+                    return Ok(());
+                }
             }
+        }
+        self.string().map(drop)
+    }
+
+    /// Skip any JSON value (for unknown fields, and for decisions a
+    /// router only relocates).
+    fn skip_value(&mut self) -> ScanResult<()> {
+        self.skip_nested(MAX_SKIP_DEPTH)
+    }
+
+    /// [`Scan::skip_value`] with `depth` more levels of nesting allowed.
+    fn skip_nested(&mut self, depth: usize) -> ScanResult<()> {
+        self.skip_ws();
+        let depth = match self.peek() {
+            Some(b'{' | b'[') => depth.checked_sub(1).ok_or_else(|| {
+                format!("nested deeper than {MAX_SKIP_DEPTH} at offset {}", self.pos)
+            })?,
+            _ => depth,
+        };
+        match self.peek() {
+            Some(b'"') => self.skip_string()?,
             Some(b'{') => {
                 self.pos += 1;
                 self.skip_ws();
@@ -746,10 +782,10 @@ impl<'a> Scan<'a> {
                 }
                 loop {
                     self.skip_ws();
-                    self.string()?;
+                    self.skip_string()?;
                     self.skip_ws();
                     self.expect(b':')?;
-                    self.skip_value()?;
+                    self.skip_nested(depth)?;
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -769,7 +805,7 @@ impl<'a> Scan<'a> {
                     return Ok(());
                 }
                 loop {
-                    self.skip_value()?;
+                    self.skip_nested(depth)?;
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -1237,6 +1273,27 @@ impl<'a> Scan<'a> {
 
 /// Parse one request line into the borrowed message form.
 pub fn parse_client_message(line: &str) -> Result<ClientMessageRef<'_>, String> {
+    parse_client(line, |_| {})
+}
+
+/// [`parse_client_message`], also reporting where each `DecideBatch`
+/// element sits: `spans` is cleared, then receives one byte range of
+/// `line` per element, in order, running from the element's `{`
+/// through its `}`. Each range is a complete request object that this
+/// same grammar accepted, so a router can forward the bytes as they
+/// are ([`splice_decide_batch`]). Other messages leave `spans` empty.
+pub fn parse_client_message_spans<'a>(
+    line: &'a str,
+    spans: &mut Vec<Range<usize>>,
+) -> Result<ClientMessageRef<'a>, String> {
+    spans.clear();
+    parse_client(line, |span| spans.push(span))
+}
+
+fn parse_client<'a>(
+    line: &'a str,
+    mut element: impl FnMut(Range<usize>),
+) -> Result<ClientMessageRef<'a>, String> {
     let mut s = Scan::new(line);
     s.skip_ws();
     let msg = match s.peek() {
@@ -1262,7 +1319,10 @@ pub fn parse_client_message(line: &str) -> Result<ClientMessageRef<'_>, String> 
                 "DecideBatch" => {
                     let mut reqs = Vec::new();
                     s.array(|s| {
+                        s.skip_ws();
+                        let start = s.pos;
                         reqs.push(s.decision_request()?);
+                        element(start..s.pos);
                         Ok(())
                     })?;
                     ClientMessageRef::DecideBatch(reqs)
@@ -1343,6 +1403,85 @@ pub fn parse_server_message(line: &str) -> Result<ServerMessage, String> {
     s.skip_ws();
     s.expect_end()?;
     Ok(msg)
+}
+
+// ------------------------------------------------------------ splicing
+
+/// The two reply shapes that carry decisions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecisionShape {
+    /// `{"Decision":{…}}`, the answer to a `Decide`.
+    Single,
+    /// `{"Batch":[{…},…]}`, the answer to a `DecideBatch`.
+    Batch,
+}
+
+/// Find the decisions in a reply line without decoding them: `spans`
+/// is cleared, then receives the byte range of each decision object
+/// (the one of a `Decision`, every element of a `Batch`, in order).
+/// The line is checked to be well-formed JSON of one of those two
+/// shapes whose decisions are objects; their fields are not looked at.
+/// Anything else — `Overloaded`, `Error`, a torn line — is an `Err`
+/// for the caller to hand to [`parse_server_message`].
+pub fn split_decisions(line: &str, spans: &mut Vec<Range<usize>>) -> Result<DecisionShape, String> {
+    spans.clear();
+    let mut s = Scan::new(line);
+    s.skip_ws();
+    s.expect(b'{')?;
+    s.skip_ws();
+    let key = s.string()?;
+    s.skip_ws();
+    s.expect(b':')?;
+    let mut decision = |s: &mut Scan<'_>| {
+        s.skip_ws();
+        let start = s.pos;
+        if s.peek() != Some(b'{') {
+            return Err(format!("expected a decision object at offset {start}"));
+        }
+        s.skip_value()?;
+        spans.push(start..s.pos);
+        Ok(())
+    };
+    let shape = match &*key {
+        "Decision" => {
+            decision(&mut s)?;
+            DecisionShape::Single
+        }
+        "Batch" => {
+            s.array(decision)?;
+            DecisionShape::Batch
+        }
+        _ => return Err("not a `Decision` or `Batch` reply".to_string()),
+    };
+    s.skip_ws();
+    s.expect(b'}')?;
+    s.skip_ws();
+    s.expect_end()?;
+    Ok(shape)
+}
+
+fn splice<'a>(open: &str, elements: impl IntoIterator<Item = &'a [u8]>, out: &mut Vec<u8>) {
+    push_str(out, open);
+    for (i, raw) in elements.into_iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.extend_from_slice(raw);
+    }
+    push_str(out, "]}");
+}
+
+/// Append a `DecideBatch` request line body whose elements are the
+/// given raw request objects ([`parse_client_message_spans`]), copied
+/// as they are.
+pub fn splice_decide_batch<'a>(elements: impl IntoIterator<Item = &'a [u8]>, out: &mut Vec<u8>) {
+    splice("{\"DecideBatch\":[", elements, out);
+}
+
+/// Append a `Batch` reply line body whose elements are the given raw
+/// decision objects ([`split_decisions`]), copied as they are.
+pub fn splice_batch_reply<'a>(elements: impl IntoIterator<Item = &'a [u8]>, out: &mut Vec<u8>) {
+    splice("{\"Batch\":[", elements, out);
 }
 
 // ------------------------------------------------------------ line reader
@@ -1662,12 +1801,103 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let decide = |x: &str| {
+            format!(r#"{{"Decide":{{"x":{x},"url":"u","document":"d","resource_type":"Other"}}}}"#)
+        };
+        assert!(parse_client_message(&decide(&nested(MAX_SKIP_DEPTH))).is_ok());
+        assert!(parse_client_message(&decide(&nested(MAX_SKIP_DEPTH + 1))).is_err());
+        // Far past where an unbounded recursion would have died.
+        let bomb = "[{\"a\":".repeat(200_000);
+        assert!(parse_client_message(&decide(&bomb)).is_err());
+        let mut spans = Vec::new();
+        let batch = format!("{{\"DecideBatch\":[{}", &decide(&bomb)[10..]);
+        assert!(parse_client_message_spans(&batch, &mut spans).is_err());
+        assert!(split_decisions(&format!("{{\"Batch\":[{{\"a\":{bomb}"), &mut spans).is_err());
+        assert!(parse_server_message(&format!("{{\"Decision\":{{\"a\":{bomb}")).is_err());
+    }
+
+    #[test]
     fn parse_rejects_garbage() {
         assert!(parse_client_message("this is not json").is_err());
         assert!(parse_client_message("\"Nope\"").is_err());
         assert!(parse_client_message("{\"Decide\":{}}").is_err());
         assert!(parse_client_message("{\"Decide\":{\"url\":\"u\"}} trailing").is_err());
         assert!(parse_server_message("{\"Decision\":{}}").is_err());
+    }
+
+    #[test]
+    fn batch_spans_are_the_elements_as_sent() {
+        let a = r#"{"url":"http:\/\/a.example\/","document":"d","resource_type":"Other"}"#;
+        let b = r#"{ "x" : ["]},{", 1e3] , "tenant":3,"resource_type":"Image","document":"e","url":"u" }"#;
+        let line = format!("{{\"DecideBatch\" : [ {a}\t,{b} ] }}");
+        let mut spans = vec![0..0; 3]; // stale: must be cleared
+        let parsed = parse_client_message_spans(&line, &mut spans).unwrap();
+        assert_eq!(parsed, parse_client_message(&line).unwrap());
+        let raw: Vec<&str> = spans.iter().map(|s| &line[s.clone()]).collect();
+        assert_eq!(raw, [a, b]);
+
+        let mut sub = Vec::new();
+        splice_decide_batch([b.as_bytes()], &mut sub);
+        match parse_client_message(std::str::from_utf8(&sub).unwrap()).unwrap() {
+            ClientMessageRef::DecideBatch(reqs) => {
+                assert_eq!(reqs.len(), 1);
+                assert_eq!(reqs[0].tenant, Some(3));
+                assert_eq!(reqs[0].document, "e");
+            }
+            other => panic!("wrong variant: {other:?}"),
+        }
+
+        // Every other message leaves no spans behind.
+        parse_client_message_spans("\"Ping\"", &mut spans).unwrap();
+        assert!(spans.is_empty());
+        parse_client_message_spans(&format!("{{\"Decide\":{a}}}"), &mut spans).unwrap();
+        assert!(spans.is_empty());
+        assert!(parse_client_message_spans("{\"DecideBatch\":[{}]}", &mut spans).is_err());
+    }
+
+    #[test]
+    fn split_decisions_finds_each_decision_or_declines() {
+        let x = r#"{"outcome":{"decision":"Block","activations":[{"filter":"a\"]}","n":-1}]},"cached":false}"#;
+        let y = r#"{"cached":true}"#;
+        let mut spans = Vec::new();
+        let line = format!("{{\"Batch\":[{x} , {y}]}}");
+        assert_eq!(split_decisions(&line, &mut spans), Ok(DecisionShape::Batch));
+        let raw: Vec<&str> = spans.iter().map(|s| &line[s.clone()]).collect();
+        assert_eq!(raw, [x, y]);
+        let mut joined = Vec::new();
+        splice_batch_reply([y.as_bytes(), x.as_bytes()], &mut joined);
+        assert_eq!(joined, format!("{{\"Batch\":[{y},{x}]}}").as_bytes());
+
+        let line = format!(" {{\"Decision\": {x} }} ");
+        assert_eq!(
+            split_decisions(&line, &mut spans),
+            Ok(DecisionShape::Single)
+        );
+        assert_eq!(&line[spans[0].clone()], x);
+        assert_eq!(
+            split_decisions("{\"Batch\":[]}", &mut spans),
+            Ok(DecisionShape::Batch)
+        );
+        assert!(spans.is_empty());
+
+        for not_decisions in [
+            "\"Overloaded\"",
+            "{\"Error\":\"shed\"}",
+            "{\"Batch\":[1,2]}",
+            "{\"Batch\":[{\"a\":1}",
+            "{\"Batch\":[{\"a\":1},]}",
+            "{\"Batch\":[{\"a\":\"x]}",
+            "{\"Batch\":[{\"a\":\"\\q\"}]}",
+            "{\"Decision\":{}} x",
+            "",
+        ] {
+            assert!(
+                split_decisions(not_decisions, &mut spans).is_err(),
+                "{not_decisions}"
+            );
+        }
     }
 
     #[test]

@@ -11,10 +11,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> determinism (abp + acceptable-ads lib tests: 5x default runner, 2x --test-threads 1)"
+echo "==> determinism (abp + acceptable-ads lib tests: 5x default runner, 2x --test-threads 1; fleet tests: 5x release)"
 # Tier-1 must be green on every run, not most runs: the two crates whose
 # tests compile engines side by side run again and again under both
-# schedules, and the first red run fails the stage.
+# schedules, and the first red run fails the stage. The fleet tests kill
+# shards under a live router (sockets and timing), so they repeat too,
+# under the default runner.
 for run in 1 2 3 4 5; do
     cargo test -q -p abp -p acceptable-ads --lib ||
         { echo "determinism: default-runner run $run failed" >&2; exit 1; }
@@ -22,6 +24,10 @@ done
 for run in 1 2; do
     cargo test -q -p abp -p acceptable-ads --lib -- --test-threads 1 ||
         { echo "determinism: --test-threads 1 run $run failed" >&2; exit 1; }
+done
+for run in 1 2 3 4 5; do
+    cargo test -q --release --test fleet ||
+        { echo "determinism: fleet run $run failed" >&2; exit 1; }
 done
 
 echo "==> cargo fmt --check"

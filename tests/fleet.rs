@@ -1,12 +1,16 @@
 //! Fleet integration: a real router in front of real shards over
 //! localhost TCP. Covers router-vs-direct-engine equivalence, delta
 //! reloads converging across the fleet, stale-delta base mismatch with
-//! the full-reload fallback, and abrupt shard death with hedging plus
-//! respawn via [`Proxy::update_backend`].
+//! the full-reload fallback, abrupt shard death with hedging plus
+//! respawn via [`Proxy::update_backend`], and the splice data path:
+//! replies that are byte for byte what the shards encoded.
 
 use abp::{Decision, Engine, FilterList, ListSource, Request, ResourceType};
 use abpd::protocol::{ReloadDeltaList, ReloadList};
-use abpd::{Client, DecisionRequest, ReloadDeltaOutcome, Server, ServerConfig, ServiceConfig};
+use abpd::{
+    wire, Client, DecisionRequest, DecisionResponse, ReloadDeltaOutcome, Server, ServerConfig,
+    ServiceConfig,
+};
 use abpd_proxy::{Proxy, ProxyConfig};
 use std::time::Duration;
 
@@ -150,16 +154,22 @@ fn sample_requests() -> Vec<DecisionRequest> {
     reqs
 }
 
+/// The in-process oracle: the engine every shard of a `WHITELIST_V1`
+/// fleet compiles.
+fn engine_v1() -> Engine {
+    Engine::from_lists([
+        &FilterList::parse(ListSource::EasyList, EASYLIST),
+        &FilterList::parse(ListSource::AcceptableAds, WHITELIST_V1),
+    ])
+}
+
 #[test]
 fn router_matches_direct_engine() {
     let (shards, proxy) = start_fleet(3, WHITELIST_V1);
     let mut client = Client::connect(proxy.local_addr()).expect("connect");
     client.ping().expect("ping");
 
-    let engine = Engine::from_lists([
-        &FilterList::parse(ListSource::EasyList, EASYLIST),
-        &FilterList::parse(ListSource::AcceptableAds, WHITELIST_V1),
-    ]);
+    let engine = engine_v1();
     let reqs = sample_requests();
 
     // Singles route one key at a time.
@@ -324,6 +334,260 @@ fn killed_shard_hedges_and_respawned_shard_rejoins() {
         abpd::serving_checksum(&lists(WHITELIST_V1))
     );
     shutdown_fleet(shards, proxy, client);
+}
+
+#[test]
+fn batch_survives_each_shard_killed() {
+    let engine = engine_v1();
+    let reqs = sample_requests();
+    for victim in 0..3 {
+        // With live connections to the victim (a shard dying
+        // mid-conversation) and without (one already gone).
+        for warm in [true, false] {
+            let (mut shards, proxy) = start_fleet_cfg(3, WHITELIST_V1, |c| {
+                // The batch itself must discover the death: no prober
+                // to route around it first, no breaker to open.
+                c.probe_interval = Duration::from_secs(3600);
+                c.breaker_failure_threshold = 1_000_000;
+            });
+            let mut client = Client::connect(proxy.local_addr()).expect("connect");
+            if warm {
+                client.decide_batch(&reqs).expect("batch with full fleet");
+            }
+            shards[victim].take().unwrap().kill();
+
+            // No retrying client: the first batch after the kill has
+            // to come back whole, each sub-batch's answers under its
+            // own requests.
+            let batch = client
+                .decide_batch(&reqs)
+                .unwrap_or_else(|e| panic!("victim {victim}, warm {warm}: {e}"));
+            assert_eq!(batch.len(), reqs.len());
+            for (req, resp) in reqs.iter().zip(&batch) {
+                let direct = engine.match_request(
+                    &Request::new(&req.url, &req.document, req.resource_type).unwrap(),
+                );
+                assert_eq!(
+                    resp.outcome, direct,
+                    "victim {victim}, warm {warm}: wrong answer under {}",
+                    req.url
+                );
+            }
+            let report = proxy.backend_report();
+            assert!(
+                report[victim].hedged_away > 0,
+                "victim {victim}, warm {warm}: nothing was hedged"
+            );
+            assert!(!report[victim].healthy);
+
+            drop(client);
+            proxy.shutdown();
+            for shard in shards.iter_mut().filter_map(Option::take) {
+                let mut direct = Client::connect(shard.local_addr()).expect("connect survivor");
+                direct.shutdown_server().expect("shutdown survivor");
+                drop(direct);
+                shard.join();
+            }
+        }
+    }
+}
+
+#[test]
+fn spliced_replies_are_the_shards_bytes() {
+    let (shards, proxy) = start_fleet(3, WHITELIST_V1);
+    let engine = engine_v1();
+    let mut client = Client::connect(proxy.local_addr()).expect("connect");
+
+    // Nothing here is laid out the way `write_decide_batch` would:
+    // escaped slashes, fields in any order, explicit nulls, a sitekey,
+    // tenant masks, fields no parser knows, loose whitespace.
+    let elements = [
+        r#"{"url":"http:\/\/ad.doubleclick.net\/x.js","document":"example.com","resource_type":"Script"}"#,
+        r#"{ "resource_type" : "Subdocument", "sitekey" : "KEY", "document":"www.reddit.com","url":"http://static.adzerk.net/reddit/ads.html" }"#,
+        r#"{"tenant":1,"url":"http://static.adzerk.net/reddit/ads.html","document":"www.reddit.com","resource_type":"Subdocument","sitekey":null}"#,
+        r#"{"url":"http://static.adzerk.net/reddit/ads.html","future":{"a":["]},{",1e3]},"document":"www.reddit.com","resource_type":"Subdocument","tenant":3}"#,
+        r#"{"url":"http://cdn.example.com/banner/ads/\u0061.gif","document":"news.example","resource_type":"Image","tenant":null}"#,
+        r#"{"url":"http://img.example.org/logo.png","document":"ok.example","resource_type":"Other"}"#,
+    ];
+    // What a shard encodes for each: the direct engine outcome of the
+    // element as the shards' own parser reads it, never cached (every
+    // key is new to the fleet).
+    let expected: Vec<DecisionResponse> = elements
+        .iter()
+        .map(|element| {
+            let line = format!("{{\"Decide\":{element}}}");
+            let req = match wire::parse_client_message(&line).expect("valid element") {
+                wire::ClientMessageRef::Decide(r) => r.to_owned_request(),
+                other => panic!("not a Decide: {other:?}"),
+            };
+            let mut request = Request::new(&req.url, &req.document, req.resource_type).unwrap();
+            if let Some(k) = req.sitekey {
+                request = request.with_sitekey(k);
+            }
+            DecisionResponse {
+                outcome: engine.match_request_masked(&request, req.tenant.unwrap_or(u64::MAX)),
+                cached: false,
+            }
+        })
+        .collect();
+    assert_eq!(expected[0].outcome.decision, Decision::Block);
+    assert_ne!(
+        expected[2].outcome, expected[3].outcome,
+        "masks must matter"
+    );
+
+    let batch_line = format!("  {{\"DecideBatch\" :[{} ]}}", elements.join(" ,\t"));
+    client.send_raw(batch_line.as_bytes()).expect("send batch");
+    let mut want = Vec::new();
+    wire::write_batch_reply(&expected, &mut want);
+    assert_eq!(
+        String::from_utf8_lossy(client.read_reply_raw().expect("batch reply")),
+        String::from_utf8_lossy(&want)
+    );
+
+    // A single `Decide` goes out and comes back verbatim too; its key
+    // was just decided, so the owning shard answers from its cache.
+    let single_line = format!("{{\"Decide\":{}}}", elements[3]);
+    client
+        .send_raw(single_line.as_bytes())
+        .expect("send single");
+    want.clear();
+    wire::write_decision_reply(
+        &DecisionResponse {
+            cached: true,
+            ..expected[3].clone()
+        },
+        &mut want,
+    );
+    assert_eq!(
+        String::from_utf8_lossy(client.read_reply_raw().expect("single reply")),
+        String::from_utf8_lossy(&want)
+    );
+
+    // An empty batch scatters to nobody and merges to an empty reply.
+    client
+        .send_raw(b"{\"DecideBatch\":[]}")
+        .expect("send empty");
+    assert_eq!(
+        client.read_reply_raw().expect("empty reply"),
+        b"{\"Batch\":[]}"
+    );
+
+    let forwarded: u64 = proxy.backend_report().iter().map(|b| b.forwarded).sum();
+    assert_eq!(forwarded, elements.len() as u64 + 1);
+    shutdown_fleet(shards, proxy, client);
+}
+
+#[test]
+fn misbehaving_shard_replies_become_bounded_typed_errors() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    // A shard that probes healthy but answers every decision line
+    // with something other than the decisions asked for.
+    let mut huge_stats = Vec::new();
+    wire::write_stats_reply(
+        &abpd::StatsReport {
+            shards: vec![Default::default(); 5_000],
+            ..Default::default()
+        },
+        &mut huge_stats,
+    );
+    let wrong: Arc<Vec<Vec<u8>>> = Arc::new(vec![
+        b"{\"Batch\":[]}".to_vec(),
+        huge_stats,
+        format!("{{\"{}\":1}}", "k".repeat(100_000)).into_bytes(),
+        b"{\"Decision\":{\"cached\":false}}".to_vec(),
+    ]);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
+    let addr = listener.local_addr().unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let served = Arc::new(AtomicUsize::new(0));
+    let serve = |stream: TcpStream, wrong: &[Vec<u8>], served: &AtomicUsize| {
+        let mut writer = stream.try_clone().expect("clone");
+        for line in BufReader::new(stream).lines() {
+            let Ok(line) = line else { return };
+            let mut out = Vec::new();
+            if line == "\"Health\"" {
+                wire::write_health_reply(
+                    &abpd::HealthReport {
+                        state: abpd::HealthState::Ok,
+                        generation: 0,
+                        reloads: 0,
+                        shard_restarts: Vec::new(),
+                        shed: 0,
+                        deadline_timeouts: 0,
+                        list_checksum: 0,
+                        distinct_tenants: 0,
+                    },
+                    &mut out,
+                );
+            } else {
+                let nth = served.fetch_add(1, Ordering::SeqCst);
+                out.extend_from_slice(&wrong[nth % wrong.len()]);
+            }
+            out.push(b'\n');
+            if writer.write_all(&out).is_err() {
+                return;
+            }
+        }
+    };
+    let acceptor = {
+        let (stop, served, wrong) = (stop.clone(), served.clone(), wrong.clone());
+        std::thread::spawn(move || {
+            let mut conns = Vec::new();
+            for stream in listener.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let (served, wrong) = (served.clone(), wrong.clone());
+                let stream = stream.expect("accept");
+                conns.push(std::thread::spawn(move || serve(stream, &wrong, &served)));
+            }
+            for c in conns {
+                c.join().expect("fake shard connection");
+            }
+        })
+    };
+
+    let proxy = Proxy::start(&ProxyConfig {
+        backends: vec![addr.to_string()],
+        reply_timeout: Duration::from_secs(5),
+        ..ProxyConfig::default()
+    })
+    .expect("start proxy");
+    let mut client = Client::connect(proxy.local_addr()).expect("connect");
+    let reqs = &sample_requests()[..4];
+    for _ in 0..wrong.len() {
+        let e = client
+            .decide_batch(reqs)
+            .expect_err("a reply that is not the batch");
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+        assert!(!abpd::client::is_overloaded(&e));
+        assert!(
+            e.to_string().len() <= 256,
+            "unbounded: {} bytes",
+            e.to_string().len()
+        );
+        // The error is an answer, not a tear: the connection is still
+        // in step, and so is the proxy's to the shard.
+        client.ping().expect("ping after a rejected batch");
+    }
+    let e = client.decide(&reqs[0]).expect_err("a Batch for a Decide");
+    assert!(
+        e.to_string().contains("expected a Single reply of 1"),
+        "{e}"
+    );
+    assert_eq!(served.load(Ordering::SeqCst), wrong.len() + 1);
+    assert_eq!(proxy.backend_report()[0].forwarded, 0);
+
+    drop(client);
+    proxy.shutdown();
+    stop.store(true, Ordering::SeqCst);
+    drop(TcpStream::connect(addr));
+    acceptor.join().expect("fake shard");
 }
 
 #[test]
