@@ -4,7 +4,8 @@
 //! paper's crawl workloads want more. This crate puts a router in
 //! front of N abpd shards, speaking the *same* NDJSON wire protocol on
 //! both sides, so every existing client ([`abpd::Client`],
-//! [`abpd::RetryClient`], `abpd-load`) works against a fleet unchanged.
+//! [`abpd::RetryClient`], the `benchmark/` harness) works against a
+//! fleet unchanged.
 //!
 //! Routing is a consistent-hash ring ([`ring`]) keyed by the same
 //! fields as the decision cache (url, document, resource type,

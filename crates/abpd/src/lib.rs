@@ -13,8 +13,8 @@
 //!
 //! One binary ships with the library: `abpd`, which serves decisions
 //! for the generated corpus (EasyList + Acceptable Ads whitelist).
-//! The load generator (`abpd-load`) and the fleet router
-//! (`abpd-proxy`) live in the `abpd-proxy` crate.
+//! The fleet router (`abpd-proxy`) lives in the `abpd-proxy` crate; the
+//! harness that drives and measures both is `benchmark/`.
 
 // `deny` rather than `forbid`: the epoll shim in [`poll`] is the one
 // module allowed to opt back in for its FFI declarations.

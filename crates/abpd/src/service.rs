@@ -1526,6 +1526,26 @@ mod tests {
     }
 
     #[test]
+    fn ipv6_literal_url_is_decided_not_rejected() {
+        // One unparseable URL fails its whole batch, so a bracketed
+        // IPv6 host must parse, with or without a port. IP hosts have
+        // no registrable domain: the party test is exact-host.
+        let list = FilterList::parse(ListSource::EasyList, "/ad.js$third-party\n");
+        let svc = Service::start(Engine::from_lists([&list]), &config());
+        let got = svc
+            .decide_batch(&[
+                dr("http://[::1]/ad.js", "[::1]", ResourceType::Script),
+                dr("http://[::1]:8080/ad.js", "[::1]", ResourceType::Script),
+                dr("http://[::1]/ad.js", "[::2]", ResourceType::Script),
+            ])
+            .unwrap();
+        assert_eq!(got[0].outcome.decision, Decision::NoMatch);
+        assert_eq!(got[1].outcome.decision, Decision::NoMatch);
+        assert_eq!(got[2].outcome.decision, Decision::Block);
+        svc.shutdown();
+    }
+
+    #[test]
     fn bad_url_fails_batch() {
         let svc = service();
         let err = svc

@@ -65,8 +65,8 @@ fn bench_engine(c: &mut Criterion) {
 /// Matching throughput at service scale: a 10k-filter engine driven by
 /// 100k mixed URLs, exercising the CSR token buckets and the
 /// untokenized tail, plus the page-level gates and element hiding at
-/// realistic rule counts (same corpus as the `engine_bench` binary, so
-/// Criterion numbers and CI quick-mode numbers are comparable).
+/// realistic rule counts, then the hostile corpora whose counter
+/// guarantees `bench::synthetic`'s tests assert.
 fn bench_matching_throughput(c: &mut Criterion) {
     let (bl, wl) = bench::synthetic::lists_10k();
     let engine = Engine::from_lists([&bl, &wl]);
@@ -106,6 +106,31 @@ fn bench_matching_throughput(c: &mut Criterion) {
         b.iter(|| {
             for d in &domains {
                 black_box(engine.hiding_refs_for_domain(black_box(d)));
+            }
+        })
+    });
+    // Adversarial wildcard tail: 375 filters whose anchors never occur
+    // in the traffic plus 25 anchorless ones, then the all-anchorless
+    // floor the required-literal prefilter exists for.
+    for (name, anchored, hostile) in [
+        ("match_many_adversarial_375+25x10k", 375, 25),
+        ("match_many_anchor_hostile_200x10k", 0, 200),
+    ] {
+        let list = bench::synthetic::adversarial_untokenized_list(anchored, hostile);
+        let adv_engine = Engine::from_lists([&list]);
+        group.bench_function(name, |b| {
+            b.iter(|| adv_engine.match_many(black_box(unt_reqs)))
+        });
+    }
+    // Hiding worst case: conditional generics, deep exception chains,
+    // near-miss suffix traffic; plans are memoized, so this is warm.
+    let (hbl, hwl) = bench::synthetic::hiding_hostile_lists();
+    let hostile_hide_engine = Engine::from_lists([&hbl, &hwl]);
+    let hostile_domains = bench::synthetic::hiding_hostile_domains(2_000);
+    group.bench_function("hiding_hostile_2k_domains", |b| {
+        b.iter(|| {
+            for d in &hostile_domains {
+                black_box(hostile_hide_engine.hiding_for_domain(black_box(d)));
             }
         })
     });

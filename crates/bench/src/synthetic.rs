@@ -1,8 +1,8 @@
 //! Deterministic synthetic filter lists and request traffic at service
-//! scale (10k filters × 100k URLs), shared by the quick engine bench
-//! binary (`engine_bench`) and the Criterion throughput group in
-//! `benches/engine_micro.rs` — one corpus, so their numbers are
-//! comparable.
+//! scale (10k filters × 100k URLs), each list built to stress one
+//! engine mechanism. The Criterion groups in `benches/engine_micro.rs`
+//! time them; the tests below hold the prefilter, hiding-plan and
+//! single-compile guarantees as counter assertions.
 
 use abp::{FilterList, ListSource, Request, ResourceType};
 use sitekey::rng::SplitMix64;
@@ -224,4 +224,64 @@ pub fn hiding_domains(n: usize) -> Vec<String> {
             _ => format!("news{}.example", i % 1_000),
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use abp::Engine;
+    use websim::traffic::TenantPopulation;
+
+    /// Neither adversarial list has a filter whose literals all occur in
+    /// the synthetic traffic, so the required-literal prefilter must
+    /// reject every tail candidate it checks: one that reaches
+    /// `Pattern::matches` is the always-scan tail coming back.
+    #[test]
+    fn prefilter_rejects_every_hostile_tail_candidate() {
+        let reqs = requests(2_000);
+        for (anchored, hostile) in [(375, 25), (0, 200)] {
+            let engine = Engine::from_lists([&adversarial_untokenized_list(anchored, hostile)]);
+            engine.match_many(&reqs);
+            let st = engine.tail_stats();
+            assert!(
+                st.prefilter_checked > 0,
+                "({anchored}, {hostile}): no tail candidate reached the prefilter"
+            );
+            assert_eq!(
+                st.prefilter_rejected, st.prefilter_checked,
+                "({anchored}, {hostile}): a tail candidate got past the prefilter"
+            );
+        }
+    }
+
+    /// Near-miss suffixes stop at the same trie node, so the hostile
+    /// query mix must be served from memoized plans, not rebuilt.
+    #[test]
+    fn hiding_plans_serve_the_hostile_query_mix() {
+        let (bl, wl) = hiding_hostile_lists();
+        let engine = Engine::from_lists([&bl, &wl]);
+        for d in hiding_hostile_domains(1_000) {
+            engine.hiding_for_domain(&d);
+        }
+        let st = engine.tail_stats();
+        assert_eq!(st.hiding_queries, 1_000);
+        assert!(
+            st.hiding_plan_hits * 10 >= st.hiding_queries * 9,
+            "hiding plans hit only {} of {} queries",
+            st.hiding_plan_hits,
+            st.hiding_queries
+        );
+    }
+
+    /// One compiled engine serves a whole subscription population: the
+    /// only per-tenant state is the mask the caller holds.
+    #[test]
+    fn tenant_population_is_served_by_one_compile() {
+        let (bl, wl) = lists_10k();
+        let engine = Engine::from_lists([&bl, &wl]);
+        let reqs = requests(10_000);
+        let masks: Vec<u64> = TenantPopulation::new(2015, 10_000).masks().collect();
+        engine.match_many_masked(&reqs, &masks);
+        assert_eq!(engine.compile_count(), 1);
+    }
 }

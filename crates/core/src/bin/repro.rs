@@ -10,8 +10,9 @@
 //! the default is a 1,500 + 3×300 cut. `--out DIR` writes one JSON file
 //! per experiment into `DIR`. Crawl parallelism defaults to the
 //! machine's available cores (capped at 16); `--threads N` overrides
-//! it. `--timings` prints per-experiment wall-clock as each finishes
-//! and writes the breakdown to `BENCH_repro.json`.
+//! it. `--timings` prints per-experiment wall-clock to stderr as each
+//! finishes, then the total and how many engine compiles the survey's
+//! configurations cost.
 
 use acceptable_ads::exploit::{run_exploit, ExploitConfig};
 use acceptable_ads::history::mine_history;
@@ -37,12 +38,10 @@ fn default_threads() -> usize {
         .min(16)
 }
 
-/// Wall-clock laps per experiment, printed live under `--timings` and
-/// dumped to `BENCH_repro.json` at the end.
+/// Wall-clock laps per experiment, printed live under `--timings`.
 struct Timings {
     enabled: bool,
     last: std::time::Instant,
-    laps: Vec<(&'static str, f64)>,
 }
 
 impl Timings {
@@ -50,19 +49,17 @@ impl Timings {
         Timings {
             enabled,
             last: std::time::Instant::now(),
-            laps: Vec::new(),
         }
     }
 
     /// Close the lap that started at the previous call (or construction).
-    fn lap(&mut self, name: &'static str) {
+    fn lap(&mut self, name: &str) {
         let now = std::time::Instant::now();
-        let secs = now.duration_since(self.last).as_secs_f64();
-        self.last = now;
-        self.laps.push((name, secs));
         if self.enabled {
+            let secs = now.duration_since(self.last).as_secs_f64();
             eprintln!("[timing] {name}: {secs:.3}s");
         }
+        self.last = now;
     }
 }
 
@@ -407,60 +404,16 @@ fn main() {
     timings.lap("provenance_hygiene");
 
     if timings_enabled {
-        let experiments: Vec<serde_json::Value> = timings
-            .laps
-            .iter()
-            .map(|(name, secs)| serde_json::json!({ "name": *name, "seconds": secs }))
-            .collect();
-        let total_seconds = run_started.elapsed().as_secs_f64();
-        let survey_configs = acceptable_ads::survey_exp::SURVEY_TENANTS.len() as u64;
-        let mut report = serde_json::json!({
-            "threads": threads,
-            "full": full,
-            "total_seconds": total_seconds,
-            "experiments": experiments,
-            // Multi-tenant engine accounting: the §5 survey serves its
-            // paper configurations as tenant masks over one shared
-            // compiled engine instead of one compile per config.
-            "survey_configs": survey_configs,
-            "survey_engine_compiles": survey_compiles,
-            "survey_compiles_saved": survey_configs.saturating_sub(survey_compiles),
-        });
-        // Embed the committed wall-clock baseline (captured just before
-        // the engine-tail optimizations) and the end-to-end delta, when
-        // this run is comparable (same scale, same thread count).
-        let baseline_path = "crates/bench/baselines/repro_timings_baseline.json";
-        if let Ok(text) = std::fs::read_to_string(baseline_path) {
-            if let Ok(base) = serde_json::parse_value(&text) {
-                let comparable = base.get("threads").and_then(|v| v.as_u64())
-                    == Some(threads as u64)
-                    && matches!(base.get("full"), Some(serde_json::Value::Bool(b)) if *b == full);
-                let base_total = base.get("total_seconds").and_then(|v| v.as_f64());
-                if let (true, Some(base_total), serde_json::Value::Map(entries)) =
-                    (comparable, base_total, &mut report)
-                {
-                    let speedup = base_total / total_seconds;
-                    entries.push(("baseline".to_string(), base));
-                    entries.push((
-                        "baseline_delta_seconds".to_string(),
-                        serde_json::Value::F64(
-                            ((total_seconds - base_total) * 1000.0).round() / 1000.0,
-                        ),
-                    ));
-                    entries.push((
-                        "speedup_vs_baseline".to_string(),
-                        serde_json::Value::F64((speedup * 100.0).round() / 100.0),
-                    ));
-                    eprintln!(
-                        "wall-clock vs pre-tail baseline: {total_seconds:.2}s vs \
-                         {base_total:.2}s ({speedup:.2}x)"
-                    );
-                }
-            }
-        }
-        let json = serde_json::to_string_pretty(&report).expect("serialize timings");
-        std::fs::write("BENCH_repro.json", json).expect("write BENCH_repro.json");
-        eprintln!("wrote BENCH_repro.json");
+        eprintln!(
+            "[timing] total: {:.3}s",
+            run_started.elapsed().as_secs_f64()
+        );
+        // The §5 survey serves its paper configurations as tenant masks
+        // over one shared compiled engine instead of one compile each.
+        eprintln!(
+            "[timing] survey_engine_compiles: {survey_compiles} (for {} configurations)",
+            acceptable_ads::survey_exp::SURVEY_TENANTS.len()
+        );
     }
 
     eprintln!("done.");

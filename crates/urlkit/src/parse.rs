@@ -105,17 +105,25 @@ impl Url {
             Some(at) => &authority[at + 1..],
             None => authority,
         };
-        let (host, port) = match host_port.rfind(':') {
-            Some(colon) => {
-                let p = &host_port[colon + 1..];
-                if p.is_empty() {
-                    (&host_port[..colon], None)
-                } else {
-                    let port: u16 = p.parse().map_err(|_| ParseError::InvalidPort)?;
-                    (&host_port[..colon], Some(port))
-                }
+        // A bracketed IPv6 literal is full of colons: its port, if any,
+        // follows the closing bracket.
+        let (host, port_str) = if host_port.starts_with('[') {
+            let close = host_port.find(']').ok_or(ParseError::InvalidHost)?;
+            let (host, after) = host_port.split_at(close + 1);
+            match after.strip_prefix(':') {
+                Some(p) => (host, p),
+                None if after.is_empty() => (host, ""),
+                None => return Err(ParseError::InvalidHost),
             }
-            None => (host_port, None),
+        } else {
+            match host_port.rfind(':') {
+                Some(colon) => (&host_port[..colon], &host_port[colon + 1..]),
+                None => (host_port, ""),
+            }
+        };
+        let port = match port_str {
+            "" => None,
+            p => Some(p.parse::<u16>().map_err(|_| ParseError::InvalidPort)?),
         };
         if host.is_empty() {
             return Err(ParseError::EmptyHost);
@@ -269,6 +277,26 @@ mod tests {
             Url::parse("https://example.com:abc/x"),
             Err(ParseError::InvalidPort)
         );
+    }
+
+    #[test]
+    fn bracketed_ipv6_host_splits_its_port_after_the_bracket() {
+        let u = Url::parse("http://[::1]/ad.js").unwrap();
+        assert_eq!((u.host(), u.port(), u.path()), ("[::1]", None, "/ad.js"));
+        let u = Url::parse("http://[::1]:8080/ad.js").unwrap();
+        assert_eq!((u.host(), u.port()), ("[::1]", Some(8080)));
+        assert_eq!(u.as_str(), "http://[::1]:8080/ad.js");
+        let u = Url::parse("http://[2001:DB8::1]:/x").unwrap();
+        assert_eq!((u.host(), u.port()), ("[2001:db8::1]", None));
+        assert_eq!(
+            Url::parse("http://[::1]:99999/"),
+            Err(ParseError::InvalidPort)
+        );
+        assert_eq!(
+            Url::parse("http://[::1/ad.js"),
+            Err(ParseError::InvalidHost)
+        );
+        assert_eq!(Url::parse("http://[::1]x/"), Err(ParseError::InvalidHost));
     }
 
     #[test]
