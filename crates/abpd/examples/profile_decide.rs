@@ -81,11 +81,21 @@ fn main() {
     }
     println!("parse out:     {:?}/req", t.elapsed() / n as u32);
 
-    // Stage 7: full service path, in process (no TCP).
+    // Stage 7: the served evaluation route, in process (no TCP): one
+    // shard's `LocalEval`, as a reactor holds it, cache misses only.
     let svc = abpd::Service::start(abpd::corpus_engine(2015), &ServiceConfig::default());
+    let mut local = svc.local_eval(
+        0,
+        n,
+        0,
+        std::sync::Arc::new(abpd::metrics::ReactorMetrics::default()),
+    );
+    let mut scratch = svc.scratch();
     let t = Instant::now();
     for chunk in reqs.chunks(64) {
-        svc.decide_batch(chunk).unwrap();
+        let refs: Vec<_> = chunk.iter().map(DecisionRequest::as_request_ref).collect();
+        svc.decide_batch_local(&refs, &mut scratch, &mut local)
+            .unwrap();
     }
     println!("service path:  {:?}/req", t.elapsed() / n as u32);
 }

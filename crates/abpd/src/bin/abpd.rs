@@ -1,32 +1,32 @@
 //! The abpd server binary.
 //!
 //! ```text
-//! abpd [--addr HOST:PORT] [--shards N] [--queue-depth N]
-//!      [--cache-capacity N] [--max-line-bytes N] [--seed N]
-//!      [--deadline-ms N] [--shed-watermark F]
-//!      [--server-mode blocking|event] [--io-threads N]
-//!      [--inline-batch-max N] [--no-reuseport]
+//! abpd [--addr HOST:PORT] [--shards N] [--cache-capacity N]
+//!      [--max-line-bytes N] [--seed N] [--deadline-ms N]
+//!      [--server-mode event|blocking]
 //!      [--watch FILE] [--watch-interval-ms N] [--state-dir DIR]
 //! ```
 //!
 //! Serves ad-blocking decisions for the generated corpus (EasyList +
 //! Acceptable Ads whitelist) until a client sends the `Shutdown` verb.
+//! An argument that is none of the ten flags above is reported on
+//! stderr (`abpd: ignoring unknown flag NAME`) and otherwise ignored,
+//! so a command line written for an older build still boots.
 //!
-//! `--server-mode event` swaps the thread-per-connection wire path for
-//! thread-per-core epoll reactors (`--io-threads`, default one per
-//! core) with `SO_REUSEPORT` listeners, shard-local decision caches,
-//! and inline evaluation of batches up to `--inline-batch-max`
-//! (larger ones escalate to the worker pool). Linux-only; elsewhere it
-//! falls back to blocking mode.
+//! `--shards` is the number of evaluation shards, each with its own
+//! slice of the `--cache-capacity` decision cache; every batch is
+//! evaluated on the thread that read it. `--server-mode event` (the
+//! default) runs one epoll reactor thread per shard behind
+//! `SO_REUSEPORT` listeners; `blocking` runs one thread per connection
+//! and locks a shard per decision line. Event mode is Linux-only and
+//! falls back to blocking wherever its listeners cannot be bound.
 //!
-//! `--deadline-ms` bounds per-request evaluation time (late requests
-//! fail with a `DeadlineExceeded` error instead of queuing forever);
-//! `--shed-watermark` sets the queue-depth fraction past which new
-//! batches are answered `Overloaded` immediately. `--watch FILE` polls
-//! a whitelist file and pushes changed content through the
-//! `ReloadDelta` verb — a copy/insert patch against the last body the
-//! server acknowledged, orders of magnitude smaller on the wire than
-//! re-shipping the list. If the server reports a base mismatch (it
+//! `--deadline-ms` bounds per-batch evaluation time (a batch that runs
+//! past it fails with a `DeadlineExceeded` error instead of answering
+//! late). `--watch FILE` polls a whitelist file and pushes changed
+//! content through the `ReloadDelta` verb — a copy/insert patch against
+//! the last body the server acknowledged, orders of magnitude smaller
+//! on the wire than re-shipping the list. If the server reports a base mismatch (it
 //! restarted, or another supervisor reloaded it) the watcher falls
 //! back to one full `Reload` and is back in delta lockstep from the
 //! next change on. A malformed revision is rejected server-side either
@@ -49,6 +49,37 @@ use abpd::protocol::{ReloadDeltaList, ReloadList};
 use abpd::{Client, FaultConfig, ReloadDeltaOutcome, Server, ServerConfig, ServerMode};
 use std::net::SocketAddr;
 use std::time::Duration;
+
+/// Every flag `abpd` takes; each is followed by one value.
+const FLAGS: [&str; 10] = [
+    "--addr",
+    "--shards",
+    "--cache-capacity",
+    "--max-line-bytes",
+    "--seed",
+    "--deadline-ms",
+    "--server-mode",
+    "--watch",
+    "--watch-interval-ms",
+    "--state-dir",
+];
+
+/// Say which `--flag` arguments will have no effect. Never fatal:
+/// launchers written for older builds pass flags that are gone, and
+/// the flags left are looked up by name, so a stray argument is inert.
+fn report_unknown_flags(args: &[String]) {
+    let mut i = 0;
+    while i < args.len() {
+        if FLAGS.contains(&args[i].as_str()) {
+            i += 2; // the flag and its value
+            continue;
+        }
+        if args[i].starts_with("--") {
+            eprintln!("abpd: ignoring unknown flag {}", args[i]);
+        }
+        i += 1;
+    }
+}
 
 fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
     let i = args.iter().position(|a| a == flag)?;
@@ -171,23 +202,19 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
-            "usage: abpd [--addr HOST:PORT] [--shards N] [--queue-depth N] \
-             [--cache-capacity N] [--max-line-bytes N] [--seed N] \
-             [--deadline-ms N] [--shed-watermark F] \
-             [--server-mode blocking|event] [--io-threads N] \
-             [--inline-batch-max N] [--no-reuseport] \
+            "usage: abpd [--addr HOST:PORT] [--shards N] [--cache-capacity N] \
+             [--max-line-bytes N] [--seed N] [--deadline-ms N] \
+             [--server-mode event|blocking] \
              [--watch FILE] [--watch-interval-ms N] [--state-dir DIR]"
         );
         return;
     }
+    report_unknown_flags(&args);
 
     let mut config = ServerConfig::default();
     config.addr = parse_flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:4815".to_string());
     if let Some(n) = parse_flag(&args, "--shards") {
         config.service.shards = n;
-    }
-    if let Some(n) = parse_flag(&args, "--queue-depth") {
-        config.service.queue_depth = n;
     }
     if let Some(n) = parse_flag(&args, "--cache-capacity") {
         config.service.cache_capacity = n;
@@ -198,24 +225,8 @@ fn main() {
     if let Some(mode) = parse_flag::<ServerMode>(&args, "--server-mode") {
         config.mode = mode;
     }
-    if let Some(n) = parse_flag(&args, "--io-threads") {
-        config.io_threads = n;
-    }
-    if let Some(n) = parse_flag::<usize>(&args, "--inline-batch-max") {
-        config.inline_batch_max = n.max(1);
-    }
-    if args.iter().any(|a| a == "--no-reuseport") {
-        config.reuseport = false;
-    }
     if let Some(ms) = parse_flag::<u64>(&args, "--deadline-ms") {
         config.service.deadline = Some(Duration::from_millis(ms.max(1)));
-    }
-    if let Some(w) = parse_flag::<f64>(&args, "--shed-watermark") {
-        if !(0.0..=1.0).contains(&w) {
-            eprintln!("--shed-watermark must be in [0, 1], got {w}");
-            std::process::exit(2);
-        }
-        config.service.shed_watermark = w;
     }
     if let Some(faults) = FaultConfig::from_env() {
         eprintln!("abpd: FAULT INJECTION ARMED: {faults:?}");

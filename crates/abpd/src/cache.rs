@@ -1,27 +1,24 @@
-//! The sharded LRU decision cache.
+//! The LRU decision cache.
 //!
 //! A decision is a pure function of `(url, document domain, resource
 //! type, sitekey, tenant)` for a fixed engine, so outcomes can be
 //! memoized. The tenant — the requester's subscription bitmask — is a
 //! first-class key field: two tenants with different masks can get
 //! different decisions for byte-identical requests, so a cached
-//! decision must never cross a tenant boundary. The cache is split
-//! into shards, each behind its own mutex; a key's shard is derived
-//! from its hash, and the service routes the *same* key to the same
-//! worker shard, so a shard's mutex is only contended between
-//! connection handlers looking up and that shard's worker inserting.
+//! decision must never cross a tenant boundary. There is one cache
+//! type, [`LocalDecisionCache`], and it takes no lock: each evaluation
+//! shard owns one (see [`crate::service::LocalEval`]), and whoever
+//! holds the shard holds its cache.
 //!
 //! Lookups are allocation-free: a request is reduced to a 64-bit
 //! per-process-seeded FNV-1a digest of its borrowed fields
-//! ([`request_key_hash`]) — no `String` clones on the read path. Because 64 bits can collide, each
-//! entry stores the full owned key ([`StoredKey`], built once on the
-//! miss path) and a hit verifies it field-by-field — tenant included —
-//! before the cached outcome is trusted; a colliding digest is just a
-//! miss.
+//! ([`request_key_hash`]) — no `String` clones on the read path.
+//! Because 64 bits can collide, each entry stores the full owned key
+//! ([`StoredKey`], built once on the miss path) and a hit verifies it
+//! field-by-field — tenant included — before the cached outcome is
+//! trusted; a colliding digest is just a miss.
 
-use crate::metrics::CacheAligned;
 use abp::{RequestOutcome, ResourceType};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
 use std::sync::OnceLock;
@@ -31,7 +28,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a, the same function `abp::engine` uses for token hashing.
 /// Cheap to compute incrementally over borrowed bytes and good enough
-/// for shard routing; collisions are handled by full-key verification.
+/// for a cache index; collisions are handled by full-key verification.
 #[derive(Debug, Clone, Default)]
 pub struct FnvHasher(u64);
 
@@ -283,129 +280,19 @@ struct Entry {
     outcome: RequestOutcome,
 }
 
-/// Padded so one shard's lock word never shares a cache line with its
-/// neighbour's: shard mutexes are the hottest shared words in the
-/// blocking server, and unpadded they sit adjacent in one `Vec`
-/// allocation.
-type Shard = CacheAligned<Mutex<LruCache<u64, Entry, FnvBuildHasher>>>;
-
-/// The service's decision cache: N independent LRU shards indexed by
-/// the precomputed request digest, verified against the stored key on
-/// every hit.
+/// One shard's decision cache: an LRU indexed by the precomputed
+/// request digest and verified against the stored key on every hit.
+/// Unsynchronised — the shard's holder is the only one that ever
+/// touches it, so a lookup is a plain method call on owned state and
+/// the steady-state wire path never takes a lock for it.
 ///
 /// Entries are stamped with the engine **generation** that computed
 /// them. A lookup passes the current generation and an entry from any
 /// other generation reads as a miss, so a hot-reloaded engine can
-/// never serve a decision made by its predecessor. (Reload also
-/// [`clear`](DecisionCache::clear)s the cache so dead entries don't
-/// squat on capacity, but correctness never depends on that sweep.)
-pub struct DecisionCache {
-    shards: Vec<Shard>,
-    per_shard: usize,
-}
-
-impl DecisionCache {
-    /// A cache of `total_capacity` entries split evenly over `shards`.
-    pub fn new(shards: usize, total_capacity: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard = (total_capacity / shards).max(1);
-        DecisionCache {
-            shards: (0..shards)
-                .map(|_| CacheAligned(Mutex::new(LruCache::new(per_shard))))
-                .collect(),
-            per_shard,
-        }
-    }
-
-    /// Number of shards (always the service's worker count).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard a request digest lives on.
-    pub fn shard_of(&self, key_hash: u64) -> usize {
-        (key_hash % self.shards.len() as u64) as usize
-    }
-
-    /// Look up a decision by digest, promoting it on a hit. The
-    /// borrowed request fields — tenant mask included — are checked
-    /// against the stored key so a digest collision reads as a miss,
-    /// never a wrong answer (and never another tenant's answer) — and
-    /// the entry's generation must equal `generation`, so a decision
-    /// made by a pre-reload engine reads as a miss too.
-    #[allow(clippy::too_many_arguments)]
-    pub fn get(
-        &self,
-        shard: usize,
-        key_hash: u64,
-        generation: u64,
-        url: &str,
-        document: &str,
-        resource_type: ResourceType,
-        sitekey: Option<&str>,
-        tenant: u64,
-    ) -> Option<RequestOutcome> {
-        let mut shard = self.shards[shard].lock();
-        let entry = shard.get(&key_hash)?;
-        if entry.generation == generation
-            && entry
-                .key
-                .matches(url, document, resource_type, sitekey, tenant)
-        {
-            Some(entry.outcome.clone())
-        } else {
-            None
-        }
-    }
-
-    /// Memoize a decision under its digest, stamped with the engine
-    /// generation that computed it.
-    pub fn insert(
-        &self,
-        shard: usize,
-        key_hash: u64,
-        key: StoredKey,
-        generation: u64,
-        outcome: RequestOutcome,
-    ) {
-        self.shards[shard].lock().insert(
-            key_hash,
-            Entry {
-                key,
-                generation,
-                outcome,
-            },
-        );
-    }
-
-    /// Drop every entry (used on reload so superseded decisions don't
-    /// squat on LRU capacity; generation checks already keep them from
-    /// being served).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            *shard.lock() = LruCache::new(self.per_shard);
-        }
-    }
-
-    /// Total entries across shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A single-threaded decision cache for one reactor: the same
-/// digest-indexed, generation-stamped, collision-verified LRU as
-/// [`DecisionCache`], minus the mutexes — the owning reactor thread is
-/// the only one that ever touches it, so a lookup is a plain method
-/// call on owned state and the steady-state wire path never takes a
-/// lock. Generation fencing is identical: an entry stamped by another
-/// engine generation reads as a miss, and the owner clears the cache
-/// wholesale when it observes a new generation.
+/// never serve a decision made by its predecessor. (The owner also
+/// [`clear`](LocalDecisionCache::clear)s the cache when it observes a
+/// new generation so dead entries don't squat on capacity, but
+/// correctness never depends on that sweep.)
 pub struct LocalDecisionCache {
     lru: LruCache<u64, Entry, FnvBuildHasher>,
     cap: usize,
@@ -421,9 +308,12 @@ impl LocalDecisionCache {
         }
     }
 
-    /// Look up a decision by digest, promoting it on a hit; the full
-    /// fields and the generation are verified exactly like
-    /// [`DecisionCache::get`].
+    /// Look up a decision by digest, promoting it on a hit. The
+    /// borrowed request fields — tenant mask included — are checked
+    /// against the stored key so a digest collision reads as a miss,
+    /// never a wrong answer (and never another tenant's answer) — and
+    /// the entry's generation must equal `generation`, so a decision
+    /// made by a pre-reload engine reads as a miss too.
     #[allow(clippy::too_many_arguments)]
     pub fn get(
         &mut self,
@@ -447,7 +337,8 @@ impl LocalDecisionCache {
         }
     }
 
-    /// Memoize a decision under its digest.
+    /// Memoize a decision under its digest, stamped with the engine
+    /// generation that computed it.
     pub fn insert(
         &mut self,
         key_hash: u64,
@@ -485,7 +376,6 @@ impl LocalDecisionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::DecisionRequest;
 
     #[test]
     fn eviction_follows_lru_order() {
@@ -594,30 +484,33 @@ mod tests {
         assert!(!k.matches("u", "d", ResourceType::Script, Some("sk"), 0b1));
     }
 
-    #[test]
-    fn colliding_digest_reads_as_miss() {
-        let cache = DecisionCache::new(1, 8);
-        let outcome = RequestOutcome {
+    fn block() -> RequestOutcome {
+        RequestOutcome {
             decision: abp::Decision::Block,
             activations: vec![],
-        };
+        }
+    }
+
+    #[test]
+    fn colliding_digest_reads_as_miss() {
+        let mut cache = LocalDecisionCache::new(8);
         let h = request_key_hash("u", "d", ResourceType::Script, None, ALL);
         cache.insert(
-            0,
             h,
             StoredKey::new("u", "d", ResourceType::Script, None, ALL),
             0,
-            outcome.clone(),
+            block(),
         );
         // Same digest, different request fields: must miss, not lie.
         assert_eq!(
-            cache.get(0, h, 0, "other", "d", ResourceType::Script, None, ALL),
+            cache.get(h, 0, "other", "d", ResourceType::Script, None, ALL),
             None
         );
         assert_eq!(
-            cache.get(0, h, 0, "u", "d", ResourceType::Script, None, ALL),
-            Some(outcome)
+            cache.get(h, 0, "u", "d", ResourceType::Script, None, ALL),
+            Some(block())
         );
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -627,178 +520,54 @@ mod tests {
         // with the *same 64-bit digest* (simulated by reusing A's
         // digest verbatim — a genuine collision is just this, minus
         // the astronomically unlikely hash step). B must miss on the
-        // full-key verify; a cached decision can never cross configs,
-        // on either the shared or the reactor-local cache.
+        // full-key verify; a cached decision can never cross configs.
         let tenant_a = 0b01u64; // EasyList only
         let tenant_b = 0b11u64; // EasyList + Acceptable Ads
-        let outcome_a = RequestOutcome {
-            decision: abp::Decision::Block,
-            activations: vec![],
-        };
         let h = request_key_hash("u", "d", ResourceType::Script, None, tenant_a);
-
-        let cache = DecisionCache::new(1, 8);
+        let mut cache = LocalDecisionCache::new(8);
         cache.insert(
-            0,
             h,
             StoredKey::new("u", "d", ResourceType::Script, None, tenant_a),
             0,
-            outcome_a.clone(),
+            block(),
         );
         // Identical request fields, identical digest, different tenant:
         // must read as a miss, not as tenant A's Block.
         assert_eq!(
-            cache.get(0, h, 0, "u", "d", ResourceType::Script, None, tenant_b),
+            cache.get(h, 0, "u", "d", ResourceType::Script, None, tenant_b),
             None
         );
         assert_eq!(
-            cache.get(0, h, 0, "u", "d", ResourceType::Script, None, tenant_a),
-            Some(outcome_a.clone())
-        );
-
-        let mut local = LocalDecisionCache::new(8);
-        local.insert(
-            h,
-            StoredKey::new("u", "d", ResourceType::Script, None, tenant_a),
-            0,
-            outcome_a.clone(),
-        );
-        assert_eq!(
-            local.get(h, 0, "u", "d", ResourceType::Script, None, tenant_b),
-            None
-        );
-        assert_eq!(
-            local.get(h, 0, "u", "d", ResourceType::Script, None, tenant_a),
-            Some(outcome_a)
+            cache.get(h, 0, "u", "d", ResourceType::Script, None, tenant_a),
+            Some(block())
         );
     }
 
     #[test]
     fn stale_generation_reads_as_miss() {
-        let cache = DecisionCache::new(2, 8);
-        let outcome = RequestOutcome {
-            decision: abp::Decision::Block,
-            activations: vec![],
-        };
+        let mut cache = LocalDecisionCache::new(8);
         let h = request_key_hash("u", "d", ResourceType::Script, None, ALL);
-        let shard = cache.shard_of(h);
         cache.insert(
-            shard,
             h,
             StoredKey::new("u", "d", ResourceType::Script, None, ALL),
             1,
-            outcome.clone(),
+            block(),
         );
         // Wrong generation: a decision from engine generation 1 must
         // never answer a generation-2 lookup.
         assert_eq!(
-            cache.get(shard, h, 2, "u", "d", ResourceType::Script, None, ALL),
+            cache.get(h, 2, "u", "d", ResourceType::Script, None, ALL),
             None
         );
         assert_eq!(
-            cache.get(shard, h, 1, "u", "d", ResourceType::Script, None, ALL),
-            Some(outcome)
+            cache.get(h, 1, "u", "d", ResourceType::Script, None, ALL),
+            Some(block())
         );
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(
-            cache.get(shard, h, 1, "u", "d", ResourceType::Script, None, ALL),
+            cache.get(h, 1, "u", "d", ResourceType::Script, None, ALL),
             None
         );
-    }
-
-    #[test]
-    fn local_cache_mirrors_shared_semantics() {
-        let mut cache = LocalDecisionCache::new(8);
-        let outcome = RequestOutcome {
-            decision: abp::Decision::Block,
-            activations: vec![],
-        };
-        let h = request_key_hash("u", "d", ResourceType::Script, None, ALL);
-        cache.insert(
-            h,
-            StoredKey::new("u", "d", ResourceType::Script, None, ALL),
-            3,
-            outcome.clone(),
-        );
-        // Collision (same digest, other fields) and stale generation
-        // both read as misses; the exact key at the exact generation
-        // hits.
-        assert_eq!(
-            cache.get(h, 3, "other", "d", ResourceType::Script, None, ALL),
-            None
-        );
-        assert_eq!(
-            cache.get(h, 4, "u", "d", ResourceType::Script, None, ALL),
-            None
-        );
-        assert_eq!(
-            cache.get(h, 3, "u", "d", ResourceType::Script, None, ALL),
-            Some(outcome)
-        );
-        assert_eq!(cache.len(), 1);
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn cache_shard_locks_are_cache_line_isolated() {
-        assert_eq!(std::mem::align_of::<Shard>(), 64);
-        let cache = DecisionCache::new(4, 64);
-        let a = &cache.shards[0] as *const _ as usize;
-        let b = &cache.shards[1] as *const _ as usize;
-        assert!(
-            b - a >= 64,
-            "adjacent shard locks {a:#x}/{b:#x} share a line"
-        );
-    }
-
-    #[test]
-    fn sharded_cache_routes_consistently() {
-        let cache = DecisionCache::new(4, 400);
-        let req = DecisionRequest {
-            url: "http://ads.example/x.js".into(),
-            document: "news.example".into(),
-            resource_type: abp::ResourceType::Script,
-            sitekey: None,
-            tenant: None,
-        };
-        let h = request_key_hash(&req.url, &req.document, req.resource_type, None, ALL);
-        let shard = cache.shard_of(h);
-        assert_eq!(
-            shard,
-            cache.shard_of(request_key_hash(
-                &req.url,
-                &req.document,
-                req.resource_type,
-                None,
-                ALL
-            ))
-        );
-        let outcome = RequestOutcome {
-            decision: abp::Decision::NoMatch,
-            activations: vec![],
-        };
-        cache.insert(
-            shard,
-            h,
-            StoredKey::new(&req.url, &req.document, req.resource_type, None, ALL),
-            0,
-            outcome.clone(),
-        );
-        assert_eq!(
-            cache.get(
-                shard,
-                h,
-                0,
-                &req.url,
-                &req.document,
-                req.resource_type,
-                None,
-                ALL
-            ),
-            Some(outcome)
-        );
-        assert_eq!(cache.len(), 1);
     }
 }

@@ -14,15 +14,15 @@
 //! counter hashed through splitmix64 with the configured seed and the
 //! slot id, making a fault schedule reproducible for a given seed,
 //! slot, and draw order while still looking random. Slots exist so
-//! concurrent drawers (worker shards, reactor threads, connection
+//! concurrent drawers (evaluation shards, reactor and connection
 //! write paths) each bump their own cache-line-padded counter instead
 //! of contending on one shared line; [`FaultPlan::draws`] merges them
 //! on demand. The modeled fault kinds:
 //!
-//! * **eval panics** — a worker thread panics mid-evaluation
-//!   (exercises supervision and the batch `Error` path);
+//! * **eval panics** — an evaluation panics (exercises the
+//!   `catch_unwind` guard and the batch `Error` path);
 //! * **eval delays** — an evaluation stalls for `delay_ms`
-//!   (exercises deadlines and queue watermarks);
+//!   (exercises deadlines);
 //! * **torn writes** — the server writes half a reply burst and drops
 //!   the connection (exercises client truncated-line handling);
 //! * **disconnects** — the server drops the connection before writing
@@ -45,7 +45,7 @@ use std::time::Duration;
 /// Fault rates (per million) and the plan seed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultConfig {
-    /// Probability (per million evaluations) of a worker panic.
+    /// Probability (per million evaluations) of a panic.
     pub eval_panic_per_million: u32,
     /// Probability (per million evaluations) of a stall.
     pub eval_delay_per_million: u32,
@@ -152,7 +152,7 @@ impl FaultConfig {
 pub enum EvalFault {
     /// Proceed normally.
     None,
-    /// Panic the worker thread.
+    /// Panic inside the evaluation.
     Panic,
     /// Sleep before evaluating.
     Delay(Duration),
@@ -185,7 +185,7 @@ pub enum StateFault {
 /// The dedicated fault-plan slot for snapshot saves. Persistence is
 /// serialized under the reload lock, so one slot suffices — and
 /// keeping it fixed makes crash schedules reproducible independent of
-/// how many worker shards drew eval faults first.
+/// how many shards drew eval faults first.
 pub const STATE_SLOT: usize = 63;
 
 const PER_MILLION: u64 = 1_000_000;
@@ -197,8 +197,8 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Independent draw-counter slots. Drawers pick a stable slot (worker
-/// shard index, reactor index, connection id) and only ever contend
+/// Independent draw-counter slots. Drawers pick a stable slot (shard
+/// index, reactor index, connection id) and only ever contend
 /// with other drawers folded onto the same slot modulo this count.
 const SLOTS: usize = 64;
 

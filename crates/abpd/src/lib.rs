@@ -4,12 +4,16 @@
 //! turns the same [`abp::Engine`] into a standalone network service so
 //! decision throughput can be measured (and scaled) independently of
 //! the crawler. Clients speak newline-delimited JSON over TCP (see
-//! [`protocol`]); the server routes each decision to one of N shard
-//! workers over bounded queues and memoizes outcomes in a sharded LRU
-//! cache ([`cache`]). A decision for a fixed engine is a pure function
-//! of `(url, document, resource type, sitekey)`, so cached responses
-//! are byte-identical to fresh engine evaluations — property-tested in
-//! this crate's test suite.
+//! [`protocol`]). A connection belongs to one of N evaluation shards;
+//! every batch it sends is evaluated on the thread that read it
+//! ([`service::Service::decide_batch_local`], the only route) and
+//! outcomes are memoized in that shard's LRU cache ([`cache`]). Two
+//! socket fronts — epoll reactors and thread-per-connection, chosen by
+//! [`ServerMode`] — feed one verb dispatch ([`server`]). A decision for
+//! a fixed engine is a pure function of `(url, document, resource
+//! type, sitekey, tenant)`, so cached responses are byte-identical to
+//! fresh engine evaluations — property-tested in this crate's test
+//! suite.
 //!
 //! One binary ships with the library: `abpd`, which serves decisions
 //! for the generated corpus (EasyList + Acceptable Ads whitelist).

@@ -3,6 +3,7 @@
 
 use crate::protocol::{ShardStats, StatsReport};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Pads and aligns its contents to a 64-byte cache line so adjacent
 /// slots in a `Vec` never start on a shared line; without this, shard
@@ -230,110 +231,66 @@ impl ShardMetrics {
     }
 }
 
-/// All shards' metrics, plus service-wide resilience counters.
+/// Fold the tenant accounting of `shards` and estimate the distinct
+/// subscription masks served across all of them.
+fn tenant_totals(
+    shards: &[Arc<ReactorMetrics>],
+) -> (u64, [u64; TENANT_CARD_BUCKETS], [u64; TENANT_CARD_BUCKETS]) {
+    let mut bitmap = [0u64; TENANT_BITMAP_WORDS];
+    let mut requests = [0u64; TENANT_CARD_BUCKETS];
+    let mut hits = [0u64; TENANT_CARD_BUCKETS];
+    for s in shards {
+        s.shard.fold_tenants(&mut bitmap, &mut requests, &mut hits);
+    }
+    (linear_count(&bitmap), requests, hits)
+}
+
+/// Snapshot `shards` into a wire-format report: one entry each, in
+/// order, and totals over all of them. The merge happens here, at
+/// report time, precisely so the hot path never has to touch a shared
+/// line: every shard writes its own padded counters and only a `Stats`
+/// request pays for summing them.
 ///
-/// The resilience counters (`sheds`, `deadline_timeouts`) are reported
-/// through the `Health` verb, **not** `Stats` — `StatsReport` is a
-/// frozen wire shape (byte-identity is property-tested) and gaining
-/// fields would break it.
-pub struct Metrics {
-    /// Padded so two shards' counters never share a cache line.
-    shards: Vec<CacheAligned<ShardMetrics>>,
-    /// Batches refused with `Overloaded` by the queue watermark.
-    pub sheds: AtomicU64,
-    /// Batches failed because their evaluation deadline passed.
-    pub deadline_timeouts: AtomicU64,
-}
-
-impl Metrics {
-    /// Metrics for `shards` worker shards.
-    pub fn new(shards: usize) -> Self {
-        Metrics {
-            shards: (0..shards.max(1))
-                .map(|_| CacheAligned(ShardMetrics::default()))
-                .collect(),
-            sheds: AtomicU64::new(0),
-            deadline_timeouts: AtomicU64::new(0),
-        }
-    }
-
-    /// The counters of one shard.
-    pub fn shard(&self, i: usize) -> &ShardMetrics {
-        &self.shards[i]
-    }
-
-    /// Snapshot everything into a wire-format report.
-    pub fn report(&self) -> StatsReport {
-        self.report_with_extra(&[])
-    }
-
-    /// Snapshot into a wire-format report with `extra` shard counters
-    /// (the event-driven server's per-reactor metrics) appended after
-    /// the worker shards and folded into the totals. The merge happens
-    /// here, at report time, precisely so the hot path never has to
-    /// touch a shared line: reactors write their own padded counters
-    /// and only a `Stats` request pays for summing them.
-    pub fn report_with_extra(&self, extra: &[&ShardMetrics]) -> StatsReport {
-        let all: Vec<&ShardMetrics> = self
-            .shards
-            .iter()
-            .map(|s| &s.0)
-            .chain(extra.iter().copied())
-            .collect();
-        let shards: Vec<ShardStats> = all.iter().map(|s| s.snapshot()).collect();
-        let merged = all
-            .iter()
-            .map(|s| &s.latency)
-            .fold(Histogram::default(), |acc, h| acc.merged(h));
-        let mut bitmap = [0u64; TENANT_BITMAP_WORDS];
-        let mut tenant_requests = [0u64; TENANT_CARD_BUCKETS];
-        let mut tenant_hits = [0u64; TENANT_CARD_BUCKETS];
-        for s in &all {
-            s.fold_tenants(&mut bitmap, &mut tenant_requests, &mut tenant_hits);
-        }
-        StatsReport {
-            requests: shards.iter().map(|s| s.requests).sum(),
-            cache_hits: shards.iter().map(|s| s.cache_hits).sum(),
-            blocks: shards.iter().map(|s| s.blocks).sum(),
-            exceptions: shards.iter().map(|s| s.exceptions).sum(),
-            p50_us: merged.quantile_us(0.50),
-            p99_us: merged.quantile_us(0.99),
-            shards,
-            distinct_tenants: linear_count(&bitmap),
-            tenant_requests_by_lists: tenant_requests.to_vec(),
-            tenant_cache_hits_by_lists: tenant_hits.to_vec(),
-        }
-    }
-
-    /// Linear-counting estimate of distinct subscription masks served,
-    /// over the worker shards plus any `extra` (reactor) counters.
-    pub fn distinct_tenants_with(&self, extra: &[&ShardMetrics]) -> u64 {
-        let mut bitmap = [0u64; TENANT_BITMAP_WORDS];
-        let mut requests = [0u64; TENANT_CARD_BUCKETS];
-        let mut hits = [0u64; TENANT_CARD_BUCKETS];
-        for s in self
-            .shards
-            .iter()
-            .map(|s| &s.0)
-            .chain(extra.iter().copied())
-        {
-            s.fold_tenants(&mut bitmap, &mut requests, &mut hits);
-        }
-        linear_count(&bitmap)
+/// `StatsReport` is a frozen wire shape (byte-identity is
+/// property-tested); the resilience counters travel in `Health`.
+pub fn report(shards: &[Arc<ReactorMetrics>]) -> StatsReport {
+    let rows: Vec<ShardStats> = shards.iter().map(|s| s.shard.snapshot()).collect();
+    let merged = shards
+        .iter()
+        .fold(Histogram::default(), |acc, s| acc.merged(&s.shard.latency));
+    let (distinct_tenants, tenant_requests, tenant_hits) = tenant_totals(shards);
+    StatsReport {
+        requests: rows.iter().map(|s| s.requests).sum(),
+        cache_hits: rows.iter().map(|s| s.cache_hits).sum(),
+        blocks: rows.iter().map(|s| s.blocks).sum(),
+        exceptions: rows.iter().map(|s| s.exceptions).sum(),
+        p50_us: merged.quantile_us(0.50),
+        p99_us: merged.quantile_us(0.99),
+        shards: rows,
+        distinct_tenants,
+        tenant_requests_by_lists: tenant_requests.to_vec(),
+        tenant_cache_hits_by_lists: tenant_hits.to_vec(),
     }
 }
 
-/// One reactor thread's counters, merged into `Stats`/`Health` replies
-/// on demand. The decision counters live in a padded [`ShardMetrics`]
-/// the owning reactor alone increments; `eval_panics` counts inline
-/// evaluations that panicked (injected or real) and were caught
-/// without killing the reactor — the event-mode analogue of a worker
-/// restart, appended to `HealthReport::shard_restarts`.
+/// Linear-counting estimate of distinct subscription masks served
+/// across `shards`.
+pub fn distinct_tenants(shards: &[Arc<ReactorMetrics>]) -> u64 {
+    tenant_totals(shards).0
+}
+
+/// One shard's counters — a reactor thread's, or one locked evaluation
+/// slot's behind the thread-per-connection front — folded into
+/// `Stats`/`Health` replies on demand. The decision counters live in a
+/// padded [`ShardMetrics`] that only the shard's current evaluator
+/// increments; `eval_panics` counts evaluations that panicked (injected
+/// or real) and were caught without losing the thread, reported as
+/// `HealthReport::shard_restarts`.
 #[derive(Default)]
 pub struct ReactorMetrics {
-    /// Decision counters for work evaluated inline on this reactor.
+    /// Decision counters for work evaluated on this shard.
     pub shard: CacheAligned<ShardMetrics>,
-    /// Caught inline-evaluation panics (survived, not respawned).
+    /// Caught evaluation panics (survived, nothing respawned).
     pub eval_panics: AtomicU64,
 }
 
@@ -374,16 +331,20 @@ mod tests {
         assert_eq!(Histogram::default().quantile_us(0.5), 0);
     }
 
+    fn shards(n: usize) -> Vec<Arc<ReactorMetrics>> {
+        (0..n).map(|_| Arc::default()).collect()
+    }
+
     #[test]
     fn report_sums_shards() {
-        let m = Metrics::new(2);
-        m.shard(0).requests.fetch_add(10, Ordering::Relaxed);
-        m.shard(1).requests.fetch_add(5, Ordering::Relaxed);
-        m.shard(0).blocks.fetch_add(3, Ordering::Relaxed);
-        m.shard(1).cache_hits.fetch_add(2, Ordering::Relaxed);
-        m.shard(0).latency.record_us(7);
-        m.shard(1).latency.record_us(400);
-        let r = m.report();
+        let m = shards(2);
+        m[0].shard.requests.fetch_add(10, Ordering::Relaxed);
+        m[1].shard.requests.fetch_add(5, Ordering::Relaxed);
+        m[0].shard.blocks.fetch_add(3, Ordering::Relaxed);
+        m[1].shard.cache_hits.fetch_add(2, Ordering::Relaxed);
+        m[0].shard.latency.record_us(7);
+        m[1].shard.latency.record_us(400);
+        let r = report(&m);
         assert_eq!(r.requests, 15);
         assert_eq!(r.blocks, 3);
         assert_eq!(r.cache_hits, 2);
@@ -393,39 +354,35 @@ mod tests {
 
     #[test]
     fn tenant_counters_bucket_and_estimate() {
-        let m = Metrics::new(2);
+        let mut m = shards(2);
         // Three distinct masks across two shards: a 1-list user, a
         // 2-list user (hit + miss), and the legacy union view.
-        m.shard(0).record_tenant(0b01, false);
-        m.shard(0).record_tenant(0b11, false);
-        m.shard(1).record_tenant(0b11, true);
-        m.shard(1).record_tenant(u64::MAX, true);
-        let r = m.report();
+        m[0].shard.record_tenant(0b01, false);
+        m[0].shard.record_tenant(0b11, false);
+        m[1].shard.record_tenant(0b11, true);
+        m[1].shard.record_tenant(u64::MAX, true);
+        let r = report(&m);
         assert_eq!(r.tenant_requests_by_lists, vec![1, 2, 0, 0, 1]);
         assert_eq!(r.tenant_cache_hits_by_lists, vec![0, 1, 0, 0, 1]);
         // Small cardinalities are exact under linear counting.
         assert_eq!(r.distinct_tenants, 3);
-        assert_eq!(m.distinct_tenants_with(&[]), 3);
-        // Reactor counters merge like worker shards.
-        let extra = ReactorMetrics::default();
-        extra.shard.record_tenant(0b10, true);
-        assert_eq!(m.distinct_tenants_with(&[&extra.shard]), 4);
-        assert_eq!(
-            m.report_with_extra(&[&extra.shard])
-                .tenant_cache_hits_by_lists,
-            vec![1, 1, 0, 0, 1]
-        );
+        assert_eq!(distinct_tenants(&m), 3);
+        // A further shard's masks fold in like the others'.
+        m.extend(shards(1));
+        m[2].shard.record_tenant(0b10, true);
+        assert_eq!(distinct_tenants(&m), 4);
+        assert_eq!(report(&m).tenant_cache_hits_by_lists, vec![1, 1, 0, 0, 1]);
         // Untouched metrics report zero distinct tenants.
-        assert_eq!(Metrics::new(1).report().distinct_tenants, 0);
+        assert_eq!(report(&shards(1)).distinct_tenants, 0);
     }
 
     #[test]
     fn tenant_estimate_tracks_large_populations() {
-        let m = Metrics::new(1);
+        let m = shards(1);
         for mask in 0..400u64 {
-            m.shard(0).record_tenant(mask | 1, false);
+            m[0].shard.record_tenant(mask | 1, false);
         }
-        let est = m.report().distinct_tenants;
+        let est = report(&m).distinct_tenants;
         // ~200 distinct masks (odd-bit collapse halves the range);
         // linear counting over 1024 bits stays within ~15%.
         let truth = (0..400u64)
@@ -443,28 +400,32 @@ mod tests {
     fn shard_slots_are_cache_line_isolated() {
         assert_eq!(std::mem::align_of::<CacheAligned<ShardMetrics>>(), 64);
         assert_eq!(std::mem::size_of::<CacheAligned<ShardMetrics>>() % 64, 0);
-        let m = Metrics::new(4);
-        let a = m.shard(0) as *const _ as usize;
-        let b = m.shard(1) as *const _ as usize;
-        assert!(b - a >= 64, "adjacent shards {a:#x}/{b:#x} share a line");
+        // Each shard's block is allocated on its own and is itself
+        // line-aligned, so its counters start a line wherever the
+        // allocator puts it — never on a neighbour's.
+        assert_eq!(std::mem::align_of::<ReactorMetrics>(), 64);
+        let m = shards(2);
+        let a = &m[0].shard as *const _ as usize;
+        let b = &m[1].shard as *const _ as usize;
+        assert_eq!((a % 64, b % 64), (0, 0));
+        assert!(a.abs_diff(b) >= 64, "shards {a:#x}/{b:#x} share a line");
     }
 
     #[test]
     fn extra_shards_merge_into_totals_and_tail() {
-        let m = Metrics::new(1);
-        m.shard(0).requests.fetch_add(10, Ordering::Relaxed);
-        m.shard(0).latency.record_us(5);
-        let r0 = ReactorMetrics::default();
-        r0.shard.requests.fetch_add(7, Ordering::Relaxed);
-        r0.shard.blocks.fetch_add(2, Ordering::Relaxed);
-        r0.shard.latency.record_us(50_000);
-        let r = m.report_with_extra(&[&r0.shard]);
+        let m = shards(2);
+        m[0].shard.requests.fetch_add(10, Ordering::Relaxed);
+        m[0].shard.latency.record_us(5);
+        m[1].shard.requests.fetch_add(7, Ordering::Relaxed);
+        m[1].shard.blocks.fetch_add(2, Ordering::Relaxed);
+        m[1].shard.latency.record_us(50_000);
+        let r = report(&m);
         assert_eq!(r.requests, 17);
         assert_eq!(r.blocks, 2);
         assert_eq!(r.shards.len(), 2);
         assert_eq!(r.shards[1].requests, 7);
-        assert!(r.p99_us >= 50_000, "extra latency must merge: {}", r.p99_us);
-        // Plain report is unchanged by reactors existing elsewhere.
-        assert_eq!(m.report().requests, 10);
+        assert!(r.p99_us >= 50_000, "every tail must merge: {}", r.p99_us);
+        // A report over fewer shards sees only those.
+        assert_eq!(report(&m[..1]).requests, 10);
     }
 }

@@ -10,8 +10,7 @@
 //! * [`Poller`] — an `epoll` instance: level-triggered readiness for
 //!   raw fds carrying a caller-chosen `u64` token.
 //! * [`WakeFd`] — an `eventfd` another thread can poke to wake a
-//!   reactor out of `epoll_wait` (shutdown, kill, dispatched
-//!   connections).
+//!   reactor out of `epoll_wait` (shutdown, kill).
 //! * [`listen_reuseport`] — a TCP listener bound with `SO_REUSEPORT`,
 //!   so every reactor owns its own accept queue on the same address
 //!   and the kernel load-balances incoming connections across them.
@@ -19,9 +18,10 @@
 //!   option can be set, and `SO_REUSEPORT` must precede `bind`.
 //!
 //! On non-Linux targets everything compiles to stubs whose
-//! constructors return `std::io::ErrorKind::Unsupported`, and
-//! [`supported`] reports `false` so the server falls back to the
-//! blocking thread-per-connection mode.
+//! constructors return `std::io::ErrorKind::Unsupported` (and
+//! [`supported`] reports `false`), so the server, finding it cannot
+//! bind a reactor's listener, falls back to the blocking
+//! thread-per-connection front.
 #![allow(unsafe_code)]
 
 /// Whether the event-driven server can run on this target.
@@ -379,7 +379,7 @@ mod sys {
         pub fn drain(&self) {}
     }
 
-    /// Always fails; the server falls back to blocking mode first.
+    /// Always fails; the server then serves through the blocking front.
     pub fn listen_reuseport(_addr: SocketAddr) -> io::Result<TcpListener> {
         unsupported()
     }

@@ -2,42 +2,44 @@
 //! wire codec is indistinguishable from serde, and pipelining never
 //! changes answers.
 //!
-//! For any request, the service's response — whether it was computed
-//! by a shard worker or replayed from the LRU cache — must serialize
+//! For any request, the service's response — whether the engine just
+//! computed it or the shard's LRU cache replayed it — must serialize
 //! byte-identically to a direct `Engine::match_request` evaluation,
-//! activation lists included. The [`wire_equivalence`] module holds
-//! the codec properties; [`pipelining`] drives a real TCP server at
-//! random depths against the lockstep client.
+//! activation lists included; [`one_route`] holds that across batch
+//! sizes, tenant masks and reloads. The [`wire_equivalence`] module
+//! holds the codec properties; [`pipelining`] drives a real TCP server
+//! at random depths against the lockstep client.
 
 use crate::protocol::DecisionRequest;
-use crate::service::{Service, ServiceConfig};
+use crate::service::{LocalEval, Service, ServiceConfig};
 use abp::{Engine, FilterList, ListSource, Request, ResourceType};
 use proptest::prelude::*;
 
-/// A deliberately gnarly engine: generic blocks, domain-scoped
+/// A deliberately gnarly list pair: generic blocks, domain-scoped
 /// exceptions, sitekey gates, donottrack, and element rules.
-fn test_engine() -> Engine {
-    let easylist = FilterList::parse(
-        ListSource::EasyList,
-        "\
+const EASYLIST: &str = "\
 ||adnet0.example^$third-party
 ||adnet1.example^
 ||adnet2.example^$script,image
 /banner/ads/*
 ||tracker.example^$donottrack
 ##.ButtonAd
-",
-    );
-    let whitelist = FilterList::parse(
-        ListSource::AcceptableAds,
-        "\
+";
+const WHITELIST: &str = "\
 @@||adnet0.example/acceptable/$domain=news.example
 @@||adnet1.example^$script,domain=blog.example|news.example
 @@$sitekey=MFwwDQYJTESTKEY,document
 @@||tracker.example/optout/$donottrack
-",
-    );
+";
+
+fn engine_of(easylist: &str, whitelist: &str) -> Engine {
+    let easylist = FilterList::parse(ListSource::EasyList, easylist);
+    let whitelist = FilterList::parse(ListSource::AcceptableAds, whitelist);
     Engine::from_lists([&easylist, &whitelist])
+}
+
+fn test_engine() -> Engine {
+    engine_of(EASYLIST, WHITELIST)
 }
 
 fn direct_outcome(engine: &Engine, dr: &DecisionRequest) -> abp::RequestOutcome {
@@ -48,16 +50,12 @@ fn direct_outcome(engine: &Engine, dr: &DecisionRequest) -> abp::RequestOutcome 
     engine.match_request(&req)
 }
 
-fn service(cache_capacity: usize) -> Service {
-    Service::start(
-        test_engine(),
-        &ServiceConfig {
-            shards: 3,
-            queue_depth: 32,
-            cache_capacity,
-            ..ServiceConfig::default()
-        },
-    )
+/// A service on the test engine plus one shard of it holding
+/// `cache_capacity` entries.
+fn service(cache_capacity: usize) -> (Service, LocalEval) {
+    let svc = Service::start(test_engine(), &ServiceConfig::default());
+    let local = svc.test_eval(cache_capacity);
+    (svc, local)
 }
 
 proptest! {
@@ -87,7 +85,7 @@ proptest! {
             Some("WRONGKEY"),
         ][..]),
     ) {
-        let svc = service(4096);
+        let (svc, mut local) = service(4096);
         let engine = test_engine();
         let infix = if acceptable { "acceptable/" } else { "" };
         let dr = DecisionRequest {
@@ -100,14 +98,13 @@ proptest! {
         let direct = direct_outcome(&engine, &dr);
         let direct_bytes = serde_json::to_string(&direct).unwrap();
 
-        let fresh = svc.decide(&dr).unwrap();
+        let fresh = svc.decide(&dr, &mut local).unwrap();
         prop_assert!(!fresh.cached);
         prop_assert_eq!(serde_json::to_string(&fresh.outcome).unwrap(), direct_bytes.clone());
 
-        let replay = svc.decide(&dr).unwrap();
+        let replay = svc.decide(&dr, &mut local).unwrap();
         prop_assert!(replay.cached, "second evaluation must hit the cache");
         prop_assert_eq!(serde_json::to_string(&replay.outcome).unwrap(), direct_bytes);
-        svc.shutdown();
     }
 
     /// Equivalence survives eviction churn: with a cache far smaller
@@ -118,7 +115,7 @@ proptest! {
         hosts in proptest::collection::vec("[a-d]", 12..=24),
         resource_type in prop::sample::select(&ResourceType::ALL[..]),
     ) {
-        let svc = service(6); // 2 entries per shard
+        let (svc, mut local) = service(6);
         let engine = test_engine();
         for h in &hosts {
             let dr = DecisionRequest {
@@ -128,14 +125,163 @@ proptest! {
                 sitekey: None,
                 tenant: None,
             };
-            let resp = svc.decide(&dr).unwrap();
+            let resp = svc.decide(&dr, &mut local).unwrap();
             let direct = direct_outcome(&engine, &dr);
             prop_assert_eq!(
                 serde_json::to_string(&resp.outcome).unwrap(),
                 serde_json::to_string(&direct).unwrap()
             );
         }
-        svc.shutdown();
+    }
+}
+
+/// One route ≡ the engine. Whatever the batch size — there used to be
+/// a second route past 512 elements — whatever the tenant mask, and
+/// whichever lists a reload just swapped in, `decide_batch_local`
+/// answers what `Engine::match_request_masked` answers on the serving
+/// lists, replays a repeated batch from the shard's cache byte for
+/// byte, and never replays anything across a reload.
+mod one_route {
+    use super::*;
+    use crate::protocol::{DecisionResponse, ReloadList};
+    use crate::wire;
+    use std::collections::HashSet;
+
+    /// The list pairs a case alternates between: the gnarly pair, and
+    /// one where most of its blocks are allowed and vice versa.
+    const LISTS: [[&str; 2]; 2] = [
+        [EASYLIST, WHITELIST],
+        [
+            "||adnet0.example^\n||benign.example^$script\n||tracker.example^\n",
+            "@@||adnet0.example^$image\n@@||adnet2.example^\n@@||tracker.example^$donottrack\n",
+        ],
+    ];
+
+    fn reload_lists(which: usize) -> Vec<ReloadList> {
+        [ListSource::EasyList, ListSource::AcceptableAds]
+            .into_iter()
+            .zip(LISTS[which])
+            .map(|(source, content)| ReloadList {
+                source,
+                content: content.to_string(),
+            })
+            .collect()
+    }
+
+    const HOSTS: [&str; 6] = [
+        "adnet0.example",
+        "adnet1.example",
+        "adnet2.example",
+        "cdn.adnet0.example",
+        "tracker.example",
+        "benign.example",
+    ];
+    const DOCUMENTS: [&str; 4] = [
+        "news.example",
+        "blog.example",
+        "other.example",
+        "adnet0.example",
+    ];
+    const SITEKEYS: [Option<&str>; 3] = [None, Some("MFwwDQYJTESTKEY"), Some("WRONGKEY")];
+    const TENANTS: [Option<u64>; 6] = [
+        None,
+        Some(0),
+        Some(0b01),
+        Some(0b10),
+        Some(0b11),
+        Some(u64::MAX),
+    ];
+
+    proptest! {
+        #[test]
+        fn every_batch_size_matches_the_serving_engine(
+            sizes in proptest::collection::vec(1usize..=2000, 1..=4),
+            reload_before in proptest::collection::vec(any::<bool>(), 4),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = seed;
+            let mut below = |n: usize| {
+                rng = crate::faults::splitmix64(rng);
+                (rng % n as u64) as usize
+            };
+            let engines = [engine_of(LISTS[0][0], LISTS[0][1]), engine_of(LISTS[1][0], LISTS[1][1])];
+            let mut serving = 0;
+            let svc = Service::start_with_lists(reload_lists(serving), &ServiceConfig::default())
+                .unwrap();
+            // Roomy enough that nothing is evicted: "cached" then means
+            // exactly "seen since the last reload".
+            let mut local = svc.test_eval(16_384);
+            let mut scratch = svc.scratch();
+            let mut seen = HashSet::new();
+
+            for (size, reload) in sizes.into_iter().zip(reload_before) {
+                if reload {
+                    serving = 1 - serving;
+                    svc.reload(&reload_lists(serving)).unwrap();
+                    seen.clear();
+                }
+                let mut reqs: Vec<DecisionRequest> = Vec::with_capacity(size);
+                for i in 0..size {
+                    // Every fourth request or so repeats an earlier one
+                    // of its batch.
+                    if i > 0 && below(4) == 0 {
+                        reqs.push(reqs[below(i)].clone());
+                        continue;
+                    }
+                    let infix = ["", "acceptable/", "optout/", "banner/ads/"][below(4)];
+                    reqs.push(DecisionRequest {
+                        url: format!("http://{}/{infix}u{}", HOSTS[below(6)], below(50)),
+                        document: DOCUMENTS[below(4)].to_string(),
+                        resource_type: ResourceType::ALL[below(ResourceType::ALL.len())],
+                        sitekey: SITEKEYS[below(3)].map(str::to_string),
+                        tenant: match below(7) {
+                            6 => Some(seed.rotate_left(i as u32)),
+                            known => TENANTS[known],
+                        },
+                    });
+                }
+                let refs: Vec<_> = reqs.iter().map(DecisionRequest::as_request_ref).collect();
+                let direct: Vec<abp::RequestOutcome> = reqs
+                    .iter()
+                    .map(|dr| {
+                        let mut req = Request::new(&dr.url, &dr.document, dr.resource_type).unwrap();
+                        if let Some(k) = &dr.sitekey {
+                            req = req.with_sitekey(k.clone());
+                        }
+                        engines[serving].match_request_masked(&req, dr.tenant.unwrap_or(u64::MAX))
+                    })
+                    .collect();
+
+                svc.decide_batch_local(&refs, &mut scratch, &mut local).unwrap();
+                prop_assert_eq!(scratch.responses().len(), size);
+                for ((dr, want), got) in reqs.iter().zip(&direct).zip(scratch.responses()) {
+                    prop_assert_eq!(&got.outcome, want, "{:?} on lists {}", dr, serving);
+                    // A hit must have been computed by the serving
+                    // generation, in this shard, since the last reload.
+                    let key = (
+                        dr.url.clone(),
+                        dr.document.clone(),
+                        dr.resource_type,
+                        dr.sitekey.clone(),
+                        dr.tenant.unwrap_or(u64::MAX),
+                    );
+                    prop_assert_eq!(got.cached, !seen.insert(key), "{:?}", dr);
+                }
+
+                // The same batch again: all hits, and the reply line is
+                // the one the engine's own outcomes encode to.
+                svc.decide_batch_local(&refs, &mut scratch, &mut local).unwrap();
+                let mut replayed = Vec::new();
+                wire::write_batch_reply(scratch.responses(), &mut replayed);
+                let all_hits: Vec<DecisionResponse> = direct
+                    .into_iter()
+                    .map(|outcome| DecisionResponse { outcome, cached: true })
+                    .collect();
+                let mut expected = Vec::new();
+                wire::write_batch_reply(&all_hits, &mut expected);
+                prop_assert_eq!(replayed, expected);
+            }
+        }
     }
 }
 
@@ -833,7 +979,6 @@ mod pipelining {
                     max_line_bytes: 1024 * 1024,
                     service: ServiceConfig {
                         shards: 2,
-                        queue_depth: 32,
                         cache_capacity: 64,
                         ..ServiceConfig::default()
                     },
@@ -901,7 +1046,7 @@ mod reload {
             hosts in proptest::collection::vec("[a-d]", 4..=12),
             warm_rounds in 1usize..3,
         ) {
-            let svc = service(4096);
+            let (svc, mut local) = service(4096);
             let reqs: Vec<DecisionRequest> = hosts
                 .iter()
                 .enumerate()
@@ -918,7 +1063,8 @@ mod reload {
             // domain gate).
             for _ in 0..warm_rounds {
                 for r in &reqs {
-                    prop_assert_eq!(svc.decide(r).unwrap().outcome.decision, Decision::Block);
+                    let warm = svc.decide(r, &mut local).unwrap();
+                    prop_assert_eq!(warm.outcome.decision, Decision::Block);
                 }
             }
             let report = svc
@@ -937,14 +1083,13 @@ mod reload {
             // Block flipped to allow: every post-reload answer must
             // reflect the new lists, warmed cache keys included.
             for r in &reqs {
-                let resp = svc.decide(r).unwrap();
+                let resp = svc.decide(r, &mut local).unwrap();
                 prop_assert_eq!(
                     resp.outcome.decision,
                     Decision::AllowedByException,
                     "stale pre-reload decision served"
                 );
             }
-            svc.shutdown();
         }
     }
 }

@@ -144,9 +144,11 @@ pub struct ReloadReport {
 /// Overall service health, reported by the `Health` verb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthState {
-    /// Every shard worker is up.
+    /// Serving.
     Ok,
-    /// At least one shard worker is down awaiting restart.
+    /// Part of the service is down. A single daemon never reports it
+    /// (it has no worker to lose); the fleet router does, for a fleet
+    /// with a shard it cannot reach.
     Degraded,
     /// Shutdown has begun; the server is draining connections.
     Draining,
@@ -200,9 +202,13 @@ pub struct HealthReport {
     pub generation: u64,
     /// Successful reloads since startup.
     pub reloads: u64,
-    /// Restarts per worker shard since startup (index = shard id).
+    /// Evaluation panics caught per shard since startup (index =
+    /// shard id). Nothing restarts: the count is what a supervisor
+    /// would have had to.
     pub shard_restarts: Vec<u64>,
-    /// Batches refused with `Overloaded` by the queue watermark.
+    /// Batches refused with `Overloaded`. A daemon evaluates on the
+    /// thread that read the line and has no queue to refuse from, so
+    /// it reports 0; the field stays for readers that expect it.
     pub shed: u64,
     /// Batches failed because their evaluation deadline passed.
     pub deadline_timeouts: u64,
@@ -267,8 +273,9 @@ pub enum ServerMessage {
     ReloadBaseMismatch(ReloadMismatch),
     /// Health for a `Health`.
     Health(HealthReport),
-    /// The work was shed before evaluation: queues are past their
-    /// watermark. Retry with backoff.
+    /// The work was shed before evaluation; retry with backoff. Sent
+    /// by the fleet router when its hedge budget runs dry, never by a
+    /// daemon.
     Overloaded,
     /// Acknowledges `Shutdown`; the server drains and exits.
     ShuttingDown,

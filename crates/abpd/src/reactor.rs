@@ -1,18 +1,19 @@
-//! The event-driven server mode: N reactor threads, each owning an
-//! epoll instance, a `SO_REUSEPORT` listener (or a dispatch channel
-//! when reuseport is unavailable), its nonblocking connections, and
-//! all the hot state a decision touches — read/write buffers,
-//! [`BatchScratch`], a [`LocalEval`] with its unsynchronized decision
-//! cache, and cache-line-padded metrics.
+//! The event-driven socket front: one reactor thread per shard, each
+//! owning an epoll instance, a `SO_REUSEPORT` listener, its
+//! nonblocking connections, and all the hot state a decision touches —
+//! read/write buffers, [`BatchScratch`], a [`LocalEval`] with its
+//! unsynchronized decision cache, and cache-line-padded metrics. A
+//! shard *is* a reactor here: `--shards N` is N of these threads.
 //!
 //! A connection is accepted by exactly one reactor and never migrates:
 //! parse → evaluate → corked reply all run on that core, so the steady
-//! state shares no cache line between cores. Oversized `DecideBatch`
-//! work escalates to the sharded worker pool through
-//! [`Service::decide_batch_local`], keeping the pool's shed, deadline,
-//! and supervision semantics; `Reload`/`ReloadDelta`/`Health`/`Stats`
-//! answer on the reactor, with `Stats`/`Health` merging the
-//! per-reactor counters on demand.
+//! state shares no cache line between cores. Every complete line goes
+//! to [`answer_line`], the verb dispatch shared with the
+//! thread-per-connection front, which evaluates batches of any size
+//! on this thread through [`Service::decide_batch_local`]. Where the
+//! per-reactor listeners cannot be bound ([`bind_listeners`] fails),
+//! [`crate::server::Server`] starts the thread-per-connection front
+//! instead.
 //!
 //! Replies stay corked per readiness burst: every line parsed from one
 //! drained read burst appends to the connection's write buffer, which
@@ -24,157 +25,109 @@
 //! buffers or the reactor hostage.
 
 use crate::faults::{FaultPlan, WriteFault};
-use crate::metrics::ReactorMetrics;
 use crate::poll::{self, Poller, WakeFd};
-use crate::protocol::ReloadList;
-use crate::server::{write_batch_error, ServerConfig};
-use crate::service::{BatchScratch, LocalEval, ReloadDeltaError, Service};
-use crate::wire::{self, ClientMessageRef};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crate::server::{
+    answer_line, write_fault_plan, write_line_too_long, ServerConfig, CORK_FLUSH_BYTES,
+};
+use crate::service::{BatchScratch, LocalEval, Service};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Flush the corked reply buffer once it holds this many bytes even if
-/// more parsed input is pending (same cap as the blocking server).
-const CORK_FLUSH_BYTES: usize = 64 * 1024;
-
 /// Stop reading and parsing a connection whose corked replies the peer
 /// is not draining once this many bytes are pending; resume when the
 /// kernel accepts the backlog.
 pub(crate) const WRITE_BACKPRESSURE_BYTES: usize = 256 * 1024;
 
-/// Fault-plan slot base for reactor eval draws, keeping their
-/// schedules disjoint from the worker shards' low slots.
-const EVAL_SLOT_BASE: usize = 32;
-
 const TOKEN_WAKE: u64 = 0;
 const TOKEN_LISTEN: u64 = 1;
 const TOKEN_CONN_BASE: u64 = 2;
 
-/// State shared by the reactors, the fallback acceptor, and the
-/// [`EventServer`] handle.
+/// State shared by the reactors and the [`EventServer`] handle.
 pub(crate) struct EventShared {
     pub(crate) service: Service,
     running: AtomicBool,
     kill: AtomicBool,
     max_line_bytes: usize,
     write_faults: Option<FaultPlan>,
-    /// One padded metrics block per reactor, merged into
-    /// `Stats`/`Health` replies on demand.
-    reactors: Vec<Arc<ReactorMetrics>>,
     /// Each reactor's eventfd, for waking it out of `epoll_wait`.
     wakers: Vec<Arc<WakeFd>>,
-    local_addr: SocketAddr,
-    /// Whether the round-robin dispatch acceptor is running (and needs
-    /// a poke connection to notice `running` flipped).
-    dispatch: bool,
 }
 
-/// The running event-mode server: reactor threads plus (in dispatch
-/// mode) the acceptor.
+impl EventShared {
+    /// Flip `running` and wake every reactor out of `epoll_wait` — also
+    /// when already stopping (the `Shutdown` verb got there first), so
+    /// a joiner can't race a missed edge.
+    fn stop(&self) {
+        self.running.store(false, Ordering::SeqCst);
+        for w in &self.wakers {
+            w.wake();
+        }
+    }
+}
+
+/// The running event-mode server: its reactor threads.
 pub(crate) struct EventServer {
     pub(crate) local_addr: SocketAddr,
     pub(crate) shared: Arc<EventShared>,
     threads: Vec<JoinHandle<()>>,
-    acceptor: Option<JoinHandle<()>>,
+}
+
+/// One `SO_REUSEPORT` listener per reactor, all on the address the
+/// first one resolved (so port 0 picks one port for all): the kernel
+/// hashes incoming connections across the accept queues and no thread
+/// ever touches another's connections. Fails where such listeners —
+/// or epoll — cannot be had.
+pub(crate) fn bind_listeners(addr: &str, n: usize) -> io::Result<Vec<TcpListener>> {
+    let addr = addr
+        .to_socket_addrs()?
+        .next()
+        .ok_or(io::ErrorKind::AddrNotAvailable)?;
+    let first = poll::listen_reuseport(addr)?;
+    let resolved = first.local_addr()?;
+    let mut listeners = vec![first];
+    for _ in 1..n {
+        listeners.push(poll::listen_reuseport(resolved)?);
+    }
+    Ok(listeners)
 }
 
 impl EventServer {
-    /// Bind listeners, spawn `io_threads` reactors, and start serving.
-    pub(crate) fn start(service: Service, config: &ServerConfig) -> io::Result<EventServer> {
-        let n = if config.io_threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get().clamp(1, 16))
-        } else {
-            config.io_threads.min(64)
-        };
-
-        // Per-reactor listeners via SO_REUSEPORT: the kernel hashes
-        // incoming connections across the accept queues, so no thread
-        // ever touches another's connections. Falls back to one
-        // blocking acceptor round-robining accepted sockets over
-        // dispatch channels when reuseport can't be had.
-        let mut listeners: Vec<TcpListener> = Vec::new();
-        let mut local_addr = None;
-        if config.reuseport && poll::supported() {
-            if let Some(addr) = config.addr.to_socket_addrs()?.next() {
-                if let Ok(first) = poll::listen_reuseport(addr) {
-                    let resolved = first.local_addr()?;
-                    listeners.push(first);
-                    for _ in 1..n {
-                        listeners.push(poll::listen_reuseport(resolved)?);
-                    }
-                    local_addr = Some(resolved);
-                }
-            }
-        }
-        let dispatch_listener = if listeners.is_empty() {
-            let l = std::net::TcpListener::bind(&config.addr)?;
-            local_addr = Some(l.local_addr()?);
-            Some(l)
-        } else {
-            None
-        };
-        let local_addr = local_addr.expect("either reuseport or dispatch bound");
-
-        let mut wakers = Vec::with_capacity(n);
-        let mut pollers = Vec::with_capacity(n);
-        for _ in 0..n {
-            wakers.push(Arc::new(WakeFd::new()?));
-            pollers.push(Poller::new()?);
-        }
-        let reactors: Vec<Arc<ReactorMetrics>> = (0..n)
-            .map(|_| Arc::new(ReactorMetrics::default()))
-            .collect();
-        let write_faults = config
-            .service
-            .faults
-            .as_ref()
-            .filter(|c| c.torn_write_per_million > 0 || c.disconnect_per_million > 0)
-            .cloned()
-            .map(FaultPlan::new);
+    /// Spawn one reactor per listener — one per service shard — and
+    /// start serving.
+    pub(crate) fn start(
+        service: Service,
+        listeners: Vec<TcpListener>,
+        config: &ServerConfig,
+    ) -> io::Result<EventServer> {
+        let local_addr = listeners[0].local_addr()?;
+        let evals = service.shard_evals();
+        let wakers = (0..listeners.len())
+            .map(|_| WakeFd::new().map(Arc::new))
+            .collect::<io::Result<Vec<_>>>()?;
+        let pollers = (0..listeners.len())
+            .map(|_| Poller::new())
+            .collect::<io::Result<Vec<_>>>()?;
         let shared = Arc::new(EventShared {
             service,
             running: AtomicBool::new(true),
             kill: AtomicBool::new(false),
             max_line_bytes: config.max_line_bytes.max(64),
-            write_faults,
-            reactors,
+            write_faults: write_fault_plan(config),
             wakers,
-            local_addr,
-            dispatch: dispatch_listener.is_some(),
         });
 
-        // Dispatch channels only exist in fallback mode.
-        let mut incoming_rx: Vec<Option<Receiver<TcpStream>>> = (0..n).map(|_| None).collect();
-        let mut incoming_tx: Vec<Sender<TcpStream>> = Vec::new();
-        if dispatch_listener.is_some() {
-            for rx in incoming_rx.iter_mut() {
-                let (tx, r) = bounded::<TcpStream>(1024);
-                incoming_tx.push(tx);
-                *rx = Some(r);
-            }
-        }
-
-        let cache_capacity = (config.service.cache_capacity / n).max(1);
-        let mut threads = Vec::with_capacity(n);
-        let mut listeners = listeners.into_iter();
-        for (idx, rx) in incoming_rx.into_iter().enumerate() {
-            let local = shared.service.local_eval(
-                EVAL_SLOT_BASE + idx,
-                cache_capacity,
-                config.inline_batch_max.max(1),
-                shared.reactors[idx].clone(),
-            );
+        let mut threads = Vec::with_capacity(listeners.len());
+        let shards = listeners.into_iter().zip(pollers).zip(evals);
+        for (idx, ((listener, poller), local)) in shards.enumerate() {
             let reactor = Reactor {
                 idx,
                 shared: shared.clone(),
-                poller: pollers.pop().expect("one poller per reactor"),
+                poller,
                 wake: shared.wakers[idx].clone(),
-                listener: listeners.next(),
-                incoming: rx,
+                listener: Some(listener),
                 conns: Vec::new(),
                 free: Vec::new(),
                 open: 0,
@@ -189,89 +142,30 @@ impl EventServer {
             );
         }
 
-        let acceptor = match dispatch_listener {
-            None => None,
-            Some(listener) => {
-                let shared = shared.clone();
-                Some(
-                    std::thread::Builder::new()
-                        .name("abpd-dispatch".to_string())
-                        .spawn(move || {
-                            let mut rr = 0usize;
-                            for conn in listener.incoming() {
-                                if !shared.running.load(Ordering::SeqCst) {
-                                    break;
-                                }
-                                let Ok(stream) = conn else { continue };
-                                let _ = stream.set_nodelay(true);
-                                let mut stream = Some(stream);
-                                for attempt in 0..incoming_tx.len() {
-                                    let t = (rr + attempt) % incoming_tx.len();
-                                    match incoming_tx[t].try_send(stream.take().expect("unsent")) {
-                                        Ok(()) => {
-                                            shared.wakers[t].wake();
-                                            break;
-                                        }
-                                        Err(TrySendError::Full(s))
-                                        | Err(TrySendError::Disconnected(s)) => {
-                                            stream = Some(s);
-                                        }
-                                    }
-                                }
-                                // Every queue full: drop the connection
-                                // (the accept path's load shed).
-                                rr = (rr + 1) % incoming_tx.len().max(1);
-                            }
-                        })?,
-                )
-            }
-        };
-
         Ok(EventServer {
             local_addr,
             shared,
             threads,
-            acceptor,
         })
-    }
-
-    fn stop(&self) {
-        if self.shared.running.swap(false, Ordering::SeqCst) {
-            for w in &self.shared.wakers {
-                w.wake();
-            }
-            if self.shared.dispatch {
-                let _ = TcpStream::connect(self.shared.local_addr);
-            }
-        } else {
-            // Already stopping (e.g. via the Shutdown verb); re-wake so
-            // joiners can't race a missed edge.
-            for w in &self.shared.wakers {
-                w.wake();
-            }
-        }
     }
 
     fn join_threads(&mut self) {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
     }
 
     /// Graceful: stop accepting, serve open connections until their
     /// peers close, then join.
     pub(crate) fn shutdown(mut self) {
-        self.stop();
+        self.shared.stop();
         self.join_threads();
     }
 
     /// Abrupt: stop accepting and slam every open connection shut.
     pub(crate) fn kill(mut self) {
         self.shared.kill.store(true, Ordering::SeqCst);
-        self.stop();
+        self.shared.stop();
         self.join_threads();
     }
 
@@ -310,11 +204,8 @@ struct Reactor {
     shared: Arc<EventShared>,
     poller: Poller,
     wake: Arc<WakeFd>,
-    /// Own reuseport listener; `None` in dispatch mode (and after a
-    /// graceful stop parks it).
+    /// Own reuseport listener; `None` once a graceful stop closed it.
     listener: Option<TcpListener>,
-    /// Dispatch-mode handoff from the acceptor thread.
-    incoming: Option<Receiver<TcpStream>>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     open: usize,
@@ -365,10 +256,7 @@ impl Reactor {
             let batch = std::mem::take(&mut events);
             for ev in &batch {
                 match ev.token {
-                    TOKEN_WAKE => {
-                        self.wake.drain();
-                        self.accept_dispatched();
-                    }
+                    TOKEN_WAKE => self.wake.drain(),
                     TOKEN_LISTEN => self.accept_burst(),
                     t => {
                         let idx = (t - TOKEN_CONN_BASE) as usize;
@@ -391,21 +279,6 @@ impl Reactor {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
             }
-        }
-    }
-
-    fn accept_dispatched(&mut self) {
-        // Accepting while stopping would strand the socket: the
-        // acceptor only forwards pre-stop connections, but the wake
-        // that delivered them may be the stop signal itself.
-        if !self.shared.running.load(Ordering::SeqCst) {
-            return;
-        }
-        let Some(rx) = self.incoming.clone() else {
-            return;
-        };
-        while let Ok(sock) = rx.try_recv() {
-            self.register(sock);
         }
     }
 
@@ -534,15 +407,11 @@ impl Reactor {
             if let Some(discarded) = conn.discarding {
                 match find_newline(&conn.buf[consumed..]) {
                     Some(nl) => {
-                        let total = discarded + nl;
-                        wire::write_error(
-                            &format!(
-                                "request line too long: {total} bytes exceeds the {} byte limit",
-                                self.shared.max_line_bytes
-                            ),
+                        write_line_too_long(
+                            discarded + nl,
+                            self.shared.max_line_bytes,
                             &mut conn.out,
                         );
-                        conn.out.push(b'\n');
                         consumed += nl + 1;
                         conn.discarding = None;
                         continue;
@@ -566,27 +435,27 @@ impl Reactor {
                 Some(nl) => {
                     let end = consumed + nl;
                     if nl > self.shared.max_line_bytes {
-                        wire::write_error(
-                            &format!(
-                                "request line too long: {nl} bytes exceeds the {} byte limit",
-                                self.shared.max_line_bytes
-                            ),
-                            &mut conn.out,
-                        );
-                        conn.out.push(b'\n');
+                        write_line_too_long(nl, self.shared.max_line_bytes, &mut conn.out);
                     } else {
                         let line_end = if nl > 0 && conn.buf[end - 1] == b'\r' {
                             end - 1
                         } else {
                             end
                         };
-                        shutdown = self.handle_line_split(conn, consumed, line_end)?;
+                        shutdown = answer_line(
+                            &self.shared.service,
+                            &conn.buf[consumed..line_end],
+                            &mut self.scratch,
+                            || &mut self.local,
+                            &mut conn.out,
+                        );
                     }
                     consumed = end + 1;
                     if shutdown {
-                        // Parity with the blocking server: once the
-                        // shutdown ack is corked, later pipelined
-                        // lines on this connection go unanswered.
+                        // Once the shutdown ack is corked, later
+                        // pipelined lines on this connection go
+                        // unanswered (as on the blocking front).
+                        self.shared.stop();
                         break;
                     }
                 }
@@ -594,112 +463,6 @@ impl Reactor {
         }
         conn.buf.drain(..consumed);
         Ok(shutdown)
-    }
-
-    /// Borrow-splitting shim: `conn.buf[start..end]` is the request
-    /// line, `conn.out` the reply sink — disjoint fields, but both
-    /// reachable only through `conn` while `self` carries the scratch
-    /// and local-eval state.
-    fn handle_line_split(&mut self, conn: &mut Conn, start: usize, end: usize) -> io::Result<bool> {
-        // Move the buffers out so `self` and the line can be borrowed
-        // together, then restore them.
-        let buf = std::mem::take(&mut conn.buf);
-        let mut out = std::mem::take(&mut conn.out);
-        let result = self.handle_line(&buf[start..end], &mut out);
-        conn.buf = buf;
-        conn.out = out;
-        result
-    }
-
-    /// Answer one request line into `out`. Mirrors the blocking
-    /// server's dispatch, but decisions take the inline
-    /// [`Service::decide_batch_local`] path and `Stats`/`Health` merge
-    /// the per-reactor counters.
-    fn handle_line(&mut self, raw: &[u8], out: &mut Vec<u8>) -> io::Result<bool> {
-        let service = &self.shared.service;
-        let Ok(text) = std::str::from_utf8(raw) else {
-            wire::write_error("unparseable message: request line is not UTF-8", out);
-            out.push(b'\n');
-            return Ok(false);
-        };
-        if text.trim().is_empty() {
-            return Ok(false);
-        }
-        match wire::parse_client_message(text) {
-            Err(e) => wire::write_error(&format!("unparseable message: {e}"), out),
-            Ok(ClientMessageRef::Ping) => wire::write_pong(out),
-            Ok(ClientMessageRef::Stats) => {
-                wire::write_stats_reply(&service.stats_with(&self.shared.reactors), out)
-            }
-            Ok(ClientMessageRef::Decide(req)) => {
-                match service.decide_batch_local(
-                    std::slice::from_ref(&req),
-                    &mut self.scratch,
-                    &mut self.local,
-                ) {
-                    Ok(()) => wire::write_decision_reply(&self.scratch.responses()[0], out),
-                    Err(e) => write_batch_error(&e, out),
-                }
-            }
-            Ok(ClientMessageRef::DecideBatch(reqs)) => {
-                match service.decide_batch_local(&reqs, &mut self.scratch, &mut self.local) {
-                    Ok(()) => wire::write_batch_reply(self.scratch.responses(), out),
-                    Err(e) => write_batch_error(&e, out),
-                }
-            }
-            Ok(ClientMessageRef::Reload(lists)) => {
-                let owned: Vec<ReloadList> = lists
-                    .into_iter()
-                    .map(|l| ReloadList {
-                        source: l.source,
-                        content: l.content.into_owned(),
-                    })
-                    .collect();
-                match service.reload(&owned) {
-                    Ok(report) => wire::write_reloaded(&report, out),
-                    Err(e) => wire::write_error(&e, out),
-                }
-            }
-            Ok(ClientMessageRef::ReloadDelta(deltas)) => match service.reload_delta(&deltas) {
-                Ok(report) => wire::write_reloaded(&report, out),
-                Err(ReloadDeltaError::BaseMismatch {
-                    source,
-                    serving_check,
-                    generation,
-                }) => wire::write_reload_base_mismatch(
-                    &crate::protocol::ReloadMismatch {
-                        source,
-                        serving_check,
-                        generation,
-                    },
-                    out,
-                ),
-                Err(ReloadDeltaError::Rejected(e)) => wire::write_error(&e, out),
-            },
-            Ok(ClientMessageRef::Health) => {
-                wire::write_health_reply(&service.health_with(&self.shared.reactors), out)
-            }
-            Ok(ClientMessageRef::Shutdown) => {
-                service.begin_drain();
-                wire::write_shutting_down(out);
-                out.push(b'\n');
-                self.initiate_stop();
-                return Ok(true);
-            }
-        }
-        out.push(b'\n');
-        Ok(false)
-    }
-
-    fn initiate_stop(&self) {
-        if self.shared.running.swap(false, Ordering::SeqCst) {
-            for w in &self.shared.wakers {
-                w.wake();
-            }
-            if self.shared.dispatch {
-                let _ = TcpStream::connect(self.shared.local_addr);
-            }
-        }
     }
 
     /// Write as much of the corked burst as the kernel will take. A
@@ -782,12 +545,11 @@ mod tests {
         Engine::from_lists([&list])
     }
 
-    fn event_config(io_threads: usize) -> ServerConfig {
+    fn event_config(shards: usize) -> ServerConfig {
         ServerConfig {
             mode: ServerMode::Event,
-            io_threads,
             service: ServiceConfig {
-                shards: 1,
+                shards,
                 ..ServiceConfig::default()
             },
             ..ServerConfig::default()
@@ -907,26 +669,5 @@ mod tests {
                 Ok(n) => panic!("expected slammed socket, read {n} bytes"),
             }
         }
-    }
-
-    /// The dispatch fallback (reuseport disabled) serves the same
-    /// protocol through the round-robin acceptor.
-    #[test]
-    fn dispatch_fallback_round_robins_connections() {
-        let config = ServerConfig {
-            reuseport: false,
-            ..event_config(2)
-        };
-        let server = Server::start(tiny_engine(), &config).unwrap();
-        for _ in 0..6 {
-            let (mut sock, mut reader) = connect(&server);
-            sock.write_all(b"{\"Decide\":{\"url\":\"http://ads.example/a.js\",\"document\":\"news.example\",\"resource_type\":\"Script\"}}\n")
-                .unwrap();
-            let mut reply = String::new();
-            reader.read_line(&mut reply).unwrap();
-            assert!(reply.contains("Block"), "decision over dispatch: {reply}");
-            drop((sock, reader));
-        }
-        server.shutdown();
     }
 }

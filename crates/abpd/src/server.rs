@@ -1,10 +1,19 @@
-//! The TCP front of the decision service.
+//! The TCP fronts of the decision service, and the one verb dispatch
+//! they share.
 //!
-//! One OS thread per connection reads newline-delimited
-//! [`ClientMessage`](crate::protocol::ClientMessage) lines and writes
+//! A [`Server`] runs one of two socket fronts ([`ServerMode`]): the
+//! event-driven reactors of the `reactor` module, or — here, and the
+//! fallback wherever `SO_REUSEPORT` listeners or epoll cannot be had —
+//! one OS thread per connection reading newline-delimited
+//! [`ClientMessage`](crate::protocol::ClientMessage) lines and writing
 //! one [`ServerMessage`](crate::protocol::ServerMessage) line per
-//! request, in order. `Shutdown` stops the acceptor, waits for open
-//! connections to finish, then drains the shard workers.
+//! request, in order. Both fronts hand every complete line to
+//! [`answer_line`], so a verb behaves the same behind either; they
+//! differ only in how bytes reach it and who holds the evaluation
+//! shard: a reactor owns its [`LocalEval`], this front keeps one per
+//! shard behind a mutex, picks by connection id, and locks it for the
+//! evaluation only. `Shutdown` stops the acceptor and waits for open
+//! connections to finish.
 //!
 //! The connection loop is built for pipelined clients: requests are
 //! parsed with the zero-copy [`wire`](crate::wire) codec straight out
@@ -21,32 +30,33 @@
 //! with an `Error` naming its byte count, and the stream stays in sync.
 
 use crate::faults::{FaultPlan, WriteFault};
-use crate::poll;
-use crate::protocol::ReloadList;
-use crate::reactor::EventServer;
-use crate::service::{ReloadDeltaError, Service, ServiceConfig, ServiceError};
+use crate::protocol::{ReloadList, ReloadMismatch};
+use crate::reactor::{self, EventServer};
+use crate::service::{BatchScratch, LocalEval, ReloadDeltaError, Service, ServiceConfig};
 use crate::wire::{self, ClientMessageRef, LineRead};
 use abp::Engine;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Flush the write buffer once it holds this many bytes even if more
 /// input is pending, so huge batch bursts don't buffer unboundedly.
-const CORK_FLUSH_BYTES: usize = 64 * 1024;
+pub(crate) const CORK_FLUSH_BYTES: usize = 64 * 1024;
 
-/// Which wire path serves connections.
+/// Which socket front serves connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServerMode {
     /// One OS thread per connection, blocking reads (the portable
-    /// path, and the only one off Linux).
-    #[default]
+    /// front, and the only one off Linux).
     Blocking,
-    /// Thread-per-core epoll reactors with `SO_REUSEPORT` listeners
-    /// and shard-local hot state (the `reactor` module). Falls back to
-    /// [`ServerMode::Blocking`] where epoll is unavailable.
+    /// One epoll reactor thread per shard, each with its own
+    /// `SO_REUSEPORT` listener and its own evaluation state (the
+    /// `reactor` module). Falls back to [`ServerMode::Blocking`] where
+    /// such listeners cannot be had.
+    #[default]
     Event,
 }
 
@@ -71,22 +81,10 @@ pub struct ServerConfig {
     /// Longest accepted request line in bytes; longer lines are
     /// discarded and answered with an `Error`. Default 1 MiB.
     pub max_line_bytes: usize,
-    /// Wire path: blocking thread-per-connection or event-driven
-    /// reactors.
+    /// Socket front: event-driven reactors or blocking
+    /// thread-per-connection.
     pub mode: ServerMode,
-    /// Reactor count for [`ServerMode::Event`]; 0 sizes to the host's
-    /// available parallelism. Ignored in blocking mode.
-    pub io_threads: usize,
-    /// Largest `DecideBatch` evaluated inline on a reactor; bigger
-    /// batches escalate to the sharded worker pool. Ignored in
-    /// blocking mode.
-    pub inline_batch_max: usize,
-    /// Try per-reactor `SO_REUSEPORT` listeners (kernel-side accept
-    /// balancing); when off or unavailable, one acceptor thread
-    /// round-robins connections to the reactors. Ignored in blocking
-    /// mode.
-    pub reuseport: bool,
-    /// Worker/cache configuration.
+    /// Shard count, cache and deadline configuration.
     pub service: ServiceConfig,
 }
 
@@ -96,16 +94,28 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             max_line_bytes: 1024 * 1024,
             mode: ServerMode::default(),
-            io_threads: 0,
-            inline_batch_max: 512,
-            reuseport: true,
             service: ServiceConfig::default(),
         }
     }
 }
 
+/// The reply-path fault plan a front arms (torn writes / disconnects);
+/// `None` in production. Evaluation faults live inside the service.
+pub(crate) fn write_fault_plan(config: &ServerConfig) -> Option<FaultPlan> {
+    config
+        .service
+        .faults
+        .as_ref()
+        .filter(|c| c.torn_write_per_million > 0 || c.disconnect_per_million > 0)
+        .cloned()
+        .map(FaultPlan::new)
+}
+
 struct Shared {
     service: Service,
+    /// The service's evaluation shards; connection `id` decides on
+    /// `evals[id % len]`, locked per decision line.
+    evals: Vec<parking_lot::Mutex<LocalEval>>,
     running: AtomicBool,
     /// Open-connection count plus the condvar the drain loop parks on;
     /// the last [`ConnGuard`] drop signals it. Event-driven shutdown:
@@ -113,15 +123,13 @@ struct Shared {
     open_connections: Mutex<usize>,
     drained: Condvar,
     /// Monotonic connection ids for the socket registry below (also
-    /// each connection's write-fault slot).
+    /// each connection's shard pick and write-fault slot).
     conn_seq: AtomicU64,
     /// Duplicate handles for every open connection socket, so
     /// [`Server::kill`] can slam them shut without waiting for the
     /// graceful drain. Touched once per connection, never per request.
     conns: Mutex<Vec<(u64, TcpStream)>>,
     max_line_bytes: usize,
-    /// Write-path fault plan (torn writes / disconnects); `None` in
-    /// production. Evaluation faults live inside the service.
     write_faults: Option<FaultPlan>,
 }
 
@@ -171,31 +179,35 @@ impl Server {
     }
 
     fn start_with_service(service: Service, config: &ServerConfig) -> std::io::Result<Server> {
-        if config.mode == ServerMode::Event && poll::supported() {
-            let server = EventServer::start(service, config)?;
-            return Ok(Server {
-                local_addr: server.local_addr,
-                inner: Inner::Event(server),
-            });
+        if config.mode == ServerMode::Event {
+            // No epoll or no `SO_REUSEPORT`: the thread-per-connection
+            // front below is the one fallback, and it reports a bind
+            // failure that has any other cause.
+            if let Ok(listeners) = reactor::bind_listeners(&config.addr, service.shard_count()) {
+                let server = EventServer::start(service, listeners, config)?;
+                return Ok(Server {
+                    local_addr: server.local_addr,
+                    inner: Inner::Event(server),
+                });
+            }
         }
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let write_faults = config
-            .service
-            .faults
-            .as_ref()
-            .filter(|c| c.torn_write_per_million > 0 || c.disconnect_per_million > 0)
-            .cloned()
-            .map(FaultPlan::new);
+        let evals = service
+            .shard_evals()
+            .into_iter()
+            .map(parking_lot::Mutex::new)
+            .collect();
         let shared = Arc::new(Shared {
             service,
+            evals,
             running: AtomicBool::new(true),
             open_connections: Mutex::new(0),
             drained: Condvar::new(),
             conn_seq: AtomicU64::new(0),
             conns: Mutex::new(Vec::new()),
             max_line_bytes: config.max_line_bytes.max(64),
-            write_faults,
+            write_faults: write_fault_plan(config),
         });
 
         let acceptor = {
@@ -253,7 +265,7 @@ impl Server {
         self.service().filter_count()
     }
 
-    /// Worker shard count.
+    /// Evaluation shard count.
     pub fn shard_count(&self) -> usize {
         self.service().shard_count()
     }
@@ -269,8 +281,7 @@ impl Server {
         }
     }
 
-    /// Stop accepting, wait for open connections and queued work, then
-    /// join the workers.
+    /// Stop accepting, then wait for open connections to finish.
     pub fn shutdown(self) {
         match self.inner {
             Inner::Blocking {
@@ -281,7 +292,6 @@ impl Server {
                 if let Some(a) = acceptor.take() {
                     let _ = a.join();
                 }
-                // All connections closed; the service drains on drop.
             }
             Inner::Event(server) => server.shutdown(),
         }
@@ -411,14 +421,100 @@ fn trigger_stop(shared: &Shared, addr: SocketAddr) {
     }
 }
 
-/// Map a batch failure to its wire reply: shed work answers with the
-/// fast `Overloaded` verb (clients back off and retry), everything
-/// else with `Error`. Shared with the reactor path.
-pub(crate) fn write_batch_error(e: &ServiceError, out: &mut Vec<u8>) {
-    match e {
-        ServiceError::Overloaded => wire::write_overloaded(out),
-        other => wire::write_error(&other.to_string(), out),
+/// Append the `Error` reply (newline included) owed for a discarded
+/// request line of `bytes` bytes.
+pub(crate) fn write_line_too_long(bytes: usize, limit: usize, out: &mut Vec<u8>) {
+    wire::write_error(
+        &format!("request line too long: {bytes} bytes exceeds the {limit} byte limit"),
+        out,
+    );
+    out.push(b'\n');
+}
+
+/// Answer one request line into `out`, newline included — the one verb
+/// dispatch, called by both socket fronts for every complete line
+/// within the length limit (trailing `\r` already stripped). A blank
+/// line gets no reply. `eval` yields the connection's evaluation shard
+/// and is called only for `Decide`/`DecideBatch`, so a front that has
+/// to lock its shard holds the lock for the evaluation alone. Returns
+/// `true` once `Shutdown` has been acknowledged: the caller stops its
+/// front and answers nothing further on this connection.
+pub(crate) fn answer_line<G: DerefMut<Target = LocalEval>>(
+    service: &Service,
+    raw: &[u8],
+    scratch: &mut BatchScratch,
+    eval: impl FnOnce() -> G,
+    out: &mut Vec<u8>,
+) -> bool {
+    let Ok(text) = std::str::from_utf8(raw) else {
+        wire::write_error("unparseable message: request line is not UTF-8", out);
+        out.push(b'\n');
+        return false;
+    };
+    if text.trim().is_empty() {
+        return false;
     }
+    let mut shutdown = false;
+    match wire::parse_client_message(text) {
+        Err(e) => wire::write_error(&format!("unparseable message: {e}"), out),
+        Ok(ClientMessageRef::Ping) => wire::write_pong(out),
+        Ok(ClientMessageRef::Stats) => wire::write_stats_reply(&service.stats(), out),
+        Ok(ClientMessageRef::Decide(req)) => {
+            // Bound by `let`, not matched on directly: the shard — a
+            // lock guard behind the blocking front — is released before
+            // the reply is encoded.
+            let decided =
+                service.decide_batch_local(std::slice::from_ref(&req), scratch, &mut eval());
+            match decided {
+                Ok(()) => wire::write_decision_reply(&scratch.responses()[0], out),
+                Err(e) => wire::write_error(&e.to_string(), out),
+            }
+        }
+        Ok(ClientMessageRef::DecideBatch(reqs)) => {
+            let decided = service.decide_batch_local(&reqs, scratch, &mut eval());
+            match decided {
+                Ok(()) => wire::write_batch_reply(scratch.responses(), out),
+                Err(e) => wire::write_error(&e.to_string(), out),
+            }
+        }
+        Ok(ClientMessageRef::Reload(lists)) => {
+            let owned: Vec<ReloadList> = lists
+                .into_iter()
+                .map(|l| ReloadList {
+                    source: l.source,
+                    content: l.content.into_owned(),
+                })
+                .collect();
+            match service.reload(&owned) {
+                Ok(report) => wire::write_reloaded(&report, out),
+                Err(e) => wire::write_error(&e, out),
+            }
+        }
+        Ok(ClientMessageRef::ReloadDelta(deltas)) => match service.reload_delta(&deltas) {
+            Ok(report) => wire::write_reloaded(&report, out),
+            Err(ReloadDeltaError::BaseMismatch {
+                source,
+                serving_check,
+                generation,
+            }) => wire::write_reload_base_mismatch(
+                &ReloadMismatch {
+                    source,
+                    serving_check,
+                    generation,
+                },
+                out,
+            ),
+            Err(ReloadDeltaError::Rejected(e)) => wire::write_error(&e, out),
+        },
+        Ok(ClientMessageRef::Health) => wire::write_health_reply(&service.health(), out),
+        Ok(ClientMessageRef::Shutdown) => {
+            service.begin_drain();
+            wire::write_shutting_down(out);
+            shutdown = true;
+        }
+    }
+    out.push(b'\n');
+    shutdown
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr, conn_id: u64) {
@@ -430,6 +526,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr, conn_
     let faults = shared.write_faults.as_ref();
     // Each connection draws write faults from its own plan slot.
     let slot = conn_id as usize;
+    let eval = &shared.evals[slot % shared.evals.len()];
     // Per-connection reusable state: the line buffer, the corked write
     // buffer, and the batch scratch. Nothing here is reallocated per
     // request once warmed up.
@@ -444,99 +541,19 @@ fn handle_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr, conn_
             });
         match read {
             Err(_) | Ok(LineRead::Eof) | Ok(LineRead::EofMidLine) => break,
-            Ok(LineRead::TooLong(n)) => {
-                wire::write_error(
-                    &format!(
-                        "request line too long: {n} bytes exceeds the {} byte limit",
-                        shared.max_line_bytes
-                    ),
-                    &mut out,
-                );
-                out.push(b'\n');
+            Ok(LineRead::TooLong(n)) => write_line_too_long(n, shared.max_line_bytes, &mut out),
+            Ok(LineRead::Line) => {
+                let service = &shared.service;
+                if answer_line(service, &line, &mut scratch, || eval.lock(), &mut out) {
+                    // Every earlier request on this connection is
+                    // already answered (the loop is synchronous), so
+                    // flushing the corked burst with the ack drains the
+                    // pipeline before the socket closes.
+                    let _ = writer.write_all(&out);
+                    trigger_stop(shared, addr);
+                    return;
+                }
             }
-            Ok(LineRead::Line) => match std::str::from_utf8(&line) {
-                Err(_) => {
-                    wire::write_error("unparseable message: request line is not UTF-8", &mut out);
-                    out.push(b'\n');
-                }
-                Ok(text) if text.trim().is_empty() => {}
-                Ok(text) => {
-                    match wire::parse_client_message(text) {
-                        Err(e) => wire::write_error(&format!("unparseable message: {e}"), &mut out),
-                        Ok(ClientMessageRef::Ping) => wire::write_pong(&mut out),
-                        Ok(ClientMessageRef::Stats) => {
-                            wire::write_stats_reply(&shared.service.stats(), &mut out)
-                        }
-                        Ok(ClientMessageRef::Decide(req)) => {
-                            match shared
-                                .service
-                                .decide_batch_into(std::slice::from_ref(&req), &mut scratch)
-                            {
-                                Ok(()) => {
-                                    wire::write_decision_reply(&scratch.responses()[0], &mut out)
-                                }
-                                Err(e) => write_batch_error(&e, &mut out),
-                            }
-                        }
-                        Ok(ClientMessageRef::DecideBatch(reqs)) => {
-                            match shared.service.decide_batch_into(&reqs, &mut scratch) {
-                                Ok(()) => wire::write_batch_reply(scratch.responses(), &mut out),
-                                Err(e) => write_batch_error(&e, &mut out),
-                            }
-                        }
-                        Ok(ClientMessageRef::Reload(lists)) => {
-                            let owned: Vec<ReloadList> = lists
-                                .into_iter()
-                                .map(|l| ReloadList {
-                                    source: l.source,
-                                    content: l.content.into_owned(),
-                                })
-                                .collect();
-                            match shared.service.reload(&owned) {
-                                Ok(report) => wire::write_reloaded(&report, &mut out),
-                                Err(e) => wire::write_error(&e, &mut out),
-                            }
-                        }
-                        Ok(ClientMessageRef::ReloadDelta(deltas)) => {
-                            match shared.service.reload_delta(&deltas) {
-                                Ok(report) => wire::write_reloaded(&report, &mut out),
-                                Err(ReloadDeltaError::BaseMismatch {
-                                    source,
-                                    serving_check,
-                                    generation,
-                                }) => wire::write_reload_base_mismatch(
-                                    &crate::protocol::ReloadMismatch {
-                                        source,
-                                        serving_check,
-                                        generation,
-                                    },
-                                    &mut out,
-                                ),
-                                Err(ReloadDeltaError::Rejected(e)) => {
-                                    wire::write_error(&e, &mut out)
-                                }
-                            }
-                        }
-                        Ok(ClientMessageRef::Health) => {
-                            wire::write_health_reply(&shared.service.health(), &mut out)
-                        }
-                        Ok(ClientMessageRef::Shutdown) => {
-                            // Every earlier request on this connection
-                            // is already answered (the loop is
-                            // synchronous), so flushing the corked
-                            // burst with the ack drains the pipeline
-                            // before the socket closes.
-                            shared.service.begin_drain();
-                            wire::write_shutting_down(&mut out);
-                            out.push(b'\n');
-                            let _ = writer.write_all(&out);
-                            trigger_stop(shared, addr);
-                            return;
-                        }
-                    }
-                    out.push(b'\n');
-                }
-            },
         }
         // Cork: replies are flushed by the would-block hook above the
         // moment the reader would sleep on the socket, so here only the
@@ -561,6 +578,14 @@ mod tests {
         Engine::from_lists([&list])
     }
 
+    /// These tests are about this file's front, whatever the default.
+    fn blocking() -> ServerConfig {
+        ServerConfig {
+            mode: ServerMode::Blocking,
+            ..ServerConfig::default()
+        }
+    }
+
     fn connect(server: &Server) -> (TcpStream, BufReader<TcpStream>) {
         let sock = TcpStream::connect(server.local_addr()).unwrap();
         sock.set_read_timeout(Some(Duration::from_secs(10)))
@@ -574,7 +599,7 @@ mod tests {
     /// line or both sides deadlock.
     #[test]
     fn replies_flush_while_a_partial_line_is_buffered() {
-        let server = Server::start(tiny_engine(), &ServerConfig::default()).unwrap();
+        let server = Server::start(tiny_engine(), &blocking()).unwrap();
         let (mut sock, mut reader) = connect(&server);
         // One complete line plus the start of the next, in one write.
         sock.write_all(b"\"Ping\"\n\"Pi").unwrap();
@@ -597,7 +622,7 @@ mod tests {
     /// and leave shutdown able to finish.
     #[test]
     fn malformed_escape_gets_error_reply_and_shutdown_still_drains() {
-        let server = Server::start(tiny_engine(), &ServerConfig::default()).unwrap();
+        let server = Server::start(tiny_engine(), &blocking()).unwrap();
         let (mut sock, mut reader) = connect(&server);
         let line = format!(
             "{{\"Decide\":{{\"url\":\"\\ua\u{e9}\u{91d1}\",\"document\":\"d\",\"resource_type\":\"Other\"}}}}\n"

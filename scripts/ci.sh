@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# CI gate: build, test, determinism reruns, format check, then the
-# benchmark package's own tests. Run from the repo root.
+# CI gate: build, test, determinism reruns, format check, the
+# benchmark package's own tests, then a check that nothing touched the
+# benchmark. Run from the repo root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -11,15 +12,20 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> determinism (abp + acceptable-ads lib tests: 5x default runner, 2x --test-threads 1; fleet tests: 5x release)"
+echo "==> determinism (abp + acceptable-ads + abpd lib tests: 5x default runner; abp + acceptable-ads 2x --test-threads 1; fleet, chaos, service_smoke: 5x release)"
 # Tier-1 must be green on every run, not most runs: the two crates whose
 # tests compile engines side by side run again and again under both
-# schedules, and the first red run fails the stage. The fleet tests kill
-# shards under a live router (sockets and timing), so they repeat too,
-# under the default runner.
+# schedules, and the first red run fails the stage. abpd's lib tests
+# start real servers on both socket fronts, so they repeat too. The
+# fleet tests kill shards under a live router; chaos and service_smoke
+# drive the only evaluation route there is under injected panics, torn
+# writes and mid-batch shutdown (sockets and timing), so all three
+# repeat in release, under the default runner.
 for run in 1 2 3 4 5; do
     cargo test -q -p abp -p acceptable-ads --lib ||
         { echo "determinism: default-runner run $run failed" >&2; exit 1; }
+    cargo test -q -p abpd --lib ||
+        { echo "determinism: abpd lib run $run failed" >&2; exit 1; }
 done
 for run in 1 2; do
     cargo test -q -p abp -p acceptable-ads --lib -- --test-threads 1 ||
@@ -28,6 +34,8 @@ done
 for run in 1 2 3 4 5; do
     cargo test -q --release --test fleet ||
         { echo "determinism: fleet run $run failed" >&2; exit 1; }
+    cargo test -q --release --test chaos --test service_smoke ||
+        { echo "determinism: chaos + service_smoke run $run failed" >&2; exit 1; }
 done
 
 echo "==> cargo fmt --check"
@@ -35,8 +43,15 @@ cargo fmt --check
 
 echo "==> benchmark tests (unit tests + a --quick pass of all six workloads on the release daemons, every reply oracle-checked)"
 # Drives the real abpd and abpd-proxy binaries on both topologies and
-# both variant daemons (--server-mode blocking, --inline-batch-max 1);
-# the harness starts and stops every process it uses.
+# both variant daemons: --server-mode blocking, and a second event-mode
+# daemon whose --inline-batch-max 1 is now an ignored flag (the worker
+# pool it used to force is gone). The harness starts and stops every
+# process it uses.
 cargo test --manifest-path benchmark/Cargo.toml
+
+echo "==> benchmark/ and BENCHMARK.json untouched by the build and the tests"
+# A rewritten benchmark/Cargo.lock or an edited adapter must fail CI,
+# not ride along with a change to the code they measure.
+git diff --exit-code -- benchmark BENCHMARK.json
 
 echo "==> ci green"

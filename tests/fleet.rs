@@ -38,7 +38,6 @@ fn shard_config() -> ServerConfig {
         max_line_bytes: 1024 * 1024,
         service: ServiceConfig {
             shards: 2,
-            queue_depth: 64,
             cache_capacity: 256,
             ..ServiceConfig::default()
         },

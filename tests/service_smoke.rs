@@ -3,10 +3,11 @@
 //! traffic, checked against direct engine evaluation.
 //!
 //! Every scenario runs twice — once against the blocking
-//! thread-per-connection wire path and once against the event-driven
-//! reactor path — asserting the two modes are observably equivalent
-//! (on targets without epoll the event run exercises the fallback,
-//! which *is* the blocking path).
+//! thread-per-connection front and once against the event-driven
+//! reactor front — asserting the two are observably equivalent (on
+//! targets without epoll the event run exercises the fallback, which
+//! *is* the blocking front). `one_dispatch_answers_both_fronts_byte_identically`
+//! holds them to that byte for byte.
 
 use abp::{Engine, FilterList, ListSource, Request, ResourceType};
 use abpd::{Client, DecisionRequest, Server, ServerConfig, ServerMode, ServiceConfig};
@@ -28,21 +29,13 @@ fn start_server(mode: ServerMode) -> Server {
         addr: "127.0.0.1:0".to_string(),
         max_line_bytes: 1024 * 1024,
         mode,
-        io_threads: 2,
         service: ServiceConfig {
             shards: 2,
-            queue_depth: 64,
             cache_capacity: 1024,
             ..ServiceConfig::default()
         },
-        ..ServerConfig::default()
     };
     Server::start(test_engine(), &config).expect("bind server")
-}
-
-/// Whether `mode` actually gets the reactor path on this target.
-fn is_event(mode: ServerMode) -> bool {
-    mode == ServerMode::Event && abpd::poll::supported()
 }
 
 fn dr(url: &str, doc: &str, rt: ResourceType) -> DecisionRequest {
@@ -85,9 +78,8 @@ fn single_decisions_over_tcp(mode: ServerMode) {
         assert_eq!(resp.outcome, direct);
         assert!(!resp.cached);
     }
-    // Replays hit the cache with identical outcomes. (In event mode
-    // that's the reactor's shard-local cache: same connection, same
-    // reactor, so the replay must still hit.)
+    // Replays hit the cache with identical outcomes: same connection,
+    // same shard, so the replay must hit.
     for case in &cases {
         let resp = client.decide(case).expect("decide again");
         assert!(resp.cached);
@@ -131,14 +123,12 @@ fn batches_preserve_order_and_feed_stats(mode: ServerMode) {
     let resps2 = client.decide_batch(&batch).expect("batch again");
     assert!(resps2.iter().all(|r| r.cached));
 
-    // Totals are identical in both modes; the event path just reports
-    // its two reactor metric shards after the two worker shards.
+    // One row per shard behind either front.
     let stats = client.stats().expect("stats");
     assert_eq!(stats.requests, 2 * batch.len() as u64);
     assert_eq!(stats.cache_hits, batch.len() as u64);
     assert_eq!(stats.blocks, 2 * batch.len() as u64);
-    let expected_shards = if is_event(mode) { 2 + 2 } else { 2 };
-    assert_eq!(stats.shards.len(), expected_shards);
+    assert_eq!(stats.shards.len(), 2);
     assert_eq!(
         stats.requests,
         stats.shards.iter().map(|s| s.requests).sum::<u64>()
@@ -248,11 +238,9 @@ fn oversized_lines_get_bounded_error_and_resync(mode: ServerMode) {
         mode,
         service: ServiceConfig {
             shards: 1,
-            queue_depth: 16,
             cache_capacity: 64,
             ..ServiceConfig::default()
         },
-        ..ServerConfig::default()
     };
     let server = Server::start(test_engine(), &config).expect("bind server");
     let stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
@@ -348,4 +336,200 @@ fn synthesized_traffic_round_trips_blocking() {
 #[test]
 fn synthesized_traffic_round_trips_event() {
     synthesized_traffic_round_trips(ServerMode::Event);
+}
+
+/// Replace the digits after every `"p50_us":` / `"p99_us":` with `_`:
+/// the only bytes of a reply that depend on how long anything took.
+fn blank_latencies(stream: &str) -> String {
+    let mut out = String::with_capacity(stream.len());
+    let mut rest = stream;
+    while let Some(at) = ["\"p50_us\":", "\"p99_us\":"]
+        .iter()
+        .filter_map(|key| rest.find(key).map(|i| i + key.len()))
+        .min()
+    {
+        out.push_str(&rest[..at]);
+        out.push('_');
+        rest = rest[at..].trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Play one scripted byte stream at a server and return everything it
+/// sent back until it closed the connection.
+fn play(mode: ServerMode, script: &[Vec<u8>]) -> String {
+    use std::io::{Read, Write};
+
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        max_line_bytes: 256 * 1024,
+        mode,
+        // One shard: the per-shard `Stats` rows cannot differ by where
+        // a front happened to place the connection.
+        service: ServiceConfig {
+            shards: 1,
+            cache_capacity: 8192,
+            ..ServiceConfig::default()
+        },
+    };
+    let server = Server::start(test_engine(), &config).expect("bind server");
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut replies = String::new();
+    std::thread::scope(|scope| {
+        // Write from a second thread: the big batches' replies fill the
+        // socket long before the script is through.
+        let mut writer = stream.try_clone().unwrap();
+        scope.spawn(move || {
+            for chunk in script {
+                writer.write_all(chunk).expect("write script");
+                // Chunk boundaries are deliberate (one splits a line):
+                // give the server time to see them as separate reads.
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+        });
+        stream.read_to_string(&mut replies).expect("read replies");
+    });
+    server.join(); // the script ends in `Shutdown`
+    replies
+}
+
+/// One dispatch, two fronts: the same bytes in — all eight verbs, a
+/// batch on either side of the old 512-element pool threshold, and
+/// every way a line can be wrong — give the same bytes out, whichever
+/// front carried them. Fails if either front grows a verb arm, an
+/// error text or a framing rule the other lacks.
+#[test]
+fn one_dispatch_answers_both_fronts_byte_identically() {
+    use abpd::protocol::{ReloadDeltaList, ReloadList, ServerMessage};
+
+    let batch = |n: usize, salt: &str| -> Vec<DecisionRequest> {
+        (0..n)
+            .map(|i| {
+                dr(
+                    &format!("http://host{}.doubleclick.net/{salt}{i}.js", i % 13),
+                    "news.example",
+                    ResourceType::Script,
+                )
+            })
+            .collect()
+    };
+    let line = |write: &dyn Fn(&mut Vec<u8>)| {
+        let mut out = Vec::new();
+        write(&mut out);
+        out.push(b'\n');
+        out
+    };
+    let b600 = batch(600, "a");
+    let b2000 = batch(2000, "b");
+    let probe = dr(
+        "http://ad.doubleclick.net/x.js",
+        "example.com",
+        ResourceType::Script,
+    );
+    let wl_v1 = "@@||adzerk.net/reddit/$subdocument,domain=reddit.com\n";
+    let wl_v2 =
+        "@@||adzerk.net/reddit/$subdocument,domain=reddit.com\n@@||ad.doubleclick.net/x.js\n";
+    let reload = [
+        ReloadList {
+            source: ListSource::EasyList,
+            content: "||doubleclick.net^\n||adzerk.net^$third-party\n".to_string(),
+        },
+        ReloadList {
+            source: ListSource::AcceptableAds,
+            content: wl_v1.to_string(),
+        },
+    ];
+    let delta = [ReloadDeltaList {
+        source: ListSource::AcceptableAds,
+        delta: abpdelta::encode(wl_v1, wl_v2),
+    }];
+
+    let script: Vec<Vec<u8>> = vec![
+        b"\"Ping\"\n".to_vec(),
+        line(&|out| abpd::wire::write_decide(&probe, out)),
+        line(&|out| abpd::wire::write_decide_batch(&b600, out)),
+        line(&|out| abpd::wire::write_decide_batch(&b2000, out)),
+        line(&|out| abpd::wire::write_decide_batch(&b600, out)), // all hits
+        b"this is not json\n".to_vec(),
+        b"\xff\xfe\"Ping\"\n".to_vec(), // not UTF-8
+        b"\"Ping\"\r\n".to_vec(),
+        b"\n  \r\n".to_vec(), // blank lines: no reply owed
+        line(&|out| out.extend(std::iter::repeat_n(b'x', 300_000))), // over the limit
+        b"\"Pi".to_vec(),     // one line ...
+        b"ng\"\n".to_vec(),   // ... in two writes
+        line(&|out| {
+            let bad = dr("not a url", "example.com", ResourceType::Image);
+            abpd::wire::write_decide(&bad, out)
+        }),
+        // A delta before any body is held: a base mismatch.
+        line(&|out| abpd::wire::write_reload_delta(&delta, out)),
+        line(&|out| abpd::wire::write_reload(&reload, out)),
+        line(&|out| abpd::wire::write_reload_delta(&delta, out)),
+        line(&|out| abpd::wire::write_decide(&probe, out)), // re-decided, now allowed
+        b"\"Stats\"\n".to_vec(),
+        b"\"Health\"\n".to_vec(),
+        b"\"Shutdown\"\n".to_vec(),
+    ];
+
+    let blocking = blank_latencies(&play(ServerMode::Blocking, &script));
+    let event = blank_latencies(&play(ServerMode::Event, &script));
+    assert!(
+        blocking == event,
+        "the fronts answered differently:\n--- blocking\n{}\n--- event\n{}",
+        blocking
+            .lines()
+            .map(|l| &l[..l.len().min(160)])
+            .collect::<Vec<_>>()
+            .join("\n"),
+        event
+            .lines()
+            .map(|l| &l[..l.len().min(160)])
+            .collect::<Vec<_>>()
+            .join("\n"),
+    );
+
+    // And the stream is the right one: a reply per non-blank line, in
+    // order, the batches answered with decisions whatever their size.
+    let replies: Vec<&str> = event.lines().collect();
+    let batch_reply = |line: &str, reqs: &[DecisionRequest], cached: bool| {
+        let engine = test_engine();
+        let Ok(ServerMessage::Batch(resps)) = abpd::wire::parse_server_message(line) else {
+            panic!("not a Batch: {}", &line[..line.len().min(160)]);
+        };
+        assert_eq!(resps.len(), reqs.len());
+        for (req, resp) in reqs.iter().zip(&resps) {
+            let direct = engine
+                .match_request(&Request::new(&req.url, &req.document, req.resource_type).unwrap());
+            assert_eq!(resp.outcome, direct);
+            assert_eq!(resp.cached, cached, "{}", req.url);
+        }
+    };
+    assert_eq!(replies.len(), 18, "{replies:#?}");
+    assert_eq!(replies[0], "\"Pong\"");
+    assert!(replies[1].contains("\"Block\""), "{}", replies[1]);
+    batch_reply(replies[2], &b600, false);
+    batch_reply(replies[3], &b2000, false);
+    batch_reply(replies[4], &b600, true);
+    assert!(replies[5].starts_with("{\"Error\":\"unparseable message"));
+    assert!(replies[6].contains("not UTF-8"), "{}", replies[6]);
+    assert_eq!(replies[7], "\"Pong\"");
+    assert!(
+        replies[8].contains("300000 bytes exceeds"),
+        "{}",
+        replies[8]
+    );
+    assert_eq!(replies[9], "\"Pong\"");
+    assert!(replies[10].contains("bad url"), "{}", replies[10]);
+    assert!(replies[11].starts_with("{\"ReloadBaseMismatch\""));
+    assert!(replies[12].starts_with("{\"Reloaded\":{\"generation\":1,"));
+    assert!(replies[13].starts_with("{\"Reloaded\":{\"generation\":2,"));
+    assert!(replies[14].contains("\"AllowedByException\""));
+    assert!(replies[14].contains("\"cached\":false"), "{}", replies[14]);
+    assert!(replies[15].starts_with("{\"Stats\":{\"requests\":3202,"));
+    assert!(replies[16].starts_with("{\"Health\":{\"state\":\"ok\""));
+    assert!(event.ends_with("\"ShuttingDown\"\n"));
 }
