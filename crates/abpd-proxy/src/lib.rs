@@ -1409,10 +1409,11 @@ fn sum_into(acc: &mut Vec<u64>, add: &[u64]) {
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
+    // Sized for a 256-decision request line (~34 KB) in one read.
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::with_capacity(64 * 1024, read_half);
     let mut writer = stream;
     let mut line = Vec::new();
     let mut out: Vec<u8> = Vec::with_capacity(4096);

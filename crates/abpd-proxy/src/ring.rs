@@ -93,7 +93,7 @@ impl HashRing {
 /// the fields that make a decision a pure function (url, document,
 /// resource type, sitekey, tenant mask), with separators so field
 /// boundaries can't alias. Stable across processes — unlike the
-/// server's seeded cache hash — so every router in front of the same
+/// server's keyed cache hash — so every router in front of the same
 /// fleet agrees.
 pub fn route_key(
     url: &str,

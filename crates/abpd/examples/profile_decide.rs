@@ -6,11 +6,64 @@
 //! browsing stream on the corpus lists — what a cache miss sees, and
 //! what `benchmark/`'s `abp.request_new_ns` / `abp.match_ns` rows time —
 //! so the engine-layer split of a miss can be re-read without the
-//! harness.
+//! harness. Its first 16,384 are the shape of `serve-hot`'s hot set:
+//! the codec stages run over those in the workloads' 256-element
+//! framing (`benchmark/`'s four `wire.*_ns` rows), and a hit pass
+//! splits what `benchmark/` can only show as `service.decide_hit_ns`
+//! into digest, cache read, clock and metrics. Hot-set figures are
+//! ns per decision, fastest of [`ROUNDS`] passes.
 
-use abpd::{DecisionRequest, ServiceConfig};
+use abpd::cache::{request_key_hash, LocalDecisionCache, StoredKey};
+use abpd::metrics::ReactorMetrics;
+use abpd::wire;
+use abpd::{DecisionRequest, DecisionResponse, ServiceConfig};
 use std::collections::HashSet;
+use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
+
+/// Requests per line, as the batched workloads frame them.
+const BATCH: usize = 256;
+/// Distinct requests in `serve-hot`'s working set.
+const HOT: usize = 16_384;
+/// Passes per hot-set stage; the fastest is reported.
+const ROUNDS: usize = 25;
+
+/// ns per decision of the fastest of [`ROUNDS`] runs of `pass`, which
+/// handles [`HOT`] decisions per run.
+fn best_ns(mut pass: impl FnMut()) -> f64 {
+    (0..ROUNDS)
+        .map(|_| {
+            let t = Instant::now();
+            pass();
+            t.elapsed().as_nanos() as f64 / HOT as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// `items` as the lines `write` makes of them, [`BATCH`] to a line.
+fn lines_of<T>(items: &[T], write: fn(&[T], &mut Vec<u8>)) -> Vec<String> {
+    items
+        .chunks(BATCH)
+        .map(|chunk| {
+            let mut line = Vec::new();
+            write(chunk, &mut line);
+            String::from_utf8(line).unwrap()
+        })
+        .collect()
+}
+
+/// [`best_ns`] of writing those lines into one reused buffer.
+fn encode_ns<T>(items: &[T], write: fn(&[T], &mut Vec<u8>)) -> f64 {
+    let mut line = Vec::new();
+    best_ns(|| {
+        for chunk in items.chunks(BATCH) {
+            line.clear();
+            write(chunk, &mut line);
+            black_box(&line);
+        }
+    })
+}
 
 fn main() {
     let n = 65_536usize;
@@ -32,31 +85,14 @@ fn main() {
         shape.restricted_bucket_max
     );
 
-    // Stage 1: JSON serialize requests (client side).
+    // Miss path, engine layers: Request::new (url parse + party
+    // computation), then each request matched once.
     let t = Instant::now();
-    let lines: Vec<String> = reqs
-        .iter()
-        .map(|r| serde_json::to_string(r).unwrap())
-        .collect();
-    println!("serialize req: {:?}/req", t.elapsed() / n as u32);
-
-    // Stage 2: JSON parse requests (server side).
-    let t = Instant::now();
-    let parsed: Vec<DecisionRequest> = lines
-        .iter()
-        .map(|l| serde_json::from_str(l).unwrap())
-        .collect();
-    println!("parse req:     {:?}/req", t.elapsed() / n as u32);
-
-    // Stage 3: Request::new (url parse + party computation).
-    let t = Instant::now();
-    let built: Vec<abp::Request> = parsed
+    let built: Vec<abp::Request> = reqs
         .iter()
         .map(|r| abp::Request::new(&r.url, &r.document, r.resource_type).unwrap())
         .collect();
     println!("Request::new:  {:?}/req", t.elapsed() / n as u32);
-
-    // Stage 4: engine evaluation, each request matched once.
     let t = Instant::now();
     let outcomes = engine.match_many(&built);
     println!("match:         {:?}/req", t.elapsed() / n as u32);
@@ -66,36 +102,123 @@ fn main() {
         activations as f64 / n as f64
     );
 
-    // Stage 5: serialize responses.
-    let t = Instant::now();
-    let resp_lines: Vec<String> = outcomes
-        .iter()
-        .map(|o| serde_json::to_string(o).unwrap())
-        .collect();
-    println!("serialize out: {:?}/req", t.elapsed() / n as u32);
-
-    // Stage 6: parse responses (client side).
-    let t = Instant::now();
-    for l in &resp_lines {
-        let _: abp::RequestOutcome = serde_json::from_str(l).unwrap();
-    }
-    println!("parse out:     {:?}/req", t.elapsed() / n as u32);
-
-    // Stage 7: the served evaluation route, in process (no TCP): one
-    // shard's `LocalEval`, as a reactor holds it, cache misses only.
+    // Miss path, the served evaluation route, in process (no TCP): one
+    // shard's `LocalEval`, as a reactor holds it, on an empty cache.
     let svc = abpd::Service::start(abpd::corpus_engine(2015), &ServiceConfig::default());
-    let mut local = svc.local_eval(
-        0,
-        n,
-        0,
-        std::sync::Arc::new(abpd::metrics::ReactorMetrics::default()),
-    );
+    let mut local = svc.local_eval(0, n, 0, Arc::new(ReactorMetrics::default()));
     let mut scratch = svc.scratch();
     let t = Instant::now();
-    for chunk in reqs.chunks(64) {
+    for chunk in reqs.chunks(BATCH) {
         let refs: Vec<_> = chunk.iter().map(DecisionRequest::as_request_ref).collect();
         svc.decide_batch_local(&refs, &mut scratch, &mut local)
             .unwrap();
     }
-    println!("service path:  {:?}/req", t.elapsed() / n as u32);
+    println!("service miss:  {:?}/req", t.elapsed() / n as u32);
+
+    // Everything below is the hit path on the hot set.
+    let hot = &reqs[..HOT];
+    let replies: Vec<DecisionResponse> = outcomes[..HOT]
+        .iter()
+        .map(|o| DecisionResponse {
+            outcome: o.clone(),
+            cached: true,
+        })
+        .collect();
+    println!("hot set ({HOT} requests, lines of {BATCH}, ns/decision, best of {ROUNDS}):");
+
+    // The four codec rungs, in the order a decision crosses them.
+    let encode_request = encode_ns(hot, wire::write_decide_batch);
+    let request_lines = lines_of(hot, wire::write_decide_batch);
+    let parse_request = best_ns(|| {
+        for l in &request_lines {
+            black_box(wire::parse_client_message(l).unwrap());
+        }
+    });
+    let encode_reply = encode_ns(&replies, wire::write_batch_reply);
+    let reply_lines = lines_of(&replies, wire::write_batch_reply);
+    let parse_reply = best_ns(|| {
+        for l in &reply_lines {
+            black_box(wire::parse_server_message(l).unwrap());
+        }
+    });
+    let bytes = |lines: &[String]| lines.iter().map(String::len).sum::<usize>() as f64 / HOT as f64;
+    println!(
+        "  write_decide_batch   {encode_request:6.1}   ({:.1} B/decision)",
+        bytes(&request_lines)
+    );
+    println!("  parse_client_message {parse_request:6.1}");
+    println!(
+        "  write_batch_reply    {encode_reply:6.1}   ({:.1} B/decision)",
+        bytes(&reply_lines)
+    );
+    println!("  parse_server_message {parse_reply:6.1}");
+
+    // The hit pass: what `decide_batch_local` does per cached decision,
+    // one piece at a time, then as it runs them together.
+    let digest_of = |r: &DecisionRequest| {
+        request_key_hash(
+            &r.url,
+            &r.document,
+            r.resource_type,
+            r.sitekey.as_deref(),
+            u64::MAX,
+        )
+    };
+    let digest = best_ns(|| {
+        for r in hot {
+            black_box(digest_of(black_box(r)));
+        }
+    });
+    let digests: Vec<u64> = hot.iter().map(digest_of).collect();
+    let mut cache = LocalDecisionCache::new(n);
+    for ((r, &h), reply) in hot.iter().zip(&digests).zip(&replies) {
+        let key = StoredKey::new(
+            &r.url,
+            &r.document,
+            r.resource_type,
+            r.sitekey.as_deref(),
+            u64::MAX,
+        );
+        cache.insert(h, key, 0, reply.outcome.clone());
+    }
+    let cache_get = best_ns(|| {
+        for (r, &h) in hot.iter().zip(&digests) {
+            let hit = cache.get(
+                h,
+                0,
+                &r.url,
+                &r.document,
+                r.resource_type,
+                r.sitekey.as_deref(),
+                u64::MAX,
+            );
+            assert!(black_box(hit).is_some());
+        }
+    });
+    let clock = best_ns(|| {
+        for _ in 0..HOT {
+            black_box(Instant::now());
+        }
+    });
+    let metrics = ReactorMetrics::default();
+    let counters = best_ns(|| {
+        for _ in 0..HOT {
+            metrics.shard.latency.record_us(black_box(0));
+            metrics.shard.record_tenant(black_box(u64::MAX), true);
+        }
+    });
+    // `local` holds all 65,536 requests from the miss pass above.
+    let refs: Vec<_> = hot.iter().map(DecisionRequest::as_request_ref).collect();
+    let whole = best_ns(|| {
+        for chunk in refs.chunks(BATCH) {
+            svc.decide_batch_local(chunk, &mut scratch, &mut local)
+                .unwrap();
+        }
+    });
+    assert!(scratch.responses().iter().all(|r| r.cached));
+    println!("  request_key_hash     {digest:6.1}");
+    println!("  cache get+clone+drop {cache_get:6.1}");
+    println!("  Instant::now         {clock:6.1}   (per read)");
+    println!("  latency+tenant count {counters:6.1}");
+    println!("  decide_batch_local   {whole:6.1}   (all of the above, in place)");
 }

@@ -11,12 +11,15 @@
 //! holds the shard holds its cache.
 //!
 //! Lookups are allocation-free: a request is reduced to a 64-bit
-//! per-process-seeded FNV-1a digest of its borrowed fields
-//! ([`request_key_hash`]) — no `String` clones on the read path.
-//! Because 64 bits can collide, each entry stores the full owned key
-//! ([`StoredKey`], built once on the miss path) and a hit verifies it
-//! field-by-field — tenant included — before the cached outcome is
-//! trusted; a colliding digest is just a miss.
+//! digest of its borrowed fields ([`request_key_hash`]) by std's keyed
+//! hasher under one per-process `RandomState` — no `String` clones on
+//! the read path, eight bytes a round, and a keyed PRF rather than a
+//! seed prefixed to an unkeyed hash, so a hostile client cannot craft
+//! colliding requests offline. Because 64 bits can still collide, each
+//! entry stores the full owned key ([`StoredKey`], built once on the
+//! miss path) and a hit verifies it field-by-field — tenant included —
+//! before the cached outcome is trusted; a colliding digest is just a
+//! miss.
 
 use abp::{RequestOutcome, ResourceType};
 use std::collections::HashMap;
@@ -26,9 +29,9 @@ use std::sync::OnceLock;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a, the same function `abp::engine` uses for token hashing.
-/// Cheap to compute incrementally over borrowed bytes and good enough
-/// for a cache index; collisions are handled by full-key verification.
+/// FNV-1a, the same function `abp::engine` uses for token hashing:
+/// the LRU's index hasher over the precomputed 8-byte request digests
+/// (which are already keyed, so the index needs no second key).
 #[derive(Debug, Clone, Default)]
 pub struct FnvHasher(u64);
 
@@ -54,29 +57,27 @@ impl Hasher for FnvHasher {
 /// `BuildHasher` plugging [`FnvHasher`] into `HashMap`.
 pub type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
 
-/// A per-process random value mixed into every request digest.
-/// Unkeyed FNV over attacker-controlled fields would let a hostile
-/// client craft colliding digests offline (degrading the cache by
-/// forcing mutual evictions and clustered buckets); seeding makes the
-/// digest function unpredictable without giving up the cheap
-/// streaming FNV structure. Derived lazily from `RandomState`, whose
-/// SipHash keys are already randomly seeded per process.
-fn process_seed() -> u64 {
-    static SEED: OnceLock<u64> = OnceLock::new();
-    *SEED.get_or_init(|| RandomState::new().hash_one(0u64))
+/// The process's digest keys: one `RandomState`, drawn on first use
+/// and shared by every thread, so equal requests digest equally
+/// wherever they are evaluated and nobody outside the process can
+/// precompute a collision.
+fn digest_keys() -> &'static RandomState {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    KEYS.get_or_init(RandomState::new)
 }
 
 /// The 64-bit memoization digest of a request, computed from borrowed
 /// fields — no clones, no intermediate key struct.
 ///
-/// Fields are fed through FNV-1a seeded with a per-process random
-/// value (see [`process_seed`]) and separated by `0xFF` (a byte that
-/// never appears in UTF-8 text) so `("ab", "c")` and `("a", "bc")`
-/// digest differently, and the sitekey is prefixed with a
-/// present/absent discriminator so `None` differs from `Some("")`.
-/// The tenant subscription mask is mixed in as a fixed 8-byte field,
-/// so tenants with different masks digest apart by construction.
-/// Stable within a process, deliberately not across processes.
+/// Fields are fed to std's keyed hasher (SipHash under the process's
+/// `digest_keys`) separated by `0xFF` (a byte that never appears in
+/// UTF-8 text) so `("ab", "c")` and `("a", "bc")` digest differently,
+/// and the sitekey is prefixed with a present/absent discriminator so
+/// `None` differs from `Some("")`. The tenant subscription mask is
+/// mixed in as a fixed 8-byte field, so tenants with different masks
+/// digest apart by construction. The fixed-width middle of the frame
+/// goes in as one write. Stable within a process, deliberately not
+/// across processes.
 pub fn request_key_hash(
     url: &str,
     document: &str,
@@ -84,21 +85,16 @@ pub fn request_key_hash(
     sitekey: Option<&str>,
     tenant: u64,
 ) -> u64 {
-    let mut h = FnvHasher(FNV_OFFSET);
-    h.write(&process_seed().to_le_bytes());
+    let mut h = digest_keys().build_hasher();
     h.write(url.as_bytes());
     h.write(&[0xFF]);
     h.write(document.as_bytes());
-    h.write(&[0xFF, resource_type as u8, 0xFF]);
-    h.write(&tenant.to_le_bytes());
-    h.write(&[0xFF]);
-    match sitekey {
-        None => h.write(&[0]),
-        Some(k) => {
-            h.write(&[1]);
-            h.write(k.as_bytes());
-        }
-    }
+    let mut fixed = [0xFF; 13];
+    fixed[1] = resource_type as u8;
+    fixed[3..11].copy_from_slice(&tenant.to_le_bytes());
+    fixed[12] = u8::from(sitekey.is_some());
+    h.write(&fixed);
+    h.write(sitekey.unwrap_or("").as_bytes());
     h.finish()
 }
 
@@ -472,6 +468,56 @@ mod tests {
             request_key_hash("u", "d", rt, Some("k"), ALL),
             request_key_hash("u", "d", rt, Some("k"), ALL)
         );
+    }
+
+    /// `request_key_hash` is a free function any shard may call, so the
+    /// keys are the process's, not the caller's: two threads digest
+    /// equal fields equally (a key per call or per thread would turn
+    /// every lookup into a miss).
+    #[test]
+    fn digest_keys_are_per_process_not_per_thread() {
+        let digest =
+            || request_key_hash("http://u.example/a", "d", ResourceType::Image, Some("k"), 5);
+        let here = digest();
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(digest);
+            let b = s.spawn(digest);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!((a, b), (here, here));
+    }
+
+    /// The `serve-cold` generator shape — the first 262,144 distinct
+    /// requests of the browsing stream, each stamped with a mask from
+    /// the tenant population — digests without a single collision. The
+    /// LRU is keyed by digest: a colliding pair would evict each other
+    /// forever and read as a permanent miss.
+    #[test]
+    fn cold_set_digests_are_all_distinct() {
+        use std::collections::HashSet;
+        const COLD: usize = 262_144;
+        let masks = websim::traffic::TenantPopulation::new(7, 1_000_000);
+        let mut seen = HashSet::with_capacity(COLD);
+        let mut digests = HashSet::with_capacity(COLD);
+        for sample in websim::traffic::TrafficGen::new(7).samples() {
+            let r = crate::request_of_sample(&sample);
+            if !seen.insert((r.url.clone(), r.document.clone(), r.resource_type)) {
+                continue;
+            }
+            let tenant = masks.mask_for(seen.len() as u64 - 1);
+            digests.insert(request_key_hash(
+                &r.url,
+                &r.document,
+                r.resource_type,
+                None,
+                tenant,
+            ));
+            if seen.len() == COLD {
+                break;
+            }
+        }
+        assert_eq!(seen.len(), COLD);
+        assert_eq!(digests.len(), COLD, "two cold-set requests share a digest");
     }
 
     #[test]

@@ -102,7 +102,9 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(DEFAULT_REPLY_TIMEOUT))?;
-        let reader = BufReader::new(stream.try_clone()?);
+        // A 256-decision reply line is ~54 KB: one read, one newline
+        // search, where the default 8 KiB buffer took seven of each.
+        let reader = BufReader::with_capacity(64 * 1024, stream.try_clone()?);
         Ok(Client {
             reader,
             writer: stream,

@@ -108,6 +108,12 @@ impl Histogram {
         COARSE_TOP
     }
 
+    /// Observations recorded so far.
+    #[cfg(test)]
+    pub(crate) fn samples(&self) -> u64 {
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+
     /// Fold another histogram's counts into an owned copy of this one.
     pub(crate) fn merged(&self, other: &Histogram) -> Histogram {
         let out = Histogram::default();

@@ -465,6 +465,43 @@ mod wire_equivalence {
             }
             chars.into_iter().collect()
         }
+
+        /// Damage `line` below the character level: insert a byte,
+        /// delete one, or flip a bit, at random offsets. What is no
+        /// longer UTF-8 comes back as U+FFFD, as a lossy reader would
+        /// hand it on.
+        fn mutate_bytes(&mut self, line: &str) -> String {
+            let mut bytes = line.as_bytes().to_vec();
+            for _ in 0..=self.below(3) {
+                let at = self.below(bytes.len() + 1);
+                match self.below(3) {
+                    0 => bytes.insert(at, self.below(256) as u8),
+                    _ if at == bytes.len() => {}
+                    1 => drop(bytes.remove(at)),
+                    _ => bytes[at] ^= 1 << self.below(8),
+                }
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+    }
+
+    /// What the two message parsers must hold to on *any* input: they
+    /// return, and whatever they accept is a value of the protocol —
+    /// serde writes it, and they read that back to the same value.
+    fn assert_parsers_return_protocol_values(line: &str) {
+        let mut spans = Vec::new();
+        let with_spans = wire::parse_client_message_spans(line, &mut spans);
+        assert_eq!(with_spans, wire::parse_client_message(line), "{line:?}");
+        if let Ok(parsed) = with_spans {
+            let msg = to_owned_client(parsed);
+            let again = serde_json::to_string(&msg).unwrap();
+            let reparsed = wire::parse_client_message(&again).map(to_owned_client);
+            assert_eq!(reparsed, Ok(msg), "{line:?}");
+        }
+        if let Ok(msg) = wire::parse_server_message(line) {
+            let again = serde_json::to_string(&msg).unwrap();
+            assert_eq!(wire::parse_server_message(&again), Ok(msg), "{line:?}");
+        }
     }
 
     fn batch_of(parsed: wire::ClientMessageRef<'_>) -> Vec<DecisionRequest> {
@@ -701,6 +738,43 @@ mod wire_equivalence {
                 assert_spans_are_whole_elements(valid);
                 for _ in 0..8 {
                     assert_spans_are_whole_elements(&layout.mutate(valid));
+                }
+            }
+        }
+
+        /// The same, one level up: neither message parser panics, and
+        /// what either accepts is a protocol value — on arbitrary bytes
+        /// read lossily, and on valid lines of every hot shape with
+        /// bytes inserted, deleted and bit-flipped.
+        #[test]
+        fn message_parsers_never_panic_on_arbitrary_bytes(
+            junk in proptest::collection::vec(any::<u8>(), 0..64),
+            urls in proptest::collection::vec(".{0,12}", 1..4),
+            error_text in ".{0,24}",
+            seed in any::<u64>(),
+        ) {
+            assert_parsers_return_protocol_values(&String::from_utf8_lossy(&junk));
+            let mut layout = Layout(seed);
+            let reqs = arbitrary_requests(&urls, "doc.example", ResourceType::Image, Some("K\"\n"), Some(9));
+            let resps = arbitrary_responses(&urls, true);
+            let written = |write: &dyn Fn(&mut Vec<u8>)| {
+                let mut line = Vec::new();
+                write(&mut line);
+                String::from_utf8(line).unwrap()
+            };
+            let valid = [
+                layout.decide_batch_line(&reqs),
+                written(&|out| wire::write_decide(&reqs[0], out)),
+                written(&|out| wire::write_batch_reply(&resps, out)),
+                written(&|out| wire::write_decision_reply(&resps[resps.len() - 1], out)),
+                written(&|out| wire::write_error(&error_text, out)),
+                written(&|out| wire::write_stats_reply(&StatsReport::default(), out)),
+            ];
+            for line in &valid {
+                assert_parsers_return_protocol_values(line);
+                for _ in 0..8 {
+                    assert_parsers_return_protocol_values(&layout.mutate_bytes(line));
+                    assert_parsers_return_protocol_values(&layout.mutate(line));
                 }
             }
         }
@@ -951,6 +1025,96 @@ mod wire_equivalence {
                 let parsed = wire::parse_server_message(&serde_line).unwrap();
                 prop_assert_eq!(parsed, msg, "parse must round-trip");
             }
+        }
+    }
+}
+
+/// The word-wide scan kernel under the codec ≡ the byte loop it
+/// replaced. The zero-byte trick can flag a byte wrongly only above a
+/// true hit, so the danger is an offset reported *before* the first
+/// special byte or a special byte stepped over; neither may happen for
+/// any content, length or word alignment.
+mod scan_kernel {
+    use super::*;
+    use crate::wire::first_special;
+
+    fn naive(hay: &[u8]) -> usize {
+        hay.iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(hay.len())
+    }
+
+    /// Bytes one bit or one borrow away from a special one, and the
+    /// high-bit twins of the special ones: what a wrong mask would flag.
+    const NEAR_MISSES: [u8; 12] = [
+        0x20, 0x21, 0x23, 0x5b, 0x5d, 0x7f, 0x80, 0xff, 0xa2, 0xdc, 0x9f, 0x60,
+    ];
+
+    #[test]
+    fn every_length_offset_and_position_up_to_five_words() {
+        let filler = |i: usize| NEAR_MISSES[i % NEAR_MISSES.len()];
+        for len in 0..=40usize {
+            for offset in 0..8usize {
+                // What precedes the slice is all special: none of it
+                // may leak in.
+                let mut buf = vec![b'"'; offset];
+                buf.extend((0..len).map(|i| filler(i + offset)));
+                assert_eq!(
+                    first_special(&buf[offset..]),
+                    len,
+                    "{len} plain at {offset}"
+                );
+                for at in 0..len {
+                    for special in [b'"', b'\\', 0x00, 0x1f, b'\n'] {
+                        let was = std::mem::replace(&mut buf[offset + at], special);
+                        assert_eq!(
+                            first_special(&buf[offset..]),
+                            at,
+                            "{special:#04x} at {at} of {len}, offset {offset}"
+                        );
+                        // With every later byte special too (borrows
+                        // and all), the first is still the answer.
+                        let tail = buf[offset + at + 1..].to_vec();
+                        buf[offset + at + 1..].fill(0x00);
+                        assert_eq!(first_special(&buf[offset..]), at);
+                        buf[offset + at + 1..].copy_from_slice(&tail);
+                        buf[offset + at] = was;
+                    }
+                    for plain in [0x7f, 0x80, 0xff] {
+                        let was = std::mem::replace(&mut buf[offset + at], plain);
+                        assert_eq!(
+                            first_special(&buf[offset..]),
+                            len,
+                            "{plain:#04x} at {at} of {len}, offset {offset}"
+                        );
+                        buf[offset + at] = was;
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn first_special_is_the_naive_position(
+            raw in proptest::collection::vec(any::<u8>(), 0..200),
+            keep_one_in in 1u64..48,
+            offset in 0usize..8,
+            seed in any::<u64>(),
+        ) {
+            // Uniform bytes put a special one in nearly every word:
+            // thin them out (to their high-bit twins) so that clean
+            // runs of every length up to the whole string occur.
+            let mut rng = seed;
+            let bytes: Vec<u8> = raw
+                .iter()
+                .map(|&b| {
+                    rng = crate::faults::splitmix64(rng);
+                    if naive(&[b]) == 0 && rng % keep_one_in != 0 { b | 0x80 } else { b }
+                })
+                .collect();
+            let hay = &bytes[offset.min(bytes.len())..];
+            prop_assert_eq!(first_special(hay), naive(hay));
         }
     }
 }

@@ -32,6 +32,7 @@ use crate::server::{
 use crate::service::{BatchScratch, LocalEval, Service};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -175,17 +176,73 @@ impl EventServer {
     }
 }
 
-/// One nonblocking connection owned by a reactor.
-struct Conn {
-    sock: TcpStream,
+/// A connection's unparsed input and the framing state over it.
+#[derive(Default)]
+struct LineBuf {
     /// Unparsed input; a partial line stays here across bursts.
     buf: Vec<u8>,
-    /// Corked replies; `out[out_pos..]` is the unwritten remainder.
-    out: Vec<u8>,
-    out_pos: usize,
+    /// Where the first line not yet handed out starts in `buf`.
+    start: usize,
+    /// `buf[start..searched]` holds no `\n`: the search for the end of
+    /// the line resumes here, so a line that arrives in a thousand
+    /// segments has each byte looked at once, not once per segment.
+    searched: usize,
     /// Bytes discarded so far of an oversized line (reply owed at its
     /// newline).
     discarding: Option<usize>,
+}
+
+/// What [`LineBuf::next_frame`] found.
+#[derive(Debug, PartialEq, Eq)]
+enum Frame {
+    /// A complete line within the limit, terminator and trailing `\r`
+    /// stripped: this range of the buffer.
+    Line(Range<usize>),
+    /// A complete line of this many bytes, over the limit and discarded.
+    TooLong(usize),
+}
+
+impl LineBuf {
+    /// The next complete line, or `None` when the buffered input ends
+    /// mid-line. A tail already longer than `max` is dropped as it
+    /// arrives and reported as [`Frame::TooLong`] at its newline.
+    fn next_frame(&mut self, max: usize) -> Option<Frame> {
+        let Some(nl) = abp::scan::memchr(b'\n', &self.buf[self.searched..]) else {
+            let tail = self.buf.len() - self.start;
+            if self.discarding.is_some() || tail > max {
+                self.discarding = Some(self.discarding.unwrap_or(0) + tail);
+                self.start = self.buf.len();
+            }
+            self.searched = self.buf.len();
+            return None;
+        };
+        let end = self.searched + nl;
+        let line = self.start..end;
+        self.start = end + 1;
+        self.searched = end + 1;
+        let len = self.discarding.take().unwrap_or(0) + line.len();
+        if len > max {
+            return Some(Frame::TooLong(len));
+        }
+        let cr = usize::from(self.buf[line.clone()].ends_with(b"\r"));
+        Some(Frame::Line(line.start..line.end - cr))
+    }
+
+    /// Drop the bytes already handed out.
+    fn compact(&mut self) {
+        self.buf.drain(..self.start);
+        self.searched -= self.start;
+        self.start = 0;
+    }
+}
+
+/// One nonblocking connection owned by a reactor.
+struct Conn {
+    sock: TcpStream,
+    input: LineBuf,
+    /// Corked replies; `out[out_pos..]` is the unwritten remainder.
+    out: Vec<u8>,
+    out_pos: usize,
     /// Input parsing suspended by write backpressure.
     paused: bool,
     /// Peer finished sending; close once replies drain.
@@ -302,10 +359,9 @@ impl Reactor {
         }
         self.conns[idx] = Some(Conn {
             sock,
-            buf: Vec::new(),
+            input: LineBuf::default(),
             out: Vec::with_capacity(4096),
             out_pos: 0,
-            discarding: None,
             paused: false,
             eof: false,
             close_after_flush: false,
@@ -369,13 +425,13 @@ impl Reactor {
     fn read_burst(&mut self, conn: &mut Conn) -> io::Result<bool> {
         let cap = self.shared.max_line_bytes + self.rbuf.len();
         loop {
-            if conn.buf.len() >= cap {
+            if conn.input.buf.len() >= cap {
                 return Ok(false);
             }
             match conn.sock.read(&mut self.rbuf) {
                 Ok(0) => return Ok(true),
                 Ok(n) => {
-                    conn.buf.extend_from_slice(&self.rbuf[..n]);
+                    conn.input.buf.extend_from_slice(&self.rbuf[..n]);
                     if n < self.rbuf.len() {
                         return Ok(false);
                     }
@@ -388,12 +444,13 @@ impl Reactor {
     }
 
     /// Parse and answer every complete line buffered for `conn`,
-    /// corking replies into `conn.out`. Honors the oversized-line
-    /// discard protocol, the 64 KiB cork cap, and write backpressure
-    /// (which leaves the remaining input buffered and `paused` set).
+    /// corking replies into `conn.out`. Framing — the oversized-line
+    /// discard protocol included — is [`LineBuf::next_frame`]'s; this
+    /// loop honors the 64 KiB cork cap and write backpressure (which
+    /// leaves the remaining input buffered and `paused` set).
     /// `Ok(true)` when a `Shutdown` verb was answered.
     fn process(&mut self, conn: &mut Conn) -> io::Result<bool> {
-        let mut consumed = 0usize;
+        let max = self.shared.max_line_bytes;
         let mut shutdown = false;
         loop {
             if conn.out.len() - conn.out_pos >= CORK_FLUSH_BYTES {
@@ -404,53 +461,17 @@ impl Reactor {
                 }
             }
             conn.paused = false;
-            if let Some(discarded) = conn.discarding {
-                match find_newline(&conn.buf[consumed..]) {
-                    Some(nl) => {
-                        write_line_too_long(
-                            discarded + nl,
-                            self.shared.max_line_bytes,
-                            &mut conn.out,
-                        );
-                        consumed += nl + 1;
-                        conn.discarding = None;
-                        continue;
-                    }
-                    None => {
-                        conn.discarding = Some(discarded + (conn.buf.len() - consumed));
-                        consumed = conn.buf.len();
-                        break;
-                    }
-                }
-            }
-            match find_newline(&conn.buf[consumed..]) {
-                None => {
-                    let tail = conn.buf.len() - consumed;
-                    if tail > self.shared.max_line_bytes {
-                        conn.discarding = Some(tail);
-                        consumed = conn.buf.len();
-                    }
-                    break;
-                }
-                Some(nl) => {
-                    let end = consumed + nl;
-                    if nl > self.shared.max_line_bytes {
-                        write_line_too_long(nl, self.shared.max_line_bytes, &mut conn.out);
-                    } else {
-                        let line_end = if nl > 0 && conn.buf[end - 1] == b'\r' {
-                            end - 1
-                        } else {
-                            end
-                        };
-                        shutdown = answer_line(
-                            &self.shared.service,
-                            &conn.buf[consumed..line_end],
-                            &mut self.scratch,
-                            || &mut self.local,
-                            &mut conn.out,
-                        );
-                    }
-                    consumed = end + 1;
+            match conn.input.next_frame(max) {
+                None => break,
+                Some(Frame::TooLong(bytes)) => write_line_too_long(bytes, max, &mut conn.out),
+                Some(Frame::Line(line)) => {
+                    shutdown = answer_line(
+                        &self.shared.service,
+                        &conn.input.buf[line],
+                        &mut self.scratch,
+                        || &mut self.local,
+                        &mut conn.out,
+                    );
                     if shutdown {
                         // Once the shutdown ack is corked, later
                         // pipelined lines on this connection go
@@ -461,7 +482,7 @@ impl Reactor {
                 }
             }
         }
-        conn.buf.drain(..consumed);
+        conn.input.compact();
         Ok(shutdown)
     }
 
@@ -527,12 +548,9 @@ impl Reactor {
     }
 }
 
-fn find_newline(hay: &[u8]) -> Option<usize> {
-    hay.iter().position(|&b| b == b'\n')
-}
-
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
+    use super::{Frame, LineBuf};
     use crate::server::{Server, ServerConfig, ServerMode};
     use crate::service::ServiceConfig;
     use abp::Engine;
@@ -562,6 +580,95 @@ mod tests {
             .unwrap();
         let reader = BufReader::new(sock.try_clone().unwrap());
         (sock, reader)
+    }
+
+    /// Feed `input` to a fresh [`LineBuf`] in `piece`-byte segments the
+    /// way [`Reactor::process`] does — frames until `None`, then
+    /// compact — and return what came out, lines as their bytes.
+    fn frames_of(input: &[u8], piece: usize, max: usize) -> Vec<Result<Vec<u8>, usize>> {
+        let mut lines = LineBuf::default();
+        let mut frames = Vec::new();
+        for segment in input.chunks(piece) {
+            lines.buf.extend_from_slice(segment);
+            while let Some(frame) = lines.next_frame(max) {
+                frames.push(match frame {
+                    Frame::Line(range) => Ok(lines.buf[range].to_vec()),
+                    Frame::TooLong(bytes) => Err(bytes),
+                });
+            }
+            lines.compact();
+        }
+        frames
+    }
+
+    /// The slow-loris shape: one long line dribbled in small segments.
+    /// Every byte is searched for the newline exactly once — the cursor
+    /// only moves forward, never back to the start of the tail — and
+    /// the line comes out whole at the end.
+    #[test]
+    fn a_dribbled_line_is_searched_once() {
+        const LINE: usize = 256 * 1024;
+        let mut input = vec![b'x'; LINE];
+        input.push(b'\n');
+        let mut lines = LineBuf::default();
+        let mut looked_at = 0;
+        let mut cursor = 0;
+        let mut frame = None;
+        for segment in input.chunks(64) {
+            lines.buf.extend_from_slice(segment);
+            assert_eq!(lines.searched, cursor, "compaction moved the cursor");
+            frame = lines.next_frame(1024 * 1024);
+            assert!(lines.searched >= cursor, "the cursor moved backwards");
+            looked_at += lines.searched - cursor;
+            cursor = lines.searched;
+            if frame.is_none() {
+                assert_eq!(cursor, lines.buf.len());
+                lines.compact();
+            }
+        }
+        assert_eq!(frame, Some(Frame::Line(0..LINE)));
+        assert_eq!(cursor, LINE + 1, "the cursor ends just past the newline");
+        assert_eq!(looked_at, input.len(), "each byte is looked at once");
+    }
+
+    /// What comes out of the framing step depends on the bytes, not on
+    /// how the socket happened to segment them: short, blank, `\r\n`,
+    /// at-the-limit and oversized lines frame the same in one piece and
+    /// in pieces of every small size.
+    #[test]
+    fn framing_is_independent_of_segmentation() {
+        const MAX: usize = 16;
+        let input = [
+            &b"\"Ping\"\n\r\n\n"[..],
+            b"exactly 16 bytes\n",
+            b"exactly 16 + cr.\r\n",
+            b"seventeen bytes..\n",
+            &[b'y'; 100],
+            b"\nafter\r\n",
+            &[b'z'; 33],
+            b"\r\nlast\nunterminated",
+        ]
+        .concat();
+        let whole = frames_of(&input, input.len(), MAX);
+        let ok = |line: &[u8]| Ok(line.to_vec());
+        assert_eq!(
+            whole,
+            [
+                ok(b"\"Ping\""),
+                ok(b""),
+                ok(b""),
+                ok(b"exactly 16 bytes"),
+                Err(17),
+                Err(17),
+                Err(100),
+                ok(b"after"),
+                Err(34),
+                ok(b"last"),
+            ]
+        );
+        for piece in 1..=40 {
+            assert_eq!(frames_of(&input, piece, MAX), whole, "pieces of {piece}");
+        }
     }
 
     /// A reply must not stay corked behind a buffered *partial* next

@@ -470,7 +470,11 @@ impl Service {
     ) -> Result<(), ServiceError> {
         scratch.responses.clear();
         scratch.responses.resize(reqs.len(), placeholder_response());
-        let deadline = self.deadline.map(|d| Instant::now() + d);
+        // The clock is read once per decision: each is timed from the
+        // end of the one before it (the first from here), digest and
+        // all.
+        let mut last = Instant::now();
+        let deadline = self.deadline.map(|d| last + d);
         // One snapshot per batch: a reload mid-batch keeps the whole
         // batch on the engine it started with.
         let snap = self.snapshot.read().clone();
@@ -489,7 +493,6 @@ impl Service {
             let tenant = dr.tenant.unwrap_or(u64::MAX);
             let key_hash =
                 request_key_hash(&dr.url, &dr.document, dr.resource_type, sitekey, tenant);
-            let start = Instant::now();
             let (outcome, cached) = match local.cache.get(
                 key_hash,
                 snap.generation,
@@ -542,21 +545,23 @@ impl Service {
                         snap.generation,
                         got.clone(),
                     );
-                    // Nothing can pre-empt an evaluation on its own
-                    // thread, so the deadline is held after each one: a
-                    // stalled batch fails here instead of answering late.
-                    if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                        self.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
-                        return Err(ServiceError::DeadlineExceeded);
-                    }
                     (got, false)
                 }
             };
+            let now = Instant::now();
+            // Nothing can pre-empt an evaluation on its own thread, so
+            // the deadline is held after each one: a stalled batch fails
+            // here instead of answering late.
+            if !cached && deadline.is_some_and(|dl| now >= dl) {
+                self.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
+                return Err(ServiceError::DeadlineExceeded);
+            }
             local
                 .metrics
                 .shard
                 .latency
-                .record_us(start.elapsed().as_micros() as u64);
+                .record_us((now - last).as_micros() as u64);
+            last = now;
             match outcome.decision {
                 Decision::Block => blocks += 1,
                 Decision::AllowedByException => exceptions += 1,
@@ -995,6 +1000,27 @@ mod tests {
         assert_eq!(s.blocks, 2);
         assert_eq!(s.exceptions, 0);
         assert_eq!(local.cache_len(), 1);
+    }
+
+    /// One clock read per decision still means one latency sample per
+    /// decision, hits and misses alike, each timed from the end of the
+    /// one before it.
+    #[test]
+    fn latency_histogram_takes_one_sample_per_decision() {
+        let (svc, mut local) = service();
+        let batch: Vec<DecisionRequest> = (0..40)
+            .map(|i| {
+                dr(
+                    &format!("http://ad.doubleclick.net/{}.js", i % 25),
+                    "example.com",
+                    ResourceType::Script,
+                )
+            })
+            .collect();
+        svc.decide_batch(&batch, &mut local).unwrap();
+        svc.decide_batch(&batch[..7], &mut local).unwrap();
+        assert_eq!(svc.stats().cache_hits, 15 + 7);
+        assert_eq!(local.metrics.shard.latency.samples(), 47);
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //!   only re-groups decisions finds where each one sits in a line and
 //!   copies those bytes, instead of decoding and re-encoding them.
 //!
+//! String bodies — most of a line's bytes — are walked eight at a time
+//! by one safe-Rust SWAR kernel, `first_special`, shared by reader
+//! and writer: the reader borrows up to the closing quote it finds, the
+//! writer copies a string with nothing to escape verbatim and leaves
+//! every other to serde's escaper. Newlines are found by
+//! [`abp::scan::memchr`].
+//!
 //! Every writer is **byte-identical** to `serde_json::to_string` of the
 //! corresponding [`protocol`](crate::protocol) value, and every parser
 //! accepts anything the serde path accepts (any field order, unknown
@@ -32,7 +39,6 @@ use crate::protocol::{
 };
 use abp::{Activation, Decision, ListSource, MatchKind, RequestOutcome, ResourceType};
 use abpdelta::{Delta, DeltaOp};
-use serde_json::write_escaped_str;
 use std::borrow::Cow;
 use std::io::{BufRead, Write};
 use std::ops::Range;
@@ -219,10 +225,63 @@ fn match_kind_from_name(name: &str) -> Option<MatchKind> {
     })
 }
 
+// ------------------------------------------------------------ scan kernel
+
+/// Offset of the first byte of `hay` that a JSON string cannot carry
+/// as itself — `"`, `\`, or a control byte below 0x20 — or `hay.len()`
+/// when there is none. The one place that decides this: the string
+/// reader stops here to end, unescape or step over, the string writer
+/// copies verbatim up to here.
+///
+/// Eight bytes per step with the zero-byte trick of [`abp::scan`], in
+/// safe Rust. A borrow can flag a byte wrongly only *above* a byte that
+/// is flagged rightly (it propagates out of a true hit), in each of
+/// the three masks and so in their union: the lowest flagged byte is
+/// always genuine, and nothing but the lowest is read.
+#[inline]
+pub(crate) fn first_special(hay: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let mut words = hay.chunks_exact(8);
+    let mut at = 0;
+    for word in words.by_ref() {
+        let w = u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8 bytes"));
+        let quote = w ^ (ONES * u64::from(b'"'));
+        let backslash = w ^ (ONES * u64::from(b'\\'));
+        let special = ((quote.wrapping_sub(ONES) & !quote)
+            | (backslash.wrapping_sub(ONES) & !backslash)
+            | (w.wrapping_sub(ONES * 0x20) & !w))
+            & HIGHS;
+        if special != 0 {
+            return at + (special.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    words
+        .remainder()
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .map_or(hay.len(), |i| at + i)
+}
+
 // ------------------------------------------------------------ writers
 
 fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
+}
+
+/// Append `s` as a JSON string literal. One with nothing to escape
+/// (nearly all of them) is copied between quotes as it is; anything
+/// else goes to serde's writer, which stays the owner of the escape
+/// rules — so the bytes are serde's either way.
+fn write_string(s: &str, out: &mut Vec<u8>) {
+    if first_special(s.as_bytes()) == s.len() {
+        out.push(b'"');
+        out.extend_from_slice(s.as_bytes());
+        out.push(b'"');
+    } else {
+        serde_json::write_escaped_str(s, out);
+    }
 }
 
 fn push_u64(out: &mut Vec<u8>, v: u64) {
@@ -238,14 +297,14 @@ fn write_request_parts(
     out: &mut Vec<u8>,
 ) {
     push_str(out, "{\"url\":");
-    write_escaped_str(url, out);
+    write_string(url, out);
     push_str(out, ",\"document\":");
-    write_escaped_str(document, out);
+    write_string(document, out);
     push_str(out, ",\"resource_type\":\"");
     push_str(out, resource_type_name(resource_type));
     push_str(out, "\",\"sitekey\":");
     match sitekey {
-        Some(k) => write_escaped_str(k, out),
+        Some(k) => write_string(k, out),
         None => push_str(out, "null"),
     }
     push_str(out, ",\"tenant\":");
@@ -314,7 +373,7 @@ pub fn write_reload(lists: &[ReloadList], out: &mut Vec<u8>) {
         push_str(out, "{\"source\":\"");
         push_str(out, list_source_name(l.source));
         push_str(out, "\",\"content\":");
-        write_escaped_str(&l.content, out);
+        write_string(&l.content, out);
         out.push(b'}');
     }
     push_str(out, "]}");
@@ -346,7 +405,7 @@ fn write_delta(d: &Delta, out: &mut Vec<u8>) {
             }
             DeltaOp::Insert(text) => {
                 push_str(out, "{\"Insert\":");
-                write_escaped_str(text, out);
+                write_string(text, out);
                 out.push(b'}');
             }
         }
@@ -377,13 +436,13 @@ pub fn write_health_request(out: &mut Vec<u8>) {
 
 fn write_activation(a: &Activation, out: &mut Vec<u8>) {
     push_str(out, "{\"filter\":");
-    write_escaped_str(&a.filter, out);
+    write_string(&a.filter, out);
     push_str(out, ",\"source\":\"");
     push_str(out, list_source_name(a.source));
     push_str(out, "\",\"kind\":\"");
     push_str(out, match_kind_name(a.kind));
     push_str(out, "\",\"subject\":");
-    write_escaped_str(&a.subject, out);
+    write_string(&a.subject, out);
     push_str(out, ",\"donottrack\":");
     push_str(out, if a.donottrack { "true" } else { "false" });
     out.push(b'}');
@@ -550,7 +609,7 @@ pub fn write_shutting_down(out: &mut Vec<u8>) {
 /// Append an `Error` reply line body (no trailing newline).
 pub fn write_error(msg: &str, out: &mut Vec<u8>) {
     push_str(out, "{\"Error\":");
-    write_escaped_str(msg, out);
+    write_string(msg, out);
     out.push(b'}');
 }
 
@@ -620,6 +679,10 @@ impl<'a> Scan<'a> {
         self.expect(b'"')?;
         let start = self.pos;
         loop {
+            // Bytes of multi-byte chars are >= 0x80, never special, so
+            // the kernel only ever stops on ASCII and the slice
+            // boundaries below always land on char boundaries.
+            self.pos += first_special(&self.b[self.pos..]);
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
@@ -628,9 +691,7 @@ impl<'a> Scan<'a> {
                     return Ok(Cow::Borrowed(s));
                 }
                 Some(b'\\') => return self.string_owned(start).map(Cow::Owned),
-                // Continuation bytes of multi-byte chars are >= 0x80,
-                // never `"` or `\`, so byte-stepping is safe; the slice
-                // boundaries above always land on ASCII.
+                // A raw control byte: taken as it is, as it always was.
                 Some(_) => self.pos += 1,
             }
         }
@@ -684,11 +745,12 @@ impl<'a> Scan<'a> {
                     }
                     self.pos += 1;
                 }
+                // A plain run: this byte (a raw control byte at most)
+                // and everything up to the next special one.
                 Some(_) => {
                     let run = self.pos;
-                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
-                        self.pos += 1;
-                    }
+                    self.pos += 1;
+                    self.pos += first_special(&self.b[self.pos..]);
                     out.push_str(&self.s[run..self.pos]);
                 }
             }
@@ -740,22 +802,6 @@ impl<'a> Scan<'a> {
         }
     }
 
-    /// Step over a JSON string without decoding it. One without
-    /// escapes (nearly all of them) is two `memchr` passes; one with
-    /// goes through [`Scan::string`] for the escape checks.
-    fn skip_string(&mut self) -> ScanResult<()> {
-        if self.peek() == Some(b'"') {
-            let body = &self.b[self.pos + 1..];
-            if let Some(end) = abp::scan::memchr(b'"', body) {
-                if abp::scan::memchr(b'\\', &body[..end]).is_none() {
-                    self.pos += end + 2;
-                    return Ok(());
-                }
-            }
-        }
-        self.string().map(drop)
-    }
-
     /// Skip any JSON value (for unknown fields, and for decisions a
     /// router only relocates).
     fn skip_value(&mut self) -> ScanResult<()> {
@@ -772,7 +818,9 @@ impl<'a> Scan<'a> {
             _ => depth,
         };
         match self.peek() {
-            Some(b'"') => self.skip_string()?,
+            // One without escapes (nearly all of them) is one kernel pass
+            // and a borrow; one with is decoded for the escape checks.
+            Some(b'"') => drop(self.string()?),
             Some(b'{') => {
                 self.pos += 1;
                 self.skip_ws();
@@ -782,7 +830,7 @@ impl<'a> Scan<'a> {
                 }
                 loop {
                     self.skip_ws();
-                    self.skip_string()?;
+                    self.string()?;
                     self.skip_ws();
                     self.expect(b':')?;
                     self.skip_nested(depth)?;
@@ -1538,7 +1586,7 @@ pub fn read_line_limited_flushing<R: std::io::Read>(
                 LineRead::EofMidLine
             });
         }
-        match buf.iter().position(|&b| b == b'\n') {
+        match abp::scan::memchr(b'\n', buf) {
             Some(i) => {
                 if out.len() + i > max {
                     let total = out.len() + i;
@@ -1566,7 +1614,7 @@ pub fn read_line_limited_flushing<R: std::io::Read>(
                         if buf.is_empty() {
                             return Ok(LineRead::TooLong(total));
                         }
-                        match buf.iter().position(|&b| b == b'\n') {
+                        match abp::scan::memchr(b'\n', buf) {
                             Some(i) => {
                                 total += i;
                                 reader.consume(i + 1);
@@ -1798,6 +1846,37 @@ mod tests {
         assert!(parse_url(r"\ud800\u0041").is_err());
         assert!(parse_url(r"\ud800\udbff").is_err());
         assert!(parse_url(r"\udc00").is_err());
+    }
+
+    /// Leniency worth pinning: a raw control byte inside a string is
+    /// not JSON, but this reader has always taken it as itself — the
+    /// word-wide scan stops on it and steps over — and the writer
+    /// still escapes it on the way out, exactly as serde does.
+    #[test]
+    fn raw_control_bytes_are_read_as_they_are_and_written_escaped() {
+        let raw = "a\u{1}b\tc\u{1f}, then eight more\r.";
+        assert_eq!(parse_url(raw).unwrap(), raw);
+        // On the owned path too (an escape earlier in the string), and
+        // inside a value that is only skipped.
+        assert_eq!(
+            parse_url(&format!("\\/{raw}\\n")).unwrap(),
+            format!("/{raw}\n")
+        );
+        let skipped = format!(
+            r#"{{"Decide":{{"x":"{raw}","url":"u","document":"d","resource_type":"Other"}}}}"#
+        );
+        assert!(parse_client_message(&skipped).is_ok());
+
+        let mut out = Vec::new();
+        write_string("a\u{1}\n\t\r\u{1f}\u{7f}é", &mut out);
+        assert_eq!(
+            std::str::from_utf8(&out).unwrap(),
+            "\"a\\u0001\\n\\t\\r\\u001f\u{7f}é\""
+        );
+        assert_eq!(
+            std::str::from_utf8(&out).unwrap(),
+            serde_json::to_string("a\u{1}\n\t\r\u{1f}\u{7f}é").unwrap()
+        );
     }
 
     #[test]

@@ -16,8 +16,10 @@ echo "==> determinism (abp + acceptable-ads + abpd lib tests: 5x default runner;
 # Tier-1 must be green on every run, not most runs: the two crates whose
 # tests compile engines side by side run again and again under both
 # schedules, and the first red run fails the stage. abpd's lib tests
-# start real servers on both socket fronts, so they repeat too. The
-# fleet tests kill shards under a live router; chaos and service_smoke
+# start real servers on both socket fronts, so they repeat too — and
+# with them its proptests (scan kernel ≡ byte loop, arbitrary bytes at
+# the message parsers, codec ≡ serde), which need no loop of their
+# own. The fleet tests kill shards under a live router; chaos and service_smoke
 # drive the only evaluation route there is under injected panics, torn
 # writes and mid-batch shutdown (sockets and timing), so all three
 # repeat in release, under the default runner.
@@ -40,6 +42,20 @@ done
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> one newline finder, one unsafe island"
+# Every newline search on the serving path is abp::scan::memchr, and
+# poll.rs stays the only file that opts back into unsafe: under the
+# crate-wide #![deny(unsafe_code)] that proves wire.rs's scan kernel is
+# safe Rust.
+if grep -rnF "position(|&b| b == b'\n')" crates/abpd/src crates/abpd-proxy/src; then
+    echo "a byte-at-a-time newline search is back: use abp::scan::memchr" >&2
+    exit 1
+fi
+if grep -rln "allow(unsafe_code)" crates/abpd/src crates/abpd-proxy/src | grep -v '/poll\.rs$'; then
+    echo "allow(unsafe_code) outside poll.rs" >&2
+    exit 1
+fi
 
 echo "==> benchmark tests (unit tests + a --quick pass of all six workloads on the release daemons, every reply oracle-checked)"
 # Drives the real abpd and abpd-proxy binaries on both topologies and

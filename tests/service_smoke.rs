@@ -533,3 +533,64 @@ fn one_dispatch_answers_both_fronts_byte_identically() {
     assert!(replies[16].starts_with("{\"Health\":{\"state\":\"ok\""));
     assert!(event.ends_with("\"ShuttingDown\"\n"));
 }
+
+/// The slow-loris shape on the live event front: a `DecideBatch` line
+/// that arrives in a thousand segments is framed once its newline does
+/// and answered byte for byte like the same line sent in one write
+/// (the reactor resumes its newline search where the last segment
+/// ended; how the line was cut up shows nowhere).
+#[test]
+fn a_line_in_a_thousand_writes_is_answered_like_one_write_event() {
+    use abpd::protocol::ServerMessage;
+    use std::io::{BufRead, BufReader, Write};
+
+    let server = start_server(ServerMode::Event);
+    let mut writer = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    writer.set_nodelay(true).unwrap(); // every write its own segment
+    writer
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(writer.try_clone().unwrap());
+
+    let reqs: Vec<DecisionRequest> = (0..256)
+        .map(|i| {
+            dr(
+                &format!("http://host{}.doubleclick.net/banner/ads/{i}.js", i % 7),
+                "news.example",
+                ResourceType::Script,
+            )
+        })
+        .collect();
+    let mut line = Vec::new();
+    abpd::wire::write_decide_batch(&reqs, &mut line);
+    line.push(b'\n');
+    let mut ask = |writes: usize| {
+        for i in 0..writes {
+            let piece = i * line.len() / writes..(i + 1) * line.len() / writes;
+            writer.write_all(&line[piece]).expect("write piece");
+        }
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        reply
+    };
+    let cold = ask(1);
+    let whole = ask(1);
+    let dribbled = ask(1000);
+    assert!(dribbled == whole, "segmentation changed the answer");
+    assert_ne!(cold, whole, "the second pass should have been cache hits");
+
+    let Ok(ServerMessage::Batch(resps)) = abpd::wire::parse_server_message(dribbled.trim_end())
+    else {
+        panic!("not a Batch: {}", &dribbled[..dribbled.len().min(160)]);
+    };
+    let engine = test_engine();
+    assert_eq!(resps.len(), reqs.len());
+    for (req, resp) in reqs.iter().zip(&resps) {
+        let direct = engine
+            .match_request(&Request::new(&req.url, &req.document, req.resource_type).unwrap());
+        assert_eq!(resp.outcome, direct);
+        assert!(resp.cached, "{}", req.url);
+    }
+    drop((reader, writer));
+    server.shutdown();
+}
