@@ -1106,17 +1106,9 @@ fn route_batch(
 /// retained current bodies. `None` when the proxy cannot derive them
 /// (no retained base yet, or the delta does not apply to it) — the
 /// fan-out then invalidates the stale retained state instead.
-fn reload_target(shared: &Shared, msg: &ClientMessageRef<'_>) -> Option<Arc<Vec<ReloadList>>> {
+fn reload_target(shared: &Shared, msg: ClientMessageRef<'_>) -> Option<Arc<Vec<ReloadList>>> {
     match msg {
-        ClientMessageRef::Reload(lists) => Some(Arc::new(
-            lists
-                .iter()
-                .map(|l| ReloadList {
-                    source: l.source,
-                    content: l.content.clone().into_owned(),
-                })
-                .collect(),
-        )),
+        ClientMessageRef::Reload(lists) => Some(Arc::new(lists)),
         ClientMessageRef::ReloadDelta(deltas) => {
             let current = shared.retained.lock().current.clone()?.1;
             let mut next: Vec<ReloadList> = current.as_ref().clone();
@@ -1467,7 +1459,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr) {
                         // them would double the copy. The proxy also
                         // derives the resulting bodies for itself, so a
                         // converged fan-out can retain them for rejoins.
-                        let target = reload_target(shared, &msg);
+                        let target = reload_target(shared, msg);
                         match fanout_reload(&mut conns, shared, &line, target) {
                             FanoutOutcome::Converged(r) => wire::write_reloaded(&r, &mut out),
                             FanoutOutcome::Mismatch(m) => {

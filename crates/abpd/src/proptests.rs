@@ -308,14 +308,7 @@ mod wire_equivalence {
             ),
             wire::ClientMessageRef::Stats => ClientMessage::Stats,
             wire::ClientMessageRef::Ping => ClientMessage::Ping,
-            wire::ClientMessageRef::Reload(ls) => ClientMessage::Reload(
-                ls.into_iter()
-                    .map(|l| ReloadList {
-                        source: l.source,
-                        content: l.content.into_owned(),
-                    })
-                    .collect(),
-            ),
+            wire::ClientMessageRef::Reload(ls) => ClientMessage::Reload(ls),
             wire::ClientMessageRef::ReloadDelta(ds) => ClientMessage::ReloadDelta(ds),
             wire::ClientMessageRef::Health => ClientMessage::Health,
             wire::ClientMessageRef::Shutdown => ClientMessage::Shutdown,

@@ -477,19 +477,10 @@ pub(crate) fn answer_line<G: DerefMut<Target = LocalEval>>(
                 Err(e) => wire::write_error(&e.to_string(), out),
             }
         }
-        Ok(ClientMessageRef::Reload(lists)) => {
-            let owned: Vec<ReloadList> = lists
-                .into_iter()
-                .map(|l| ReloadList {
-                    source: l.source,
-                    content: l.content.into_owned(),
-                })
-                .collect();
-            match service.reload(&owned) {
-                Ok(report) => wire::write_reloaded(&report, out),
-                Err(e) => wire::write_error(&e, out),
-            }
-        }
+        Ok(ClientMessageRef::Reload(lists)) => match service.reload(&lists) {
+            Ok(report) => wire::write_reloaded(&report, out),
+            Err(e) => wire::write_error(&e, out),
+        },
         Ok(ClientMessageRef::ReloadDelta(deltas)) => match service.reload_delta(&deltas) {
             Ok(report) => wire::write_reloaded(&report, out),
             Err(ReloadDeltaError::BaseMismatch {

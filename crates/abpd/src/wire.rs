@@ -1,12 +1,18 @@
-//! The compiled wire path: hand-rolled JSON codecs for the abpd
-//! protocol.
+//! The wire path: every line of the abpd protocol is read and written
+//! here, by one of two codecs.
 //!
 //! The generic serde stack (vendored `serde`/`serde_json`) round-trips
 //! every message through a [`serde::Content`] tree — one heap `String`
 //! per key and string value, one `Vec` per object — which is fine for
-//! artifacts but dominates the socket-to-socket cost of a decision at
-//! service rates. This module provides the allocation-conscious
-//! alternative the server and client use on the hot path:
+//! the cold verbs (`Stats`, `Health`, `Reload`, `ReloadDelta` and their
+//! replies, a few a second at most) but dominates the socket-to-socket
+//! cost of a decision at service rates. So the cold messages *are*
+//! serde: their payloads go through the `Serialize`/`Deserialize`
+//! derives in [`protocol`](crate::protocol), behind one tagged writer
+//! and one payload reader. The hot ones — `Decide`, `DecideBatch`,
+//! `Decision`, `Batch`, plus the dataless verbs and `Error` — get the
+//! allocation-conscious codec the server and client use on every
+//! decision:
 //!
 //! * **Borrowed decode** ([`parse_client_message`]): parses a request
 //!   line directly into [`ClientMessageRef`], whose string fields
@@ -27,18 +33,20 @@
 //! every other to serde's escaper. Newlines are found by
 //! [`abp::scan::memchr`].
 //!
-//! Every writer is **byte-identical** to `serde_json::to_string` of the
-//! corresponding [`protocol`](crate::protocol) value, and every parser
-//! accepts anything the serde path accepts (any field order, unknown
-//! fields skipped, optional fields defaulted) — property-tested in
-//! `crate::proptests::wire_equivalence`.
+//! The hot writers are **tested against serde**: each is byte-identical
+//! to `serde_json::to_string` of the corresponding protocol value, and
+//! the hot parsers accept anything the serde path accepts (any field
+//! order, unknown fields skipped, optional fields defaulted) —
+//! property-tested in `crate::proptests::wire_equivalence`, where the
+//! derives stay as the reference. No other module of `abpd` or
+//! `abpd-proxy` calls the serde parser (`scripts/ci.sh` checks).
 
 use crate::protocol::{
-    DecisionRequest, DecisionResponse, HealthReport, HealthState, ReloadDeltaList, ReloadList,
-    ReloadMismatch, ReloadReport, ServerMessage, ShardStats, StatsReport,
+    DecisionRequest, DecisionResponse, HealthReport, ReloadDeltaList, ReloadList, ReloadMismatch,
+    ReloadReport, ServerMessage, StatsReport,
 };
 use abp::{Activation, Decision, ListSource, MatchKind, RequestOutcome, ResourceType};
-use abpdelta::{Delta, DeltaOp};
+use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::io::{BufRead, Write};
 use std::ops::Range;
@@ -90,19 +98,8 @@ impl DecisionRequest {
     }
 }
 
-/// One `Reload` list whose content borrows from the request line
-/// (the borrowed analog of [`ReloadList`]). List text usually embeds
-/// `\n` escapes, so in practice the content unescapes into an owned
-/// string — the type still borrows when it can.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReloadListRef<'a> {
-    /// Which subscription slot this text fills.
-    pub source: ListSource,
-    /// The list text.
-    pub content: Cow<'a, str>,
-}
-
-/// A parsed client message whose payload borrows from the request line.
+/// A parsed client message; `Decide`/`DecideBatch` payloads borrow from
+/// the request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientMessageRef<'a> {
     /// Evaluate one request.
@@ -113,11 +110,10 @@ pub enum ClientMessageRef<'a> {
     Stats,
     /// Liveness probe.
     Ping,
-    /// Swap in new filter lists.
-    Reload(Vec<ReloadListRef<'a>>),
-    /// Apply delta updates to the serving filter lists. The payload is
-    /// owned: a delta is mostly numbers plus already-unescaped insert
-    /// literals, so there is nothing worth borrowing.
+    /// Swap in new filter lists. Owned, like every cold payload: list
+    /// text always carries `\n` escapes, so it could never borrow.
+    Reload(Vec<ReloadList>),
+    /// Apply delta updates to the serving filter lists.
     ReloadDelta(Vec<ReloadDeltaList>),
     /// Fetch service health.
     Health,
@@ -363,70 +359,25 @@ pub fn write_shutdown(out: &mut Vec<u8>) {
     push_str(out, "\"Shutdown\"");
 }
 
-/// Append a `Reload` request line body (no trailing newline).
-pub fn write_reload(lists: &[ReloadList], out: &mut Vec<u8>) {
-    push_str(out, "{\"Reload\":[");
-    for (i, l) in lists.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        push_str(out, "{\"source\":\"");
-        push_str(out, list_source_name(l.source));
-        push_str(out, "\",\"content\":");
-        write_string(&l.content, out);
-        out.push(b'}');
-    }
-    push_str(out, "]}");
+/// Append `{"tag":value}`, serde writing the value: the one writer of
+/// the cold messages, the same bytes as `serde_json::to_string` of the
+/// tagged protocol enum.
+fn write_tagged<T: Serialize + ?Sized>(tag: &str, value: &T, out: &mut Vec<u8>) {
+    push_str(out, "{\"");
+    push_str(out, tag);
+    push_str(out, "\":");
+    serde_json::to_writer(&mut *out, value).expect("Vec<u8> writes are infallible");
+    out.push(b'}');
 }
 
-fn write_delta(d: &Delta, out: &mut Vec<u8>) {
-    push_str(out, "{\"base_len\":");
-    push_u64(out, d.base_len);
-    push_str(out, ",\"base_check\":");
-    push_u64(out, d.base_check);
-    push_str(out, ",\"target_len\":");
-    push_u64(out, d.target_len);
-    push_str(out, ",\"target_check\":");
-    push_u64(out, d.target_check);
-    push_str(out, ",\"block_size\":");
-    push_u64(out, d.block_size);
-    push_str(out, ",\"ops\":[");
-    for (i, op) in d.ops.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        match op {
-            DeltaOp::Copy { off, len } => {
-                push_str(out, "{\"Copy\":{\"off\":");
-                push_u64(out, *off);
-                push_str(out, ",\"len\":");
-                push_u64(out, *len);
-                push_str(out, "}}");
-            }
-            DeltaOp::Insert(text) => {
-                push_str(out, "{\"Insert\":");
-                write_string(text, out);
-                out.push(b'}');
-            }
-        }
-    }
-    push_str(out, "]}");
+/// Append a `Reload` request line body (no trailing newline).
+pub fn write_reload(lists: &[ReloadList], out: &mut Vec<u8>) {
+    write_tagged("Reload", lists, out);
 }
 
 /// Append a `ReloadDelta` request line body (no trailing newline).
 pub fn write_reload_delta(deltas: &[ReloadDeltaList], out: &mut Vec<u8>) {
-    push_str(out, "{\"ReloadDelta\":[");
-    for (i, d) in deltas.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        push_str(out, "{\"source\":\"");
-        push_str(out, list_source_name(d.source));
-        push_str(out, "\",\"delta\":");
-        write_delta(&d.delta, out);
-        out.push(b'}');
-    }
-    push_str(out, "]}");
+    write_tagged("ReloadDelta", deltas, out);
 }
 
 /// Append the `Health` verb.
@@ -488,61 +439,9 @@ pub fn write_batch_reply(resps: &[DecisionResponse], out: &mut Vec<u8>) {
     push_str(out, "]}");
 }
 
-fn write_shard_stats(s: &ShardStats, out: &mut Vec<u8>) {
-    push_str(out, "{\"requests\":");
-    push_u64(out, s.requests);
-    push_str(out, ",\"cache_hits\":");
-    push_u64(out, s.cache_hits);
-    push_str(out, ",\"blocks\":");
-    push_u64(out, s.blocks);
-    push_str(out, ",\"exceptions\":");
-    push_u64(out, s.exceptions);
-    push_str(out, ",\"p50_us\":");
-    push_u64(out, s.p50_us);
-    push_str(out, ",\"p99_us\":");
-    push_u64(out, s.p99_us);
-    out.push(b'}');
-}
-
 /// Append a `Stats` reply line body (no trailing newline).
 pub fn write_stats_reply(r: &StatsReport, out: &mut Vec<u8>) {
-    push_str(out, "{\"Stats\":{\"requests\":");
-    push_u64(out, r.requests);
-    push_str(out, ",\"cache_hits\":");
-    push_u64(out, r.cache_hits);
-    push_str(out, ",\"blocks\":");
-    push_u64(out, r.blocks);
-    push_str(out, ",\"exceptions\":");
-    push_u64(out, r.exceptions);
-    push_str(out, ",\"p50_us\":");
-    push_u64(out, r.p50_us);
-    push_str(out, ",\"p99_us\":");
-    push_u64(out, r.p99_us);
-    push_str(out, ",\"shards\":[");
-    for (i, s) in r.shards.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        write_shard_stats(s, out);
-    }
-    push_str(out, "],\"distinct_tenants\":");
-    push_u64(out, r.distinct_tenants);
-    push_str(out, ",\"tenant_requests_by_lists\":");
-    write_u64_array(&r.tenant_requests_by_lists, out);
-    push_str(out, ",\"tenant_cache_hits_by_lists\":");
-    write_u64_array(&r.tenant_cache_hits_by_lists, out);
-    push_str(out, "}}");
-}
-
-fn write_u64_array(values: &[u64], out: &mut Vec<u8>) {
-    out.push(b'[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        push_u64(out, *v);
-    }
-    out.push(b']');
+    write_tagged("Stats", r, out);
 }
 
 /// Append the `Pong` reply.
@@ -552,48 +451,17 @@ pub fn write_pong(out: &mut Vec<u8>) {
 
 /// Append a `Reloaded` reply line body (no trailing newline).
 pub fn write_reloaded(r: &ReloadReport, out: &mut Vec<u8>) {
-    push_str(out, "{\"Reloaded\":{\"generation\":");
-    push_u64(out, r.generation);
-    push_str(out, ",\"filters\":");
-    push_u64(out, r.filters);
-    push_str(out, "}}");
+    write_tagged("Reloaded", r, out);
 }
 
 /// Append a `ReloadBaseMismatch` reply line body (no trailing newline).
 pub fn write_reload_base_mismatch(m: &ReloadMismatch, out: &mut Vec<u8>) {
-    push_str(out, "{\"ReloadBaseMismatch\":{\"source\":\"");
-    push_str(out, list_source_name(m.source));
-    push_str(out, "\",\"serving_check\":");
-    push_u64(out, m.serving_check);
-    push_str(out, ",\"generation\":");
-    push_u64(out, m.generation);
-    push_str(out, "}}");
+    write_tagged("ReloadBaseMismatch", m, out);
 }
 
 /// Append a `Health` reply line body (no trailing newline).
 pub fn write_health_reply(h: &HealthReport, out: &mut Vec<u8>) {
-    push_str(out, "{\"Health\":{\"state\":\"");
-    push_str(out, h.state.name());
-    push_str(out, "\",\"generation\":");
-    push_u64(out, h.generation);
-    push_str(out, ",\"reloads\":");
-    push_u64(out, h.reloads);
-    push_str(out, ",\"shard_restarts\":[");
-    for (i, n) in h.shard_restarts.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        push_u64(out, *n);
-    }
-    push_str(out, "],\"shed\":");
-    push_u64(out, h.shed);
-    push_str(out, ",\"deadline_timeouts\":");
-    push_u64(out, h.deadline_timeouts);
-    push_str(out, ",\"list_checksum\":");
-    push_u64(out, h.list_checksum);
-    push_str(out, ",\"distinct_tenants\":");
-    push_u64(out, h.distinct_tenants);
-    push_str(out, "}}");
+    write_tagged("Health", h, out);
 }
 
 /// Append the `Overloaded` reply.
@@ -1077,245 +945,23 @@ impl<'a> Scan<'a> {
         })
     }
 
-    fn reload_list(&mut self) -> ScanResult<ReloadListRef<'a>> {
-        let mut source = None;
-        let mut content = None;
-        self.object(|s, key| {
-            match key {
-                "source" => {
-                    let name = s.string()?;
-                    source = Some(
-                        list_source_from_name(&name)
-                            .ok_or_else(|| format!("unknown list source {name:?}"))?,
-                    );
-                }
-                "content" => content = Some(s.string()?),
-                _ => s.skip_value()?,
-            }
-            Ok(())
-        })?;
-        Ok(ReloadListRef {
-            source: source.ok_or("missing field `source`")?,
-            content: content.ok_or("missing field `content`")?,
-        })
-    }
-
-    fn delta_op(&mut self) -> ScanResult<DeltaOp> {
-        self.skip_ws();
-        self.expect(b'{')?;
-        self.skip_ws();
-        let key = self.string()?;
-        self.skip_ws();
-        self.expect(b':')?;
-        self.skip_ws();
-        let op = match &*key {
-            "Copy" => {
-                let mut off = None;
-                let mut len = None;
-                self.object(|s, key| {
-                    match key {
-                        "off" => off = Some(s.u64_number()?),
-                        "len" => len = Some(s.u64_number()?),
-                        _ => s.skip_value()?,
-                    }
-                    Ok(())
-                })?;
-                DeltaOp::Copy {
-                    off: off.ok_or("missing field `off`")?,
-                    len: len.ok_or("missing field `len`")?,
-                }
-            }
-            "Insert" => DeltaOp::Insert(self.string()?.into_owned()),
-            other => return Err(format!("unknown delta op {other:?}")),
-        };
-        self.skip_ws();
-        self.expect(b'}')?;
-        Ok(op)
-    }
-
-    fn delta(&mut self) -> ScanResult<Delta> {
-        let mut d = Delta {
-            base_len: 0,
-            base_check: 0,
-            target_len: 0,
-            target_check: 0,
-            block_size: 0,
-            ops: Vec::new(),
-        };
-        self.object(|s, key| {
-            match key {
-                "base_len" => d.base_len = s.u64_number()?,
-                "base_check" => d.base_check = s.u64_number()?,
-                "target_len" => d.target_len = s.u64_number()?,
-                "target_check" => d.target_check = s.u64_number()?,
-                "block_size" => d.block_size = s.u64_number()?,
-                "ops" => {
-                    s.array(|s| {
-                        d.ops.push(s.delta_op()?);
-                        Ok(())
-                    })?;
-                }
-                _ => s.skip_value()?,
-            }
-            Ok(())
-        })?;
-        Ok(d)
-    }
-
-    fn reload_delta_list(&mut self) -> ScanResult<ReloadDeltaList> {
-        let mut source = None;
-        let mut delta = None;
-        self.object(|s, key| {
-            match key {
-                "source" => {
-                    let name = s.string()?;
-                    source = Some(
-                        list_source_from_name(&name)
-                            .ok_or_else(|| format!("unknown list source {name:?}"))?,
-                    );
-                }
-                "delta" => delta = Some(s.delta()?),
-                _ => s.skip_value()?,
-            }
-            Ok(())
-        })?;
-        Ok(ReloadDeltaList {
-            source: source.ok_or("missing field `source`")?,
-            delta: delta.ok_or("missing field `delta`")?,
-        })
-    }
-
-    fn reload_mismatch(&mut self) -> ScanResult<ReloadMismatch> {
-        let mut source = None;
-        let mut mismatch = ReloadMismatch {
-            source: ListSource::EasyList,
-            serving_check: 0,
-            generation: 0,
-        };
-        self.object(|s, key| {
-            match key {
-                "source" => {
-                    let name = s.string()?;
-                    source = Some(
-                        list_source_from_name(&name)
-                            .ok_or_else(|| format!("unknown list source {name:?}"))?,
-                    );
-                }
-                "serving_check" => mismatch.serving_check = s.u64_number()?,
-                "generation" => mismatch.generation = s.u64_number()?,
-                _ => s.skip_value()?,
-            }
-            Ok(())
-        })?;
-        mismatch.source = source.ok_or("missing field `source`")?;
-        Ok(mismatch)
-    }
-
-    fn reload_report(&mut self) -> ScanResult<ReloadReport> {
-        let mut report = ReloadReport::default();
-        self.object(|s, key| {
-            match key {
-                "generation" => report.generation = s.u64_number()?,
-                "filters" => report.filters = s.u64_number()?,
-                _ => s.skip_value()?,
-            }
-            Ok(())
-        })?;
-        Ok(report)
-    }
-
-    fn health_report(&mut self) -> ScanResult<HealthReport> {
-        let mut state = None;
-        let mut report = HealthReport {
-            state: HealthState::Ok,
-            generation: 0,
-            reloads: 0,
-            shard_restarts: Vec::new(),
-            shed: 0,
-            deadline_timeouts: 0,
-            list_checksum: 0,
-            distinct_tenants: 0,
-        };
-        self.object(|s, key| {
-            match key {
-                "state" => {
-                    let name = s.string()?;
-                    state = Some(
-                        HealthState::from_name(&name)
-                            .ok_or_else(|| format!("unknown health state {name:?}"))?,
-                    );
-                }
-                "generation" => report.generation = s.u64_number()?,
-                "reloads" => report.reloads = s.u64_number()?,
-                "shard_restarts" => {
-                    s.array(|s| {
-                        report.shard_restarts.push(s.u64_number()?);
-                        Ok(())
-                    })?;
-                }
-                "shed" => report.shed = s.u64_number()?,
-                "deadline_timeouts" => report.deadline_timeouts = s.u64_number()?,
-                "list_checksum" => report.list_checksum = s.u64_number()?,
-                "distinct_tenants" => report.distinct_tenants = s.u64_number()?,
-                _ => s.skip_value()?,
-            }
-            Ok(())
-        })?;
-        report.state = state.ok_or("missing field `state`")?;
-        Ok(report)
-    }
-
-    fn shard_stats(&mut self) -> ScanResult<ShardStats> {
-        let mut stats = ShardStats::default();
-        self.object(|s, key| {
-            match key {
-                "requests" => stats.requests = s.u64_number()?,
-                "cache_hits" => stats.cache_hits = s.u64_number()?,
-                "blocks" => stats.blocks = s.u64_number()?,
-                "exceptions" => stats.exceptions = s.u64_number()?,
-                "p50_us" => stats.p50_us = s.u64_number()?,
-                "p99_us" => stats.p99_us = s.u64_number()?,
-                _ => s.skip_value()?,
-            }
-            Ok(())
-        })?;
-        Ok(stats)
-    }
-
-    fn stats_report(&mut self) -> ScanResult<StatsReport> {
-        let mut report = StatsReport::default();
-        self.object(|s, key| {
-            match key {
-                "requests" => report.requests = s.u64_number()?,
-                "cache_hits" => report.cache_hits = s.u64_number()?,
-                "blocks" => report.blocks = s.u64_number()?,
-                "exceptions" => report.exceptions = s.u64_number()?,
-                "p50_us" => report.p50_us = s.u64_number()?,
-                "p99_us" => report.p99_us = s.u64_number()?,
-                "shards" => {
-                    s.array(|s| {
-                        report.shards.push(s.shard_stats()?);
-                        Ok(())
-                    })?;
-                }
-                "distinct_tenants" => report.distinct_tenants = s.u64_number()?,
-                "tenant_requests_by_lists" => {
-                    s.array(|s| {
-                        report.tenant_requests_by_lists.push(s.u64_number()?);
-                        Ok(())
-                    })?;
-                }
-                "tenant_cache_hits_by_lists" => {
-                    s.array(|s| {
-                        report.tenant_cache_hits_by_lists.push(s.u64_number()?);
-                        Ok(())
-                    })?;
-                }
-                _ => s.skip_value()?,
-            }
-            Ok(())
-        })?;
-        Ok(report)
+    /// The payload of a `{"Tag":payload}` line whose tag the scanner
+    /// has just passed, read by serde — the one reader of the cold
+    /// messages. The payload is everything up to the line's closing
+    /// `}`, where the scanner is left for the caller's closing checks.
+    /// serde is its only validator: a pre-scan here would check every
+    /// byte twice and leave the serde parser's own bounds untested.
+    fn serde_payload<T: Deserialize>(&mut self) -> ScanResult<T> {
+        let end = self
+            .s
+            .trim_end_matches([' ', '\t', '\n', '\r'])
+            .len()
+            .checked_sub(1)
+            .filter(|&end| end >= self.pos && self.b[end] == b'}')
+            .ok_or("expected `}` closing the message")?;
+        let value = serde_json::from_str(&self.s[self.pos..end]).map_err(|e| e.to_string())?;
+        self.pos = end;
+        Ok(value)
     }
 }
 
@@ -1375,22 +1021,8 @@ fn parse_client<'a>(
                     })?;
                     ClientMessageRef::DecideBatch(reqs)
                 }
-                "Reload" => {
-                    let mut lists = Vec::new();
-                    s.array(|s| {
-                        lists.push(s.reload_list()?);
-                        Ok(())
-                    })?;
-                    ClientMessageRef::Reload(lists)
-                }
-                "ReloadDelta" => {
-                    let mut deltas = Vec::new();
-                    s.array(|s| {
-                        deltas.push(s.reload_delta_list()?);
-                        Ok(())
-                    })?;
-                    ClientMessageRef::ReloadDelta(deltas)
-                }
+                "Reload" => ClientMessageRef::Reload(s.serde_payload()?),
+                "ReloadDelta" => ClientMessageRef::ReloadDelta(s.serde_payload()?),
                 other => return Err(format!("unknown message variant {other:?}")),
             };
             s.skip_ws();
@@ -1435,10 +1067,10 @@ pub fn parse_server_message(line: &str) -> Result<ServerMessage, String> {
                     })?;
                     ServerMessage::Batch(resps)
                 }
-                "Stats" => ServerMessage::Stats(s.stats_report()?),
-                "Reloaded" => ServerMessage::Reloaded(s.reload_report()?),
-                "ReloadBaseMismatch" => ServerMessage::ReloadBaseMismatch(s.reload_mismatch()?),
-                "Health" => ServerMessage::Health(s.health_report()?),
+                "Stats" => ServerMessage::Stats(s.serde_payload()?),
+                "Reloaded" => ServerMessage::Reloaded(s.serde_payload()?),
+                "ReloadBaseMismatch" => ServerMessage::ReloadBaseMismatch(s.serde_payload()?),
+                "Health" => ServerMessage::Health(s.serde_payload()?),
                 "Error" => ServerMessage::Error(s.string()?.into_owned()),
                 other => return Err(format!("unknown reply variant {other:?}")),
             };
@@ -1638,7 +1270,8 @@ pub fn read_line_limited_flushing<R: std::io::Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ClientMessage;
+    use crate::protocol::{ClientMessage, HealthState, ShardStats};
+    use abpdelta::{Delta, DeltaOp};
 
     fn req(url: &str, sitekey: Option<&str>) -> DecisionRequest {
         DecisionRequest {
@@ -1846,6 +1479,50 @@ mod tests {
         assert!(parse_url(r"\ud800\u0041").is_err());
         assert!(parse_url(r"\ud800\udbff").is_err());
         assert!(parse_url(r"\udc00").is_err());
+
+        // The same, where serde reads them: in every cold payload,
+        // through both message parsers.
+        for line in cold_lines_carrying("\"ok\"") {
+            assert!(either_parser_accepts(&line), "{line}");
+        }
+        for bad in [
+            "\\ua\u{e9}\u{91d1}",
+            r"\u12",
+            r"\ud800",
+            concat!(r"\ud800\u", "0041"),
+            r"\ud800\udbff",
+            r"\udc00",
+        ] {
+            for line in cold_lines_carrying(&format!("\"{bad}\"")) {
+                assert!(!either_parser_accepts(&line), "{line}");
+            }
+        }
+    }
+
+    /// Every cold message, client and server, carrying the JSON value
+    /// `x` where serde parses it: as `Reload` list content, as a
+    /// `ReloadDelta` `Insert`, and as an unknown field of each reply.
+    fn cold_lines_carrying(x: &str) -> [String; 6] {
+        [
+            format!(r#"{{"Reload":[{{"source":"EasyList","content":{x}}}]}}"#),
+            format!(
+                r#"{{"ReloadDelta":[{{"source":"Custom","delta":{{"base_len":0,"base_check":0,"target_len":2,"target_check":0,"block_size":4,"ops":[{{"Insert":{x}}}]}}}}]}}"#
+            ),
+            format!(
+                r#"{{"Stats":{{"requests":1,"cache_hits":0,"blocks":0,"exceptions":0,"p50_us":0,"p99_us":0,"shards":[],"x":{x}}}}}"#
+            ),
+            format!(
+                r#"{{"Health":{{"state":"ok","generation":0,"reloads":0,"shard_restarts":[],"shed":0,"deadline_timeouts":0,"list_checksum":0,"x":{x}}}}}"#
+            ),
+            format!(r#"{{"Reloaded":{{"generation":1,"filters":2,"x":{x}}}}}"#),
+            format!(
+                r#"{{"ReloadBaseMismatch":{{"source":"Custom","serving_check":0,"generation":1,"x":{x}}}}}"#
+            ),
+        ]
+    }
+
+    fn either_parser_accepts(line: &str) -> bool {
+        parse_client_message(line).is_ok() || parse_server_message(line).is_ok()
     }
 
     /// Leniency worth pinning: a raw control byte inside a string is
@@ -1895,6 +1572,15 @@ mod tests {
         assert!(parse_client_message_spans(&batch, &mut spans).is_err());
         assert!(split_decisions(&format!("{{\"Batch\":[{{\"a\":{bomb}"), &mut spans).is_err());
         assert!(parse_server_message(&format!("{{\"Decision\":{{\"a\":{bomb}")).is_err());
+        // Inside cold payloads the serde parser recurses, so its own
+        // limit is what stands between the bomb and the stack.
+        for line in cold_lines_carrying(&bomb) {
+            assert!(!either_parser_accepts(&line));
+        }
+        let deep = nested(MAX_SKIP_DEPTH - 1);
+        for line in cold_lines_carrying(&deep).into_iter().skip(2) {
+            assert!(either_parser_accepts(&line), "{line}");
+        }
     }
 
     #[test]
@@ -1977,6 +1663,177 @@ mod tests {
                 "{not_decisions}"
             );
         }
+    }
+
+    type Goldens<M> = Vec<(M, &'static str)>;
+
+    /// One of each cold message and the exact line the hand-rolled
+    /// writers emitted before serde took these messages over.
+    fn cold_goldens() -> (Goldens<ClientMessage>, Goldens<ServerMessage>) {
+        let shard = |requests, p99_us| ShardStats {
+            requests,
+            cache_hits: 3,
+            blocks: 2,
+            exceptions: 1,
+            p50_us: 5,
+            p99_us,
+        };
+        let client = vec![
+            (
+                ClientMessage::Reload(vec![
+                    ReloadList {
+                        source: ListSource::EasyList,
+                        content: "||ads.example^\n! \"quoted\" — é😀\n".to_string(),
+                    },
+                    ReloadList {
+                        source: ListSource::AcceptableAds,
+                        content: "@@||ok.example^$sitekey=K\\\t\u{1}\n".to_string(),
+                    },
+                ]),
+                r#"{"Reload":[{"source":"EasyList","content":"||ads.example^\n! \"quoted\" — é😀\n"},{"source":"AcceptableAds","content":"@@||ok.example^$sitekey=K\\\t\u0001\n"}]}"#,
+            ),
+            (
+                ClientMessage::ReloadDelta(vec![ReloadDeltaList {
+                    source: ListSource::Custom,
+                    delta: Delta {
+                        base_len: 5,
+                        base_check: 11,
+                        target_len: 9,
+                        target_check: 22,
+                        block_size: 4,
+                        ops: vec![
+                            DeltaOp::Copy { off: 0, len: 4 },
+                            DeltaOp::Insert("é\"x\n".to_string()),
+                        ],
+                    },
+                }]),
+                r#"{"ReloadDelta":[{"source":"Custom","delta":{"base_len":5,"base_check":11,"target_len":9,"target_check":22,"block_size":4,"ops":[{"Copy":{"off":0,"len":4}},{"Insert":"é\"x\n"}]}}]}"#,
+            ),
+        ];
+        let server = vec![
+            (
+                ServerMessage::Stats(StatsReport {
+                    requests: 10,
+                    cache_hits: 4,
+                    blocks: 3,
+                    exceptions: 2,
+                    p50_us: 7,
+                    p99_us: 41,
+                    shards: vec![shard(6, 40), shard(4, 41)],
+                    distinct_tenants: 3,
+                    tenant_requests_by_lists: vec![1, 2, 3, 4, 0],
+                    tenant_cache_hits_by_lists: vec![0, 1, 1, 2, 0],
+                }),
+                r#"{"Stats":{"requests":10,"cache_hits":4,"blocks":3,"exceptions":2,"p50_us":7,"p99_us":41,"shards":[{"requests":6,"cache_hits":3,"blocks":2,"exceptions":1,"p50_us":5,"p99_us":40},{"requests":4,"cache_hits":3,"blocks":2,"exceptions":1,"p50_us":5,"p99_us":41}],"distinct_tenants":3,"tenant_requests_by_lists":[1,2,3,4,0],"tenant_cache_hits_by_lists":[0,1,1,2,0]}}"#,
+            ),
+            (
+                ServerMessage::Health(HealthReport {
+                    state: HealthState::Degraded,
+                    generation: 2,
+                    reloads: 1,
+                    shard_restarts: vec![0, 3],
+                    shed: 0,
+                    deadline_timeouts: 4,
+                    list_checksum: u64::MAX,
+                    distinct_tenants: 5,
+                }),
+                r#"{"Health":{"state":"degraded","generation":2,"reloads":1,"shard_restarts":[0,3],"shed":0,"deadline_timeouts":4,"list_checksum":18446744073709551615,"distinct_tenants":5}}"#,
+            ),
+            (
+                ServerMessage::Reloaded(ReloadReport {
+                    generation: 3,
+                    filters: 412,
+                }),
+                r#"{"Reloaded":{"generation":3,"filters":412}}"#,
+            ),
+            (
+                ServerMessage::ReloadBaseMismatch(ReloadMismatch {
+                    source: ListSource::AcceptableAds,
+                    serving_check: 0x1234_5678_9abc_def0,
+                    generation: 3,
+                }),
+                r#"{"ReloadBaseMismatch":{"source":"AcceptableAds","serving_check":1311768467463790320,"generation":3}}"#,
+            ),
+        ];
+        (client, server)
+    }
+
+    #[test]
+    fn cold_messages_are_the_parent_commits_bytes() {
+        let (client, server) = cold_goldens();
+        for (msg, golden) in client {
+            let mut out = Vec::new();
+            let parsed = match msg {
+                ClientMessage::Reload(ls) => {
+                    write_reload(&ls, &mut out);
+                    ClientMessageRef::Reload(ls)
+                }
+                ClientMessage::ReloadDelta(ds) => {
+                    write_reload_delta(&ds, &mut out);
+                    ClientMessageRef::ReloadDelta(ds)
+                }
+                _ => unreachable!(),
+            };
+            assert_eq!(std::str::from_utf8(&out).unwrap(), golden);
+            assert_eq!(parse_client_message(golden), Ok(parsed));
+        }
+        for (msg, golden) in server {
+            let mut out = Vec::new();
+            match &msg {
+                ServerMessage::Stats(s) => write_stats_reply(s, &mut out),
+                ServerMessage::Health(h) => write_health_reply(h, &mut out),
+                ServerMessage::Reloaded(r) => write_reloaded(r, &mut out),
+                ServerMessage::ReloadBaseMismatch(m) => write_reload_base_mismatch(m, &mut out),
+                _ => unreachable!(),
+            }
+            assert_eq!(std::str::from_utf8(&out).unwrap(), golden);
+            assert_eq!(parse_server_message(golden), Ok(msg));
+        }
+    }
+
+    /// A reader from before the tenant fields still parses the line a
+    /// pre-tenant server sends: the `#[serde(default)]` trailing fields
+    /// come back at their defaults.
+    #[test]
+    fn pre_tenant_stats_and_health_lines_still_parse() {
+        let stats = r#"{"Stats":{"requests":9,"cache_hits":1,"blocks":2,"exceptions":3,"p50_us":4,"p99_us":5,"shards":[{"requests":9,"cache_hits":1,"blocks":2,"exceptions":3,"p50_us":4,"p99_us":5}]}}"#;
+        let shard = ShardStats {
+            requests: 9,
+            cache_hits: 1,
+            blocks: 2,
+            exceptions: 3,
+            p50_us: 4,
+            p99_us: 5,
+        };
+        assert_eq!(
+            parse_server_message(stats),
+            Ok(ServerMessage::Stats(StatsReport {
+                requests: 9,
+                cache_hits: 1,
+                blocks: 2,
+                exceptions: 3,
+                p50_us: 4,
+                p99_us: 5,
+                shards: vec![shard],
+                distinct_tenants: 0,
+                tenant_requests_by_lists: vec![],
+                tenant_cache_hits_by_lists: vec![],
+            }))
+        );
+        let health = r#"{"Health":{"state":"draining","generation":4,"reloads":3,"shard_restarts":[1],"shed":0,"deadline_timeouts":2,"list_checksum":7}}"#;
+        assert_eq!(
+            parse_server_message(health),
+            Ok(ServerMessage::Health(HealthReport {
+                state: HealthState::Draining,
+                generation: 4,
+                reloads: 3,
+                shard_restarts: vec![1],
+                shed: 0,
+                deadline_timeouts: 2,
+                list_checksum: 7,
+                distinct_tenants: 0,
+            }))
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ echo "==> determinism (abp + acceptable-ads + abpd lib tests: 5x default runner;
 # schedules, and the first red run fails the stage. abpd's lib tests
 # start real servers on both socket fronts, so they repeat too — and
 # with them its proptests (scan kernel ≡ byte loop, arbitrary bytes at
-# the message parsers, codec ≡ serde), which need no loop of their
+# the message parsers, hot codec ≡ serde), which need no loop of their
 # own. The fleet tests kill shards under a live router; chaos and service_smoke
 # drive the only evaluation route there is under injected panics, torn
 # writes and mid-batch shutdown (sockets and timing), so all three
@@ -54,6 +54,21 @@ if grep -rnF "position(|&b| b == b'\n')" crates/abpd/src crates/abpd-proxy/src; 
 fi
 if grep -rln "allow(unsafe_code)" crates/abpd/src crates/abpd-proxy/src | grep -v '/poll\.rs$'; then
     echo "allow(unsafe_code) outside poll.rs" >&2
+    exit 1
+fi
+
+echo "==> one module decides which codec reads which message"
+# The cold messages are read by serde and the hot ones by the scanner,
+# and wire.rs alone makes that call: no other non-test code of abpd or
+# abpd-proxy (code above a file's first #[cfg(test)]) calls the serde
+# parser.
+if find crates/abpd/src crates/abpd-proxy/src -name '*.rs' ! -name wire.rs ! -name proptests.rs \
+    -exec awk '
+        FNR == 1 { live = 1 }
+        /^#\[cfg\((all\()?test/ { live = 0 }
+        live && /serde_json::(from_str|parse_value)/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        END { exit !hit }' {} +; then
+    echo "serde_json parses a line outside wire.rs: route it through abpd::wire" >&2
     exit 1
 fi
 
