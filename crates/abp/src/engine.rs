@@ -34,6 +34,9 @@
 //!   filters are scanned only when their longest literal actually
 //!   occurs (filters with no extractable anchor stay in a tiny
 //!   always-scan tail);
+//! * anchorless *sitekey* filters (`@@$sitekey=K,document`: 25 of the
+//!   paper's whitelist, §4) are filed under each of their keys, so only
+//!   a request presenting one of those keys ever evaluates them;
 //! * *restricted* request filters (a non-empty `domain=` include list:
 //!   89% of the paper's whitelist, Fig 4) stay out of that automaton
 //!   and sit behind a **first-party gate**: a reversed-label
@@ -311,6 +314,16 @@ struct HidingPlan {
     outcome: HidingOutcome,
 }
 
+/// One sitekey's anchorless filters, as ranks into the lists whose
+/// always-scan share they would otherwise be: `block_untok`,
+/// `allow_untok` and `doc_gate`.
+#[derive(Debug, Clone, Default)]
+struct SitekeyRanks {
+    block: Vec<u32>,
+    allow: Vec<u32>,
+    doc: Vec<u32>,
+}
+
 /// The immutable matching snapshot compiled from the engine's builders:
 /// the merged request anchor automaton, the first-party gate, the
 /// `$document`/`$elemhide` gate automaton, and the element-rule domain
@@ -348,9 +361,16 @@ struct Compiled {
     /// Anchor automaton over the gate filters; values are ranks into
     /// `doc_gate`.
     doc_auto: Automaton,
-    /// Gate ranks with no extractable anchor (e.g. pure sitekey
-    /// filters): evaluated for every document.
+    /// Gate ranks with no extractable anchor and no sitekey: evaluated
+    /// for every document.
     doc_always: Vec<u32>,
+    /// Anchorless sitekey filters (`@@$sitekey=K,document` and kin),
+    /// filed under each of their keys instead of in the always-scan
+    /// lists above. Such a filter matches only a request whose verified
+    /// key is in its list, compared exactly, so only a request
+    /// presenting key K takes K's ranks: a request without a key takes
+    /// none.
+    sitekeyed: HashMap<String, SitekeyRanks>,
     /// Element rules with no `domain=` include list: applicable on every
     /// domain (subject to excludes, re-checked at query time). Built in
     /// id order, so already sorted.
@@ -450,14 +470,14 @@ impl Compiled {
         };
         let mut block_tail_req = Vec::new();
         let mut allow_tail_req = Vec::new();
-        let block_always = tail(
+        let mut block_always = tail(
             &engine.block_builder.untokenized,
             GROUP_BLOCK_TAIL,
             &mut auto,
             &mut lit_bits,
             &mut block_tail_req,
         );
-        let allow_always = tail(
+        let mut allow_always = tail(
             &engine.allow_builder.untokenized,
             GROUP_ALLOW_TAIL,
             &mut auto,
@@ -508,6 +528,32 @@ impl Compiled {
                 None => doc_always.push(rank as u32),
             }
         }
+
+        // Anchorless sitekey filters leave the always-scan lists for the
+        // index under each of their keys (`sitekey=A|B` under both). A
+        // rank keeps its list's meaning, so a keyed request merges its
+        // key's ranks into the same sort+dedup as the always-scan ones.
+        let mut sitekeyed: HashMap<String, SitekeyRanks> = HashMap::new();
+        let mut file_by_key =
+            |always: &mut Vec<u32>, ids: &[u32], side: fn(&mut SitekeyRanks) -> &mut Vec<u32>| {
+                always.retain(|&rank| {
+                    let keys = &engine.request_filters[ids[rank as usize] as usize]
+                        .filter
+                        .options
+                        .sitekeys;
+                    for key in keys {
+                        side(sitekeyed.entry(key.clone()).or_default()).push(rank);
+                    }
+                    keys.is_empty()
+                })
+            };
+        file_by_key(&mut block_always, &engine.block_builder.untokenized, |s| {
+            &mut s.block
+        });
+        file_by_key(&mut allow_always, &engine.allow_builder.untokenized, |s| {
+            &mut s.allow
+        });
+        file_by_key(&mut doc_always, &doc_gate, |s| &mut s.doc);
 
         let mut elem_generic = Vec::new();
         let mut elem_scoped = HostLabelTrieBuilder::new();
@@ -579,6 +625,7 @@ impl Compiled {
             doc_gate,
             doc_auto: doc_auto.build(),
             doc_always,
+            sitekeyed,
             elem_generic,
             elem_scoped: elem_scoped.build(),
             cancel_starts,
@@ -589,6 +636,12 @@ impl Compiled {
             masked_plans: Arc::new(Mutex::new(HashMap::new())),
             counters: Arc::new(TailCounters::default()),
         }
+    }
+
+    /// The anchorless sitekey filters `req`'s verified key files, if it
+    /// presents one that any filter names.
+    fn keyed_ranks(&self, req: &Request) -> Option<&SitekeyRanks> {
+        self.sitekeyed.get(req.verified_sitekey.as_deref()?)
     }
 
     /// Scoped element-rule candidates for a host (already lowercased by
@@ -971,13 +1024,18 @@ impl Engine {
                 _ => seen |= 1u128 << value,
             });
         // Tail hits are ranks into the untokenized lists; merging in the
-        // always-scan ranks and sorting restores insertion order. The
-        // required-literal mask then drops candidates missing a literal
-        // (order-preserving, so the evaluation order is unchanged).
+        // always-scan ranks (and the presented sitekey's) and sorting
+        // restores insertion order. The required-literal mask then drops
+        // candidates missing a literal (order-preserving, so the
+        // evaluation order is unchanged).
         block_tail.extend_from_slice(&compiled.block_always);
+        allow_tail.extend_from_slice(&compiled.allow_always);
+        if let Some(keyed) = compiled.keyed_ranks(req) {
+            block_tail.extend_from_slice(&keyed.block);
+            allow_tail.extend_from_slice(&keyed.allow);
+        }
         block_tail.sort_unstable();
         block_tail.dedup();
-        allow_tail.extend_from_slice(&compiled.allow_always);
         allow_tail.sort_unstable();
         allow_tail.dedup();
         let (bc, br) = self.prefilter_tail(
@@ -1248,8 +1306,9 @@ impl Engine {
     ///
     /// Only the prebuilt `$document`/`$elemhide` gate filters are
     /// evaluated — not the whole filter set — and of those, only the
-    /// ones whose literal anchor occurs in the document URL (plus the
-    /// anchorless always-scan few, e.g. pure sitekey gates).
+    /// ones whose literal anchor occurs in the document URL, plus the
+    /// anchorless always-scan few and the anchorless sitekey gates filed
+    /// under the document's verified key.
     pub fn document_allowlist(&self, doc_req: &Request) -> DocumentStatus {
         self.document_allowlist_masked(doc_req, u64::MAX)
     }
@@ -1273,6 +1332,9 @@ impl Engine {
         // `doc_gate` is in id order, so sorted ranks restore the exact
         // evaluation order the unfiltered loop had.
         ranks.extend_from_slice(&compiled.doc_always);
+        if let Some(keyed) = compiled.keyed_ranks(doc_req) {
+            ranks.extend_from_slice(&keyed.doc);
+        }
         ranks.sort_unstable();
         ranks.dedup();
         for &rank in &ranks {
@@ -1569,6 +1631,18 @@ impl Engine {
             restricted_domains: compiled.restricted_shape.domains,
             restricted_bucket_max: compiled.restricted_shape.bucket_max,
         }
+    }
+
+    /// How many filters the candidate stage hands to evaluation for
+    /// `req`: `(block, allow)`, before tenant masks, options and
+    /// patterns. A diagnostic that runs the stage once more; matching
+    /// itself counts nothing.
+    pub fn candidate_count(&self, req: &Request) -> (usize, usize) {
+        SCRATCH.with(|s| {
+            let scratch = &mut s.borrow_mut();
+            self.collect_candidates(req, scratch);
+            (scratch.block_hits.len(), scratch.allow_hits.len())
+        })
     }
 
     /// The candidate stage's output for one request: `(block, allow)`
@@ -1958,8 +2032,8 @@ reddit.com#@##siteTable_organic
         for i in 0..50 {
             wl.push_str(&format!("@@||pub{i}.example^$document\n"));
         }
-        // A gate with no extractable anchor (pure sitekey) must stay on
-        // the always-scan path.
+        // A gate with no extractable anchor (pure sitekey) is found
+        // through its key instead.
         wl.push_str("@@$sitekey=MFwwKEY,document\n");
         let e = Engine::from_lists([&FilterList::parse(ListSource::AcceptableAds, &wl)]);
         for i in [0usize, 17, 49] {
@@ -2404,6 +2478,68 @@ reddit.com#@##siteTable_organic
         );
         assert_eq!(e.tail_stats().restricted_filters, 3);
         assert_eq!(e.tail_stats().restricted_bucket_max, 3);
+    }
+
+    // ---- sitekey index --------------------------------------------------
+
+    #[test]
+    fn anchorless_sitekey_filters_are_candidates_only_under_their_keys() {
+        let list = FilterList::parse(
+            ListSource::AcceptableAds,
+            "\
+@@$sitekey=KA,document
+@@$sitekey=KA|KB,image,document
+@@||ads.example^$sitekey=KB
+$sitekey=KB,image
+@@$sitekey=KC,document,domain=park.example
+*
+",
+        );
+        let e = Engine::from_lists([&list]);
+        let url = "http://ads.example/x.png";
+        let plain = req(url, "park.example", ResourceType::Image);
+        let keyed = |key: &str| plain.clone().with_sitekey(key);
+
+        // No key, or a key no filter names: only the anchored sitekey
+        // filter (its anchor is in the URL), the restricted one (behind
+        // the first-party gate, key or no key) and the catch-all `*`.
+        assert_eq!(e.candidate_ids(&plain), (vec![5], vec![2, 4]));
+        assert_eq!(e.candidate_ids(&keyed("KZ")), (vec![5], vec![2, 4]));
+        assert_eq!(e.candidate_count(&plain), (1, 2));
+        assert_eq!(e.candidate_ids(&keyed("KC")), (vec![5], vec![2, 4]));
+        // A multi-key filter is filed under both of its keys.
+        assert_eq!(e.candidate_ids(&keyed("KA")), (vec![5], vec![0, 1, 2, 4]));
+        assert_eq!(e.candidate_ids(&keyed("KB")), (vec![3, 5], vec![1, 2, 4]));
+        assert_eq!(
+            e.match_request(&keyed("KB")).decision,
+            Decision::AllowedByException
+        );
+        assert_eq!(e.match_request(&keyed("KZ")).decision, Decision::Block);
+
+        // The document side: each key's gates, in list order.
+        let doc = |key: Option<&str>| {
+            let d = Request::document("http://park.example/").unwrap();
+            let d = match key {
+                Some(k) => d.with_sitekey(k),
+                None => d,
+            };
+            let status = e.document_allowlist(&d);
+            status
+                .document_allow
+                .iter()
+                .map(|a| a.filter.to_string())
+                .collect::<Vec<_>>()
+        };
+        assert!(doc(None).is_empty());
+        assert_eq!(
+            doc(Some("KA")),
+            ["@@$sitekey=KA,document", "@@$sitekey=KA|KB,image,document"]
+        );
+        assert_eq!(doc(Some("KB")), ["@@$sitekey=KA|KB,image,document"]);
+        assert_eq!(
+            doc(Some("KC")),
+            ["@@$sitekey=KC,document,domain=park.example"]
+        );
     }
 
     #[test]

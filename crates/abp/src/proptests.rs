@@ -12,6 +12,27 @@ fn host() -> impl Strategy<Value = String> {
     proptest::collection::vec("[a-z]{2,8}", 2..4).prop_map(|ls| ls.join("."))
 }
 
+/// Hosts for the party test: a shared site's subdomains, a multi-label
+/// suffix, bare suffixes, IPs, and a name with an empty label.
+fn party_host() -> impl Strategy<Value = String> {
+    prop::sample::select(&[
+        "a.example.com",
+        "www.Example.com",
+        "example.com.",
+        "cdn.other.net",
+        "shop.example.co.uk",
+        "news.example.co.uk",
+        "co.uk",
+        "com",
+        "192.168.1.1",
+        "10.0.1.1",
+        "[::1]",
+        "a..example.com",
+        "",
+    ])
+    .prop_map(str::to_string)
+}
+
 proptest! {
     /// Parsing never panics on arbitrary lines.
     #[test]
@@ -136,6 +157,25 @@ proptest! {
             prop_assert_eq!(got, naive(&hay, &sub));
             prop_assert!(got.is_some_and(|p| p <= start));
         }
+    }
+
+    /// `same_party`'s equal-host shortcut changes no answer: it is
+    /// still "equal registrable domains, or equal hosts where either has
+    /// none", for names, bare suffixes, IPs and empty labels in any case.
+    #[test]
+    fn same_party_is_its_definition(
+        a in party_host(),
+        b in party_host(),
+        copy in any::<bool>(),
+        upper in any::<bool>(),
+    ) {
+        let b = if copy { a.clone() } else { b };
+        let b = if upper { b.to_ascii_uppercase() } else { b };
+        let want = match (urlkit::registrable_domain_str(&a), urlkit::registrable_domain_str(&b)) {
+            (Some(x), Some(y)) => x.eq_ignore_ascii_case(y),
+            _ => a.eq_ignore_ascii_case(&b),
+        };
+        prop_assert_eq!(crate::request::same_party(&a, &b), want, "{} vs {}", a, b);
     }
 
     /// On valid UTF-8 the byte-level kernel is exactly `str::find` —
@@ -309,15 +349,41 @@ mod differential {
         p
     }
 
+    /// Sitekeys drawn from a pool of three, so filters and requests
+    /// share keys often (verified keys compare exactly: case matters).
+    const SITEKEYS: [&str; 3] = ["MFwwKEYa", "MFwwKEYb", "MFwwKeYa"];
+
+    fn pool_sitekey(rng: &mut TestRng) -> &'static str {
+        SITEKEYS[rng.usize_in(0, SITEKEYS.len())]
+    }
+
+    /// A verified key for a request: one from the pool, one no filter
+    /// names, or none.
+    fn request_sitekey(rng: &mut TestRng) -> Option<&'static str> {
+        match rng.below(4) {
+            0 => None,
+            1 => Some("MFwwUNKNOWN"),
+            _ => Some(pool_sitekey(rng)),
+        }
+    }
+
+    fn with_sitekey(req: Request, key: Option<&str>) -> Request {
+        match key {
+            Some(k) => req.with_sitekey(k),
+            None => req,
+        }
+    }
+
     /// One random filter line: blocking or exception request filters of
     /// varied shapes (host-anchored, substring, wildcard, anchored,
-    /// option-laden, `$document`/`$elemhide` gates) or element rules.
+    /// option-laden, `$document`/`$elemhide` gates, sitekey filters) or
+    /// element rules.
     fn filter_line(rng: &mut TestRng) -> String {
         let host = pool_host(rng);
         let path = pool_path(rng);
         let exception = rng.below(3) == 0;
         let prefix = if exception { "@@" } else { "" };
-        let mut line = match rng.below(9) {
+        let mut line = match rng.below(10) {
             0 => format!("{prefix}||{host}^"),
             1 => format!("{prefix}||{host}{path}"),
             2 => format!("{prefix}{path}/"),
@@ -366,6 +432,17 @@ mod differential {
                     _ => format!("{prefix}||{mixed}^"),
                 }
             }
+            8 => {
+                // Sitekey filters: anchorless (the index's business, on
+                // both sides), multi-key, and anchored (the automaton's).
+                let (k1, k2) = (pool_sitekey(rng), pool_sitekey(rng));
+                match rng.below(4) {
+                    0 => format!("@@$sitekey={k1},document"),
+                    1 => format!("@@$sitekey={k1}|{k2}"),
+                    2 => format!("@@||{host}^$sitekey={k1}"),
+                    _ => format!("$sitekey={k1}"),
+                }
+            }
             _ => format!("{prefix}||{host}{path}$script,image"),
         };
         // Sprinkle extra options onto request filters.
@@ -400,7 +477,15 @@ mod differential {
             host.clone()
         };
         let ty = ResourceType::ALL[rng.usize_in(0, ResourceType::ALL.len())];
-        Request::new(&format!("http://{host}{path}"), &first, ty).unwrap()
+        let req = Request::new(&format!("http://{host}{path}"), &first, ty).unwrap();
+        with_sitekey(req, request_sitekey(rng))
+    }
+
+    /// A top-level document request for a pool host, keyed like
+    /// [`random_request`].
+    fn random_document(rng: &mut TestRng) -> Request {
+        let doc = Request::document(&format!("http://{}/", pool_host(rng))).unwrap();
+        with_sitekey(doc, request_sitekey(rng))
     }
 
     /// Brute-force reference: linearly evaluate every request filter in
@@ -522,21 +607,6 @@ mod differential {
         (active, excepted)
     }
 
-    /// A multiset fingerprint of activations, order-insensitive.
-    fn multiset(acts: &[Activation]) -> Vec<String> {
-        let mut keys: Vec<String> = acts
-            .iter()
-            .map(|a| {
-                format!(
-                    "{}|{:?}|{:?}|{}|{}",
-                    a.filter, a.source, a.kind, a.subject, a.donottrack
-                )
-            })
-            .collect();
-        keys.sort();
-        keys
-    }
-
     #[test]
     fn compiled_engine_matches_brute_force_reference() {
         let mut rng = TestRng::deterministic("engine_differential_v1");
@@ -588,20 +658,14 @@ mod differential {
                 assert_eq!(batched[0], got, "case {case}: match_many diverged");
             }
 
-            // Document gates agree with the full-scan reference.
-            let doc_host = pool_host(&mut rng);
-            let doc = Request::document(&format!("http://{doc_host}/")).unwrap();
-            let got_doc = engine.document_allowlist(&doc);
-            let want_doc = reference_document(&lists, &doc);
+            // Document gates agree with the full-scan reference, in
+            // order.
+            let doc = random_document(&mut rng);
             assert_eq!(
-                multiset(&got_doc.document_allow),
-                multiset(&want_doc.document_allow),
-                "case {case}: document_allow diverged on {doc_host}"
-            );
-            assert_eq!(
-                multiset(&got_doc.elemhide_allow),
-                multiset(&want_doc.elemhide_allow),
-                "case {case}: elemhide_allow diverged on {doc_host}"
+                engine.document_allowlist(&doc),
+                reference_document(&lists, &doc),
+                "case {case}: document gates diverged on {:?} on lists:\n{bl_text}{wl_text}",
+                doc
             );
 
             // Element hiding agrees with the two-pass linear reference.
@@ -705,6 +769,11 @@ mod differential {
                         req.url.as_str()
                     );
                     assert_eq!(
+                        got,
+                        reference_match(&subset_lists, req),
+                        "pair {pairs}: mask {mask:#b} left the linear reference for {req:?}"
+                    );
+                    assert_eq!(
                         *from_batch, got,
                         "pair {pairs}: match_many_masked diverged from per-request path"
                     );
@@ -719,19 +788,19 @@ mod differential {
                     assert_eq!(back, got, "pair {pairs}: outcome did not round-trip");
                 }
 
-                // Page-level gates under the mask equal the subset's.
-                let doc = Request::document(&format!("http://{}/", pool_host(&mut rng))).unwrap();
+                // Page-level gates under the mask equal the subset's
+                // and the linear reference over the tenant's lists.
+                let doc = random_document(&mut rng);
                 let got_doc = union.document_allowlist_masked(&doc, mask);
-                let want_doc = subset.document_allowlist(&doc);
                 assert_eq!(
-                    multiset(&got_doc.document_allow),
-                    multiset(&want_doc.document_allow),
-                    "pair {pairs}: document_allow diverged under mask {mask:#b}"
+                    got_doc,
+                    subset.document_allowlist(&doc),
+                    "pair {pairs}: document gates diverged under mask {mask:#b} on {doc:?}"
                 );
                 assert_eq!(
-                    multiset(&got_doc.elemhide_allow),
-                    multiset(&want_doc.elemhide_allow),
-                    "pair {pairs}: elemhide_allow diverged under mask {mask:#b}"
+                    got_doc,
+                    reference_document(&subset_lists, &doc),
+                    "pair {pairs}: document gates left the reference under mask {mask:#b} on {doc:?}"
                 );
 
                 // Hiding under the mask equals the subset's, exactly.
@@ -796,7 +865,14 @@ mod differential {
         let first = rng.usize_in(0, domains.len());
         domains.swap(0, first);
         let list = mixed_case(&domains.join("|"), rng);
-        format!("{prefix}{pattern}${types}domain={list}")
+        // Some carry a sitekey too: restricted sitekey filters stay
+        // behind the first-party gate, whatever key a request presents.
+        let key = match rng.below(6) {
+            0 => format!(",sitekey={}", pool_sitekey(rng)),
+            1 => format!(",document,sitekey={}", pool_sitekey(rng)),
+            _ => String::new(),
+        };
+        format!("{prefix}{pattern}${types}domain={list}{key}")
     }
 
     /// A request aimed at the shared patterns from one of the gate
@@ -827,7 +903,7 @@ mod differential {
             // public field (or deserializing one) may not have.
             req.first_party = mixed_case(&req.first_party, rng);
         }
-        req
+        with_sitekey(req, request_sitekey(rng))
     }
 
     /// Restricted-filter arm: what the first-party gate must get right.
@@ -902,6 +978,16 @@ mod differential {
                     );
                 }
             }
+
+            // Page gates on a gate site's own document, keyed or not.
+            let site = GATE_SITES[rng.usize_in(0, GATE_SITES.len())];
+            let doc = Request::document(&format!("http://{site}/")).unwrap();
+            let doc = with_sitekey(doc, request_sitekey(&mut rng));
+            assert_eq!(
+                engine.document_allowlist(&doc),
+                reference_document(&refs, &doc),
+                "case {case}: document gates diverged on {doc:?}"
+            );
         }
     }
 

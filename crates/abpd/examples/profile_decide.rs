@@ -5,13 +5,15 @@
 //! The request set is the first 65,536 *distinct* requests of the
 //! browsing stream on the corpus lists — what a cache miss sees, and
 //! what `benchmark/`'s `abp.request_new_ns` / `abp.match_ns` rows time —
-//! so the engine-layer split of a miss can be re-read without the
-//! harness. Its first 16,384 are the shape of `serve-hot`'s hot set:
-//! the codec stages run over those in the workloads' 256-element
-//! framing (`benchmark/`'s four `wire.*_ns` rows), and a hit pass
-//! splits what `benchmark/` can only show as `service.decide_hit_ns`
-//! into digest, cache read, clock and metrics. Hot-set figures are
-//! ns per decision, fastest of [`ROUNDS`] passes.
+//! so the engine-layer split of a miss (`Request::new` into `Url::parse`
+//! and `same_party`, then `match_request` and its candidates per
+//! request) can be re-read without the harness. Its first 16,384 are
+//! the shape of `serve-hot`'s hot set: the codec stages run over those
+//! in the workloads' 256-element framing (`benchmark/`'s four
+//! `wire.*_ns` rows), and a hit pass splits what `benchmark/` can only
+//! show as `service.decide_hit_ns` into digest, cache read, clock and
+//! metrics. Engine and hot-set figures alike are ns per item, fastest
+//! of [`ROUNDS`] passes; only the in-process service miss is one pass.
 
 use abpd::cache::{request_key_hash, LocalDecisionCache, StoredKey};
 use abpd::metrics::ReactorMetrics;
@@ -29,16 +31,28 @@ const HOT: usize = 16_384;
 /// Passes per hot-set stage; the fastest is reported.
 const ROUNDS: usize = 25;
 
-/// ns per decision of the fastest of [`ROUNDS`] runs of `pass`, which
-/// handles [`HOT`] decisions per run.
-fn best_ns(mut pass: impl FnMut()) -> f64 {
+/// ns per item of the fastest of [`ROUNDS`] runs of `pass`, which
+/// handles `items` items per run.
+fn best_of(items: usize, mut pass: impl FnMut()) -> f64 {
     (0..ROUNDS)
         .map(|_| {
             let t = Instant::now();
             pass();
-            t.elapsed().as_nanos() as f64 / HOT as f64
+            t.elapsed().as_nanos() as f64 / items as f64
         })
         .fold(f64::INFINITY, f64::min)
+}
+
+/// [`best_of`] a pass over the [`HOT`] set: ns per decision.
+fn best_ns(pass: impl FnMut()) -> f64 {
+    best_of(HOT, pass)
+}
+
+/// `s` parsed as the type of `_like`: `abpd` does not depend on `urlkit`
+/// and reaches `urlkit::Url` (whose `FromStr` is `Url::parse`) only as
+/// the type of `abp::Request::url`.
+fn parse_like<T: std::str::FromStr>(_like: &T, s: &str) -> Option<T> {
+    s.parse().ok()
 }
 
 /// `items` as the lines `write` makes of them, [`BATCH`] to a line.
@@ -85,21 +99,56 @@ fn main() {
         shape.restricted_bucket_max
     );
 
-    // Miss path, engine layers: Request::new (url parse + party
-    // computation), then each request matched once.
-    let t = Instant::now();
-    let built: Vec<abp::Request> = reqs
-        .iter()
-        .map(|r| abp::Request::new(&r.url, &r.document, r.resource_type).unwrap())
-        .collect();
-    println!("Request::new:  {:?}/req", t.elapsed() / n as u32);
-    let t = Instant::now();
+    // Miss path, engine layers, ns/request best of ROUNDS over all `n`
+    // (warm: a round reuses what the one before it freed): Request::new,
+    // then its two halves, then each request matched once.
+    let new_request =
+        |r: &DecisionRequest| abp::Request::new(&r.url, &r.document, r.resource_type).unwrap();
+    let mut built: Vec<abp::Request> = reqs.iter().map(new_request).collect();
+    // Not `best_of`: the previous round's requests are dropped untimed.
+    let request_new = (0..ROUNDS)
+        .map(|_| {
+            built.clear();
+            let t = Instant::now();
+            built.extend(reqs.iter().map(new_request));
+            t.elapsed().as_nanos() as f64 / n as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+    let url_type = &built[0].url;
+    let url_parse = best_of(n, || {
+        for r in &reqs {
+            black_box(parse_like(url_type, black_box(&r.url)));
+        }
+    });
+    let same_party = best_of(n, || {
+        for r in &built {
+            black_box(abp::request::same_party(
+                black_box(r.url.host()),
+                &r.first_party,
+            ));
+        }
+    });
+    let matched = best_of(n, || {
+        for r in &built {
+            black_box(engine.match_request(black_box(r)));
+        }
+    });
     let outcomes = engine.match_many(&built);
-    println!("match:         {:?}/req", t.elapsed() / n as u32);
     let activations: usize = outcomes.iter().map(|o| o.activations.len()).sum();
+    let (block, allow) = built.iter().fold((0, 0), |(b, a), r| {
+        let (cb, ca) = engine.candidate_count(r);
+        (b + cb, a + ca)
+    });
+    let per_req = |x: usize| x as f64 / n as f64;
+    println!("miss set ({n} requests, ns/request, best of {ROUNDS}):");
+    println!("  Request::new         {request_new:6.1}");
+    println!("    Url::parse         {url_parse:6.1}");
+    println!("    same_party         {same_party:6.1}");
     println!(
-        "               {:.2} activations/req",
-        activations as f64 / n as f64
+        "  match_request        {matched:6.1}   ({:.2} + {:.2} candidates, {:.2} activations/req)",
+        per_req(block),
+        per_req(allow),
+        per_req(activations)
     );
 
     // Miss path, the served evaluation route, in process (no TCP): one

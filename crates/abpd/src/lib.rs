@@ -77,3 +77,78 @@ pub fn corpus_engine(seed: u64) -> abp::Engine {
 
 #[cfg(test)]
 mod proptests;
+
+#[cfg(test)]
+mod tests {
+    use abp::{MatchKind, Request, ResourceType};
+    use std::collections::HashSet;
+
+    /// The candidate stage on the corpus lists, where its cost lives:
+    /// the 25 anchorless `@@$sitekey=…` filters (4 keys, §4) are no
+    /// one's candidates but a keyed request's. 27.6 candidates per
+    /// request while they sat on the always-scan tail.
+    #[test]
+    fn corpus_candidates_are_few_and_a_sitekey_adds_only_its_own_filters() {
+        let corpus = corpus::Corpus::generate(7);
+        let engine = abp::Engine::from_lists([&corpus.easylist, &corpus.whitelist]);
+
+        const N: usize = 4096;
+        let mut seen = HashSet::with_capacity(N);
+        let reqs: Vec<Request> = websim::traffic::TrafficGen::new(7)
+            .samples()
+            .map(|s| crate::request_of_sample(&s))
+            .filter(|r| seen.insert((r.url.clone(), r.document.clone(), r.resource_type)))
+            .take(N)
+            .map(|r| Request::new(&r.url, &r.document, r.resource_type).unwrap())
+            .collect();
+        let total: usize = reqs
+            .iter()
+            .map(|r| {
+                let (block, allow) = engine.candidate_count(r);
+                block + allow
+            })
+            .sum();
+        let mean = total as f64 / N as f64;
+        assert!(mean <= 3.0, "{mean:.2} candidates per request");
+
+        // Each key's filters, in list order.
+        let mut by_key: Vec<(String, Vec<&str>)> = Vec::new();
+        for f in corpus.whitelist.filters() {
+            for key in f.as_request().map_or(&[][..], |rf| &rf.options.sitekeys) {
+                match by_key.iter_mut().find(|(k, _)| k == key) {
+                    Some((_, raws)) => raws.push(&f.raw),
+                    None => by_key.push((key.clone(), vec![&f.raw])),
+                }
+            }
+        }
+        assert_eq!(by_key.len(), 4);
+        assert_eq!(by_key.iter().map(|(_, r)| r.len()).sum::<usize>(), 25);
+
+        let sitekey_gates = |doc: &Request| -> Vec<String> {
+            let status = engine.document_allowlist(doc);
+            status
+                .document_allow
+                .iter()
+                .filter(|a| a.kind == MatchKind::SitekeyAllow)
+                .map(|a| a.filter.to_string())
+                .collect()
+        };
+        let doc = Request::document("http://reddit.cm/").unwrap();
+        assert!(sitekey_gates(&doc).is_empty());
+        let probe = Request::new(
+            "http://reddit.cm/ads/x.js",
+            "reddit.cm",
+            ResourceType::Script,
+        )
+        .unwrap();
+        let (block, allow) = engine.candidate_count(&probe);
+        for (key, raws) in &by_key {
+            assert_eq!(sitekey_gates(&doc.clone().with_sitekey(key)), *raws);
+            assert_eq!(
+                engine.candidate_count(&probe.clone().with_sitekey(key)),
+                (block, allow + raws.len()),
+                "key {key}"
+            );
+        }
+    }
+}

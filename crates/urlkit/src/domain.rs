@@ -17,7 +17,7 @@
 /// as a public suffix; this table adds the two-label suffixes. Every one
 /// of them sits under a two-letter TLD, so the lookup is a switch on two
 /// bytes and a scan of at most six labels.
-fn second_level_suffix_labels(tld: &str) -> &'static [&'static str] {
+pub(crate) fn second_level_suffix_labels(tld: &str) -> &'static [&'static str] {
     let &[a, b] = tld.as_bytes() else {
         return &[];
     };
@@ -71,19 +71,12 @@ impl EndsWithIgnoreCase for str {
     }
 }
 
-/// Whether `host` is an IP literal rather than a DNS name: a dotted-quad
-/// IPv4 address, or a bracketed IPv6 address (`Url::parse` keeps the
-/// brackets). IP hosts have no registrable domain.
-fn is_ip_literal(host: &str) -> bool {
-    host.starts_with('[')
-        || (host.ends_with(|c: char| c.is_ascii_digit())
-            && host.parse::<std::net::Ipv4Addr>().is_ok())
-}
-
 /// Returns the registrable domain of `host` — the public suffix plus one
 /// label — as a suffix slice of `host` (case preserved, nothing
 /// allocated), or `None` when the host has no label above its public
-/// suffix, has an empty label, or is an IP literal.
+/// suffix, has an empty label, or is an IP literal: a dotted-quad IPv4
+/// address, or a bracketed IPv6 address (`Url::parse` keeps the
+/// brackets). Leading and trailing dots are ignored.
 ///
 /// ```
 /// use urlkit::registrable_domain_str;
@@ -93,15 +86,35 @@ fn is_ip_literal(host: &str) -> bool {
 /// assert_eq!(registrable_domain_str("192.168.1.1"), None);
 /// ```
 pub fn registrable_domain_str(host: &str) -> Option<&str> {
-    let host = host.trim_matches('.');
-    if host.contains("..") || is_ip_literal(host) {
+    let b = host.as_bytes();
+    let start = b.iter().position(|&c| c != b'.')?;
+    let end = b.iter().rposition(|&c| c != b'.')? + 1;
+    let host = &host[start..end];
+    let b = host.as_bytes();
+    if b[0] == b'['
+        || (b[b.len() - 1].is_ascii_digit() && host.parse::<std::net::Ipv4Addr>().is_ok())
+    {
         return None;
     }
-    // Only the last three dots matter: TLD, second-level label, and the
-    // label above a two-label suffix.
-    let mut dots = host.rmatch_indices('.').map(|(i, _)| i);
-    let tld_dot = dots.next()?;
-    let sld_dot = dots.next();
+    // One backward pass: reject an empty label anywhere, and keep the
+    // last three dots — TLD, second-level label, and the label above a
+    // two-label suffix.
+    let mut dots = [None; 3];
+    let mut seen = 0;
+    for i in (0..b.len()).rev() {
+        if b[i] == b'.' {
+            // Trailing dots are trimmed, so `i + 1` is in bounds.
+            if b[i + 1] == b'.' {
+                return None;
+            }
+            if let Some(slot) = dots.get_mut(seen) {
+                *slot = Some(i);
+            }
+            seen += 1;
+        }
+    }
+    let [tld_dot, sld_dot, third_dot] = dots;
+    let tld_dot = tld_dot?;
     let sld_start = sld_dot.map_or(0, |d| d + 1);
     let (sld, tld) = (&host[sld_start..tld_dot], &host[tld_dot + 1..]);
     let two_label_suffix = second_level_suffix_labels(tld)
@@ -112,7 +125,7 @@ pub fn registrable_domain_str(host: &str) -> Option<&str> {
     }
     // A bare two-label suffix (`co.uk`) has nothing registered above it.
     sld_dot?;
-    Some(&host[dots.next().map_or(0, |d| d + 1)..])
+    Some(&host[third_dot.map_or(0, |d| d + 1)..])
 }
 
 /// The owned, lowercased form of [`registrable_domain_str`].

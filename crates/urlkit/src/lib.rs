@@ -31,3 +31,5 @@ pub use separator::is_separator;
 
 #[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod reference;

@@ -6,7 +6,7 @@
 //! case-preserving, matching how Adblock Plus applies `match-case`).
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Error produced when a string cannot be parsed as an absolute URL.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,110 +55,164 @@ impl std::error::Error for ParseError {}
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Url {
-    raw: String,
-    scheme_end: usize,
-    host_start: usize,
-    host_end: usize,
-    port: Option<u16>,
-    path_start: usize,
-    query_start: Option<usize>,
-    fragment_start: Option<usize>,
+    pub(crate) raw: String,
+    pub(crate) scheme_end: usize,
+    pub(crate) host_start: usize,
+    pub(crate) host_end: usize,
+    pub(crate) port: Option<u16>,
+    pub(crate) path_start: usize,
+    pub(crate) query_start: Option<usize>,
+    pub(crate) fragment_start: Option<usize>,
+}
+
+/// Offset of the first `://` in `b`: the first `:` followed by `//`.
+fn scheme_sep(b: &[u8]) -> Option<usize> {
+    let mut from = 0;
+    while let Some(i) = b[from..].iter().position(|&c| c == b':') {
+        let colon = from + i;
+        if b[colon + 1..].starts_with(b"//") {
+            return Some(colon);
+        }
+        from = colon + 1;
+    }
+    None
+}
+
+/// First offset of byte `x` or `y` in `hay`, eight bytes per step: XOR
+/// a word with the byte broadcast to every lane and the zero-byte trick
+/// flags the lanes that matched. The lowest flag is always a genuine
+/// match (a false flag needs a borrow out of a matching byte below it),
+/// and OR-ing two masks keeps that true.
+fn first_of(hay: &[u8], x: u8, y: u8) -> Option<usize> {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let zero = |w: u64| w.wrapping_sub(LOW) & !w & HIGH;
+    let (bx, by) = (u64::from(x) * LOW, u64::from(y) * LOW);
+    let mut words = hay.chunks_exact(8);
+    let mut i = 0;
+    for word in &mut words {
+        let mut bytes = [0u8; 8];
+        bytes.copy_from_slice(word);
+        let w = u64::from_le_bytes(bytes);
+        let m = zero(w ^ bx) | zero(w ^ by);
+        if m != 0 {
+            return Some(i + (m.trailing_zeros() / 8) as usize);
+        }
+        i += 8;
+    }
+    let rest = words.remainder().iter().position(|&c| c == x || c == y);
+    rest.map(|p| i + p)
 }
 
 impl Url {
     /// Parse an absolute URL.
     ///
-    /// Leading/trailing ASCII whitespace is trimmed. Scheme and host are
-    /// lowercased in place; the rest of the URL is preserved byte-for-byte.
+    /// Leading/trailing whitespace is trimmed as [`str::trim`] does:
+    /// Unicode `White_Space`, so a no-break space (U+00A0) or an em space
+    /// (U+2003) goes too, not only ASCII. Scheme and host are lowercased;
+    /// the rest of the URL is preserved byte-for-byte.
+    ///
+    /// Every split point is an ASCII byte (`:`, `/`, `?`, `#`, `@`, `[`,
+    /// `]`), so the parse is byte loops over the input with no `char`
+    /// decoding, and every slice it takes lands on a char boundary.
     pub fn parse(input: &str) -> Result<Self, ParseError> {
-        let trimmed = input.trim();
-        if trimmed.is_empty() {
+        let s = input.trim();
+        let b = s.as_bytes();
+        if b.is_empty() {
             return Err(ParseError::Empty);
         }
-        let sep = trimmed.find("://").ok_or(ParseError::MissingScheme)?;
-        let scheme = &trimmed[..sep];
-        if scheme.is_empty()
+        let sep = scheme_sep(b).ok_or(ParseError::MissingScheme)?;
+        let scheme = &b[..sep];
+        if !scheme.first().is_some_and(u8::is_ascii_alphabetic)
             || !scheme
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_alphabetic())
-        {
-            return Err(ParseError::InvalidScheme);
-        }
-        if !scheme
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '+' | '-' | '.'))
+                .iter()
+                .all(|&c| c.is_ascii_alphanumeric() || matches!(c, b'+' | b'-' | b'.'))
         {
             return Err(ParseError::InvalidScheme);
         }
 
-        let rest_start = sep + 3;
-        let rest = &trimmed[rest_start..];
-        // Authority ends at the first '/', '?', or '#'.
-        let auth_end_rel = rest.find(['/', '?', '#']).unwrap_or(rest.len());
-        let authority = &rest[..auth_end_rel];
-        if authority.is_empty() {
+        // The authority runs from after `://` to the first '/', '?' or
+        // '#'. One pass finds that end, the last '@' (userinfo ends
+        // there: rare in filters, but be lenient), the last ':' after
+        // it, and whether any ASCII whitespace follows it.
+        let auth_start = sep + 3;
+        let mut auth_end = b.len();
+        let mut at = None;
+        let mut colon = None;
+        let mut space = false;
+        for (i, &c) in b[auth_start..].iter().enumerate() {
+            match c {
+                b'/' | b'?' | b'#' => {
+                    auth_end = auth_start + i;
+                    break;
+                }
+                b'@' => (at, colon, space) = (Some(auth_start + i), None, false),
+                b':' => colon = Some(auth_start + i),
+                c if c.is_ascii_whitespace() => space = true,
+                _ => {}
+            }
+        }
+        if auth_start == auth_end {
             return Err(ParseError::EmptyHost);
         }
-        // Strip userinfo if present (rare in filters, but be lenient).
-        let host_port = match authority.rfind('@') {
-            Some(at) => &authority[at + 1..],
-            None => authority,
-        };
-        // A bracketed IPv6 literal is full of colons: its port, if any,
-        // follows the closing bracket.
-        let (host, port_str) = if host_port.starts_with('[') {
-            let close = host_port.find(']').ok_or(ParseError::InvalidHost)?;
-            let (host, after) = host_port.split_at(close + 1);
-            match after.strip_prefix(':') {
-                Some(p) => (host, p),
-                None if after.is_empty() => (host, ""),
-                None => return Err(ParseError::InvalidHost),
+        let host_from = at.map_or(auth_start, |at| at + 1);
+        // `host_to` ends the host; the port, if any, runs from after the
+        // `:` at `host_to` to `auth_end`. A bracketed IPv6 literal is full
+        // of colons: its port follows the closing bracket.
+        let host_to = if b.get(host_from) == Some(&b'[') {
+            let close = b[host_from..auth_end]
+                .iter()
+                .position(|&c| c == b']')
+                .ok_or(ParseError::InvalidHost)?;
+            let host_to = host_from + close + 1;
+            if host_to != auth_end && b[host_to] != b':' {
+                return Err(ParseError::InvalidHost);
             }
+            host_to
         } else {
-            match host_port.rfind(':') {
-                Some(colon) => (&host_port[..colon], &host_port[colon + 1..]),
-                None => (host_port, ""),
-            }
+            colon.unwrap_or(auth_end)
         };
-        let port = match port_str {
-            "" => None,
-            p => Some(p.parse::<u16>().map_err(|_| ParseError::InvalidPort)?),
+        let port = match s.get(host_to + 1..auth_end) {
+            None | Some("") => None,
+            Some(p) => Some(p.parse::<u16>().map_err(|_| ParseError::InvalidPort)?),
         };
-        if host.is_empty() {
+        if host_from == host_to {
             return Err(ParseError::EmptyHost);
         }
-        if host
-            .chars()
-            .any(|c| c.is_ascii_whitespace() || matches!(c, '/' | '?' | '#' | '@'))
-        {
+        // After the last '@' come only the host, a ':' and the port, and
+        // a port with whitespace in it did not parse: any whitespace seen
+        // is the host's. ('/', '?', '#' and '@' cannot be in it at all.)
+        if space {
             return Err(ParseError::InvalidHost);
         }
 
-        // Rebuild a normalized raw string: lowercase scheme+host, original tail.
-        let mut raw = String::with_capacity(trimmed.len());
-        for c in scheme.chars() {
-            raw.push(c.to_ascii_lowercase());
-        }
-        raw.push_str("://");
-        let host_start = raw.len();
-        for c in host.chars() {
-            raw.push(c.to_ascii_lowercase());
-        }
+        // Rebuild a normalized raw string: lowercase scheme+host, original
+        // tail. It is never longer than the input: userinfo and an empty
+        // port are dropped, and a port is rewritten in its fewest digits.
+        let tail = &s[auth_end..];
+        let mut raw = String::with_capacity(s.len());
+        raw.push_str(&s[..auth_start]);
+        raw.push_str(&s[host_from..host_to]);
+        raw.make_ascii_lowercase();
+        let host_start = auth_start;
         let host_end = raw.len();
         if let Some(p) = port {
-            raw.push(':');
-            raw.push_str(&p.to_string());
+            // Writing to a `String` cannot fail.
+            let _ = write!(raw, ":{p}");
         }
         let path_start = raw.len();
-        raw.push_str(&rest[auth_end_rel..]);
+        raw.push_str(tail);
 
-        let tail = &raw[path_start..];
-        let fragment_start = tail.find('#').map(|i| path_start + i);
-        let query_limit = fragment_start.unwrap_or(raw.len());
-        let query_start = raw[path_start..query_limit]
-            .find('?')
-            .map(|i| path_start + i);
+        // The first '#' starts the fragment; a '?' before it, the query.
+        let tb = tail.as_bytes();
+        let (query_start, fragment_start) = match first_of(tb, b'?', b'#') {
+            None => (None, None),
+            Some(f) if tb[f] == b'#' => (None, Some(path_start + f)),
+            Some(q) => (
+                Some(path_start + q),
+                first_of(&tb[q..], b'#', b'#').map(|f| path_start + q + f),
+            ),
+        };
 
         Ok(Url {
             scheme_end: sep,
@@ -369,5 +423,32 @@ mod tests {
     #[test]
     fn whitespace_in_host_rejected() {
         assert!(Url::parse("http://exa mple.com/").is_err());
+    }
+
+    #[test]
+    fn unicode_whitespace_around_the_url_is_trimmed() {
+        // `str::trim` strips Unicode White_Space, not only ASCII.
+        let u = Url::parse("\u{a0}\u{2003} http://Example.com/x \u{2003}\u{a0}").unwrap();
+        assert_eq!(u.as_str(), "http://example.com/x");
+        assert_eq!(Url::parse("\u{a0}\u{2003}"), Err(ParseError::Empty));
+    }
+
+    #[test]
+    fn port_is_normalized_as_u16_parses_it() {
+        let port = |url: &str| Url::parse(url).map(|u| (u.port(), u.as_str().to_string()));
+        assert_eq!(
+            port("http://a.com:080/"),
+            Ok((Some(80), "http://a.com:80/".into()))
+        );
+        assert_eq!(
+            port("http://a.com:+80/"),
+            Ok((Some(80), "http://a.com:80/".into()))
+        );
+        assert_eq!(port("http://a.com:/"), Ok((None, "http://a.com/".into())));
+        assert_eq!(port("http://a.com:-80/"), Err(ParseError::InvalidPort));
+        assert_eq!(
+            port("http://u:p@A.com:0"),
+            Ok((Some(0), "http://a.com:0".into()))
+        );
     }
 }

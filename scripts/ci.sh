@@ -40,6 +40,9 @@ for run in 1 2 3 4 5; do
         { echo "determinism: chaos + service_smoke run $run failed" >&2; exit 1; }
 done
 
+echo "==> urlkit differential at 4096 cases (byte-level Url::parse and registrable_domain_str = the char-pattern reference)"
+PROPTEST_CASES=4096 cargo test -q --release -p urlkit
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
