@@ -3,23 +3,21 @@
 //! ```text
 //! abpd [--addr HOST:PORT] [--shards N] [--cache-capacity N]
 //!      [--max-line-bytes N] [--seed N] [--deadline-ms N]
-//!      [--server-mode event|blocking]
 //!      [--watch FILE] [--watch-interval-ms N] [--state-dir DIR]
 //! ```
 //!
 //! Serves ad-blocking decisions for the generated corpus (EasyList +
 //! Acceptable Ads whitelist) until a client sends the `Shutdown` verb.
-//! An argument that is none of the ten flags above is reported on
+//! An argument that is none of the nine flags above is reported on
 //! stderr (`abpd: ignoring unknown flag NAME`) and otherwise ignored,
 //! so a command line written for an older build still boots.
 //!
-//! `--shards` is the number of evaluation shards, each with its own
-//! slice of the `--cache-capacity` decision cache; every batch is
-//! evaluated on the thread that read it. `--server-mode event` (the
-//! default) runs one epoll reactor thread per shard behind
-//! `SO_REUSEPORT` listeners; `blocking` runs one thread per connection
-//! and locks a shard per decision line. Event mode is Linux-only and
-//! falls back to blocking wherever its listeners cannot be bound.
+//! `--shards` is the number of evaluation shards, each an epoll reactor
+//! thread behind its own `SO_REUSEPORT` listener with its own slice of
+//! the `--cache-capacity` decision cache; every batch is evaluated on
+//! the thread that read it. The reactors are Linux-only: elsewhere the
+//! daemon exits reporting an `Unsupported` error. A `--addr` port that
+//! another process already listens on fails the start (`AddrInUse`).
 //!
 //! `--deadline-ms` bounds per-batch evaluation time (a batch that runs
 //! past it fails with a `DeadlineExceeded` error instead of answering
@@ -46,19 +44,18 @@
 //! reload.
 
 use abpd::protocol::{ReloadDeltaList, ReloadList};
-use abpd::{Client, FaultConfig, ReloadDeltaOutcome, Server, ServerConfig, ServerMode};
+use abpd::{Client, FaultConfig, ReloadDeltaOutcome, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::time::Duration;
 
 /// Every flag `abpd` takes; each is followed by one value.
-const FLAGS: [&str; 10] = [
+const FLAGS: [&str; 9] = [
     "--addr",
     "--shards",
     "--cache-capacity",
     "--max-line-bytes",
     "--seed",
     "--deadline-ms",
-    "--server-mode",
     "--watch",
     "--watch-interval-ms",
     "--state-dir",
@@ -204,7 +201,6 @@ fn main() {
         eprintln!(
             "usage: abpd [--addr HOST:PORT] [--shards N] [--cache-capacity N] \
              [--max-line-bytes N] [--seed N] [--deadline-ms N] \
-             [--server-mode event|blocking] \
              [--watch FILE] [--watch-interval-ms N] [--state-dir DIR]"
         );
         return;
@@ -221,9 +217,6 @@ fn main() {
     }
     if let Some(n) = parse_flag(&args, "--max-line-bytes") {
         config.max_line_bytes = n;
-    }
-    if let Some(mode) = parse_flag::<ServerMode>(&args, "--server-mode") {
-        config.mode = mode;
     }
     if let Some(ms) = parse_flag::<u64>(&args, "--deadline-ms") {
         config.service.deadline = Some(Duration::from_millis(ms.max(1)));
@@ -317,20 +310,22 @@ fn main() {
         }
     };
     eprintln!(
-        "abpd: listening on {} ({} filters, {} shards, {:?} wire path)",
+        "abpd: listening on {} ({} filters, {} shards)",
         server.local_addr(),
         server.filter_count(),
-        server.shard_count(),
-        config.mode
+        server.shard_count()
     );
     if let Some(path) = watch {
         let addr = server.local_addr();
         let interval = Duration::from_millis(watch_interval.max(1));
         eprintln!("abpd: watching {path} every {}ms", interval.as_millis());
-        std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name("abpd-watch".to_string())
-            .spawn(move || watch_loop(addr, path, interval, easylist, whitelist))
-            .expect("spawn watch thread");
+            .spawn(move || watch_loop(addr, path, interval, easylist, whitelist));
+        if let Err(e) = spawned {
+            eprintln!("abpd: cannot start the watch thread: {e}");
+            std::process::exit(1);
+        }
     }
     server.join();
     eprintln!("abpd: drained, bye");

@@ -198,7 +198,7 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// Independent draw-counter slots. Drawers pick a stable slot (shard
-/// index, reactor index, connection id) and only ever contend
+/// or reactor index) and only ever contend
 /// with other drawers folded onto the same slot modulo this count.
 const SLOTS: usize = 64;
 

@@ -7,9 +7,10 @@
 //! [`protocol`]). A connection belongs to one of N evaluation shards;
 //! every batch it sends is evaluated on the thread that read it
 //! ([`service::Service::decide_batch_local`], the only route) and
-//! outcomes are memoized in that shard's LRU cache ([`cache`]). Two
-//! socket fronts — epoll reactors and thread-per-connection, chosen by
-//! [`ServerMode`] — feed one verb dispatch ([`server`]). A decision for
+//! outcomes are memoized in that shard's LRU cache ([`cache`]). The
+//! socket front is one epoll reactor thread per shard, feeding one verb
+//! dispatch ([`server`]); it is Linux-only, and elsewhere
+//! [`Server::start`] fails with `Unsupported`. A decision for
 //! a fixed engine is a pure function of `(url, document, resource
 //! type, sitekey, tenant)`, so cached responses are byte-identical to
 //! fresh engine evaluations — property-tested in this crate's test
@@ -40,7 +41,7 @@ pub mod wire;
 pub use client::{Client, ReloadDeltaOutcome, RetryClient, RetryPolicy};
 pub use faults::FaultConfig;
 pub use protocol::{DecisionRequest, DecisionResponse, HealthReport, HealthState, StatsReport};
-pub use server::{Server, ServerConfig, ServerMode};
+pub use server::{Server, ServerConfig};
 pub use service::{serving_checksum, ReloadDeltaError, Service, ServiceConfig, ServiceError};
 pub use state::{PersistedState, SnapshotError, StateStore};
 

@@ -285,11 +285,9 @@ pub fn distinct_tenants(shards: &[Arc<ReactorMetrics>]) -> u64 {
     tenant_totals(shards).0
 }
 
-/// One shard's counters — a reactor thread's, or one locked evaluation
-/// slot's behind the thread-per-connection front — folded into
+/// One shard's counters — a reactor thread's — folded into
 /// `Stats`/`Health` replies on demand. The decision counters live in a
-/// padded [`ShardMetrics`] that only the shard's current evaluator
-/// increments; `eval_panics` counts evaluations that panicked (injected
+/// padded [`ShardMetrics`] that only the shard's reactor increments; `eval_panics` counts evaluations that panicked (injected
 /// or real) and were caught without losing the thread, reported as
 /// `HealthReport::shard_restarts`.
 #[derive(Default)]

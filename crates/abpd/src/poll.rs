@@ -1,4 +1,4 @@
-//! Minimal Linux epoll + socket plumbing for the event-driven server,
+//! Minimal Linux epoll + socket plumbing for the server's reactors,
 //! declared directly against the C ABI — zero new crate dependencies,
 //! the same hand-rolled discipline as `abp::anchors`. This is the one
 //! module in the crate allowed to use `unsafe`: it owns the raw fds,
@@ -18,16 +18,10 @@
 //!   option can be set, and `SO_REUSEPORT` must precede `bind`.
 //!
 //! On non-Linux targets everything compiles to stubs whose
-//! constructors return `std::io::ErrorKind::Unsupported` (and
-//! [`supported`] reports `false`), so the server, finding it cannot
-//! bind a reactor's listener, falls back to the blocking
-//! thread-per-connection front.
+//! constructors return `std::io::ErrorKind::Unsupported`, and that is
+//! the error `Server::start` reports there: the server has no second
+//! backend.
 #![allow(unsafe_code)]
-
-/// Whether the event-driven server can run on this target.
-pub const fn supported() -> bool {
-    cfg!(target_os = "linux")
-}
 
 /// One readiness event out of [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
@@ -330,7 +324,7 @@ mod sys {
     fn unsupported<T>() -> io::Result<T> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
-            "epoll is Linux-only; use the blocking server mode",
+            "abpd serves through epoll, which is Linux-only",
         ))
     }
 
@@ -379,7 +373,7 @@ mod sys {
         pub fn drain(&self) {}
     }
 
-    /// Always fails; the server then serves through the blocking front.
+    /// Always fails, so `Server::start` does.
     pub fn listen_reuseport(_addr: SocketAddr) -> io::Result<TcpListener> {
         unsupported()
     }

@@ -1132,8 +1132,6 @@ mod pipelining {
             let server = Server::start(
                 test_engine(),
                 &ServerConfig {
-                    addr: "127.0.0.1:0".to_string(),
-                    max_line_bytes: 1024 * 1024,
                     service: ServiceConfig {
                         shards: 2,
                         cache_capacity: 64,

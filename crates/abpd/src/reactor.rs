@@ -1,19 +1,16 @@
-//! The event-driven socket front: one reactor thread per shard, each
-//! owning an epoll instance, a `SO_REUSEPORT` listener, its
-//! nonblocking connections, and all the hot state a decision touches —
-//! read/write buffers, [`BatchScratch`], a [`LocalEval`] with its
-//! unsynchronized decision cache, and cache-line-padded metrics. A
-//! shard *is* a reactor here: `--shards N` is N of these threads.
+//! The socket front: one reactor thread per shard, each owning an
+//! epoll instance, a `SO_REUSEPORT` listener, its nonblocking
+//! connections, and all the hot state a decision touches — read/write
+//! buffers, [`BatchScratch`], a [`LocalEval`] with its unsynchronized
+//! decision cache, and cache-line-padded metrics. A shard *is* a
+//! reactor: `--shards N` is N of these threads, and an idle connection
+//! costs a [`LineBuf`] and an fd, never a thread.
 //!
 //! A connection is accepted by exactly one reactor and never migrates:
 //! parse → evaluate → corked reply all run on that core, so the steady
 //! state shares no cache line between cores. Every complete line goes
-//! to [`answer_line`], the verb dispatch shared with the
-//! thread-per-connection front, which evaluates batches of any size
-//! on this thread through [`Service::decide_batch_local`]. Where the
-//! per-reactor listeners cannot be bound ([`bind_listeners`] fails),
-//! [`crate::server::Server`] starts the thread-per-connection front
-//! instead.
+//! to [`answer_line`], the verb dispatch, which evaluates batches of
+//! any size on this thread through [`Service::decide_batch_local`].
 //!
 //! Replies stay corked per readiness burst: every line parsed from one
 //! drained read burst appends to the connection's write buffer, which
@@ -26,16 +23,19 @@
 
 use crate::faults::{FaultPlan, WriteFault};
 use crate::poll::{self, Poller, WakeFd};
-use crate::server::{
-    answer_line, write_fault_plan, write_line_too_long, ServerConfig, CORK_FLUSH_BYTES,
-};
+use crate::server::{answer_line, ServerConfig};
 use crate::service::{BatchScratch, LocalEval, Service};
+use crate::wire;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// Flush the write buffer once it holds this many bytes even if more
+/// input is pending, so huge batch bursts don't buffer unboundedly.
+const CORK_FLUSH_BYTES: usize = 64 * 1024;
 
 /// Stop reading and parsing a connection whose corked replies the peer
 /// is not draining once this many bytes are pending; resume when the
@@ -46,46 +46,58 @@ const TOKEN_WAKE: u64 = 0;
 const TOKEN_LISTEN: u64 = 1;
 const TOKEN_CONN_BASE: u64 = 2;
 
-/// State shared by the reactors and the [`EventServer`] handle.
-pub(crate) struct EventShared {
+/// State shared by the reactors and the [`Server`](crate::Server)
+/// handle.
+pub(crate) struct Shared {
     pub(crate) service: Service,
     running: AtomicBool,
     kill: AtomicBool,
     max_line_bytes: usize,
+    /// The reply-path fault plan (torn writes / disconnects); `None` in
+    /// production. Evaluation faults live inside the service.
     write_faults: Option<FaultPlan>,
     /// Each reactor's eventfd, for waking it out of `epoll_wait`.
     wakers: Vec<Arc<WakeFd>>,
 }
 
-impl EventShared {
+impl Shared {
     /// Flip `running` and wake every reactor out of `epoll_wait` — also
     /// when already stopping (the `Shutdown` verb got there first), so
     /// a joiner can't race a missed edge.
-    fn stop(&self) {
+    pub(crate) fn stop(&self) {
         self.running.store(false, Ordering::SeqCst);
         for w in &self.wakers {
             w.wake();
         }
     }
-}
 
-/// The running event-mode server: its reactor threads.
-pub(crate) struct EventServer {
-    pub(crate) local_addr: SocketAddr,
-    pub(crate) shared: Arc<EventShared>,
-    threads: Vec<JoinHandle<()>>,
+    /// Stop, and have every reactor slam its connections shut instead
+    /// of draining them.
+    pub(crate) fn kill(&self) {
+        self.kill.store(true, Ordering::SeqCst);
+        self.stop();
+    }
 }
 
 /// One `SO_REUSEPORT` listener per reactor, all on the address the
 /// first one resolved (so port 0 picks one port for all): the kernel
 /// hashes incoming connections across the accept queues and no thread
-/// ever touches another's connections. Fails where such listeners —
-/// or epoll — cannot be had.
+/// ever touches another's connections. Fails with `Unsupported` off
+/// Linux.
+///
+/// A fixed port is first bound plainly, as `TcpListener::bind` binds
+/// it: a reuseport listener would otherwise join the group of any other
+/// process of the same user already serving that port, and the kernel
+/// would split new connections between the two. A busy port fails with
+/// `AddrInUse` instead.
 pub(crate) fn bind_listeners(addr: &str, n: usize) -> io::Result<Vec<TcpListener>> {
     let addr = addr
         .to_socket_addrs()?
         .next()
         .ok_or(io::ErrorKind::AddrNotAvailable)?;
+    if addr.port() != 0 {
+        drop(TcpListener::bind(addr)?);
+    }
     let first = poll::listen_reuseport(addr)?;
     let resolved = first.local_addr()?;
     let mut listeners = vec![first];
@@ -95,85 +107,58 @@ pub(crate) fn bind_listeners(addr: &str, n: usize) -> io::Result<Vec<TcpListener
     Ok(listeners)
 }
 
-impl EventServer {
-    /// Spawn one reactor per listener — one per service shard — and
-    /// start serving.
-    pub(crate) fn start(
-        service: Service,
-        listeners: Vec<TcpListener>,
-        config: &ServerConfig,
-    ) -> io::Result<EventServer> {
-        let local_addr = listeners[0].local_addr()?;
-        let evals = service.shard_evals();
-        let wakers = (0..listeners.len())
-            .map(|_| WakeFd::new().map(Arc::new))
-            .collect::<io::Result<Vec<_>>>()?;
-        let pollers = (0..listeners.len())
-            .map(|_| Poller::new())
-            .collect::<io::Result<Vec<_>>>()?;
-        let shared = Arc::new(EventShared {
-            service,
-            running: AtomicBool::new(true),
-            kill: AtomicBool::new(false),
-            max_line_bytes: config.max_line_bytes.max(64),
-            write_faults: write_fault_plan(config),
-            wakers,
-        });
+/// Spawn one reactor per listener — one per service shard — and start
+/// serving; the returned threads end once the reactors stop.
+pub(crate) fn spawn(
+    service: Service,
+    listeners: Vec<TcpListener>,
+    config: &ServerConfig,
+) -> io::Result<(Arc<Shared>, Vec<JoinHandle<()>>)> {
+    let evals = service.shard_evals();
+    let wakers = (0..listeners.len())
+        .map(|_| WakeFd::new().map(Arc::new))
+        .collect::<io::Result<Vec<_>>>()?;
+    let pollers = (0..listeners.len())
+        .map(|_| Poller::new())
+        .collect::<io::Result<Vec<_>>>()?;
+    let shared = Arc::new(Shared {
+        service,
+        running: AtomicBool::new(true),
+        kill: AtomicBool::new(false),
+        max_line_bytes: config.max_line_bytes.max(64),
+        write_faults: config
+            .service
+            .faults
+            .as_ref()
+            .filter(|c| c.torn_write_per_million > 0 || c.disconnect_per_million > 0)
+            .cloned()
+            .map(FaultPlan::new),
+        wakers,
+    });
 
-        let mut threads = Vec::with_capacity(listeners.len());
-        let shards = listeners.into_iter().zip(pollers).zip(evals);
-        for (idx, ((listener, poller), local)) in shards.enumerate() {
-            let reactor = Reactor {
-                idx,
-                shared: shared.clone(),
-                poller,
-                wake: shared.wakers[idx].clone(),
-                listener: Some(listener),
-                conns: Vec::new(),
-                free: Vec::new(),
-                open: 0,
-                scratch: shared.service.scratch(),
-                local,
-                rbuf: vec![0u8; 64 * 1024],
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("abpd-reactor-{idx}"))
-                    .spawn(move || reactor.run())?,
-            );
-        }
-
-        Ok(EventServer {
-            local_addr,
-            shared,
-            threads,
-        })
+    let mut threads = Vec::with_capacity(listeners.len());
+    let shards = listeners.into_iter().zip(pollers).zip(evals);
+    for (idx, ((listener, poller), local)) in shards.enumerate() {
+        let reactor = Reactor {
+            idx,
+            shared: shared.clone(),
+            poller,
+            wake: shared.wakers[idx].clone(),
+            listener: Some(listener),
+            conns: Vec::new(),
+            free: Vec::new(),
+            open: 0,
+            scratch: shared.service.scratch(),
+            local,
+            rbuf: vec![0u8; 64 * 1024],
+        };
+        threads.push(
+            std::thread::Builder::new()
+                .name(format!("abpd-reactor-{idx}"))
+                .spawn(move || reactor.run())?,
+        );
     }
-
-    fn join_threads(&mut self) {
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-
-    /// Graceful: stop accepting, serve open connections until their
-    /// peers close, then join.
-    pub(crate) fn shutdown(mut self) {
-        self.shared.stop();
-        self.join_threads();
-    }
-
-    /// Abrupt: stop accepting and slam every open connection shut.
-    pub(crate) fn kill(mut self) {
-        self.shared.kill.store(true, Ordering::SeqCst);
-        self.shared.stop();
-        self.join_threads();
-    }
-
-    /// Block until the server stops (via the `Shutdown` verb).
-    pub(crate) fn join(mut self) {
-        self.join_threads();
-    }
+    Ok((shared, threads))
 }
 
 /// A connection's unparsed input and the framing state over it.
@@ -258,7 +243,7 @@ struct Conn {
 
 struct Reactor {
     idx: usize,
-    shared: Arc<EventShared>,
+    shared: Arc<Shared>,
     poller: Poller,
     wake: Arc<WakeFd>,
     /// Own reuseport listener; `None` once a graceful stop closed it.
@@ -463,19 +448,27 @@ impl Reactor {
             conn.paused = false;
             match conn.input.next_frame(max) {
                 None => break,
-                Some(Frame::TooLong(bytes)) => write_line_too_long(bytes, max, &mut conn.out),
+                Some(Frame::TooLong(bytes)) => {
+                    wire::write_error(
+                        &format!(
+                            "request line too long: {bytes} bytes exceeds the {max} byte limit"
+                        ),
+                        &mut conn.out,
+                    );
+                    conn.out.push(b'\n');
+                }
                 Some(Frame::Line(line)) => {
                     shutdown = answer_line(
                         &self.shared.service,
                         &conn.input.buf[line],
                         &mut self.scratch,
-                        || &mut self.local,
+                        &mut self.local,
                         &mut conn.out,
                     );
                     if shutdown {
                         // Once the shutdown ack is corked, later
                         // pipelined lines on this connection go
-                        // unanswered (as on the blocking front).
+                        // unanswered.
                         self.shared.stop();
                         break;
                     }
@@ -489,8 +482,7 @@ impl Reactor {
     /// Write as much of the corked burst as the kernel will take. A
     /// `WouldBlock` mid-burst returns `Ok` with bytes left pending
     /// (interest recomputation arms `EPOLLOUT`). The write-fault plan
-    /// is consulted once per fresh burst, mirroring the blocking
-    /// server's per-flush draw.
+    /// is consulted once per fresh burst.
     fn flush(&self, conn: &mut Conn) -> io::Result<()> {
         if conn.out_pos == conn.out.len() {
             conn.out.clear();
@@ -551,7 +543,7 @@ impl Reactor {
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::{Frame, LineBuf};
-    use crate::server::{Server, ServerConfig, ServerMode};
+    use crate::server::{Server, ServerConfig};
     use crate::service::ServiceConfig;
     use abp::Engine;
     use std::io::{BufRead, BufReader, Read, Write};
@@ -563,9 +555,8 @@ mod tests {
         Engine::from_lists([&list])
     }
 
-    fn event_config(shards: usize) -> ServerConfig {
+    fn sharded(shards: usize) -> ServerConfig {
         ServerConfig {
-            mode: ServerMode::Event,
             service: ServiceConfig {
                 shards,
                 ..ServiceConfig::default()
@@ -675,7 +666,7 @@ mod tests {
     /// line, and finishing the line later must yield its own reply.
     #[test]
     fn partial_line_reads_reassemble() {
-        let server = Server::start(tiny_engine(), &event_config(1)).unwrap();
+        let server = Server::start(tiny_engine(), &sharded(1)).unwrap();
         let (mut sock, mut reader) = connect(&server);
         sock.write_all(b"\"Ping\"\n\"Pi").unwrap();
         let mut reply = String::new();
@@ -701,7 +692,7 @@ mod tests {
         // ~200k pongs ≈ 1.4 MB of replies: far past the 256 KiB cap
         // plus both kernel socket buffers.
         const N: usize = 200_000;
-        let server = Server::start(tiny_engine(), &event_config(1)).unwrap();
+        let server = Server::start(tiny_engine(), &sharded(1)).unwrap();
         let (sock, mut reader) = connect(&server);
         let writer = {
             let mut sock = sock.try_clone().unwrap();
@@ -727,7 +718,7 @@ mod tests {
     /// the connection; the server keeps serving others.
     #[test]
     fn mid_line_disconnect_is_dropped_cleanly() {
-        let server = Server::start(tiny_engine(), &event_config(2)).unwrap();
+        let server = Server::start(tiny_engine(), &sharded(2)).unwrap();
         for _ in 0..8 {
             let (mut sock, mut reader) = connect(&server);
             sock.write_all(b"\"Ping\"\n{\"Decide\":{\"url\":\"http://x")
@@ -757,7 +748,7 @@ mod tests {
     /// client reads fail fast instead of waiting out a drain.
     #[test]
     fn kill_slams_open_connections() {
-        let server = Server::start(tiny_engine(), &event_config(2)).unwrap();
+        let server = Server::start(tiny_engine(), &sharded(2)).unwrap();
         let mut clients = Vec::new();
         for _ in 0..4 {
             let (mut sock, mut reader) = connect(&server);

@@ -2,13 +2,11 @@
 //! the calling thread through a shard-owned [`LocalEval`].
 //!
 //! There is one evaluation route, [`Service::decide_batch_local`], for
-//! every batch size and behind both socket fronts. A *shard* is one
-//! [`LocalEval`]: an unsynchronised decision cache plus that shard's
-//! metrics. An event-mode reactor owns its shard outright; the
-//! thread-per-connection front keeps `shards` of them behind mutexes
-//! and picks one by connection id. Nothing is queued and no thread is
-//! handed work, so there is nothing to shed: a batch is bounded by the
-//! front's `max_line_bytes`, and a cache-hit decision allocates nothing
+//! every batch size. A *shard* is one [`LocalEval`]: an unsynchronised
+//! decision cache plus that shard's metrics, owned outright by one
+//! reactor thread. Nothing is queued and no thread is handed work, so
+//! there is nothing to shed: a batch is bounded by the server's
+//! `max_line_bytes`, and a cache-hit decision allocates nothing
 //! (the digest is computed from borrowed fields and the response slots
 //! live in the caller's [`BatchScratch`]).
 //!
@@ -47,16 +45,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Most shards a service will run: one reactor thread (or one locked
-/// evaluation slot) each.
+/// Most shards a service will run: one reactor thread each.
 const MAX_SHARDS: usize = 64;
 
 /// Tuning knobs for [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Evaluation shards: event mode runs one reactor thread per
-    /// shard, the thread-per-connection front one locked [`LocalEval`]
-    /// per shard. Defaults to available parallelism, capped at 8.
+    /// Evaluation shards, one reactor thread each. Defaults to
+    /// available parallelism, capped at 8.
     pub shards: usize,
     /// Total decision-cache entries, split evenly across the shards.
     pub cache_capacity: usize,
@@ -205,9 +201,8 @@ impl BatchScratch {
 
 /// One shard's evaluation state for [`Service::decide_batch_local`]: an
 /// unsynchronized decision cache, the shard's padded metrics, and the
-/// fault-plan slot it draws from. A reactor thread owns one; the
-/// thread-per-connection front locks one per decision line. Nothing in
-/// here is shared until `Stats`/`Health` reads the metrics.
+/// fault-plan slot it draws from. A reactor thread owns one. Nothing
+/// in here is shared until `Stats`/`Health` reads the metrics.
 pub struct LocalEval {
     cache: LocalDecisionCache,
     /// Engine generation the local cache's entries belong to; a newer
@@ -280,7 +275,7 @@ fn compile_lists(lists: &[ReloadList]) -> Result<Engine, String> {
 }
 
 /// The running decision service (no networking; see
-/// [`crate::server::Server`] for the TCP fronts).
+/// [`crate::server::Server`] for the TCP front).
 pub struct Service {
     snapshot: RwLock<Arc<EngineSnapshot>>,
     shards: usize,
@@ -437,7 +432,7 @@ impl Service {
         }
     }
 
-    /// The service's own shards, as a socket front wants them: one
+    /// The service's own shards, as the reactors want them: one
     /// [`LocalEval`] per configured shard, the cache capacity split
     /// evenly, shard `i` drawing faults from slot `i`.
     pub fn shard_evals(&self) -> Vec<LocalEval> {

@@ -1189,27 +1189,8 @@ pub fn read_line_limited<R: std::io::Read>(
     out: &mut Vec<u8>,
     max: usize,
 ) -> std::io::Result<LineRead> {
-    read_line_limited_flushing(reader, out, max, || Ok(()))
-}
-
-/// [`read_line_limited`], plus a `before_block` hook invoked whenever
-/// the internal buffer is empty and the next `fill_buf` may therefore
-/// sleep on the underlying reader — including mid-line. The server
-/// uses it to flush corked replies exactly when it would otherwise
-/// sleep holding them: a client may legitimately wait for reply N
-/// before sending the rest of line N+1, so pending output must never
-/// be withheld across a blocking read.
-pub fn read_line_limited_flushing<R: std::io::Read>(
-    reader: &mut std::io::BufReader<R>,
-    out: &mut Vec<u8>,
-    max: usize,
-    mut before_block: impl FnMut() -> std::io::Result<()>,
-) -> std::io::Result<LineRead> {
     out.clear();
     loop {
-        if reader.buffer().is_empty() {
-            before_block()?;
-        }
         let buf = reader.fill_buf()?;
         if buf.is_empty() {
             return Ok(if out.is_empty() {
@@ -1239,9 +1220,6 @@ pub fn read_line_limited_flushing<R: std::io::Read>(
                     let mut total = out.len() + n;
                     reader.consume(n);
                     loop {
-                        if reader.buffer().is_empty() {
-                            before_block()?;
-                        }
                         let buf = reader.fill_buf()?;
                         if buf.is_empty() {
                             return Ok(LineRead::TooLong(total));

@@ -12,17 +12,18 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> determinism (abp + acceptable-ads + abpd lib tests: 5x default runner; abp + acceptable-ads 2x --test-threads 1; fleet, chaos, service_smoke: 5x release)"
+echo "==> determinism (abp + acceptable-ads + abpd lib tests: 5x default runner; abp + acceptable-ads 2x --test-threads 1; fleet, chaos, service_smoke, connection_scale: 5x release)"
 # Tier-1 must be green on every run, not most runs: the two crates whose
 # tests compile engines side by side run again and again under both
 # schedules, and the first red run fails the stage. abpd's lib tests
-# start real servers on both socket fronts, so they repeat too — and
-# with them its proptests (scan kernel ≡ byte loop, arbitrary bytes at
-# the message parsers, hot codec ≡ serde), which need no loop of their
-# own. The fleet tests kill shards under a live router; chaos and service_smoke
-# drive the only evaluation route there is under injected panics, torn
-# writes and mid-batch shutdown (sockets and timing), so all three
-# repeat in release, under the default runner.
+# start real servers on the reactors, so they repeat too — and with
+# them its proptests (scan kernel ≡ byte loop, arbitrary bytes at the
+# message parsers, hot codec ≡ serde), which need no loop of their
+# own. The fleet tests kill shards under a live router; chaos and
+# service_smoke drive the only evaluation route there is under injected
+# panics, torn writes and mid-batch shutdown, and connection_scale holds
+# 2,000 connections open on the real binary (sockets and timing), so
+# all four repeat in release, under the default runner.
 for run in 1 2 3 4 5; do
     cargo test -q -p abp -p acceptable-ads --lib ||
         { echo "determinism: default-runner run $run failed" >&2; exit 1; }
@@ -36,8 +37,8 @@ done
 for run in 1 2 3 4 5; do
     cargo test -q --release --test fleet ||
         { echo "determinism: fleet run $run failed" >&2; exit 1; }
-    cargo test -q --release --test chaos --test service_smoke ||
-        { echo "determinism: chaos + service_smoke run $run failed" >&2; exit 1; }
+    cargo test -q --release --test chaos --test service_smoke --test connection_scale ||
+        { echo "determinism: chaos + service_smoke + connection_scale run $run failed" >&2; exit 1; }
 done
 
 echo "==> urlkit differential at 4096 cases (byte-level Url::parse and registrable_domain_str = the char-pattern reference)"
@@ -77,10 +78,11 @@ fi
 
 echo "==> benchmark tests (unit tests + a --quick pass of all six workloads on the release daemons, every reply oracle-checked)"
 # Drives the real abpd and abpd-proxy binaries on both topologies and
-# both variant daemons: --server-mode blocking, and a second event-mode
-# daemon whose --inline-batch-max 1 is now an ignored flag (the worker
-# pool it used to force is gone). The harness starts and stops every
-# process it uses.
+# both variant daemons, which now select nothing: --server-mode blocking
+# and --inline-batch-max 1 are ignored flags (the thread-per-connection
+# front and the worker pool they used to force are gone), so both run
+# the reactors again. The harness starts and stops every process it
+# uses.
 cargo test --manifest-path benchmark/Cargo.toml
 
 echo "==> benchmark/ and BENCHMARK.json untouched by the build and the tests"

@@ -11,7 +11,7 @@ use abpd::client::ItemAnswer;
 use abpd::protocol::ReloadList;
 use abpd::{
     Client, DecisionRequest, FaultConfig, HealthState, RetryClient, RetryPolicy, Server,
-    ServerConfig, ServerMode, ServiceConfig,
+    ServerConfig, ServiceConfig,
 };
 
 use abp::{Decision, Engine, FilterList, ListSource, Request, ResourceType};
@@ -58,18 +58,15 @@ fn requests(n: usize) -> Vec<DecisionRequest> {
 /// writes and disconnects on the reply path — and still every request
 /// is answered (decision, typed rejection, or shed), every decision
 /// matches a direct engine evaluation, and the server reports healthy
-/// afterwards. Runs against both socket fronts. The panics are real
-/// `panic!`s raised inside the one evaluation route and caught by its
-/// `catch_unwind` — the only supervision there is — on a reactor thread
-/// in event mode and on a connection thread holding a shard's lock in
-/// blocking mode; either way the line answers `Error`, the thread and
-/// the shard's cache keep serving, and `Health.shard_restarts` counts
-/// it. The write faults hit each front's corked flushes.
-fn chaos_run_answers_every_request(mode: ServerMode) {
+/// afterwards. The panics are real `panic!`s raised inside the one
+/// evaluation route and caught by its `catch_unwind` — the only
+/// supervision there is — on a reactor thread: the line answers
+/// `Error`, the thread and the shard's cache keep serving, and
+/// `Health.shard_restarts` counts it. The write faults hit the
+/// reactors' corked flushes.
+#[test]
+fn chaos_run_answers_every_request_event() {
     let config = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        max_line_bytes: 1024 * 1024,
-        mode,
         service: ServiceConfig {
             shards: 4,
             cache_capacity: 4096,
@@ -84,6 +81,7 @@ fn chaos_run_answers_every_request(mode: ServerMode) {
             }),
             ..ServiceConfig::default()
         },
+        ..ServerConfig::default()
     };
     let server = Server::start(test_engine(), &config).expect("bind server");
     let engine = test_engine();
@@ -150,31 +148,20 @@ fn chaos_run_answers_every_request(mode: ServerMode) {
     server.shutdown();
 }
 
-#[test]
-fn chaos_run_answers_every_request_blocking() {
-    chaos_run_answers_every_request(ServerMode::Blocking);
-}
-
-#[test]
-fn chaos_run_answers_every_request_event() {
-    chaos_run_answers_every_request(ServerMode::Event);
-}
-
 /// Satellite: `Shutdown` sent behind a burst of pipelined
 /// `DecideBatch` lines must drain and answer every queued item — in
 /// order — before the acknowledgement and socket close.
-fn shutdown_mid_batch_drains_every_queued_item(mode: ServerMode) {
+#[test]
+fn shutdown_mid_batch_drains_every_queued_item_event() {
     let server = Server::start(
         test_engine(),
         &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            max_line_bytes: 1024 * 1024,
-            mode,
             service: ServiceConfig {
                 shards: 2,
                 cache_capacity: 256,
                 ..ServiceConfig::default()
             },
+            ..ServerConfig::default()
         },
     )
     .expect("bind server");
@@ -219,23 +206,16 @@ fn shutdown_mid_batch_drains_every_queued_item(mode: ServerMode) {
     server.join();
 }
 
-#[test]
-fn shutdown_mid_batch_drains_every_queued_item_blocking() {
-    shutdown_mid_batch_drains_every_queued_item(ServerMode::Blocking);
-}
-
-#[test]
-fn shutdown_mid_batch_drains_every_queued_item_event() {
-    shutdown_mid_batch_drains_every_queued_item(ServerMode::Event);
-}
-
 /// The hot-reload gate: dozens of synthetic whitelist revisions (from
 /// the corpus history generator) flow through the `Reload` verb while
 /// pipelined load hammers the server — no request fails, no connection
 /// drops, and a parity-toggled probe proves no pre-reload decision is
 /// ever served from cache. A malformed revision is rejected and rolls
-/// back to the serving engine.
-fn reload_under_load_swaps_cleanly_and_rolls_back(mode: ServerMode) {
+/// back to the serving engine. The parity probe also proves each
+/// shard's cache notices the generation bump: it would serve a stale
+/// cached decision otherwise.
+#[test]
+fn reload_under_load_swaps_cleanly_and_rolls_back_event() {
     let corpus = corpus::Corpus::generate(7);
     let store = corpus::build_history(7, &corpus.final_whitelist);
     assert!(store.len() > 50, "history generator too short");
@@ -243,14 +223,13 @@ fn reload_under_load_swaps_cleanly_and_rolls_back(mode: ServerMode) {
     let server = Server::start(
         test_engine(),
         &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
             max_line_bytes: 8 * 1024 * 1024,
-            mode,
             service: ServiceConfig {
                 shards: 2,
                 cache_capacity: 4096,
                 ..ServiceConfig::default()
             },
+            ..ServerConfig::default()
         },
     )
     .expect("bind server");
@@ -348,19 +327,6 @@ fn reload_under_load_swaps_cleanly_and_rolls_back(mode: ServerMode) {
     server.shutdown();
 }
 
-#[test]
-fn reload_under_load_swaps_cleanly_and_rolls_back_blocking() {
-    reload_under_load_swaps_cleanly_and_rolls_back(ServerMode::Blocking);
-}
-
-/// Behind either front this proves each shard's cache notices the
-/// generation bump: the parity probe would serve a stale cached
-/// decision otherwise.
-#[test]
-fn reload_under_load_swaps_cleanly_and_rolls_back_event() {
-    reload_under_load_swaps_cleanly_and_rolls_back(ServerMode::Event);
-}
-
 const STATE_WL_V1: &str = "@@||adzerk.net/reddit/$subdocument,domain=reddit.com\n";
 const STATE_WL_V2: &str = "@@||adzerk.net/reddit/$subdocument,domain=reddit.com\n\
                            @@||doubleclick.net^$script,domain=ok.example\n";
@@ -380,8 +346,6 @@ fn state_lists(wl: &str) -> Vec<ReloadList> {
 
 fn state_config(dir: &std::path::Path) -> ServerConfig {
     ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        max_line_bytes: 1024 * 1024,
         service: ServiceConfig {
             shards: 2,
             cache_capacity: 256,

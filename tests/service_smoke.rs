@@ -1,16 +1,11 @@
 //! End-to-end smoke test: a real abpd server over localhost TCP,
 //! driven through the client library with synthesized browsing
-//! traffic, checked against direct engine evaluation.
-//!
-//! Every scenario runs twice — once against the blocking
-//! thread-per-connection front and once against the event-driven
-//! reactor front — asserting the two are observably equivalent (on
-//! targets without epoll the event run exercises the fallback, which
-//! *is* the blocking front). `one_dispatch_answers_both_fronts_byte_identically`
-//! holds them to that byte for byte.
+//! traffic, checked against direct engine evaluation. Every scenario
+//! runs once, on the event-driven reactors (the `_event` in the test
+//! names), the daemon's one socket front.
 
 use abp::{Engine, FilterList, ListSource, Request, ResourceType};
-use abpd::{Client, DecisionRequest, Server, ServerConfig, ServerMode, ServiceConfig};
+use abpd::{Client, DecisionRequest, Server, ServerConfig, ServiceConfig};
 
 fn test_engine() -> Engine {
     let bl = FilterList::parse(
@@ -24,16 +19,14 @@ fn test_engine() -> Engine {
     Engine::from_lists([&bl, &wl])
 }
 
-fn start_server(mode: ServerMode) -> Server {
+fn start_server() -> Server {
     let config = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        max_line_bytes: 1024 * 1024,
-        mode,
         service: ServiceConfig {
             shards: 2,
             cache_capacity: 1024,
             ..ServiceConfig::default()
         },
+        ..ServerConfig::default()
     };
     Server::start(test_engine(), &config).expect("bind server")
 }
@@ -48,8 +41,9 @@ fn dr(url: &str, doc: &str, rt: ResourceType) -> DecisionRequest {
     }
 }
 
-fn single_decisions_over_tcp(mode: ServerMode) {
-    let server = start_server(mode);
+#[test]
+fn single_decisions_over_tcp_event() {
+    let server = start_server();
     let mut client = Client::connect(server.local_addr()).expect("connect");
     client.ping().expect("ping");
 
@@ -89,17 +83,8 @@ fn single_decisions_over_tcp(mode: ServerMode) {
 }
 
 #[test]
-fn single_decisions_over_tcp_blocking() {
-    single_decisions_over_tcp(ServerMode::Blocking);
-}
-
-#[test]
-fn single_decisions_over_tcp_event() {
-    single_decisions_over_tcp(ServerMode::Event);
-}
-
-fn batches_preserve_order_and_feed_stats(mode: ServerMode) {
-    let server = start_server(mode);
+fn batches_preserve_order_and_feed_stats_event() {
+    let server = start_server();
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
     let batch: Vec<DecisionRequest> = (0..40)
@@ -138,19 +123,10 @@ fn batches_preserve_order_and_feed_stats(mode: ServerMode) {
 }
 
 #[test]
-fn batches_preserve_order_and_feed_stats_blocking() {
-    batches_preserve_order_and_feed_stats(ServerMode::Blocking);
-}
-
-#[test]
-fn batches_preserve_order_and_feed_stats_event() {
-    batches_preserve_order_and_feed_stats(ServerMode::Event);
-}
-
-fn malformed_lines_get_error_replies(mode: ServerMode) {
+fn malformed_lines_get_error_replies_event() {
     use std::io::{BufRead, BufReader, Write};
 
-    let server = start_server(mode);
+    let server = start_server();
     let stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
@@ -170,17 +146,8 @@ fn malformed_lines_get_error_replies(mode: ServerMode) {
 }
 
 #[test]
-fn malformed_lines_get_error_replies_blocking() {
-    malformed_lines_get_error_replies(ServerMode::Blocking);
-}
-
-#[test]
-fn malformed_lines_get_error_replies_event() {
-    malformed_lines_get_error_replies(ServerMode::Event);
-}
-
-fn pipelined_decisions_match_lockstep(mode: ServerMode) {
-    let server = start_server(mode);
+fn pipelined_decisions_match_lockstep_event() {
+    let server = start_server();
     let engine = test_engine();
     let reqs: Vec<DecisionRequest> = (0..60)
         .map(|i| {
@@ -220,27 +187,17 @@ fn pipelined_decisions_match_lockstep(mode: ServerMode) {
 }
 
 #[test]
-fn pipelined_decisions_match_lockstep_blocking() {
-    pipelined_decisions_match_lockstep(ServerMode::Blocking);
-}
-
-#[test]
-fn pipelined_decisions_match_lockstep_event() {
-    pipelined_decisions_match_lockstep(ServerMode::Event);
-}
-
-fn oversized_lines_get_bounded_error_and_resync(mode: ServerMode) {
+fn oversized_lines_get_bounded_error_and_resync_event() {
     use std::io::{BufRead, BufReader, Write};
 
     let config = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
         max_line_bytes: 256,
-        mode,
         service: ServiceConfig {
             shards: 1,
             cache_capacity: 64,
             ..ServiceConfig::default()
         },
+        ..ServerConfig::default()
     };
     let server = Server::start(test_engine(), &config).expect("bind server");
     let stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
@@ -264,17 +221,8 @@ fn oversized_lines_get_bounded_error_and_resync(mode: ServerMode) {
 }
 
 #[test]
-fn oversized_lines_get_bounded_error_and_resync_blocking() {
-    oversized_lines_get_bounded_error_and_resync(ServerMode::Blocking);
-}
-
-#[test]
-fn oversized_lines_get_bounded_error_and_resync_event() {
-    oversized_lines_get_bounded_error_and_resync(ServerMode::Event);
-}
-
-fn shutdown_verb_stops_the_server(mode: ServerMode) {
-    let server = start_server(mode);
+fn shutdown_verb_stops_the_server_event() {
+    let server = start_server();
     let addr = server.local_addr();
     let mut client = Client::connect(addr).expect("connect");
     client
@@ -296,17 +244,8 @@ fn shutdown_verb_stops_the_server(mode: ServerMode) {
 }
 
 #[test]
-fn shutdown_verb_stops_the_server_blocking() {
-    shutdown_verb_stops_the_server(ServerMode::Blocking);
-}
-
-#[test]
-fn shutdown_verb_stops_the_server_event() {
-    shutdown_verb_stops_the_server(ServerMode::Event);
-}
-
-fn synthesized_traffic_round_trips(mode: ServerMode) {
-    let server = start_server(mode);
+fn synthesized_traffic_round_trips_event() {
+    let server = start_server();
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let reqs: Vec<DecisionRequest> = websim::traffic::TrafficGen::new(2015)
         .samples()
@@ -328,83 +267,14 @@ fn synthesized_traffic_round_trips(mode: ServerMode) {
     server.shutdown();
 }
 
+/// One dispatch for every line: the same scripted bytes — all eight
+/// verbs, a batch on either side of the old 512-element pool threshold,
+/// and every way a line can be wrong — get a reply per non-blank line,
+/// in order, each the right one.
 #[test]
-fn synthesized_traffic_round_trips_blocking() {
-    synthesized_traffic_round_trips(ServerMode::Blocking);
-}
-
-#[test]
-fn synthesized_traffic_round_trips_event() {
-    synthesized_traffic_round_trips(ServerMode::Event);
-}
-
-/// Replace the digits after every `"p50_us":` / `"p99_us":` with `_`:
-/// the only bytes of a reply that depend on how long anything took.
-fn blank_latencies(stream: &str) -> String {
-    let mut out = String::with_capacity(stream.len());
-    let mut rest = stream;
-    while let Some(at) = ["\"p50_us\":", "\"p99_us\":"]
-        .iter()
-        .filter_map(|key| rest.find(key).map(|i| i + key.len()))
-        .min()
-    {
-        out.push_str(&rest[..at]);
-        out.push('_');
-        rest = rest[at..].trim_start_matches(|c: char| c.is_ascii_digit());
-    }
-    out.push_str(rest);
-    out
-}
-
-/// Play one scripted byte stream at a server and return everything it
-/// sent back until it closed the connection.
-fn play(mode: ServerMode, script: &[Vec<u8>]) -> String {
-    use std::io::{Read, Write};
-
-    let config = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        max_line_bytes: 256 * 1024,
-        mode,
-        // One shard: the per-shard `Stats` rows cannot differ by where
-        // a front happened to place the connection.
-        service: ServiceConfig {
-            shards: 1,
-            cache_capacity: 8192,
-            ..ServiceConfig::default()
-        },
-    };
-    let server = Server::start(test_engine(), &config).expect("bind server");
-    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-        .unwrap();
-    let mut replies = String::new();
-    std::thread::scope(|scope| {
-        // Write from a second thread: the big batches' replies fill the
-        // socket long before the script is through.
-        let mut writer = stream.try_clone().unwrap();
-        scope.spawn(move || {
-            for chunk in script {
-                writer.write_all(chunk).expect("write script");
-                // Chunk boundaries are deliberate (one splits a line):
-                // give the server time to see them as separate reads.
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-        });
-        stream.read_to_string(&mut replies).expect("read replies");
-    });
-    server.join(); // the script ends in `Shutdown`
-    replies
-}
-
-/// One dispatch, two fronts: the same bytes in — all eight verbs, a
-/// batch on either side of the old 512-element pool threshold, and
-/// every way a line can be wrong — give the same bytes out, whichever
-/// front carried them. Fails if either front grows a verb arm, an
-/// error text or a framing rule the other lacks.
-#[test]
-fn one_dispatch_answers_both_fronts_byte_identically() {
+fn scripted_stream_gets_the_right_reply_for_every_line() {
     use abpd::protocol::{ReloadDeltaList, ReloadList, ServerMessage};
+    use std::io::{Read, Write};
 
     let batch = |n: usize, salt: &str| -> Vec<DecisionRequest> {
         (0..n)
@@ -475,26 +345,41 @@ fn one_dispatch_answers_both_fronts_byte_identically() {
         b"\"Shutdown\"\n".to_vec(),
     ];
 
-    let blocking = blank_latencies(&play(ServerMode::Blocking, &script));
-    let event = blank_latencies(&play(ServerMode::Event, &script));
-    assert!(
-        blocking == event,
-        "the fronts answered differently:\n--- blocking\n{}\n--- event\n{}",
-        blocking
-            .lines()
-            .map(|l| &l[..l.len().min(160)])
-            .collect::<Vec<_>>()
-            .join("\n"),
-        event
-            .lines()
-            .map(|l| &l[..l.len().min(160)])
-            .collect::<Vec<_>>()
-            .join("\n"),
-    );
+    let config = ServerConfig {
+        max_line_bytes: 256 * 1024,
+        service: ServiceConfig {
+            shards: 1,
+            cache_capacity: 8192,
+            ..ServiceConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let server = Server::start(test_engine(), &config).expect("bind server");
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut received = String::new();
+    std::thread::scope(|scope| {
+        // Write from a second thread: the big batches' replies fill the
+        // socket long before the script is through.
+        let mut writer = stream.try_clone().unwrap();
+        let script = &script;
+        scope.spawn(move || {
+            for chunk in script {
+                writer.write_all(chunk).expect("write script");
+                // Chunk boundaries are deliberate (one splits a line):
+                // give the server time to see them as separate reads.
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+        });
+        stream.read_to_string(&mut received).expect("read replies");
+    });
+    server.join(); // the script ends in `Shutdown`
 
-    // And the stream is the right one: a reply per non-blank line, in
-    // order, the batches answered with decisions whatever their size.
-    let replies: Vec<&str> = event.lines().collect();
+    // A reply per non-blank line, in order, the batches answered with
+    // decisions whatever their size.
+    let replies: Vec<&str> = received.lines().collect();
     let batch_reply = |line: &str, reqs: &[DecisionRequest], cached: bool| {
         let engine = test_engine();
         let Ok(ServerMessage::Batch(resps)) = abpd::wire::parse_server_message(line) else {
@@ -531,10 +416,10 @@ fn one_dispatch_answers_both_fronts_byte_identically() {
     assert!(replies[14].contains("\"cached\":false"), "{}", replies[14]);
     assert!(replies[15].starts_with("{\"Stats\":{\"requests\":3202,"));
     assert!(replies[16].starts_with("{\"Health\":{\"state\":\"ok\""));
-    assert!(event.ends_with("\"ShuttingDown\"\n"));
+    assert!(received.ends_with("\"ShuttingDown\"\n"));
 }
 
-/// The slow-loris shape on the live event front: a `DecideBatch` line
+/// The slow-loris shape on the live server: a `DecideBatch` line
 /// that arrives in a thousand segments is framed once its newline does
 /// and answered byte for byte like the same line sent in one write
 /// (the reactor resumes its newline search where the last segment
@@ -544,7 +429,7 @@ fn a_line_in_a_thousand_writes_is_answered_like_one_write_event() {
     use abpd::protocol::ServerMessage;
     use std::io::{BufRead, BufReader, Write};
 
-    let server = start_server(ServerMode::Event);
+    let server = start_server();
     let mut writer = std::net::TcpStream::connect(server.local_addr()).expect("connect");
     writer.set_nodelay(true).unwrap(); // every write its own segment
     writer
