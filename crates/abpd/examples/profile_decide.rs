@@ -11,11 +11,14 @@
 //! the shape of `serve-hot`'s hot set: the codec stages run over those
 //! in the workloads' 256-element framing (`benchmark/`'s four
 //! `wire.*_ns` rows), and a hit pass splits what `benchmark/` can only
-//! show as `service.decide_hit_ns` into digest, cache read, clock and
-//! metrics. Engine and hot-set figures alike are ns per item, fastest
-//! of [`ROUNDS`] passes; only the in-process service miss is one pass.
+//! show as `service.decide_hit_ns` into digest, cache read (verify and
+//! copy the cached reply bytes), clock and metrics, then times
+//! `decide_batch_local` with its reply line framed: the daemon's whole
+//! share of a hit between request parse and socket. Engine and hot-set
+//! figures alike are ns per item, fastest of [`ROUNDS`] passes; only
+//! the in-process service miss is one pass.
 
-use abpd::cache::{request_key_hash, LocalDecisionCache, StoredKey};
+use abpd::cache::{request_key_hash, LocalDecisionCache};
 use abpd::metrics::ReactorMetrics;
 use abpd::wire;
 use abpd::{DecisionRequest, DecisionResponse, ServiceConfig};
@@ -220,29 +223,43 @@ fn main() {
     });
     let digests: Vec<u64> = hot.iter().map(digest_of).collect();
     let mut cache = LocalDecisionCache::new(n);
-    for ((r, &h), reply) in hot.iter().zip(&digests).zip(&replies) {
-        let key = StoredKey::new(
+    for ((r, &h), outcome) in hot.iter().zip(&digests).zip(&outcomes) {
+        let mut element = Vec::new();
+        let encoded = wire::push_decision(&mut element, outcome, true);
+        cache.insert(
+            h,
+            0,
             &r.url,
             &r.document,
             r.resource_type,
             r.sitekey.as_deref(),
             u64::MAX,
+            outcome.decision,
+            &element[encoded],
         );
-        cache.insert(h, key, 0, reply.outcome.clone());
     }
+    // Verify, then copy the cached bytes into a line's run of
+    // decision objects, as a hit does.
+    let mut elements = Vec::new();
     let cache_get = best_ns(|| {
-        for (r, &h) in hot.iter().zip(&digests) {
-            let hit = cache.get(
-                h,
-                0,
-                &r.url,
-                &r.document,
-                r.resource_type,
-                r.sitekey.as_deref(),
-                u64::MAX,
-            );
-            assert!(black_box(hit).is_some());
+        for (i, (r, &h)) in hot.iter().zip(&digests).enumerate() {
+            if i % BATCH == 0 {
+                elements.clear();
+            }
+            let (_, outcome) = cache
+                .get(
+                    h,
+                    0,
+                    &r.url,
+                    &r.document,
+                    r.resource_type,
+                    r.sitekey.as_deref(),
+                    u64::MAX,
+                )
+                .expect("the hot set is cached");
+            wire::push_decision_raw(&mut elements, outcome, true);
         }
+        black_box(&elements);
     });
     let clock = best_ns(|| {
         for _ in 0..HOT {
@@ -258,16 +275,22 @@ fn main() {
     });
     // `local` holds all 65,536 requests from the miss pass above.
     let refs: Vec<_> = hot.iter().map(DecisionRequest::as_request_ref).collect();
+    let mut line = Vec::new();
     let whole = best_ns(|| {
         for chunk in refs.chunks(BATCH) {
             svc.decide_batch_local(chunk, &mut scratch, &mut local)
                 .unwrap();
+            line.clear();
+            wire::splice_batch_reply([scratch.elements()], &mut line);
+            black_box(&line);
         }
     });
     assert!(scratch.responses().iter().all(|r| r.cached));
     println!("  request_key_hash     {digest:6.1}");
-    println!("  cache get+clone+drop {cache_get:6.1}");
+    println!("  cache get            {cache_get:6.1}   (verify + copy)");
     println!("  Instant::now         {clock:6.1}   (per read)");
     println!("  latency+tenant count {counters:6.1}");
-    println!("  decide_batch_local   {whole:6.1}   (all of the above, in place)");
+    println!(
+        "  decide_batch_local   {whole:6.1}   (all of the above, in place, reply line framed)"
+    );
 }

@@ -10,18 +10,24 @@
 //! shard owns one (see [`crate::service::LocalEval`]), and whoever
 //! holds the shard holds its cache.
 //!
+//! What is memoized is the answer **as wire bytes**: the outcome
+//! encoded once, on the miss, exactly as [`crate::wire`] writes it
+//! (`{"decision":…,"activations":[…]}`), so a hit is a verify and a
+//! copy — no `RequestOutcome` is cloned, dropped or re-encoded.
+//!
 //! Lookups are allocation-free: a request is reduced to a 64-bit
 //! digest of its borrowed fields ([`request_key_hash`]) by std's keyed
 //! hasher under one per-process `RandomState` — no `String` clones on
 //! the read path, eight bytes a round, and a keyed PRF rather than a
 //! seed prefixed to an unkeyed hash, so a hostile client cannot craft
 //! colliding requests offline. Because 64 bits can still collide, each
-//! entry stores the full owned key ([`StoredKey`], built once on the
-//! miss path) and a hit verifies it field-by-field — tenant included —
-//! before the cached outcome is trusted; a colliding digest is just a
-//! miss.
+//! entry keeps the full key in the same single allocation as its
+//! answer — `url ‖ document ‖ sitekey ‖ encoded outcome`, with the
+//! three key lengths beside it — and a hit verifies generation, tenant,
+//! type, every length and every byte before the answer is trusted; a
+//! colliding digest is just a miss.
 
-use abp::{RequestOutcome, ResourceType};
+use abp::{Decision, ResourceType};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
 use std::sync::OnceLock;
@@ -96,55 +102,6 @@ pub fn request_key_hash(
     h.write(&fixed);
     h.write(sitekey.unwrap_or("").as_bytes());
     h.finish()
-}
-
-/// The full owned key stored beside each cached outcome, used to
-/// verify a digest hit against the actual request fields.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoredKey {
-    url: String,
-    document: String,
-    resource_type: ResourceType,
-    sitekey: Option<String>,
-    /// The requester's subscription bitmask. Verified on every hit:
-    /// even a full 64-bit digest collision between two tenants reads
-    /// as a miss, so a decision can never leak across configurations.
-    tenant: u64,
-}
-
-impl StoredKey {
-    /// Own a request's fields (miss path only — hits never build one).
-    pub fn new(
-        url: &str,
-        document: &str,
-        resource_type: ResourceType,
-        sitekey: Option<&str>,
-        tenant: u64,
-    ) -> StoredKey {
-        StoredKey {
-            url: url.to_string(),
-            document: document.to_string(),
-            resource_type,
-            sitekey: sitekey.map(str::to_string),
-            tenant,
-        }
-    }
-
-    /// Does this stored key describe exactly these request fields?
-    pub fn matches(
-        &self,
-        url: &str,
-        document: &str,
-        resource_type: ResourceType,
-        sitekey: Option<&str>,
-        tenant: u64,
-    ) -> bool {
-        self.resource_type == resource_type
-            && self.tenant == tenant
-            && self.url == url
-            && self.document == document
-            && self.sitekey.as_deref() == sitekey
-    }
 }
 
 const NIL: usize = usize::MAX;
@@ -268,12 +225,32 @@ impl<K: Eq + Hash + Clone, V, S: std::hash::BuildHasher + Default> LruCache<K, V
     }
 }
 
-/// One cached decision: the verification key, the engine generation
-/// that produced it, and the outcome.
+/// A request's key fields in the order an entry stores them: url,
+/// document, sitekey (empty when there is none).
+fn key_fields<'a>(url: &'a str, document: &'a str, sitekey: Option<&'a str>) -> [&'a [u8]; 3] {
+    [
+        url.as_bytes(),
+        document.as_bytes(),
+        sitekey.unwrap_or("").as_bytes(),
+    ]
+}
+
+/// One cached decision in one exact-capacity allocation, `url ‖
+/// document ‖ sitekey ‖ encoded outcome`, beside what is not bytes: the
+/// engine generation that produced it, the rest of the key, the
+/// decision, and the three key lengths that split `bytes`.
 struct Entry {
-    key: StoredKey,
+    bytes: Box<[u8]>,
     generation: u64,
-    outcome: RequestOutcome,
+    /// The requester's subscription bitmask. Verified on every hit:
+    /// even a full 64-bit digest collision between two tenants reads
+    /// as a miss, so a decision can never leak across configurations.
+    tenant: u64,
+    key_lens: [u32; 3],
+    /// Tells `None` from `Some("")`, which have the same bytes.
+    has_sitekey: bool,
+    resource_type: ResourceType,
+    decision: Decision,
 }
 
 /// One shard's decision cache: an LRU indexed by the precomputed
@@ -304,12 +281,13 @@ impl LocalDecisionCache {
         }
     }
 
-    /// Look up a decision by digest, promoting it on a hit. The
-    /// borrowed request fields — tenant mask included — are checked
-    /// against the stored key so a digest collision reads as a miss,
-    /// never a wrong answer (and never another tenant's answer) — and
-    /// the entry's generation must equal `generation`, so a decision
-    /// made by a pre-reload engine reads as a miss too.
+    /// Look up a decision by digest, promoting it on a hit, and hand
+    /// back its decision and encoded outcome. The borrowed request
+    /// fields — tenant mask included — are checked against the stored
+    /// key, every length and every byte, so a digest collision reads as
+    /// a miss, never a wrong answer (and never another tenant's answer)
+    /// — and the entry's generation must equal `generation`, so a
+    /// decision made by a pre-reload engine reads as a miss too.
     #[allow(clippy::too_many_arguments)]
     pub fn get(
         &mut self,
@@ -320,34 +298,60 @@ impl LocalDecisionCache {
         resource_type: ResourceType,
         sitekey: Option<&str>,
         tenant: u64,
-    ) -> Option<RequestOutcome> {
-        let entry = self.lru.get(&key_hash)?;
-        if entry.generation == generation
-            && entry
-                .key
-                .matches(url, document, resource_type, sitekey, tenant)
+    ) -> Option<(Decision, &[u8])> {
+        let e = self.lru.get(&key_hash)?;
+        let key = key_fields(url, document, sitekey);
+        if e.generation != generation
+            || e.tenant != tenant
+            || e.resource_type != resource_type
+            || e.has_sitekey != sitekey.is_some()
+            || e.key_lens.map(|n| n as usize) != key.map(<[u8]>::len)
         {
-            Some(entry.outcome.clone())
-        } else {
-            None
+            return None;
         }
+        let mut rest = &e.bytes[..];
+        for field in key {
+            let (stored, after) = rest.split_at(field.len());
+            if stored != field {
+                return None;
+            }
+            rest = after;
+        }
+        Some((e.decision, rest))
     }
 
-    /// Memoize a decision under its digest, stamped with the engine
-    /// generation that computed it.
+    /// Memoize a decision and its encoded outcome under its digest,
+    /// stamped with the engine generation that computed it. A key field
+    /// longer than 4 GiB is not memoized.
+    #[allow(clippy::too_many_arguments)]
     pub fn insert(
         &mut self,
         key_hash: u64,
-        key: StoredKey,
         generation: u64,
-        outcome: RequestOutcome,
+        url: &str,
+        document: &str,
+        resource_type: ResourceType,
+        sitekey: Option<&str>,
+        tenant: u64,
+        decision: Decision,
+        outcome: &[u8],
     ) {
+        let key = key_fields(url, document, sitekey);
+        if key.iter().any(|field| u32::try_from(field.len()).is_err()) {
+            return;
+        }
         self.lru.insert(
             key_hash,
             Entry {
-                key,
+                bytes: [key[0], key[1], key[2], outcome]
+                    .concat()
+                    .into_boxed_slice(),
                 generation,
-                outcome,
+                tenant,
+                key_lens: key.map(|field| field.len() as u32),
+                has_sitekey: sitekey.is_some(),
+                resource_type,
+                decision,
             },
         );
     }
@@ -520,42 +524,95 @@ mod tests {
         assert_eq!(digests.len(), COLD, "two cold-set requests share a digest");
     }
 
-    #[test]
-    fn stored_key_verifies_fields() {
-        let k = StoredKey::new("u", "d", ResourceType::Script, Some("sk"), ALL);
-        assert!(k.matches("u", "d", ResourceType::Script, Some("sk"), ALL));
-        assert!(!k.matches("u", "d", ResourceType::Script, None, ALL));
-        assert!(!k.matches("u", "d", ResourceType::Image, Some("sk"), ALL));
-        assert!(!k.matches("u", "x", ResourceType::Script, Some("sk"), ALL));
-        assert!(!k.matches("u", "d", ResourceType::Script, Some("sk"), 0b1));
+    /// A cached `Block`'s encoded outcome, as `wire` writes it.
+    const BLOCK: &[u8] = br#"{"decision":"Block","activations":[]}"#;
+    const HIT: Option<(Decision, &[u8])> = Some((Decision::Block, BLOCK));
+    /// The one digest every key below is filed under, as if they all
+    /// collided: whether a lookup hits is the verify's call alone.
+    const H: u64 = 0x5eed;
+
+    type Key<'a> = (&'a str, &'a str, Option<&'a str>, u64);
+
+    /// A cache holding `key` (a `Script` request) as a generation-0
+    /// `Block` under [`H`].
+    fn holding((url, document, sitekey, tenant): Key<'_>) -> LocalDecisionCache {
+        let mut cache = LocalDecisionCache::new(8);
+        let rt = ResourceType::Script;
+        cache.insert(
+            H,
+            0,
+            url,
+            document,
+            rt,
+            sitekey,
+            tenant,
+            Decision::Block,
+            BLOCK,
+        );
+        cache
     }
 
-    fn block() -> RequestOutcome {
-        RequestOutcome {
-            decision: abp::Decision::Block,
-            activations: vec![],
+    fn probe<'c>(
+        cache: &'c mut LocalDecisionCache,
+        (url, document, sitekey, tenant): Key<'_>,
+    ) -> Option<(Decision, &'c [u8])> {
+        cache.get(H, 0, url, document, ResourceType::Script, sitekey, tenant)
+    }
+
+    #[test]
+    fn stored_key_verifies_fields() {
+        let key = ("u", "d", Some("sk"), ALL);
+        let mut cache = holding(key);
+        assert_eq!(probe(&mut cache, key), HIT);
+        for other in [
+            ("x", "d", Some("sk"), ALL),
+            ("u", "x", Some("sk"), ALL),
+            ("u", "d", Some("sx"), ALL),
+            ("u", "d", None, ALL),
+            ("u", "d", Some("sk"), 0b1),
+        ] {
+            assert_eq!(probe(&mut cache, other), None, "{other:?}");
+        }
+        assert_eq!(
+            cache.get(H, 0, "u", "d", ResourceType::Image, Some("sk"), ALL),
+            None
+        );
+    }
+
+    /// The key is one run of bytes, `url ‖ document ‖ sitekey`, with
+    /// the answer right behind it: keys whose bytes run together the
+    /// same way must still miss each other, by their lengths.
+    #[test]
+    fn boundary_shifts_under_one_digest_read_as_miss() {
+        for (stored, shifted) in [
+            (("ab", "c", None, ALL), ("a", "bc", None, ALL)),
+            (("a", "bc", None, ALL), ("ab", "c", None, ALL)),
+            // url/document against document/sitekey, all "abck".
+            (("ab", "c", Some("k"), ALL), ("a", "bc", Some("k"), ALL)),
+            (("ab", "c", Some("k"), ALL), ("ab", "ck", Some(""), ALL)),
+            (("ab", "ck", Some(""), ALL), ("ab", "c", Some("k"), ALL)),
+            (("ab", "c", Some("k"), ALL), ("abc", "", Some("k"), ALL)),
+            (("u", "d", None, ALL), ("u", "d", Some(""), ALL)),
+            (("u", "d", Some(""), ALL), ("u", "d", None, ALL)),
+            // A sitekey that would run on into the stored answer.
+            (("u", "d", Some("k"), ALL), ("u", "d", Some("k{"), ALL)),
+        ] {
+            let mut cache = holding(stored);
+            assert_eq!(
+                probe(&mut cache, shifted),
+                None,
+                "{stored:?} vs {shifted:?}"
+            );
+            assert_eq!(probe(&mut cache, stored), HIT, "{stored:?}");
         }
     }
 
     #[test]
     fn colliding_digest_reads_as_miss() {
-        let mut cache = LocalDecisionCache::new(8);
-        let h = request_key_hash("u", "d", ResourceType::Script, None, ALL);
-        cache.insert(
-            h,
-            StoredKey::new("u", "d", ResourceType::Script, None, ALL),
-            0,
-            block(),
-        );
+        let mut cache = holding(("u", "d", None, ALL));
         // Same digest, different request fields: must miss, not lie.
-        assert_eq!(
-            cache.get(h, 0, "other", "d", ResourceType::Script, None, ALL),
-            None
-        );
-        assert_eq!(
-            cache.get(h, 0, "u", "d", ResourceType::Script, None, ALL),
-            Some(block())
-        );
+        assert_eq!(probe(&mut cache, ("other", "d", None, ALL)), None);
+        assert_eq!(probe(&mut cache, ("u", "d", None, ALL)), HIT);
         assert_eq!(cache.len(), 1);
     }
 
@@ -563,57 +620,30 @@ mod tests {
     fn cross_tenant_digest_collision_reads_as_miss() {
         // The poisoning scenario the tenant-aware key exists to kill:
         // tenant A's decision is cached, and tenant B's lookup arrives
-        // with the *same 64-bit digest* (simulated by reusing A's
-        // digest verbatim — a genuine collision is just this, minus
-        // the astronomically unlikely hash step). B must miss on the
+        // with the *same 64-bit digest* (every key here is filed under
+        // `H` — a genuine collision is just this, minus the
+        // astronomically unlikely hash step). B must miss on the
         // full-key verify; a cached decision can never cross configs.
         let tenant_a = 0b01u64; // EasyList only
         let tenant_b = 0b11u64; // EasyList + Acceptable Ads
-        let h = request_key_hash("u", "d", ResourceType::Script, None, tenant_a);
-        let mut cache = LocalDecisionCache::new(8);
-        cache.insert(
-            h,
-            StoredKey::new("u", "d", ResourceType::Script, None, tenant_a),
-            0,
-            block(),
-        );
+        let mut cache = holding(("u", "d", None, tenant_a));
         // Identical request fields, identical digest, different tenant:
         // must read as a miss, not as tenant A's Block.
-        assert_eq!(
-            cache.get(h, 0, "u", "d", ResourceType::Script, None, tenant_b),
-            None
-        );
-        assert_eq!(
-            cache.get(h, 0, "u", "d", ResourceType::Script, None, tenant_a),
-            Some(block())
-        );
+        assert_eq!(probe(&mut cache, ("u", "d", None, tenant_b)), None);
+        assert_eq!(probe(&mut cache, ("u", "d", None, tenant_a)), HIT);
     }
 
     #[test]
     fn stale_generation_reads_as_miss() {
         let mut cache = LocalDecisionCache::new(8);
-        let h = request_key_hash("u", "d", ResourceType::Script, None, ALL);
-        cache.insert(
-            h,
-            StoredKey::new("u", "d", ResourceType::Script, None, ALL),
-            1,
-            block(),
-        );
+        let rt = ResourceType::Script;
+        cache.insert(H, 1, "u", "d", rt, None, ALL, Decision::Block, BLOCK);
         // Wrong generation: a decision from engine generation 1 must
         // never answer a generation-2 lookup.
-        assert_eq!(
-            cache.get(h, 2, "u", "d", ResourceType::Script, None, ALL),
-            None
-        );
-        assert_eq!(
-            cache.get(h, 1, "u", "d", ResourceType::Script, None, ALL),
-            Some(block())
-        );
+        assert_eq!(cache.get(H, 2, "u", "d", rt, None, ALL), None);
+        assert_eq!(cache.get(H, 1, "u", "d", rt, None, ALL), HIT);
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(
-            cache.get(h, 1, "u", "d", ResourceType::Script, None, ALL),
-            None
-        );
+        assert_eq!(cache.get(H, 1, "u", "d", rt, None, ALL), None);
     }
 }

@@ -140,7 +140,9 @@ proptest! {
 /// whichever lists a reload just swapped in, `decide_batch_local`
 /// answers what `Engine::match_request_masked` answers on the serving
 /// lists, replays a repeated batch from the shard's cache byte for
-/// byte, and never replays anything across a reload.
+/// byte through the server's dispatch — as one `DecideBatch` line and
+/// as one `Decide` line per request, under every tenant mask — and
+/// never replays anything across a reload.
 mod one_route {
     use super::*;
     use crate::protocol::{DecisionResponse, ReloadList};
@@ -268,18 +270,33 @@ mod one_route {
                     prop_assert_eq!(got.cached, !seen.insert(key), "{:?}", dr);
                 }
 
-                // The same batch again: all hits, and the reply line is
-                // the one the engine's own outcomes encode to.
-                svc.decide_batch_local(&refs, &mut scratch, &mut local).unwrap();
-                let mut replayed = Vec::new();
-                wire::write_batch_reply(scratch.responses(), &mut replayed);
+                // The same batch again, as the server answers it: all
+                // hits, spliced from the cache, and the reply line is the
+                // one the engine's own outcomes encode to — as one
+                // `DecideBatch` line and as a `Decide` line each.
                 let all_hits: Vec<DecisionResponse> = direct
                     .into_iter()
                     .map(|outcome| DecisionResponse { outcome, cached: true })
                     .collect();
+                let mut answer = |write: &dyn Fn(&mut Vec<u8>)| {
+                    let mut line = Vec::new();
+                    write(&mut line);
+                    let mut reply = Vec::new();
+                    crate::server::answer_line(&svc, &line, &mut scratch, &mut local, &mut reply);
+                    reply
+                };
+                let replayed = answer(&|out| wire::write_decide_batch(&reqs, out));
                 let mut expected = Vec::new();
                 wire::write_batch_reply(&all_hits, &mut expected);
+                expected.push(b'\n');
                 prop_assert_eq!(replayed, expected);
+                for (dr, hit) in reqs.iter().zip(&all_hits) {
+                    let replayed = answer(&|out| wire::write_decide(dr, out));
+                    let mut expected = Vec::new();
+                    wire::write_decision_reply(hit, &mut expected);
+                    expected.push(b'\n');
+                    prop_assert_eq!(replayed, expected, "{:?}", dr);
+                }
             }
         }
     }

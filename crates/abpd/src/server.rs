@@ -139,9 +139,11 @@ impl Server {
 /// Answer one request line into `out`, newline included — the one verb
 /// dispatch, called by a reactor for every complete line within the
 /// length limit (trailing `\r` already stripped). A blank line gets no
-/// reply. `eval` is the reactor's evaluation shard. Returns `true` once
-/// `Shutdown` has been acknowledged: the caller stops the server and
-/// answers nothing further on this connection.
+/// reply. `eval` is the reactor's evaluation shard; a `Decide` or
+/// `DecideBatch` is answered by framing the decision objects it leaves
+/// in `scratch` as they are (a cache hit's were encoded on its miss).
+/// Returns `true` once `Shutdown` has been acknowledged: the caller
+/// stops the server and answers nothing further on this connection.
 pub(crate) fn answer_line(
     service: &Service,
     raw: &[u8],
@@ -164,13 +166,13 @@ pub(crate) fn answer_line(
         Ok(ClientMessageRef::Stats) => wire::write_stats_reply(&service.stats(), out),
         Ok(ClientMessageRef::Decide(req)) => {
             match service.decide_batch_local(std::slice::from_ref(&req), scratch, eval) {
-                Ok(()) => wire::write_decision_reply(&scratch.responses()[0], out),
+                Ok(()) => wire::write_decision_reply_raw(scratch.elements(), out),
                 Err(e) => wire::write_error(&e.to_string(), out),
             }
         }
         Ok(ClientMessageRef::DecideBatch(reqs)) => {
             match service.decide_batch_local(&reqs, scratch, eval) {
-                Ok(()) => wire::write_batch_reply(scratch.responses(), out),
+                Ok(()) => wire::splice_batch_reply([scratch.elements()], out),
                 Err(e) => wire::write_error(&e.to_string(), out),
             }
         }

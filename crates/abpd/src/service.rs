@@ -7,8 +7,16 @@
 //! reactor thread. Nothing is queued and no thread is handed work, so
 //! there is nothing to shed: a batch is bounded by the server's
 //! `max_line_bytes`, and a cache-hit decision allocates nothing
-//! (the digest is computed from borrowed fields and the response slots
-//! live in the caller's [`BatchScratch`]).
+//! (`tests/hit_path_allocs.rs` holds it to that): the digest is
+//! computed from borrowed fields, the cache memoizes each answer as the
+//! wire bytes of its outcome, and a hit copies those bytes into the
+//! reply elements the caller's [`BatchScratch`] keeps. A miss encodes
+//! the engine's outcome once, into the scratch, and the cache keeps a
+//! copy of that slice — no `RequestOutcome` is cloned on either path.
+//!
+//! `Stats` counts answered batches only: a batch that fails leaves
+//! every counter — requests, hits, blocks, exceptions, the latency
+//! histogram and the tenant buckets — as it found it.
 //!
 //! # Resilience
 //!
@@ -30,16 +38,17 @@
 //! a batch whose evaluation ran past it with
 //! [`ServiceError::DeadlineExceeded`].
 
-use crate::cache::{request_key_hash, LocalDecisionCache, StoredKey};
+use crate::cache::{request_key_hash, LocalDecisionCache};
 use crate::faults::{EvalFault, FaultConfig, FaultPlan, StateFault, STATE_SLOT};
 use crate::metrics::{self, ReactorMetrics};
 use crate::protocol::{
     DecisionResponse, HealthReport, HealthState, ReloadDeltaList, ReloadList, ReloadReport,
-    StatsReport,
+    ServerMessage, StatsReport,
 };
-use crate::wire::DecisionRequestRef;
-use abp::{Decision, Engine, FilterList, ListSource, Request, RequestOutcome};
+use crate::wire::{self, DecisionRequestRef};
+use abp::{Decision, Engine, FilterList, ListSource, Request};
 use parking_lot::{Mutex, RwLock};
+use std::cell::OnceCell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -185,17 +194,44 @@ impl fmt::Display for ReloadDeltaError {
 
 impl std::error::Error for ReloadDeltaError {}
 
-/// Reusable response buffer for [`Service::decide_batch_local`]. Create
-/// one per connection (or loop) via [`Service::scratch`] and reuse it —
-/// after the first few batches, the hit path stops allocating entirely.
+/// Reusable reply buffer for [`Service::decide_batch_local`]: the
+/// batch's answers as encoded decision objects, comma-joined in request
+/// order — what a `Batch` reply carries between its brackets, so the
+/// server frames it ([`wire::splice_batch_reply`]) without decoding
+/// anything. Create one per reactor (or loop) via [`Service::scratch`]
+/// and reuse it: after the first few batches, the hit path stops
+/// allocating entirely.
+#[derive(Default)]
 pub struct BatchScratch {
-    responses: Vec<DecisionResponse>,
+    elements: Vec<u8>,
+    /// Per answered decision, held back until the whole batch is
+    /// answered: its latency (µs), its tenant mask and whether it hit.
+    samples: Vec<(u64, u64, bool)>,
+    /// [`BatchScratch::responses`], decoded on first call.
+    decoded: OnceCell<Vec<DecisionResponse>>,
 }
 
 impl BatchScratch {
-    /// The last batch's responses, in request order.
+    /// The last batch's decision objects, encoded and comma-joined.
+    pub fn elements(&self) -> &[u8] {
+        &self.elements
+    }
+
+    /// The last batch's responses, in request order, decoded from
+    /// [`BatchScratch::elements`] by the client's own reader
+    /// ([`wire::parse_server_message`]) on first call — exactly what a
+    /// client reads. For tests and in-process measurement; the server
+    /// sends the bytes.
     pub fn responses(&self) -> &[DecisionResponse] {
-        &self.responses
+        self.decoded.get_or_init(|| {
+            let mut line = Vec::new();
+            wire::splice_batch_reply([&self.elements[..]], &mut line);
+            let line = std::str::from_utf8(&line).expect("the wire writers write UTF-8");
+            match wire::parse_server_message(line) {
+                Ok(ServerMessage::Batch(resps)) => resps,
+                other => panic!("reply elements that do not read back as a `Batch`: {other:?}"),
+            }
+        })
     }
 }
 
@@ -216,18 +252,6 @@ impl LocalEval {
     /// Entries currently memoized in the local cache.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
-    }
-}
-
-/// An alloc-free placeholder filled into every response slot before
-/// evaluation (cloning an empty activation list allocates nothing).
-fn placeholder_response() -> DecisionResponse {
-    DecisionResponse {
-        outcome: RequestOutcome {
-            decision: Decision::NoMatch,
-            activations: Vec::new(),
-        },
-        cached: false,
     }
 }
 
@@ -405,9 +429,7 @@ impl Service {
 
     /// Fresh reusable response buffer.
     pub fn scratch(&self) -> BatchScratch {
-        BatchScratch {
-            responses: Vec::new(),
-        }
+        BatchScratch::default()
     }
 
     /// One shard's evaluation state: a `cache_capacity`-entry cache,
@@ -443,10 +465,10 @@ impl Service {
     }
 
     /// Evaluate a batch of borrowed requests on the calling thread into
-    /// `scratch.responses` (request order) — the only evaluation route.
-    /// The cache lookup, the engine evaluation and the metrics
-    /// increments all touch state owned by `local`, so shards contend
-    /// on nothing.
+    /// `scratch` — its encoded reply elements, in request order — the
+    /// only evaluation route. The cache lookup, the engine evaluation
+    /// and the metrics increments all touch state owned by `local`, so
+    /// shards contend on nothing.
     ///
     /// Any malformed request fails the whole batch with
     /// [`ServiceError::BadRequest`] (the protocol answers one message
@@ -456,15 +478,17 @@ impl Service {
     /// injected or real, caught without losing the thread or the cache
     /// — with [`ServiceError::WorkerLost`] (counted in
     /// [`ReactorMetrics::eval_panics`], which `Health` reports as
-    /// `shard_restarts`).
+    /// `shard_restarts`). A failed batch moves none of the decision
+    /// counters.
     pub fn decide_batch_local(
         &self,
         reqs: &[DecisionRequestRef<'_>],
         scratch: &mut BatchScratch,
         local: &mut LocalEval,
     ) -> Result<(), ServiceError> {
-        scratch.responses.clear();
-        scratch.responses.resize(reqs.len(), placeholder_response());
+        scratch.elements.clear();
+        scratch.samples.clear();
+        scratch.decoded.take();
         // The clock is read once per decision: each is timed from the
         // end of the one before it (the first from here), digest and
         // all.
@@ -488,7 +512,7 @@ impl Service {
             let tenant = dr.tenant.unwrap_or(u64::MAX);
             let key_hash =
                 request_key_hash(&dr.url, &dr.document, dr.resource_type, sitekey, tenant);
-            let (outcome, cached) = match local.cache.get(
+            let (decision, cached) = match local.cache.get(
                 key_hash,
                 snap.generation,
                 &dr.url,
@@ -497,9 +521,10 @@ impl Service {
                 sitekey,
                 tenant,
             ) {
-                Some(hit) => {
+                Some((decision, outcome)) => {
+                    wire::push_decision_raw(&mut scratch.elements, outcome, true);
                     hits += 1;
-                    (hit, true)
+                    (decision, true)
                 }
                 None => {
                     // Only misses pay for URL validation: a request
@@ -534,13 +559,19 @@ impl Service {
                             "evaluation panicked (shard {slot})"
                         )));
                     };
+                    let outcome = wire::push_decision(&mut scratch.elements, &got, false);
                     local.cache.insert(
                         key_hash,
-                        StoredKey::new(&dr.url, &dr.document, dr.resource_type, sitekey, tenant),
                         snap.generation,
-                        got.clone(),
+                        &dr.url,
+                        &dr.document,
+                        dr.resource_type,
+                        sitekey,
+                        tenant,
+                        got.decision,
+                        &scratch.elements[outcome],
                     );
-                    (got, false)
+                    (got.decision, false)
                 }
             };
             let now = Instant::now();
@@ -551,21 +582,22 @@ impl Service {
                 self.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
                 return Err(ServiceError::DeadlineExceeded);
             }
-            local
-                .metrics
-                .shard
-                .latency
-                .record_us((now - last).as_micros() as u64);
+            scratch
+                .samples
+                .push(((now - last).as_micros() as u64, tenant, cached));
             last = now;
-            match outcome.decision {
+            match decision {
                 Decision::Block => blocks += 1,
                 Decision::AllowedByException => exceptions += 1,
                 Decision::NoMatch => {}
             }
-            local.metrics.shard.record_tenant(tenant, cached);
-            scratch.responses[index] = DecisionResponse { outcome, cached };
         }
+        // Answered: only now does any of it count.
         let m = &local.metrics.shard;
+        for &(us, tenant, cached) in &scratch.samples {
+            m.latency.record_us(us);
+            m.record_tenant(tenant, cached);
+        }
         m.requests.fetch_add(reqs.len() as u64, Ordering::Relaxed);
         m.cache_hits.fetch_add(hits, Ordering::Relaxed);
         m.blocks.fetch_add(blocks, Ordering::Relaxed);
@@ -751,7 +783,7 @@ impl Service {
             .collect();
         let mut scratch = self.scratch();
         self.decide_batch_local(&refs, &mut scratch, local)?;
-        Ok(scratch.responses)
+        Ok(scratch.responses().to_vec())
     }
 
     /// A fresh shard for a test to evaluate on.
@@ -995,6 +1027,59 @@ mod tests {
         assert_eq!(s.blocks, 2);
         assert_eq!(s.exceptions, 0);
         assert_eq!(local.cache_len(), 1);
+    }
+
+    /// Only answered batches count, in every counter alike: a batch
+    /// failed by a bad URL, a caught panic or the deadline — after some
+    /// of its decisions were made — leaves `Stats` agreeing with itself.
+    #[test]
+    fn stats_count_answered_batches_only() {
+        let mut cfg = config();
+        cfg.deadline = Some(Duration::from_millis(10));
+        cfg.faults = Some(FaultConfig {
+            eval_panic_per_million: 200_000,
+            eval_delay_per_million: 200_000,
+            eval_delay_ms: 20,
+            seed: 11,
+            ..FaultConfig::default()
+        });
+        let (svc, mut local) = started(Service::start(test_engine(), &cfg));
+        let (mut answered, mut bad, mut lost, mut late) = (0u64, 0u32, 0u32, 0u32);
+        for i in 0..40 {
+            let mut batch = vec![
+                DecisionRequest {
+                    tenant: Some(i % 4),
+                    ..dr(
+                        "http://ad.doubleclick.net/warm.js",
+                        "example.com",
+                        ResourceType::Script,
+                    )
+                },
+                dr(
+                    &format!("http://h{i}.doubleclick.net/a.js"),
+                    "example.com",
+                    ResourceType::Script,
+                ),
+            ];
+            if i % 3 == 0 {
+                batch.push(dr("not a url", "example.com", ResourceType::Image));
+            }
+            match svc.decide_batch(&batch, &mut local) {
+                Ok(got) => answered += got.len() as u64,
+                Err(ServiceError::BadRequest(_)) => bad += 1,
+                Err(ServiceError::WorkerLost(_)) => lost += 1,
+                Err(ServiceError::DeadlineExceeded) => late += 1,
+            }
+        }
+        assert!(answered > 0 && bad > 0 && lost > 0 && late > 0);
+        let s = svc.stats();
+        assert_eq!(s.requests, answered);
+        assert_eq!(s.tenant_requests_by_lists.iter().sum::<u64>(), s.requests);
+        assert_eq!(
+            s.tenant_cache_hits_by_lists.iter().sum::<u64>(),
+            s.cache_hits
+        );
+        assert_eq!(local.metrics.shard.latency.samples(), s.requests);
     }
 
     /// One clock read per decision still means one latency sample per

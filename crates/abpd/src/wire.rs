@@ -24,7 +24,11 @@
 //! * **Splicing** ([`parse_client_message_spans`], [`split_decisions`],
 //!   [`splice_decide_batch`], [`splice_batch_reply`]): a router that
 //!   only re-groups decisions finds where each one sits in a line and
-//!   copies those bytes, instead of decoding and re-encoding them.
+//!   copies those bytes, instead of decoding and re-encoding them. The
+//!   daemon's cache does the same: an outcome is encoded once, on the
+//!   miss ([`push_decision`]), and each hit copies those bytes
+//!   ([`push_decision_raw`]) into the run of decision objects that
+//!   [`splice_batch_reply`] / `write_decision_reply_raw` frame.
 //!
 //! String bodies — most of a line's bytes — are walked eight at a time
 //! by one safe-Rust SWAR kernel, `first_special`, shared by reader
@@ -412,29 +416,73 @@ fn write_outcome(o: &RequestOutcome, out: &mut Vec<u8>) {
     push_str(out, "]}");
 }
 
-fn write_response_parts(resp: &DecisionResponse, out: &mut Vec<u8>) {
+/// Opens a `Decision` reply line; one decision object and `}` close it.
+const DECISION_OPEN: &str = "{\"Decision\":";
+/// Opens a `Batch` reply line; comma-joined decision objects and `]}`
+/// close it.
+const BATCH_OPEN: &str = "{\"Batch\":[";
+
+/// Append one decision object, `{"outcome":…,"cached":…}`, its outcome
+/// written by `outcome`; returns where in `out` the outcome landed.
+fn write_response(
+    cached: bool,
+    out: &mut Vec<u8>,
+    outcome: impl FnOnce(&mut Vec<u8>),
+) -> Range<usize> {
     push_str(out, "{\"outcome\":");
-    write_outcome(&resp.outcome, out);
+    let start = out.len();
+    outcome(out);
+    let span = start..out.len();
     push_str(out, ",\"cached\":");
-    push_str(out, if resp.cached { "true" } else { "false" });
+    push_str(out, if cached { "true" } else { "false" });
     out.push(b'}');
+    span
+}
+
+/// Append `outcome` as one more decision object to `run`, a
+/// comma-joined run of them: the body of a `Batch` reply, which
+/// [`splice_batch_reply`] frames. Returns the range of `run` holding
+/// the encoded outcome, `{"decision":…,"activations":[…]}` — the bytes
+/// a cache keeps to answer the same request with
+/// [`push_decision_raw`].
+pub fn push_decision(run: &mut Vec<u8>, outcome: &RequestOutcome, cached: bool) -> Range<usize> {
+    if !run.is_empty() {
+        run.push(b',');
+    }
+    write_response(cached, run, |out| write_outcome(outcome, out))
+}
+
+/// [`push_decision`] with the outcome already encoded: copied as it is.
+pub fn push_decision_raw(run: &mut Vec<u8>, outcome: &[u8], cached: bool) {
+    if !run.is_empty() {
+        run.push(b',');
+    }
+    write_response(cached, run, |out| out.extend_from_slice(outcome));
 }
 
 /// Append a `Decision` reply line body (no trailing newline).
 pub fn write_decision_reply(resp: &DecisionResponse, out: &mut Vec<u8>) {
-    push_str(out, "{\"Decision\":");
-    write_response_parts(resp, out);
+    push_str(out, DECISION_OPEN);
+    write_response(resp.cached, out, |out| write_outcome(&resp.outcome, out));
+    out.push(b'}');
+}
+
+/// Append a `Decision` reply line body around `run`, a run of exactly
+/// one decision object ([`push_decision`]).
+pub(crate) fn write_decision_reply_raw(run: &[u8], out: &mut Vec<u8>) {
+    push_str(out, DECISION_OPEN);
+    out.extend_from_slice(run);
     out.push(b'}');
 }
 
 /// Append a `Batch` reply line body (no trailing newline).
 pub fn write_batch_reply(resps: &[DecisionResponse], out: &mut Vec<u8>) {
-    push_str(out, "{\"Batch\":[");
+    push_str(out, BATCH_OPEN);
     for (i, resp) in resps.iter().enumerate() {
         if i > 0 {
             out.push(b',');
         }
-        write_response_parts(resp, out);
+        write_response(resp.cached, out, |out| write_outcome(&resp.outcome, out));
     }
     push_str(out, "]}");
 }
@@ -1159,9 +1207,10 @@ pub fn splice_decide_batch<'a>(elements: impl IntoIterator<Item = &'a [u8]>, out
 }
 
 /// Append a `Batch` reply line body whose elements are the given raw
-/// decision objects ([`split_decisions`]), copied as they are.
+/// decision objects ([`split_decisions`]), or comma-joined runs of them
+/// ([`push_decision`]), copied as they are.
 pub fn splice_batch_reply<'a>(elements: impl IntoIterator<Item = &'a [u8]>, out: &mut Vec<u8>) {
-    splice("{\"Batch\":[", elements, out);
+    splice(BATCH_OPEN, elements, out);
 }
 
 // ------------------------------------------------------------ line reader

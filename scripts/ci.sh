@@ -12,7 +12,7 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> determinism (abp + acceptable-ads + abpd lib tests: 5x default runner; abp + acceptable-ads 2x --test-threads 1; fleet, chaos, service_smoke, connection_scale: 5x release)"
+echo "==> determinism (abp + acceptable-ads + abpd lib tests: 5x default runner; abp + acceptable-ads 2x --test-threads 1; fleet, chaos, service_smoke, connection_scale, hit_path_allocs: 5x release)"
 # Tier-1 must be green on every run, not most runs: the two crates whose
 # tests compile engines side by side run again and again under both
 # schedules, and the first red run fails the stage. abpd's lib tests
@@ -21,9 +21,11 @@ echo "==> determinism (abp + acceptable-ads + abpd lib tests: 5x default runner;
 # message parsers, hot codec ≡ serde), which need no loop of their
 # own. The fleet tests kill shards under a live router; chaos and
 # service_smoke drive the only evaluation route there is under injected
-# panics, torn writes and mid-batch shutdown, and connection_scale holds
-# 2,000 connections open on the real binary (sockets and timing), so
-# all four repeat in release, under the default runner.
+# panics, torn writes and mid-batch shutdown, connection_scale holds
+# 2,000 connections open on the real binary (sockets and timing), and
+# hit_path_allocs counts the allocations of a warm all-hit batch (zero)
+# under the optimizer that serves it, so all five repeat in release,
+# under the default runner.
 for run in 1 2 3 4 5; do
     cargo test -q -p abp -p acceptable-ads --lib ||
         { echo "determinism: default-runner run $run failed" >&2; exit 1; }
@@ -37,8 +39,8 @@ done
 for run in 1 2 3 4 5; do
     cargo test -q --release --test fleet ||
         { echo "determinism: fleet run $run failed" >&2; exit 1; }
-    cargo test -q --release --test chaos --test service_smoke --test connection_scale ||
-        { echo "determinism: chaos + service_smoke + connection_scale run $run failed" >&2; exit 1; }
+    cargo test -q --release --test chaos --test service_smoke --test connection_scale --test hit_path_allocs ||
+        { echo "determinism: chaos + service_smoke + connection_scale + hit_path_allocs run $run failed" >&2; exit 1; }
 done
 
 echo "==> urlkit differential at 4096 cases (byte-level Url::parse and registrable_domain_str = the char-pattern reference)"
