@@ -1,25 +1,29 @@
-//! Multi-pattern literal prefilters for the compiled engine.
+//! Request-side prefilters for the compiled engine.
 //!
-//! Two structures, both built once at engine-compile time and immutable
+//! Three structures, all built once at engine-compile time and immutable
 //! afterwards:
 //!
-//! * [`Automaton`] — a hand-rolled Aho–Corasick automaton over literal
-//!   fragments ("anchors") extracted from request-filter patterns. One
-//!   pass over the lowercased URL reports every anchor occurrence, so
-//!   the engine evaluates only filters whose required literal actually
-//!   appears — instead of appending the whole untokenized tail to every
-//!   candidate list. Outputs carry a small `(group, value)` payload and
-//!   an optional *whole-token* constraint (the match must be flanked by
-//!   non-token bytes), which makes the tokenized fast path emit exactly
-//!   the buckets the old per-token index visited, in the same order.
+//! * [`TokenTable`] — the rarest-token index, as Adblock Plus keeps it:
+//!   every tokenized filter is filed under one of its tokens, and a
+//!   request looks up each of its URL tokens (maximal `[a-z0-9%]` runs
+//!   of the lowercased URL). A filter token is a whole token of every
+//!   URL its pattern matches, so equality with a URL token is the whole
+//!   test: a hash probe per URL token, no byte-by-byte walk.
+//! * [`Automaton`] — a hand-rolled Aho–Corasick automaton over the
+//!   literal fragments of *untokenized* filters: each one's longest
+//!   literal ("anchor") and every literal's required-literal lane. One
+//!   pass over the lowercased URL reports every occurrence, so the
+//!   engine evaluates a wildcard-tail filter only when its anchor
+//!   actually appears. Outputs carry a small `(group, value)` payload.
+//!   On lists with no untokenized tail it is empty and a scan returns
+//!   at once.
 //! * [`HostLabelTrie`] — a reversed-domain-label trie for the element
 //!   hiding index and the request path's first-party gate: walking the
 //!   subject host's labels right-to-left collects every `domain=`-scoped
 //!   rule bucket in one pass, replacing a hash probe per label suffix.
 //!
-//! Both are vendor-free by design (like the CSR token index before
-//! them) and store their string data in a shared [`ByteArena`] instead
-//! of per-node heap allocations.
+//! All three are vendor-free by design and store their string data in a
+//! [`ByteArena`] instead of per-node or per-key heap allocations.
 
 use crate::intern::{ByteArena, Span};
 use std::collections::BTreeMap;
@@ -28,7 +32,8 @@ use std::collections::BTreeMap;
 const NONE: u32 = u32::MAX;
 
 /// Whether a byte can be part of a URL token (`[a-z0-9%]` over the
-/// lowercased URL) — the same alphabet the token index uses.
+/// lowercased URL) — the same alphabet [`crate::pattern::Pattern::tokens`]
+/// splits literals on.
 #[inline]
 pub fn is_token_byte(b: u8) -> bool {
     b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'%'
@@ -37,14 +42,9 @@ pub fn is_token_byte(b: u8) -> bool {
 /// One pattern's payload, reported on every occurrence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Output {
-    /// Caller-defined output group (e.g. block-token vs. allow-tail).
+    /// Caller-defined output group (e.g. block-tail vs. literal lane).
     group: u8,
-    /// When set, the occurrence only counts if flanked by non-token
-    /// bytes on both sides — i.e. the pattern equals a whole URL token.
-    whole_token: bool,
-    /// Pattern length in bytes (needed for the start-boundary check).
-    len: u32,
-    /// Caller-defined value (a filter id or a rank).
+    /// Caller-defined value (a rank or a lane).
     value: u32,
 }
 
@@ -72,21 +72,12 @@ impl AutomatonBuilder {
 
     /// Add a pattern. `pattern` must be non-empty and lowercase (the
     /// automaton scans lowercased URLs); `group`/`value` come back on
-    /// every reported occurrence. With `whole_token`, occurrences are
-    /// reported only when the match is a maximal token run.
-    pub fn add(&mut self, pattern: &str, group: u8, whole_token: bool, value: u32) {
+    /// every reported occurrence.
+    pub fn add(&mut self, pattern: &str, group: u8, value: u32) {
         debug_assert!(!pattern.is_empty());
         debug_assert!(!pattern.bytes().any(|b| b.is_ascii_uppercase()));
         let span = self.arena.push(pattern.as_bytes());
-        self.pats.push((
-            span,
-            Output {
-                group,
-                whole_token,
-                len: pattern.len() as u32,
-                value,
-            },
-        ));
+        self.pats.push((span, Output { group, value }));
     }
 
     /// Number of patterns added so far.
@@ -265,31 +256,226 @@ impl Automaton {
     /// Scan `text`, invoking `emit(group, value)` for every pattern
     /// occurrence, in end-position order (ties: output-chain order,
     /// longest suffix first; within one node, pattern insertion order).
-    /// Whole-token patterns are reported only when the occurrence is a
-    /// maximal `[a-z0-9%]` run in `text`.
     pub fn scan(&self, text: &[u8], mut emit: impl FnMut(u8, u32)) {
         if self.is_empty() {
             return;
         }
         let mut v = 0u32;
-        for (i, &b) in text.iter().enumerate() {
+        for &b in text {
             v = self.step(v, b);
             let mut u = self.out_link[v as usize];
             while u != NONE {
                 let lo = self.out_starts[u as usize] as usize;
                 let hi = self.out_starts[u as usize + 1] as usize;
                 for o in &self.outputs[lo..hi] {
-                    if o.whole_token {
-                        let start = i + 1 - o.len as usize;
-                        let open = start == 0 || !is_token_byte(text[start - 1]);
-                        let closed = i + 1 == text.len() || !is_token_byte(text[i + 1]);
-                        if !(open && closed) {
-                            continue;
-                        }
-                    }
                     emit(o.group, o.value);
                 }
                 u = self.out_link[self.fail[u as usize] as usize];
+            }
+        }
+    }
+}
+
+/// Hash of a token's bytes for the [`TokenTable`] index: a multiply per
+/// eight bytes, the top bits picking the home slot and the low 32 (with
+/// the high half folded in) tagging it.
+#[inline]
+fn token_hash(token: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = token.len() as u64;
+    let mut words = token.chunks_exact(8);
+    for w in &mut words {
+        let w = u64::from_le_bytes(w.try_into().expect("chunks_exact yields 8 bytes"));
+        h = (h.rotate_left(23) ^ w).wrapping_mul(K);
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut w = [0u8; 8];
+        w[..rest.len()].copy_from_slice(rest);
+        h = (h.rotate_left(23) ^ u64::from_le_bytes(w)).wrapping_mul(K);
+    }
+    h ^ (h >> 32)
+}
+
+/// Accumulates `(token, block ids, allow ids)` entries for a
+/// [`TokenTable`].
+#[derive(Debug)]
+pub struct TokenTableBuilder {
+    arena: ByteArena,
+    keys: Vec<Span>,
+    id_starts: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Default for TokenTableBuilder {
+    fn default() -> TokenTableBuilder {
+        TokenTableBuilder {
+            arena: ByteArena::new(),
+            keys: Vec::new(),
+            id_starts: vec![0],
+            ids: Vec::new(),
+        }
+    }
+}
+
+impl TokenTableBuilder {
+    /// An empty builder.
+    pub fn new() -> TokenTableBuilder {
+        TokenTableBuilder::default()
+    }
+
+    /// File `block` and `allow` under `token`, each in the order given.
+    /// `token` must be a lowercase URL token (at least two
+    /// [`is_token_byte`] bytes) and added once.
+    pub fn add(&mut self, token: &str, block: &[u32], allow: &[u32]) {
+        debug_assert!(token.len() >= 2 && token.bytes().all(is_token_byte));
+        self.keys.push(self.arena.push(token.as_bytes()));
+        self.ids.extend_from_slice(block);
+        self.id_starts.push(self.ids.len() as u32);
+        self.ids.extend_from_slice(allow);
+        self.id_starts.push(self.ids.len() as u32);
+    }
+
+    /// Build the hash index over the added tokens.
+    pub fn build(self) -> TokenTable {
+        // At most half full: every probe sequence ends at an empty slot,
+        // and the clusters a miss walks to their end stay short.
+        let len = (self.keys.len() * 2).next_power_of_two().max(2);
+        let mut slots = vec![0u64; len].into_boxed_slice();
+        let shift = 64 - len.trailing_zeros();
+        for (k, &span) in self.keys.iter().enumerate() {
+            let h = token_hash(self.arena.get(span));
+            let mut i = (h >> shift) as usize;
+            while slots[i] != 0 {
+                debug_assert!(
+                    self.arena.get(self.keys[(slots[i] as u32 - 1) as usize])
+                        != self.arena.get(span),
+                    "token added twice"
+                );
+                i = (i + 1) & (len - 1);
+            }
+            slots[i] = (h << 32) | (k as u64 + 1);
+        }
+        TokenTable {
+            arena: self.arena,
+            keys: self.keys,
+            id_starts: self.id_starts,
+            ids: self.ids,
+            slots,
+            shift,
+        }
+    }
+}
+
+/// URL tokens mapped to the request filters filed under them: each key
+/// is one bucket token of the engine's rarest-token index, its value the
+/// ids of that bucket's block filters and allow filters, in insertion
+/// order.
+///
+/// Keys live in a [`ByteArena`], ids in one CSR array (key `k`'s block
+/// ids, then its allow ids), and the index is an open-addressing hash
+/// table with linear probing, at most half full; a slot holds a key's
+/// 32-bit hash tag and its index, so most probes that miss never read
+/// key bytes.
+///
+/// Only [`TokenTableBuilder::build`] inserts. A request looks up and
+/// never inserts, so no URL can lengthen a probe sequence: the longest
+/// probe any lookup takes — to the first empty slot after the longest
+/// run of occupied ones — is fixed by the lists the table was built
+/// from.
+#[derive(Debug, Clone)]
+pub struct TokenTable {
+    arena: ByteArena,
+    keys: Vec<Span>,
+    /// `2 * keys.len() + 1` offsets into `ids`: key `k`'s block ids are
+    /// `id_starts[2k]..id_starts[2k + 1]`, its allow ids run on to
+    /// `id_starts[2k + 2]`.
+    id_starts: Vec<u32>,
+    ids: Vec<u32>,
+    /// `tag << 32 | (key index + 1)`, or 0 for an empty slot; a power of
+    /// two long.
+    slots: Box<[u64]>,
+    /// `64 - log2(slots.len())`: a hash's top bits are its home slot.
+    shift: u32,
+}
+
+impl Default for TokenTable {
+    fn default() -> TokenTable {
+        TokenTableBuilder::new().build()
+    }
+}
+
+impl TokenTable {
+    /// Number of distinct tokens.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether the table holds no token.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The number of ids (block and allow) filed under each token, in
+    /// key order.
+    pub fn bucket_sizes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.id_starts
+            .windows(3)
+            .step_by(2)
+            .map(|w| (w[2] - w[0]) as usize)
+    }
+
+    /// The key index of `token`, if it is a key.
+    #[inline]
+    fn find(&self, token: &[u8]) -> Option<usize> {
+        let h = token_hash(token);
+        let mask = self.slots.len() - 1;
+        let mut i = (h >> self.shift) as usize;
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                return None;
+            }
+            if (slot >> 32) as u32 == h as u32 {
+                let k = (slot as u32 - 1) as usize;
+                if self.arena.get(self.keys[k]) == token {
+                    return Some(k);
+                }
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Walk the URL tokens of `url_lower` — its maximal `[a-z0-9%]` runs
+    /// of two bytes or more, left to right — and call `hit(block,
+    /// allow)` with the ids filed under each one that is a key. A token
+    /// occurring twice hands over its bucket twice.
+    pub fn for_each_hit(&self, url_lower: &[u8], mut hit: impl FnMut(&[u32], &[u32])) {
+        if self.is_empty() {
+            return;
+        }
+        let n = url_lower.len();
+        let mut i = 0;
+        while i < n {
+            if !is_token_byte(url_lower[i]) {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            i += 1;
+            while i < n && is_token_byte(url_lower[i]) {
+                i += 1;
+            }
+            if i - start < 2 {
+                continue;
+            }
+            if let Some(k) = self.find(&url_lower[start..i]) {
+                let (lo, mid, hi) = (
+                    self.id_starts[2 * k] as usize,
+                    self.id_starts[2 * k + 1] as usize,
+                    self.id_starts[2 * k + 2] as usize,
+                );
+                hit(&self.ids[lo..mid], &self.ids[mid..hi]);
             }
         }
     }
@@ -507,10 +693,10 @@ mod tests {
         // (s-h-e fails into h-e) and output links (she's node chains to
         // he's node).
         let mut b = AutomatonBuilder::new();
-        b.add("he", 0, false, 0);
-        b.add("she", 0, false, 1);
-        b.add("his", 0, false, 2);
-        b.add("hers", 0, false, 3);
+        b.add("he", 0, 0);
+        b.add("she", 0, 1);
+        b.add("his", 0, 2);
+        b.add("hers", 0, 3);
         let auto = b.build();
         assert_eq!(
             hits(&auto, "ushers"),
@@ -527,8 +713,8 @@ mod tests {
     #[test]
     fn pattern_that_is_a_suffix_of_another_fires_on_both() {
         let mut b = AutomatonBuilder::new();
-        b.add("click", 0, false, 0);
-        b.add("doubleclick", 0, false, 1);
+        b.add("click", 0, 0);
+        b.add("doubleclick", 0, 1);
         let auto = b.build();
         // Both end at the same position; the output chain reports the
         // deepest node first (the longer pattern), then its suffix.
@@ -539,63 +725,22 @@ mod tests {
     #[test]
     fn repeated_occurrences_all_fire() {
         let mut b = AutomatonBuilder::new();
-        b.add("ad", 0, false, 9);
+        b.add("ad", 0, 9);
         let auto = b.build();
         assert_eq!(hits(&auto, "ad/ad/ad"), vec![(0, 9); 3]);
         // Overlapping self-suffix: "aa" in "aaa" fires twice.
         let mut b = AutomatonBuilder::new();
-        b.add("aa", 1, false, 5);
+        b.add("aa", 1, 5);
         let auto = b.build();
         assert_eq!(hits(&auto, "aaa"), vec![(1, 5), (1, 5)]);
     }
 
     #[test]
-    fn whole_token_requires_maximal_run() {
-        let mut b = AutomatonBuilder::new();
-        b.add("ads", 0, true, 0);
-        let auto = b.build();
-        assert_eq!(hits(&auto, "/ads/"), vec![(0, 0)]);
-        assert_eq!(hits(&auto, "ads"), vec![(0, 0)], "text boundaries count");
-        assert_eq!(hits(&auto, "/ads"), vec![(0, 0)]);
-        assert!(hits(&auto, "loads/").is_empty(), "left flank is tokenish");
-        assert!(hits(&auto, "/adsy").is_empty(), "right flank is tokenish");
-        assert!(hits(&auto, "/ads0/").is_empty(), "digits are tokenish");
-        assert_eq!(hits(&auto, "/ads-top"), vec![(0, 0)], "dash is a boundary");
-    }
-
-    #[test]
-    fn at_most_one_whole_token_hit_per_end_position() {
-        // "example" contains "ample" as a suffix; on a URL token
-        // "example" only the full-token pattern may fire — the shorter
-        // one's left flank is tokenish. This is what lets the engine
-        // treat whole-token scan order as bucket-visit order.
-        let mut b = AutomatonBuilder::new();
-        b.add("example", 0, true, 0);
-        b.add("ample", 0, true, 1);
-        let auto = b.build();
-        assert_eq!(hits(&auto, "/example/"), vec![(0, 0)]);
-        assert_eq!(hits(&auto, "/ample/"), vec![(0, 1)]);
-    }
-
-    #[test]
-    fn groups_and_token_flags_mix_on_one_node() {
-        // The same string can be a whole-token bucket key for one
-        // filter and a plain substring anchor for another.
-        let mut b = AutomatonBuilder::new();
-        b.add("banner", 0, true, 10);
-        b.add("banner", 2, false, 3);
-        let auto = b.build();
-        assert_eq!(hits(&auto, "/banner/"), vec![(0, 10), (2, 3)]);
-        // Embedded occurrence: only the substring output fires.
-        assert_eq!(hits(&auto, "xbannery"), vec![(2, 3)]);
-    }
-
-    #[test]
     fn insertion_order_is_preserved_within_a_node() {
         let mut b = AutomatonBuilder::new();
-        b.add("ad", 0, false, 2);
-        b.add("ad", 0, false, 0);
-        b.add("ad", 0, false, 1);
+        b.add("ad", 0, 2);
+        b.add("ad", 0, 0);
+        b.add("ad", 0, 1);
         let auto = b.build();
         assert_eq!(hits(&auto, "ad"), vec![(0, 2), (0, 0), (0, 1)]);
     }
@@ -612,10 +757,136 @@ mod tests {
         // Anchors are raw pattern literals, not tokens: "/ad." spans
         // separator bytes and must match byte-for-byte.
         let mut b = AutomatonBuilder::new();
-        b.add("/ad.", 1, false, 7);
+        b.add("/ad.", 1, 7);
         let auto = b.build();
         assert_eq!(hits(&auto, "http://x.example/ad.gif"), vec![(1, 7)]);
         assert!(hits(&auto, "http://x.example/ad/gif").is_empty());
+    }
+
+    /// A table over `(token, block ids, allow ids)`.
+    fn table(entries: &[(&str, &[u32], &[u32])]) -> TokenTable {
+        let mut b = TokenTableBuilder::new();
+        for &(token, block, allow) in entries {
+            b.add(token, block, allow);
+        }
+        b.build()
+    }
+
+    /// Every `(block, allow)` bucket the table hands over for `url`.
+    fn table_hits(t: &TokenTable, url: &str) -> Vec<(Vec<u32>, Vec<u32>)> {
+        let mut out = Vec::new();
+        t.for_each_hit(url.as_bytes(), |b, a| out.push((b.to_vec(), a.to_vec())));
+        out
+    }
+
+    /// The block ids of every bucket the table hands over for `url`.
+    fn block_hits(t: &TokenTable, url: &str) -> Vec<u32> {
+        table_hits(t, url)
+            .into_iter()
+            .flat_map(|(b, _)| b)
+            .collect()
+    }
+
+    #[test]
+    fn whole_token_requires_maximal_run() {
+        let t = table(&[("ads", &[0], &[])]);
+        assert_eq!(block_hits(&t, "/ads/"), [0]);
+        assert_eq!(block_hits(&t, "ads"), [0], "URL start and end bound a run");
+        assert_eq!(block_hits(&t, "/ads"), [0]);
+        assert_eq!(block_hits(&t, "ads?x=1"), [0]);
+        assert!(
+            block_hits(&t, "loads/").is_empty(),
+            "left flank is tokenish"
+        );
+        assert!(
+            block_hits(&t, "/adsy").is_empty(),
+            "right flank is tokenish"
+        );
+        assert!(block_hits(&t, "/ads0/").is_empty(), "digits are tokenish");
+        assert!(block_hits(&t, "/7ads/").is_empty());
+        assert!(block_hits(&t, "/ads%20/").is_empty(), "% is tokenish");
+        assert!(block_hits(&t, "/%ads/").is_empty());
+        for flank in ["-", ".", "_", "é", "/", "^", "A"] {
+            assert_eq!(
+                block_hits(&t, &format!("x{flank}ads{flank}y")),
+                [0],
+                "{flank:?} ends a run"
+            );
+        }
+    }
+
+    #[test]
+    fn at_most_one_whole_token_hit_per_end_position() {
+        // "example" contains "ample" and "exam": on the URL token
+        // "example" only the key equal to the whole run hits. A URL
+        // token that merely contains a key is a different token.
+        let t = table(&[
+            ("example", &[0], &[]),
+            ("ample", &[1], &[]),
+            ("exam", &[2], &[]),
+        ]);
+        assert_eq!(block_hits(&t, "/example/"), [0]);
+        assert_eq!(block_hits(&t, "/ample/"), [1]);
+        assert_eq!(block_hits(&t, "/exam.ample/"), [2, 1]);
+        assert!(block_hits(&t, "/examples/").is_empty());
+        assert!(block_hits(&t, "/counterexample/").is_empty());
+    }
+
+    #[test]
+    fn table_hands_over_both_sides_in_url_token_order() {
+        let t = table(&[
+            ("banner", &[4, 2], &[7]),
+            ("ads", &[], &[3, 1]),
+            ("cdn", &[5], &[]),
+        ]);
+        assert_eq!(
+            table_hits(&t, "http://cdn.example/ads/banner.gif"),
+            [
+                (vec![5], vec![]),
+                (vec![], vec![3, 1]),
+                (vec![4, 2], vec![7])
+            ]
+        );
+        // A repeated token hands over its bucket once per occurrence;
+        // the engine's canonicalize step dedups.
+        assert_eq!(block_hits(&t, "/banner/x/banner"), [4, 2, 4, 2]);
+    }
+
+    #[test]
+    fn two_byte_keys_and_one_byte_runs() {
+        let t = table(&[("ad", &[0], &[]), ("js", &[1], &[])]);
+        assert_eq!(block_hits(&t, "/ad/a/d/x.js"), [0, 1]);
+        assert!(block_hits(&t, "a/d").is_empty());
+    }
+
+    #[test]
+    fn table_reports_its_shape() {
+        let t = table(&[("ads", &[0, 3], &[1]), ("cdn", &[2], &[])]);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.bucket_sizes().collect::<Vec<_>>(), [3, 1]);
+        let empty = TokenTable::default();
+        assert!(empty.is_empty());
+        assert_eq!(empty.bucket_sizes().count(), 0);
+        assert!(table_hits(&empty, "http://ads.example/ads").is_empty());
+    }
+
+    #[test]
+    fn table_finds_every_key_among_many() {
+        // Enough keys for long probe sequences and every hash word
+        // shape (keys of 2 to 20 bytes: one, two and three words).
+        let keys: Vec<String> = (0..5000u32)
+            .map(|i| format!("k{}", "x".repeat((i % 19) as usize)) + &i.to_string())
+            .collect();
+        let mut b = TokenTableBuilder::new();
+        for (i, k) in keys.iter().enumerate() {
+            b.add(k, &[i as u32], &[]);
+        }
+        let t = b.build();
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(block_hits(&t, &format!("/{k}/")), [i as u32], "{k}");
+            // Every key ends in a digit, so no key ends in `z`.
+            assert!(block_hits(&t, &format!("/{k}z/")).is_empty());
+        }
     }
 
     fn collect(trie: &HostLabelTrie, host: &str) -> Vec<u32> {

@@ -27,19 +27,19 @@
 //!
 //! * filter text, and the per-request subject URL, are interned
 //!   ([`IStr`]) so recording an activation never copies string bytes;
-//! * request filters with no `domain=` include list — tokenized *and*
-//!   untokenized — compile into one literal-anchor
-//!   [`Automaton`](crate::anchors::Automaton): a single pass over the
-//!   lowercased URL emits exactly the candidate set, so untokenized
-//!   filters are scanned only when their longest literal actually
-//!   occurs (filters with no extractable anchor stay in a tiny
-//!   always-scan tail);
+//! * request filters with no `domain=` include list are filed under
+//!   their rarest token in a [`TokenTable`] (keys in a byte arena, ids
+//!   in CSR form, a hash index): a request looks each of its URL tokens
+//!   up once. The *untokenized* ones compile into a literal-anchor
+//!   [`Automaton`](crate::anchors::Automaton), so a wildcard-tail filter
+//!   is scanned only when its longest literal actually occurs (filters
+//!   with no extractable anchor stay in a tiny always-scan tail);
 //! * anchorless *sitekey* filters (`@@$sitekey=K,document`: 25 of the
 //!   paper's whitelist, §4) are filed under each of their keys, so only
 //!   a request presenting one of those keys ever evaluates them;
 //! * *restricted* request filters (a non-empty `domain=` include list:
-//!   89% of the paper's whitelist, Fig 4) stay out of that automaton
-//!   and sit behind a **first-party gate**: a reversed-label
+//!   89% of the paper's whitelist, Fig 4) stay out of that table and
+//!   automaton and sit behind a **first-party gate**: a reversed-label
 //!   [`HostLabelTrie`] over their include domains, walked once with the
 //!   request's first party, so a filter whose `domain=` already rules
 //!   it out is never a candidate, whatever the URL says;
@@ -55,7 +55,9 @@
 //!   plausible rules and never build a per-query selector set.
 
 use crate::activation::{Activation, MatchKind};
-use crate::anchors::{Automaton, AutomatonBuilder, HostLabelTrie, HostLabelTrieBuilder};
+use crate::anchors::{
+    Automaton, AutomatonBuilder, HostLabelTrie, HostLabelTrieBuilder, TokenTable, TokenTableBuilder,
+};
 use crate::filter::{ElementFilter, FilterAction, FilterBody, RequestFilter};
 use crate::intern::IStr;
 use crate::list::{FilterList, ListSource};
@@ -191,9 +193,8 @@ struct StoredElementRule {
 
 /// Mutable token-bucketed index over the request filters that have no
 /// `domain=` include list, used while filters are being added.
-/// [`Compiled::build`] compiles it into the anchor automaton. Keyed by
-/// the token *string* (not a hash): the automaton needs the bytes, and
-/// distinct tokens can never alias a bucket.
+/// [`Compiled::build`] compiles its buckets into the [`TokenTable`] and
+/// its untokenized filters into the anchor automaton.
 #[derive(Debug, Default, Clone)]
 struct TokenIndexBuilder {
     by_token: HashMap<String, Vec<u32>>,
@@ -226,22 +227,16 @@ impl TokenIndexBuilder {
     }
 }
 
-/// Output groups of the merged request automaton. Token groups carry a
-/// filter id and fire whole-token (the scan emits exactly the buckets
-/// the per-token index used to visit, in URL-token order — at most one
-/// whole-token pattern can end at a given position, so scan order *is*
-/// bucket-visit order). Tail groups carry a *rank* into the side's
-/// untokenized list and fire on any substring occurrence of the
-/// filter's longest literal anchor.
-const GROUP_BLOCK_TOKEN: u8 = 0;
-const GROUP_ALLOW_TOKEN: u8 = 1;
-const GROUP_BLOCK_TAIL: u8 = 2;
-const GROUP_ALLOW_TAIL: u8 = 3;
+/// Output groups of the request automaton. Tail groups carry a *rank*
+/// into the side's untokenized list and fire on any substring
+/// occurrence of the filter's longest literal anchor.
+const GROUP_BLOCK_TAIL: u8 = 0;
+const GROUP_ALLOW_TAIL: u8 = 1;
 /// Required-literal group: the value is a bit lane (< [`LIT_LANES`]),
 /// and a hit means "some literal bucketed into this lane occurs in the
-/// URL". The same scan that yields candidates also accumulates the
+/// URL". The same scan that yields tail candidates also accumulates the
 /// lane mask, so the prefilter costs no extra pass.
-const GROUP_LIT: u8 = 4;
+const GROUP_LIT: u8 = 2;
 
 /// Bit width of the required-literal mask. Distinct tail-filter
 /// literals are assigned lanes round-robin (`index % LIT_LANES`), so
@@ -272,8 +267,8 @@ struct GateShape {
 
 /// Snapshot of the engine's tail-optimization counters: how hard the
 /// required-literal prefilter and the per-suffix hiding plans are
-/// working, and the compile-time shape of the first-party gate. See
-/// [`Engine::tail_stats`].
+/// working, and the compile-time shape of the first-party gate and the
+/// token table. See [`Engine::tail_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TailStats {
     /// Untokenized tail candidates that reached the required-literal
@@ -296,6 +291,12 @@ pub struct TailStats {
     /// first party hands to `Filter::matches` at the least. A list that
     /// defeats the gate (everything restricted to one site) shows here.
     pub restricted_bucket_max: u64,
+    /// Distinct tokens the token table files tokenized filters under.
+    pub token_count: u64,
+    /// Most filters (block and allow) under one token: the most one URL
+    /// token can hand to evaluation. A list whose filters all share a
+    /// token shows here.
+    pub token_bucket_max: u64,
 }
 
 /// A compiled per-suffix hiding plan: everything both hiding entry
@@ -325,13 +326,16 @@ struct SitekeyRanks {
 }
 
 /// The immutable matching snapshot compiled from the engine's builders:
-/// the merged request anchor automaton, the first-party gate, the
-/// `$document`/`$elemhide` gate automaton, and the element-rule domain
-/// trie with precompiled selector-cancellation links.
+/// the token table, the tail anchor automaton, the first-party gate,
+/// the `$document`/`$elemhide` gate automaton, and the element-rule
+/// domain trie with precompiled selector-cancellation links.
 #[derive(Debug, Clone, Default)]
 struct Compiled {
-    /// One automaton over the anchors of every request filter without a
-    /// `domain=` include list, both sides.
+    /// Both sides' token buckets: the candidates a URL token hands over.
+    tokens: TokenTable,
+    /// One automaton over the anchors and required literals of every
+    /// untokenized request filter without a `domain=` include list,
+    /// both sides. Empty when there are none.
     request_auto: Automaton,
     /// The first-party gate: ids of restricted request filters (block
     /// and allow alike), bucketed under each of their include domains.
@@ -418,19 +422,23 @@ struct Compiled {
 impl Compiled {
     fn build(engine: &Engine) -> Compiled {
         engine.compiles.fetch_add(1, Ordering::Relaxed);
+        // Tokenized side: one table entry per bucket token, both sides'
+        // buckets in insertion order.
+        let (block_tokens, allow_tokens) = (
+            &engine.block_builder.by_token,
+            &engine.allow_builder.by_token,
+        );
+        let mut tokens = TokenTableBuilder::new();
+        for (token, block) in block_tokens {
+            let allow = allow_tokens.get(token).map_or(&[][..], Vec::as_slice);
+            tokens.add(token, block, allow);
+        }
+        for (token, allow) in allow_tokens {
+            if !block_tokens.contains_key(token) {
+                tokens.add(token, &[], allow);
+            }
+        }
         let mut auto = AutomatonBuilder::new();
-        // Tokenized side: each bucket token is one whole-token pattern
-        // per filter in the bucket, preserving bucket insertion order.
-        for (token, ids) in &engine.block_builder.by_token {
-            for &id in ids {
-                auto.add(token, GROUP_BLOCK_TOKEN, true, id);
-            }
-        }
-        for (token, ids) in &engine.allow_builder.by_token {
-            for &id in ids {
-                auto.add(token, GROUP_ALLOW_TOKEN, true, id);
-            }
-        }
         // Untokenized tail: anchor what we can, always-scan the rest —
         // and give every tail filter a required-literal lane mask.
         // Each distinct literal (case-folded: `url_lower` is the scan
@@ -449,7 +457,7 @@ impl Compiled {
             for (rank, &id) in untok.iter().enumerate() {
                 let sf = &engine.request_filters[id as usize];
                 match sf.filter.pattern.anchor() {
-                    Some(a) => auto.add(&a, group, false, rank as u32),
+                    Some(a) => auto.add(&a, group, rank as u32),
                     None => always.push(rank as u32),
                 }
                 let mut mask = 0u128;
@@ -458,7 +466,7 @@ impl Compiled {
                         let lower = lit.to_ascii_lowercase();
                         let next = lit_bits.len() as u32 % LIT_LANES;
                         let bit = *lit_bits.entry(lower.clone()).or_insert_with(|| {
-                            auto.add(&lower, GROUP_LIT, false, next);
+                            auto.add(&lower, GROUP_LIT, next);
                             next
                         });
                         mask |= 1u128 << bit;
@@ -524,7 +532,7 @@ impl Compiled {
         for (rank, &id) in doc_gate.iter().enumerate() {
             let sf = &engine.request_filters[id as usize];
             match sf.filter.pattern.anchor() {
-                Some(a) => doc_auto.add(&a, 0, false, rank as u32),
+                Some(a) => doc_auto.add(&a, 0, rank as u32),
                 None => doc_always.push(rank as u32),
             }
         }
@@ -613,6 +621,7 @@ impl Compiled {
         let elem_mask_union = engine.element_rules.iter().fold(0u64, |m, sr| m | sr.mask);
 
         Compiled {
+            tokens: tokens.build(),
             request_auto: auto.build(),
             restricted,
             restricted_shape,
@@ -661,12 +670,12 @@ impl Compiled {
 }
 
 /// Reusable per-thread allocations for `match_request` evaluations: the
-/// automaton hit buffers. Both sides canonicalize to sorted, deduped
+/// candidate hit buffers. Both sides canonicalize to sorted, deduped
 /// filter-id order before evaluation, so no separate dedup state is
 /// needed.
 #[derive(Debug, Default)]
 struct MatchScratch {
-    /// Whole-token automaton hits (filter ids), scan order; after the
+    /// Token-table hits (filter ids), URL-token order; after the
     /// canonicalization step, the merged id-ordered candidate list.
     block_hits: Vec<u32>,
     allow_hits: Vec<u32>,
@@ -720,15 +729,16 @@ fn with_host_lower<R>(host: &str, f: impl FnOnce(&str) -> R) -> R {
 }
 
 /// Visit the URL tokens (maximal `[a-z0-9%]` runs of length ≥ 2) of a
-/// lowercased URL. Only the debug-order assertion needs this now — the
-/// automaton replaced per-request tokenization on the hot path — but it
-/// stays the definition of "token" the index and assertion share.
+/// lowercased URL. The reference walk the debug assertion and the tests
+/// hold [`TokenTable::for_each_hit`] to; requests go through the table.
 #[cfg(any(test, debug_assertions))]
 fn for_each_url_token(url_lower: &str, mut f: impl FnMut(&str)) {
     let bytes = url_lower.as_bytes();
     let mut start = None;
     for i in 0..=bytes.len() {
-        let tokenish = i < bytes.len() && crate::anchors::is_token_byte(bytes[i]);
+        // Spelled out rather than `anchors::is_token_byte`: the
+        // reference shares no code with the table it checks.
+        let tokenish = i < bytes.len() && matches!(bytes[i], b'a'..=b'z' | b'0'..=b'9' | b'%');
         match (tokenish, start) {
             (true, None) => start = Some(i),
             (false, Some(s)) => {
@@ -1005,7 +1015,6 @@ impl Engine {
     fn collect_candidates(&self, req: &Request, scratch: &mut MatchScratch) {
         let compiled = self.compiled();
         scratch.begin();
-        // One pass over the lowercased URL fills all four hit buffers.
         let MatchScratch {
             block_hits,
             allow_hits,
@@ -1013,16 +1022,20 @@ impl Engine {
             allow_tail,
             gate_hits,
         } = scratch;
+        let url = req.url_lower.as_bytes();
+        // Each URL token that is a bucket key hands over its bucket.
+        compiled.tokens.for_each_hit(url, |block, allow| {
+            block_hits.extend_from_slice(block);
+            allow_hits.extend_from_slice(allow);
+        });
+        // One automaton pass finds the tail anchors and literal lanes
+        // (none at all when the lists have no untokenized tail).
         let mut seen = 0u128;
-        compiled
-            .request_auto
-            .scan(req.url_lower.as_bytes(), |group, value| match group {
-                GROUP_BLOCK_TOKEN => block_hits.push(value),
-                GROUP_ALLOW_TOKEN => allow_hits.push(value),
-                GROUP_BLOCK_TAIL => block_tail.push(value),
-                GROUP_ALLOW_TAIL => allow_tail.push(value),
-                _ => seen |= 1u128 << value,
-            });
+        compiled.request_auto.scan(url, |group, value| match group {
+            GROUP_BLOCK_TAIL => block_tail.push(value),
+            GROUP_ALLOW_TAIL => allow_tail.push(value),
+            _ => seen |= 1u128 << value,
+        });
         // Tail hits are ranks into the untokenized lists; merging in the
         // always-scan ranks (and the presented sitekey's) and sorting
         // restores insertion order. The required-literal mask then drops
@@ -1085,9 +1098,10 @@ impl Engine {
         }
 
         // Canonicalize both candidate streams to ascending filter-id
-        // order: map tail ranks to ids, merge with the whole-token hits
-        // and this side's gate hits, sort, dedup (a filter listed under
-        // two matching include domains was collected twice). Id order is
+        // order: map tail ranks to ids, merge with the token hits and
+        // this side's gate hits, sort, dedup (a URL repeating a token
+        // handed its bucket over twice; a filter listed under two
+        // matching include domains was collected twice). Id order is
         // list insertion order, so activations replay the subscribed
         // lists exactly as written, whichever index a filter came from —
         // and a masked (multi-tenant) evaluation of any subscription
@@ -1215,15 +1229,28 @@ impl Engine {
         (before, before - tail.len() as u64)
     }
 
-    /// Debug-build guard on the automaton's half of the candidate
+    /// The reference walk: the buckets of `url_lower`'s tokens read
+    /// from the builder's map, in URL-token order, a repeated token's
+    /// bucket once per occurrence.
+    #[cfg(any(test, debug_assertions))]
+    fn reference_token_walk(url_lower: &str, builder: &TokenIndexBuilder) -> Vec<u32> {
+        let mut ids = Vec::new();
+        for_each_url_token(url_lower, |t| {
+            if let Some(bucket) = builder.by_token.get(t) {
+                ids.extend_from_slice(bucket);
+            }
+        });
+        ids
+    }
+
+    /// Debug-build guard on the URL-indexed half of the candidate
     /// stream (filters with no `domain=` include list; restricted ones
     /// come from the first-party gate, see
-    /// [`Engine::debug_assert_gate_hits`]). The token hits
-    /// (first-occurrence deduped) must *equal* the bucket visit sequence
-    /// of the URL's tokens — whole-token pruning is exact — and the
-    /// merged tail must be an ordered subsequence of the untokenized
-    /// list (the prefilter may drop entries, never reorder them). No
-    /// hit may be a restricted filter: those are in the gate only.
+    /// [`Engine::debug_assert_gate_hits`]). The token hits must *equal*
+    /// the reference walk over the URL's tokens, and the merged tail
+    /// must be an ordered subsequence of the untokenized list (the
+    /// prefilter may drop entries, never reorder them). No hit may be a
+    /// restricted filter: those are in the gate only.
     #[cfg(debug_assertions)]
     fn debug_assert_candidate_order(
         &self,
@@ -1233,27 +1260,10 @@ impl Engine {
         tail_ranks: &[u32],
         untok: &[u32],
     ) {
-        let mut reference: Vec<u32> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for_each_url_token(url_lower, |t| {
-            if let Some(bucket) = builder.by_token.get(t) {
-                for &id in bucket {
-                    if seen.insert(id) {
-                        reference.push(id);
-                    }
-                }
-            }
-        });
-        let mut deduped_hits: Vec<u32> = Vec::new();
-        let mut seen_hits = std::collections::HashSet::new();
-        for &id in hits {
-            if seen_hits.insert(id) {
-                deduped_hits.push(id);
-            }
-        }
         assert_eq!(
-            deduped_hits, reference,
-            "whole-token automaton hits must replay the bucket chain for {url_lower:?}"
+            hits,
+            Engine::reference_token_walk(url_lower, builder),
+            "token-table hits must replay the bucket chain for {url_lower:?}"
         );
         // Ranks are sorted and unique, and index the insertion-ordered
         // untokenized list, so the mapped ids are automatically an
@@ -1630,6 +1640,8 @@ impl Engine {
             restricted_filters: compiled.restricted_shape.filters,
             restricted_domains: compiled.restricted_shape.domains,
             restricted_bucket_max: compiled.restricted_shape.bucket_max,
+            token_count: compiled.tokens.len() as u64,
+            token_bucket_max: compiled.tokens.bucket_sizes().max().unwrap_or(0) as u64,
         }
     }
 
@@ -1648,10 +1660,68 @@ impl Engine {
     /// The candidate stage's output for one request: `(block, allow)`
     /// filter ids.
     #[cfg(test)]
-    fn candidate_ids(&self, req: &Request) -> (Vec<u32>, Vec<u32>) {
+    pub(crate) fn candidate_ids(&self, req: &Request) -> (Vec<u32>, Vec<u32>) {
         let mut scratch = MatchScratch::default();
         self.collect_candidates(req, &mut scratch);
         (scratch.block_hits, scratch.allow_hits)
+    }
+
+    /// What [`Engine::candidate_ids`] must return, built without any
+    /// compiled index: the reference token walk, each untokenized filter
+    /// whose trigger holds (its anchor occurs in the URL; or, anchorless,
+    /// it names no sitekey or the request's key) and all of whose
+    /// literals occur, and the restricted filters whose include list
+    /// names the first party or a parent — split by action, ascending.
+    ///
+    /// The literal test is exact where the engine's lanes are not: it
+    /// equals the engine's prefilter only while the untokenized filters
+    /// carry fewer than [`LIT_LANES`] distinct literals, so that no two
+    /// share a lane.
+    #[cfg(test)]
+    pub(crate) fn reference_candidates(&self, req: &Request) -> (Vec<u32>, Vec<u32>) {
+        let url = req.url_lower.as_str();
+        let key = req.verified_sitekey.as_deref();
+        let mut sides = [Vec::new(), Vec::new()];
+        for (side, builder) in sides
+            .iter_mut()
+            .zip([&self.block_builder, &self.allow_builder])
+        {
+            side.extend(Engine::reference_token_walk(url, builder));
+            side.extend(builder.untokenized.iter().copied().filter(|&id| {
+                let filter = &self.request_filters[id as usize].filter;
+                let pattern = &filter.pattern;
+                let keys = &filter.options.sitekeys;
+                let triggered = match pattern.anchor() {
+                    Some(anchor) => url.contains(&anchor),
+                    None => keys.is_empty() || keys.iter().any(|k| Some(k.as_str()) == key),
+                };
+                triggered
+                    && pattern.elements.iter().all(|e| match e {
+                        Element::Literal(lit) => url.contains(&lit.to_ascii_lowercase()),
+                        _ => true,
+                    })
+            }));
+        }
+        let first_party = req.first_party.to_ascii_lowercase();
+        for (id, sf) in self.request_filters.iter().enumerate() {
+            let include = &sf.filter.options.domains.include;
+            if include
+                .iter()
+                .any(|d| urlkit::is_same_or_subdomain_of(&first_party, &d.to_ascii_lowercase()))
+            {
+                let side = match sf.filter.action {
+                    FilterAction::Block => 0,
+                    FilterAction::Allow => 1,
+                };
+                sides[side].push(id as u32);
+            }
+        }
+        for side in &mut sides {
+            side.sort_unstable();
+            side.dedup();
+        }
+        let [block, allow] = sides;
+        (block, allow)
     }
 }
 
@@ -2119,8 +2189,9 @@ reddit.com#@##siteTable_organic
 
     #[test]
     fn duplicate_url_tokens_do_not_duplicate_activations() {
-        // A URL repeating the filter's bucket token visits that CSR
-        // bucket twice; the candidate dedup must keep one activation.
+        // A URL repeating the filter's bucket token hands that bucket
+        // over three times; canonicalize must keep one candidate and the
+        // evaluation one activation.
         let list = FilterList::parse(ListSource::EasyList, "||ads.example^\n");
         let e = Engine::from_lists([&list]);
         let r = req(
@@ -2128,9 +2199,50 @@ reddit.com#@##siteTable_organic
             "news.site",
             ResourceType::Image,
         );
+        assert_eq!(e.candidate_ids(&r), (vec![0], vec![]));
         let out = e.match_request(&r);
         assert_eq!(out.decision, Decision::Block);
         assert_eq!(out.activations.len(), 1);
+    }
+
+    #[test]
+    fn token_table_finds_whole_url_tokens_only() {
+        let list = FilterList::parse(
+            ListSource::EasyList,
+            "/js/\n/ads/\n@@/ads/ok/\n/banner^\n/banner/\n",
+        );
+        let e = Engine::from_lists([&list]);
+        let ids = |url: &str| e.candidate_ids(&req(url, "news.site", ResourceType::Script));
+        // Bucket tokens: "js" (two bytes), "ads" on both sides, "banner"
+        // twice. An upper-case URL is looked up lowercased.
+        assert_eq!(ids("HTTP://CDN.EXAMPLE/JS/X.JS"), (vec![0], vec![]));
+        assert_eq!(ids("http://ads.example/ads/ok/"), (vec![1], vec![2]));
+        assert_eq!(ids("http://x.example/banner"), (vec![3, 4], vec![]));
+        // URL tokens that merely contain a bucket token — a digit or a
+        // `%` is part of the run — hand nothing over.
+        assert_eq!(ids("http://x.example/jsx/banners"), (vec![], vec![]));
+        assert_eq!(ids("http://x.example/x/ads7/%20banner"), (vec![], vec![]));
+        // `.`, `_`, `-` and non-ASCII bytes end a token.
+        assert_eq!(
+            ids("http://x.example/é/banner-top_js.é"),
+            (vec![0, 3, 4], vec![])
+        );
+        let stats = e.tail_stats();
+        assert_eq!(stats.token_count, 3);
+        assert_eq!(stats.token_bucket_max, 2);
+    }
+
+    #[test]
+    fn a_bucket_token_and_a_tail_anchor_on_one_string_both_fire() {
+        // "banner" is the bucket token of `/banner/` and the tail anchor
+        // of `*banner*`: a URL token "banner" finds both, an embedded
+        // occurrence only the anchor.
+        let list = FilterList::parse(ListSource::EasyList, "/banner/\n*banner*\n");
+        let e = Engine::from_lists([&list]);
+        let ids = |url: &str| e.candidate_ids(&req(url, "news.site", ResourceType::Image));
+        assert_eq!(ids("http://x.example/banner/"), (vec![0, 1], vec![]));
+        assert_eq!(ids("http://x.example/xbannery"), (vec![1], vec![]));
+        assert_eq!(e.tail_stats().token_count, 1);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!
 //! The [`engine::Engine`] combines any number of [`list::FilterList`]s
 //! (e.g. an EasyList-style blacklist and the Acceptable Ads whitelist),
-//! indexes request filters by their rarest 8-bit-hashed token — the same
-//! trick Adblock Plus and adblock-rust use — and answers:
+//! indexes request filters by their rarest token — the same trick
+//! Adblock Plus and adblock-rust use — and answers:
 //!
 //! * [`engine::Engine::match_request`] — *all* blocking/exception filters
 //!   matching a request plus the final block/allow decision (the paper's

@@ -259,25 +259,72 @@ mod pattern_metamorphic {
             let _ = p.tokens();
         }
 
-        /// Every extracted token is present in any URL the pattern
-        /// matches (the token-index soundness property the engine relies
-        /// on).
+        /// Every extracted token is a *whole* URL token — a maximal
+        /// `[a-z0-9%]` run of the lowercased URL — of any URL the
+        /// pattern matches: the property the token table relies on when
+        /// it looks URL tokens up by equality. A token that fails it
+        /// files its filter where no request can find it.
+        ///
+        /// Patterns take each anchor (`|`, `||`, none), an optional end
+        /// anchor and `match-case`, over a body of words, digits, `%XX`
+        /// escapes, upper case, non-ASCII literals, `.` `-` `_` `/`,
+        /// `^` and `*`. The URL is the body instantiated (`*` as a
+        /// random fill that may itself be tokenish, `^` as a separator)
+        /// inside random tokenish or separator context.
         #[test]
-        fn tokens_sound_for_index(h in host(), path in "[a-z0-9/]{0,16}") {
-            let pattern_text = format!("||{h}/{path}");
-            let p = Pattern::compile(&pattern_text, false);
-            let url = format!("https://sub.{h}/{path}tail");
-            if p.matches(&url) {
-                let lower = url.to_ascii_lowercase();
-                for token in p.tokens() {
-                    prop_assert!(
-                        lower.contains(&token),
-                        "token {token:?} missing from matching url {url:?}"
-                    );
-                }
+        fn tokens_sound_for_index(
+            anchor in prop::sample::select(&["", "|", "||"]),
+            body in prop::collection::vec(prop::sample::select(&PATTERN_PIECES), 1..8),
+            end_anchor in any::<bool>(),
+            match_case in any::<bool>(),
+            h in host(),
+            context in ("[a-z0-9%._/-]{0,4}", "[a-zA-Z0-9%._/?=-]{0,4}"),
+            fill in "[a-zA-Z0-9%._/-]{0,5}",
+            sep in prop::sample::select(&["/", "?", "&", "=", ":"]),
+            upper in any::<bool>(),
+        ) {
+            let body: String = body.concat();
+            let (prefix, suffix) = context;
+            let suffix = if end_anchor { "" } else { suffix.as_str() };
+            let instantiated: String = body
+                .chars()
+                .map(|c| match c {
+                    '*' => fill.clone(),
+                    '^' => sep.to_string(),
+                    c => c.to_string(),
+                })
+                .collect();
+            let (pattern_head, url_head) = match anchor {
+                "|" => (format!("|http://{h}/"), format!("http://{h}/")),
+                "||" => (format!("||{h}"), format!("http://sub.{h}")),
+                _ => (String::new(), format!("http://{h}/{prefix}")),
+            };
+            let end = if end_anchor { "|" } else { "" };
+            let p = Pattern::compile(&format!("{pattern_head}{body}{end}"), match_case);
+            let url = format!("{url_head}{instantiated}{suffix}");
+            let url = if upper && !match_case { url.to_ascii_uppercase() } else { url };
+            prop_assert!(p.matches(&url), "{:?} should match {url:?}", p.raw);
+            let lower = url.to_ascii_lowercase();
+            let url_tokens: Vec<&str> = lower
+                .split(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '%'))
+                .collect();
+            for token in p.tokens() {
+                prop_assert!(
+                    url_tokens.contains(&token.as_str()),
+                    "token {token:?} of {:?} is not a whole token of matching url {url:?}",
+                    p.raw
+                );
             }
         }
     }
+
+    /// Pieces of the patterns `tokens_sound_for_index` draws: token
+    /// words, digits, `%XX`, upper case, non-ASCII, token boundaries and
+    /// the two metacharacters.
+    const PATTERN_PIECES: [&str; 20] = [
+        "ads", "banner", "x1", "com", "7", "42", "%2F", "%3a", "AdS", "é", "中", ".", "-", "_",
+        "/", "?", "^", "^", "*", "*",
+    ];
 }
 
 #[cfg(test)]
@@ -987,6 +1034,84 @@ mod differential {
                 engine.document_allowlist(&doc),
                 reference_document(&refs, &doc),
                 "case {case}: document gates diverged on {doc:?}"
+            );
+        }
+    }
+
+    /// What glues list tokens into a URL path: token boundaries,
+    /// non-ASCII, and `%`, a digit or nothing, which merge neighbouring
+    /// words into one URL token that merely contains a filter token.
+    const GLUE: [&str; 12] = ["/", ".", "-", "_", "?", "=", "&", "é", "%", "7", "", "/x/"];
+
+    proptest! {
+        /// The candidate stage hands evaluation exactly the reference's
+        /// candidates — the reference walk over the builders' token
+        /// maps, the untokenized filters whose trigger and literals
+        /// occur, and the gate's restricted filters — on URLs glued from
+        /// the lists' own tokens and anchors. The debug assertion checks
+        /// the token half on every request of the differential arms;
+        /// this holds both halves under the optimizer too.
+        #[test]
+        fn candidates_equal_the_reference_walk(
+            seed in any::<u64>(),
+            glue in prop::collection::vec((any::<usize>(), prop::sample::select(&GLUE)), 1..10),
+            upper in any::<bool>(),
+        ) {
+            let mut rng = TestRng::deterministic(&format!("token_table_{seed}"));
+            let lists: Vec<FilterList> = [ListSource::EasyList, ListSource::AcceptableAds]
+                .into_iter()
+                .map(|source| {
+                    let text: String = (0..rng.usize_in(1, 30))
+                        .map(|_| filter_line(&mut rng) + "\n")
+                        .collect();
+                    FilterList::parse(source, &text)
+                })
+                .collect();
+            let engine = Engine::from_lists(&lists);
+            let request_filters = || {
+                lists
+                    .iter()
+                    .flat_map(FilterList::filters)
+                    .filter_map(|f| f.as_request())
+            };
+
+            // The reference's literal test equals the engine's lanes
+            // only while no two tail literals share one.
+            let mut tail_literals = std::collections::HashSet::new();
+            let tail = request_filters()
+                .filter(|rf| !rf.is_restricted() && rf.pattern.tokens().is_empty());
+            for rf in tail {
+                for e in &rf.pattern.elements {
+                    if let crate::pattern::Element::Literal(lit) = e {
+                        tail_literals.insert(lit.to_ascii_lowercase());
+                    }
+                }
+            }
+            prop_assume!(tail_literals.len() < 128);
+
+            let mut words: Vec<String> = request_filters()
+                .flat_map(|rf| rf.pattern.tokens().into_iter().chain(rf.pattern.anchor()))
+                .collect();
+            words.push("ads".to_string());
+            let mut path = String::new();
+            for (pick, sep) in &glue {
+                path.push_str(&words[pick % words.len()]);
+                path.push_str(sep);
+            }
+            let host = pool_host(&mut rng);
+            let url = format!("http://{host}/{path}");
+            let url = if upper { url.to_ascii_uppercase() } else { url };
+            let first = if rng.below(2) == 0 { pool_host(&mut rng) } else { host };
+            let req = Request::new(&url, &first, ResourceType::Image).unwrap();
+            let req = with_sitekey(req, request_sitekey(&mut rng));
+            prop_assert_eq!(
+                engine.candidate_ids(&req),
+                engine.reference_candidates(&req),
+                "{} from {} on lists:\n{}{}",
+                url,
+                first,
+                lists[0].to_text(),
+                lists[1].to_text()
             );
         }
     }

@@ -6,8 +6,9 @@
 //! browsing stream on the corpus lists — what a cache miss sees, and
 //! what `benchmark/`'s `abp.request_new_ns` / `abp.match_ns` rows time —
 //! so the engine-layer split of a miss (`Request::new` into `Url::parse`
-//! and `same_party`, then `match_request` and its candidates per
-//! request) can be re-read without the harness. Its first 16,384 are
+//! and `same_party`, then `match_request` into its candidate stage and
+//! evaluation, and `match_request_masked` under `serve-cold`'s tenant
+//! masks) can be re-read without the harness. Its first 16,384 are
 //! the shape of `serve-hot`'s hot set: the codec stages run over those
 //! in the workloads' 256-element framing (`benchmark/`'s four
 //! `wire.*_ns` rows), and a hit pass splits what `benchmark/` can only
@@ -33,6 +34,9 @@ const BATCH: usize = 256;
 const HOT: usize = 16_384;
 /// Passes per hot-set stage; the fastest is reported.
 const ROUNDS: usize = 25;
+/// Users in the tenant population `serve-cold` stamps its requests
+/// from: request `i` carries user `i`'s mask.
+const TENANT_USERS: u64 = 1_000_000;
 
 /// ns per item of the fastest of [`ROUNDS`] runs of `pass`, which
 /// handles `items` items per run.
@@ -95,11 +99,14 @@ fn main() {
     let engine = abpd::corpus_engine(2015);
     let shape = engine.tail_stats();
     println!(
-        "filters: {} ({} behind the first-party gate under {} domains, largest bucket {})",
+        "filters: {} ({} behind the first-party gate under {} domains, largest bucket {}; \
+         {} tokens in the token table, largest bucket {})",
         engine.request_filter_count(),
         shape.restricted_filters,
         shape.restricted_domains,
-        shape.restricted_bucket_max
+        shape.restricted_bucket_max,
+        shape.token_count,
+        shape.token_bucket_max
     );
 
     // Miss path, engine layers, ns/request best of ROUNDS over all `n`
@@ -136,6 +143,20 @@ fn main() {
             black_box(engine.match_request(black_box(r)));
         }
     });
+    // The candidate stage alone: `candidate_count` runs it and reads two
+    // lengths. Evaluation is the rest of `match_request`.
+    let candidates = best_of(n, || {
+        for r in &built {
+            black_box(engine.candidate_count(black_box(r)));
+        }
+    });
+    let population = websim::traffic::TenantPopulation::new(2015, TENANT_USERS);
+    let masks: Vec<u64> = (0..n as u64).map(|i| population.mask_for(i)).collect();
+    let masked = best_of(n, || {
+        for (r, &tenant) in built.iter().zip(&masks) {
+            black_box(engine.match_request_masked(black_box(r), tenant));
+        }
+    });
     let outcomes = engine.match_many(&built);
     let activations: usize = outcomes.iter().map(|o| o.activations.len()).sum();
     let (block, allow) = built.iter().fold((0, 0), |(b, a), r| {
@@ -153,6 +174,12 @@ fn main() {
         per_req(allow),
         per_req(activations)
     );
+    println!("    candidate stage    {candidates:6.1}   (Engine::candidate_count)");
+    println!(
+        "    evaluation         {:6.1}   (match_request minus the candidate stage)",
+        matched - candidates
+    );
+    println!("  match_request_masked {masked:6.1}   (serve-cold's tenant masks)");
 
     // Miss path, the served evaluation route, in process (no TCP): one
     // shard's `LocalEval`, as a reactor holds it, on an empty cache.

@@ -46,6 +46,12 @@ done
 echo "==> urlkit differential at 4096 cases (byte-level Url::parse and registrable_domain_str = the char-pattern reference)"
 PROPTEST_CASES=4096 cargo test -q --release -p urlkit
 
+echo "==> abp at 4096 cases in release (engine differential, whole-token soundness, token table = reference walk)"
+# The token table's candidates, and the whole-token property of
+# Pattern::tokens it rests on, checked under the optimizer that serves
+# them; the engine differential arms run here in release too.
+PROPTEST_CASES=4096 cargo test -q --release -p abp
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
