@@ -11,9 +11,12 @@
 //! masks) can be re-read without the harness. Its first 16,384 are
 //! the shape of `serve-hot`'s hot set: the codec stages run over those
 //! in the workloads' 256-element framing (`benchmark/`'s four
-//! `wire.*_ns` rows), and a hit pass splits what `benchmark/` can only
-//! show as `service.decide_hit_ns` into digest, cache read (verify and
-//! copy the cached reply bytes), clock and metrics, then times
+//! `wire.*_ns` rows, then the proxy's two reads of the same lines, and
+//! the reply decode once more on lines in a layout no writer produces,
+//! which the field walker reads instead of the canonical readers), and
+//! a hit pass splits what `benchmark/` can only show as
+//! `service.decide_hit_ns` into digest, cache read (verify and copy the
+//! cached reply bytes), clock and metrics, then times
 //! `decide_batch_local` with its reply line framed: the daemon's whole
 //! share of a hit between request parse and socket. Engine and hot-set
 //! figures alike are ns per item, fastest of [`ROUNDS`] passes; only
@@ -72,6 +75,30 @@ fn lines_of<T>(items: &[T], write: fn(&[T], &mut Vec<u8>)) -> Vec<String> {
             String::from_utf8(line).unwrap()
         })
         .collect()
+}
+
+/// `line` re-rendered with a space after every `:` outside strings: the
+/// same message in a layout no writer of `abpd::wire` produces, so its
+/// decode takes the field walker throughout.
+fn spaced_after_colons(line: &str) -> String {
+    let mut out = String::with_capacity(line.len() + line.len() / 8);
+    let (mut in_string, mut escaped) = (false, false);
+    for c in line.chars() {
+        out.push(c);
+        if in_string {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_string = false,
+                _ => {}
+            }
+        } else if c == '"' {
+            in_string = true;
+        } else if c == ':' {
+            out.push(' ');
+        }
+    }
+    out
 }
 
 /// [`best_ns`] of writing those lines into one reused buffer.
@@ -213,10 +240,35 @@ fn main() {
             black_box(wire::parse_client_message(l).unwrap());
         }
     });
+    // What the proxy reads of the same lines: request spans, and the
+    // decisions' places in a reply, found without building them.
+    let mut spans = Vec::new();
+    let parse_request_spans = best_ns(|| {
+        for l in &request_lines {
+            black_box(wire::parse_client_message_spans(l, &mut spans).unwrap());
+        }
+    });
     let encode_reply = encode_ns(&replies, wire::write_batch_reply);
     let reply_lines = lines_of(&replies, wire::write_batch_reply);
     let parse_reply = best_ns(|| {
         for l in &reply_lines {
+            black_box(wire::parse_server_message(l).unwrap());
+        }
+    });
+    let split_reply = best_ns(|| {
+        for l in &reply_lines {
+            black_box(wire::split_decisions(l, &mut spans).unwrap());
+        }
+    });
+    let foreign_lines: Vec<String> = reply_lines.iter().map(|l| spaced_after_colons(l)).collect();
+    for (foreign, canonical) in foreign_lines.iter().zip(&reply_lines) {
+        assert_eq!(
+            wire::parse_server_message(foreign),
+            wire::parse_server_message(canonical)
+        );
+    }
+    let parse_foreign_reply = best_ns(|| {
+        for l in &foreign_lines {
             black_box(wire::parse_server_message(l).unwrap());
         }
     });
@@ -226,11 +278,14 @@ fn main() {
         bytes(&request_lines)
     );
     println!("  parse_client_message {parse_request:6.1}");
+    println!("    ..._spans          {parse_request_spans:6.1}   (the proxy's request read)");
     println!(
         "  write_batch_reply    {encode_reply:6.1}   ({:.1} B/decision)",
         bytes(&reply_lines)
     );
     println!("  parse_server_message {parse_reply:6.1}");
+    println!("    foreign layout     {parse_foreign_reply:6.1}   (`: ` after every key: the field walker)");
+    println!("  split_decisions      {split_reply:6.1}   (the proxy's reply read)");
 
     // The hit pass: what `decide_batch_local` does per cached decision,
     // one piece at a time, then as it runs them together.

@@ -388,14 +388,6 @@ mod wire_equivalence {
         /// One request object: fields in any order, absent options as
         /// `null` or left out, up to two fields no parser knows.
         fn request_object(&mut self, r: &DecisionRequest, out: &mut String) {
-            const UNKNOWN: [&str; 6] = [
-                r#"{"a":[1,2,{"b":null}],"c":"]},{\""}"#,
-                r#""quote \" brace } bracket ] comma ,""#,
-                "-1.5e3",
-                "true",
-                "[]",
-                "[[ ],{ }]",
-            ];
             let mut fields: Vec<(&str, String)> = vec![
                 ("url", self.json_string(&r.url)),
                 ("document", self.json_string(&r.document)),
@@ -414,8 +406,30 @@ mod wire_equivalence {
                 None if self.below(2) == 0 => fields.push(("tenant", "null".to_string())),
                 None => {}
             }
+            let fields = fields
+                .into_iter()
+                .map(|(key, value)| (format!("\"{key}\""), value))
+                .collect();
+            self.object(fields, out);
+        }
+
+        /// An object of `fields` (keys and values already rendered) and
+        /// up to two fields no parser knows, in any order, with
+        /// whitespace around every token.
+        fn object(&mut self, mut fields: Vec<(String, String)>, out: &mut String) {
+            const UNKNOWN: [&str; 6] = [
+                r#"{"a":[1,2,{"b":null}],"c":"]},{\""}"#,
+                r#""quote \" brace } bracket ] comma ,""#,
+                "-1.5e3",
+                "true",
+                "[]",
+                "[[ ],{ }]",
+            ];
             for name in ["future", "x"].iter().take(self.below(3)) {
-                fields.push((name, UNKNOWN[self.below(UNKNOWN.len())].to_string()));
+                fields.push((
+                    format!("\"{name}\""),
+                    UNKNOWN[self.below(UNKNOWN.len())].to_string(),
+                ));
             }
             self.shuffle(&mut fields);
             out.push('{');
@@ -424,7 +438,7 @@ mod wire_equivalence {
                     out.push(',');
                 }
                 self.ws(out);
-                out.push_str(&format!("\"{key}\""));
+                out.push_str(key);
                 self.ws(out);
                 out.push(':');
                 self.ws(out);
@@ -432,6 +446,91 @@ mod wire_equivalence {
                 self.ws(out);
             }
             out.push('}');
+        }
+
+        /// A unit variant's name as [`Layout::json_string`] renders it.
+        fn variant_name<T: serde::Serialize>(&mut self, v: &T) -> String {
+            let name = serde_json::to_string(v).unwrap();
+            self.json_string(name.trim_matches('"'))
+        }
+
+        /// `(key, value)` with the key rendered by
+        /// [`Layout::json_string`].
+        fn field(&mut self, key: &str, value: String) -> (String, String) {
+            (self.json_string(key), value)
+        }
+
+        /// One decision object as a foreign encoder might write it: the
+        /// fields of it, its outcome and every activation in any order,
+        /// keys, enum names and strings escaped at random, `donottrack`
+        /// left out when false (at random), unknown fields added.
+        fn decision_object(&mut self, r: &DecisionResponse, out: &mut String) {
+            let mut activations = String::from("[");
+            for (i, a) in r.outcome.activations.iter().enumerate() {
+                if i > 0 {
+                    activations.push(',');
+                }
+                self.ws(&mut activations);
+                let filter = self.json_string(&a.filter);
+                let source = self.variant_name(&a.source);
+                let kind = self.variant_name(&a.kind);
+                let subject = self.json_string(&a.subject);
+                let mut fields = vec![
+                    self.field("filter", filter),
+                    self.field("source", source),
+                    self.field("kind", kind),
+                    self.field("subject", subject),
+                ];
+                if a.donottrack || self.below(2) == 0 {
+                    fields.push(self.field("donottrack", a.donottrack.to_string()));
+                }
+                self.object(fields, &mut activations);
+                self.ws(&mut activations);
+            }
+            activations.push(']');
+            let decision = self.variant_name(&r.outcome.decision);
+            let fields = vec![
+                self.field("decision", decision),
+                self.field("activations", activations),
+            ];
+            let mut outcome = String::new();
+            self.object(fields, &mut outcome);
+            let fields = vec![
+                self.field("outcome", outcome),
+                self.field("cached", r.cached.to_string()),
+            ];
+            self.object(fields, out);
+        }
+
+        /// A `Decision` line of `resps[0]`, or a `Batch` line of all of
+        /// `resps`, in foreign layouts throughout.
+        fn reply_line(&mut self, resps: &[DecisionResponse], single: bool) -> String {
+            let mut line = String::new();
+            self.ws(&mut line);
+            line.push('{');
+            self.ws(&mut line);
+            line.push_str(if single { "\"Decision\"" } else { "\"Batch\"" });
+            self.ws(&mut line);
+            line.push(':');
+            self.ws(&mut line);
+            if single {
+                self.decision_object(&resps[0], &mut line);
+            } else {
+                line.push('[');
+                for (i, r) in resps.iter().enumerate() {
+                    if i > 0 {
+                        line.push(',');
+                    }
+                    self.ws(&mut line);
+                    self.decision_object(r, &mut line);
+                    self.ws(&mut line);
+                }
+                line.push(']');
+            }
+            self.ws(&mut line);
+            line.push('}');
+            self.ws(&mut line);
+            line
         }
 
         /// A `DecideBatch` line of those objects.
@@ -785,6 +884,142 @@ mod wire_equivalence {
                 for _ in 0..8 {
                     assert_parsers_return_protocol_values(&layout.mutate_bytes(line));
                     assert_parsers_return_protocol_values(&layout.mutate(line));
+                }
+            }
+        }
+    }
+
+    /// [`arbitrary_responses`] with the activations' list sources and
+    /// match kinds drawn from every variant.
+    fn varied_responses(
+        texts: &[String],
+        cached: bool,
+        layout: &mut Layout,
+    ) -> Vec<DecisionResponse> {
+        const SOURCES: [ListSource; 3] = [
+            ListSource::EasyList,
+            ListSource::AcceptableAds,
+            ListSource::Custom,
+        ];
+        const KINDS: [MatchKind; 7] = [
+            MatchKind::BlockRequest,
+            MatchKind::AllowRequest,
+            MatchKind::HideElement,
+            MatchKind::AllowElement,
+            MatchKind::DocumentAllow,
+            MatchKind::ElemhideAllow,
+            MatchKind::SitekeyAllow,
+        ];
+        let mut resps = arbitrary_responses(texts, cached);
+        for a in resps.iter_mut().flat_map(|r| &mut r.outcome.activations) {
+            a.source = SOURCES[layout.below(SOURCES.len())];
+            a.kind = KINDS[layout.below(KINDS.len())];
+        }
+        resps
+    }
+
+    /// The message readers equal the field walker alone on `line`:
+    /// same value or same error, same spans.
+    fn assert_canonical_readers_agree_with_the_walker(line: &str) {
+        let (mut spans, mut walked_spans) = (Vec::new(), Vec::new());
+        assert_eq!(
+            wire::parse_client_message_spans(line, &mut spans),
+            wire::walked::parse_client_message_spans(line, &mut walked_spans),
+            "{line:?}"
+        );
+        assert_eq!(spans, walked_spans, "{line:?}");
+        assert_eq!(
+            wire::parse_server_message(line),
+            wire::walked::parse_server_message(line),
+            "{line:?}"
+        );
+        assert_eq!(
+            wire::split_decisions(line, &mut spans),
+            wire::walked::split_decisions(line, &mut walked_spans),
+            "{line:?}"
+        );
+        assert_eq!(spans, walked_spans, "{line:?}");
+    }
+
+    proptest! {
+        /// Replies in foreign layouts — fields shuffled, whitespace
+        /// between tokens, escaped keys, enum names and strings,
+        /// `donottrack` left out, unknown fields — take the field
+        /// walker, and read as serde reads them; `split_decisions`
+        /// finds each decision, and each span alone re-parses to its
+        /// response.
+        #[test]
+        fn foreign_reply_layouts_parse_like_serde(
+            texts in proptest::collection::vec(".{0,20}", 1..7),
+            cached in any::<bool>(),
+            single in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut layout = Layout(seed);
+            let resps = varied_responses(&texts, cached, &mut layout);
+            let line = layout.reply_line(&resps, single);
+            let expected = if single {
+                ServerMessage::Decision(resps[0].clone())
+            } else {
+                ServerMessage::Batch(resps.clone())
+            };
+            let by_serde: ServerMessage = serde_json::from_str(&line).unwrap();
+            prop_assert_eq!(&by_serde, &expected, "{:?}", line);
+            prop_assert_eq!(wire::parse_server_message(&line), Ok(by_serde));
+
+            let mut spans = Vec::new();
+            let shape = wire::split_decisions(&line, &mut spans);
+            let (shape_expected, count) = if single {
+                (wire::DecisionShape::Single, 1)
+            } else {
+                (wire::DecisionShape::Batch, resps.len())
+            };
+            prop_assert_eq!(shape, Ok(shape_expected));
+            prop_assert_eq!(spans.len(), count);
+            for (span, resp) in spans.iter().zip(&resps) {
+                let alone = format!("{{\"Decision\":{}}}", &line[span.clone()]);
+                prop_assert_eq!(
+                    wire::parse_server_message(&alone),
+                    Ok(ServerMessage::Decision(resp.clone()))
+                );
+            }
+        }
+
+        /// Canonical reader ≡ field walker: on the writers' own lines,
+        /// on foreign layouts of the same messages, and on both damaged
+        /// at the character and the byte level, every message reader
+        /// returns what the field walker alone returns — the same value,
+        /// or the same error — and the span finders the same spans.
+        #[test]
+        fn canonical_readers_agree_with_the_walker(
+            urls in proptest::collection::vec(".{0,16}", 1..5),
+            sitekey in prop::sample::select(&[None, Some("MFwwDQYJTESTKEY"), Some("k\"\\/\n")][..]),
+            tenant in prop::sample::select(&[None, Some(0u64), Some(u64::MAX)][..]),
+            resource_type in prop::sample::select(&ResourceType::ALL[..]),
+            cached in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut layout = Layout(seed);
+            let reqs = arbitrary_requests(&urls, "doc.example", resource_type, sitekey, tenant);
+            let resps = varied_responses(&urls, cached, &mut layout);
+            let written = |write: &dyn Fn(&mut Vec<u8>)| {
+                let mut line = Vec::new();
+                write(&mut line);
+                String::from_utf8(line).unwrap()
+            };
+            let lines = [
+                written(&|out| wire::write_decide_batch(&reqs, out)),
+                written(&|out| wire::write_decide(&reqs[0], out)),
+                written(&|out| wire::write_batch_reply(&resps, out)),
+                written(&|out| wire::write_decision_reply(&resps[0], out)),
+                layout.decide_batch_line(&reqs),
+                layout.reply_line(&resps, false),
+            ];
+            for line in &lines {
+                assert_canonical_readers_agree_with_the_walker(line);
+                for _ in 0..8 {
+                    assert_canonical_readers_agree_with_the_walker(&layout.mutate(line));
+                    assert_canonical_readers_agree_with_the_walker(&layout.mutate_bytes(line));
                 }
             }
         }

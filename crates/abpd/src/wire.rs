@@ -29,6 +29,22 @@
 //!   miss ([`push_decision`]), and each hit copies those bytes
 //!   ([`push_decision_raw`]) into the run of decision objects that
 //!   [`splice_batch_reply`] / `write_decision_reply_raw` frame.
+//! * **Canonical decode**: each hot object — request, activation,
+//!   outcome, decision — has exactly one writer here and so one byte
+//!   layout, and daemon, client library and router all write through
+//!   it. So each object is first read by a *canonical reader* that
+//!   consumes that layout and nothing else: a `"key":` prefix is one
+//!   slice compare, an enum value one lookup in its name table,
+//!   `null`/`true}`/`false}` are literals, and only the free strings
+//!   (url, document, sitekey, filter, subject) go through the string
+//!   reader. At the first byte the writer would not have written, it
+//!   rewinds to the object's `{` and the *field walker* — any order,
+//!   whitespace, escapes, unknown and absent fields — reads the object
+//!   instead. The layout decides only the speed: every line is
+//!   accepted or rejected (with the same message) and decodes as under
+//!   the walker alone. [`split_decisions`] runs the same canonical
+//!   reader building nothing, before falling back to skipping the
+//!   decision as generic JSON.
 //!
 //! String bodies — most of a line's bytes — are walked eight at a time
 //! by one safe-Rust SWAR kernel, `first_special`, shared by reader
@@ -42,8 +58,14 @@
 //! the hot parsers accept anything the serde path accepts (any field
 //! order, unknown fields skipped, optional fields defaulted) —
 //! property-tested in `crate::proptests::wire_equivalence`, where the
-//! derives stay as the reference. No other module of `abpd` or
-//! `abpd-proxy` calls the serde parser (`scripts/ci.sh` checks).
+//! derives stay as the reference, requests and replies alike in foreign
+//! layouts. The same module holds the canonical readers to the field
+//! walker alone (`walked`) on written, foreign and damaged lines, and a
+//! unit test here holds every written object to its canonical reader,
+//! so a writer that drifts from its reader fails a test instead of
+//! quietly sending every line down the walker. No other module of
+//! `abpd` or `abpd-proxy` calls the serde parser (`scripts/ci.sh`
+//! checks). Enum names have one owner each, a `wire_names!` table.
 
 use crate::protocol::{
     DecisionRequest, DecisionResponse, HealthReport, ReloadDeltaList, ReloadList, ReloadMismatch,
@@ -125,104 +147,94 @@ pub enum ClientMessageRef<'a> {
     Shutdown,
 }
 
+/// An activation as the canonical reader finds it, its strings borrowed
+/// from the reply line unless escaped: what [`split_decisions`] checks
+/// and drops, and what the typed readers turn into an [`Activation`].
+struct ActivationRef<'a> {
+    filter: Cow<'a, str>,
+    source: ListSource,
+    kind: MatchKind,
+    subject: Cow<'a, str>,
+    donottrack: bool,
+}
+
+impl ActivationRef<'_> {
+    fn into_activation(self) -> Activation {
+        Activation {
+            filter: abp::IStr::from(&*self.filter),
+            source: self.source,
+            kind: self.kind,
+            subject: abp::IStr::from(&*self.subject),
+            donottrack: self.donottrack,
+        }
+    }
+}
+
 // ------------------------------------------------------------ enum names
 
-/// The serde-derived wire name of a resource type (the variant name,
-/// not the filter-option keyword).
-fn resource_type_name(rt: ResourceType) -> &'static str {
-    match rt {
-        ResourceType::Script => "Script",
-        ResourceType::Image => "Image",
-        ResourceType::Stylesheet => "Stylesheet",
-        ResourceType::Object => "Object",
-        ResourceType::XmlHttpRequest => "XmlHttpRequest",
-        ResourceType::ObjectSubrequest => "ObjectSubrequest",
-        ResourceType::Subdocument => "Subdocument",
-        ResourceType::Document => "Document",
-        ResourceType::Other => "Other",
-        ResourceType::Background => "Background",
-        ResourceType::Xbl => "Xbl",
-        ResourceType::Ping => "Ping",
-        ResourceType::Dtd => "Dtd",
-    }
+/// `const $table: &[(&str, $ty)]`: each variant of `$ty` with its wire
+/// name — the variant name, as the serde derive spells it (for
+/// [`ResourceType`] that is not the filter-option keyword). The one
+/// owner of an enum's names: writers index the table by discriminant,
+/// and both readers look names up in it. Listing every variant in
+/// declaration order is checked at compile time, so a variant added to
+/// the enum fails the build until it has its line here.
+macro_rules! wire_names {
+    ($table:ident: $ty:ident { $($variant:ident),+ $(,)? }) => {
+        const $table: &[(&str, $ty)] = &[$((stringify!($variant), $ty::$variant)),+];
+        const _: () = {
+            // Exhaustive: a variant missing here is a compile error.
+            let _: fn($ty) = |v| match v {
+                $($ty::$variant)|+ => {}
+            };
+            // In declaration order: `TABLE[v as usize]` is `v`'s entry.
+            let mut i = 0;
+            while i < $table.len() {
+                assert!($table[i].1 as usize == i);
+                i += 1;
+            }
+        };
+    };
 }
 
-fn resource_type_from_name(name: &str) -> Option<ResourceType> {
-    Some(match name {
-        "Script" => ResourceType::Script,
-        "Image" => ResourceType::Image,
-        "Stylesheet" => ResourceType::Stylesheet,
-        "Object" => ResourceType::Object,
-        "XmlHttpRequest" => ResourceType::XmlHttpRequest,
-        "ObjectSubrequest" => ResourceType::ObjectSubrequest,
-        "Subdocument" => ResourceType::Subdocument,
-        "Document" => ResourceType::Document,
-        "Other" => ResourceType::Other,
-        "Background" => ResourceType::Background,
-        "Xbl" => ResourceType::Xbl,
-        "Ping" => ResourceType::Ping,
-        "Dtd" => ResourceType::Dtd,
-        _ => return None,
-    })
-}
+wire_names!(RESOURCE_TYPES: ResourceType {
+    Script,
+    Image,
+    Stylesheet,
+    Object,
+    XmlHttpRequest,
+    ObjectSubrequest,
+    Subdocument,
+    Document,
+    Other,
+    Background,
+    Xbl,
+    Ping,
+    Dtd,
+});
+wire_names!(DECISIONS: Decision {
+    NoMatch,
+    Block,
+    AllowedByException,
+});
+wire_names!(LIST_SOURCES: ListSource {
+    EasyList,
+    AcceptableAds,
+    Custom,
+});
+wire_names!(MATCH_KINDS: MatchKind {
+    BlockRequest,
+    AllowRequest,
+    HideElement,
+    AllowElement,
+    DocumentAllow,
+    ElemhideAllow,
+    SitekeyAllow,
+});
 
-fn decision_name(d: Decision) -> &'static str {
-    match d {
-        Decision::NoMatch => "NoMatch",
-        Decision::Block => "Block",
-        Decision::AllowedByException => "AllowedByException",
-    }
-}
-
-fn decision_from_name(name: &str) -> Option<Decision> {
-    Some(match name {
-        "NoMatch" => Decision::NoMatch,
-        "Block" => Decision::Block,
-        "AllowedByException" => Decision::AllowedByException,
-        _ => return None,
-    })
-}
-
-fn list_source_name(s: ListSource) -> &'static str {
-    match s {
-        ListSource::EasyList => "EasyList",
-        ListSource::AcceptableAds => "AcceptableAds",
-        ListSource::Custom => "Custom",
-    }
-}
-
-fn list_source_from_name(name: &str) -> Option<ListSource> {
-    Some(match name {
-        "EasyList" => ListSource::EasyList,
-        "AcceptableAds" => ListSource::AcceptableAds,
-        "Custom" => ListSource::Custom,
-        _ => return None,
-    })
-}
-
-fn match_kind_name(k: MatchKind) -> &'static str {
-    match k {
-        MatchKind::BlockRequest => "BlockRequest",
-        MatchKind::AllowRequest => "AllowRequest",
-        MatchKind::HideElement => "HideElement",
-        MatchKind::AllowElement => "AllowElement",
-        MatchKind::DocumentAllow => "DocumentAllow",
-        MatchKind::ElemhideAllow => "ElemhideAllow",
-        MatchKind::SitekeyAllow => "SitekeyAllow",
-    }
-}
-
-fn match_kind_from_name(name: &str) -> Option<MatchKind> {
-    Some(match name {
-        "BlockRequest" => MatchKind::BlockRequest,
-        "AllowRequest" => MatchKind::AllowRequest,
-        "HideElement" => MatchKind::HideElement,
-        "AllowElement" => MatchKind::AllowElement,
-        "DocumentAllow" => MatchKind::DocumentAllow,
-        "ElemhideAllow" => MatchKind::ElemhideAllow,
-        "SitekeyAllow" => MatchKind::SitekeyAllow,
-        _ => return None,
-    })
+/// The value `name` spells in `table`, if any.
+fn from_name<T: Copy>(table: &[(&str, T)], name: &str) -> Option<T> {
+    table.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
 }
 
 // ------------------------------------------------------------ scan kernel
@@ -301,7 +313,7 @@ fn write_request_parts(
     push_str(out, ",\"document\":");
     write_string(document, out);
     push_str(out, ",\"resource_type\":\"");
-    push_str(out, resource_type_name(resource_type));
+    push_str(out, RESOURCE_TYPES[resource_type as usize].0);
     push_str(out, "\",\"sitekey\":");
     match sitekey {
         Some(k) => write_string(k, out),
@@ -393,9 +405,9 @@ fn write_activation(a: &Activation, out: &mut Vec<u8>) {
     push_str(out, "{\"filter\":");
     write_string(&a.filter, out);
     push_str(out, ",\"source\":\"");
-    push_str(out, list_source_name(a.source));
+    push_str(out, LIST_SOURCES[a.source as usize].0);
     push_str(out, "\",\"kind\":\"");
-    push_str(out, match_kind_name(a.kind));
+    push_str(out, MATCH_KINDS[a.kind as usize].0);
     push_str(out, "\",\"subject\":");
     write_string(&a.subject, out);
     push_str(out, ",\"donottrack\":");
@@ -405,7 +417,7 @@ fn write_activation(a: &Activation, out: &mut Vec<u8>) {
 
 fn write_outcome(o: &RequestOutcome, out: &mut Vec<u8>) {
     push_str(out, "{\"decision\":\"");
-    push_str(out, decision_name(o.decision));
+    push_str(out, DECISIONS[o.decision as usize].0);
     push_str(out, "\",\"activations\":[");
     for (i, a) in o.activations.iter().enumerate() {
         if i > 0 {
@@ -540,6 +552,10 @@ struct Scan<'a> {
     s: &'a str,
     b: &'a [u8],
     pos: usize,
+    /// Tests only: leave the canonical readers out, so the field walker
+    /// alone decodes — the reference they are checked against.
+    #[cfg(test)]
+    walk_only: bool,
 }
 
 type ScanResult<T> = Result<T, String>;
@@ -550,6 +566,16 @@ impl<'a> Scan<'a> {
             s,
             b: s.as_bytes(),
             pos: 0,
+            #[cfg(test)]
+            walk_only: false,
+        }
+    }
+
+    #[cfg(test)]
+    fn walker(s: &'a str) -> Scan<'a> {
+        Scan {
+            walk_only: true,
+            ..Scan::new(s)
         }
     }
 
@@ -860,7 +886,213 @@ impl<'a> Scan<'a> {
         }
     }
 
+    // -------------------------------------------- canonical readers
+    //
+    // The module doc's canonical decode: one reader per hot writer
+    // (`write_request_parts`, `write_activation`, `write_outcome`,
+    // `write_response`), each returning `None` at the first byte that
+    // writer would not have written, or at any error; `canonical_or` then
+    // rewinds and runs the field walker, whose verdict stands.
+
+    /// Whether the canonical readers run: always, outside tests.
+    fn tries_canonical(&self) -> bool {
+        #[cfg(test)]
+        return !self.walk_only;
+        #[cfg(not(test))]
+        true
+    }
+
+    /// The object at the scanner read by `canonical`, or — if that
+    /// declines — by `walk` from the same offset.
+    fn canonical_or<T>(
+        &mut self,
+        canonical: impl FnOnce(&mut Self) -> Option<T>,
+        walk: impl FnOnce(&mut Self) -> ScanResult<T>,
+    ) -> ScanResult<T> {
+        let start = self.pos;
+        if self.tries_canonical() {
+            if let Some(value) = canonical(self) {
+                return Ok(value);
+            }
+            self.pos = start;
+        }
+        walk(self)
+    }
+
+    /// Consume `lit` if the input continues with it.
+    fn eat(&mut self, lit: &str) -> Option<()> {
+        self.eat_literal(lit).then_some(())
+    }
+
+    /// A name from `table` and the `"` closing it (the opening one ends
+    /// the key prefix before it).
+    fn name<T: Copy>(&mut self, table: &[(&str, T)]) -> Option<T> {
+        let rest = &self.b[self.pos..];
+        let &(name, value) = table.iter().find(|(name, _)| {
+            rest.get(name.len()) == Some(&b'"') && rest.starts_with(name.as_bytes())
+        })?;
+        self.pos += name.len() + 1;
+        Some(value)
+    }
+
+    /// A free string (url, document, sitekey, filter, subject), read by
+    /// [`Scan::string`]: borrowed unless escaped.
+    fn free_string(&mut self) -> Option<Cow<'a, str>> {
+        // Checked here so that a value that is no string at all declines
+        // without building `string`'s error message.
+        if self.peek() != Some(b'"') {
+            return None;
+        }
+        self.string().ok()
+    }
+
+    /// A tenant mask, read by [`Scan::u64_number`].
+    fn tenant_mask(&mut self) -> Option<u64> {
+        // As in `free_string`: no error message built for a non-number.
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return None;
+        }
+        self.u64_number().ok()
+    }
+
+    /// `true}` or `false}`: a trailing flag and its object's close.
+    fn flag_and_close(&mut self) -> Option<bool> {
+        if self.eat_literal("true}") {
+            Some(true)
+        } else {
+            self.eat("false}").map(|()| false)
+        }
+    }
+
+    /// `write_request_parts`' layout.
+    fn canonical_request(&mut self) -> Option<DecisionRequestRef<'a>> {
+        self.eat("{\"url\":")?;
+        let url = self.free_string()?;
+        self.eat(",\"document\":")?;
+        let document = self.free_string()?;
+        self.eat(",\"resource_type\":\"")?;
+        let resource_type = self.name(RESOURCE_TYPES)?;
+        self.eat(",\"sitekey\":")?;
+        let sitekey = match self.eat("null") {
+            Some(()) => None,
+            None => Some(self.free_string()?),
+        };
+        self.eat(",\"tenant\":")?;
+        let tenant = match self.eat("null") {
+            Some(()) => None,
+            None => Some(self.tenant_mask()?),
+        };
+        self.eat("}")?;
+        Some(DecisionRequestRef {
+            url,
+            document,
+            resource_type,
+            sitekey,
+            tenant,
+        })
+    }
+
+    /// `write_activation`'s layout.
+    fn canonical_activation(&mut self) -> Option<ActivationRef<'a>> {
+        self.eat("{\"filter\":")?;
+        let filter = self.free_string()?;
+        self.eat(",\"source\":\"")?;
+        let source = self.name(LIST_SOURCES)?;
+        self.eat(",\"kind\":\"")?;
+        let kind = self.name(MATCH_KINDS)?;
+        self.eat(",\"subject\":")?;
+        let subject = self.free_string()?;
+        self.eat(",\"donottrack\":")?;
+        let donottrack = self.flag_and_close()?;
+        Some(ActivationRef {
+            filter,
+            source,
+            kind,
+            subject,
+            donottrack,
+        })
+    }
+
+    /// `write_outcome`'s layout, each activation handed to `each`.
+    fn canonical_outcome(&mut self, mut each: impl FnMut(ActivationRef<'a>)) -> Option<Decision> {
+        self.eat("{\"decision\":\"")?;
+        let decision = self.name(DECISIONS)?;
+        self.eat(",\"activations\":[")?;
+        if self.eat_literal("]}") {
+            return Some(decision);
+        }
+        loop {
+            each(self.canonical_activation()?);
+            if !self.eat_literal(",") {
+                break;
+            }
+        }
+        self.eat("]}")?;
+        Some(decision)
+    }
+
+    /// `write_response`'s layout around `write_outcome`'s: the decision
+    /// and the `cached` flag, each activation handed to `each`.
+    fn canonical_response(
+        &mut self,
+        each: impl FnMut(ActivationRef<'a>),
+    ) -> Option<(Decision, bool)> {
+        self.eat("{\"outcome\":")?;
+        let decision = self.canonical_outcome(each)?;
+        self.eat(",\"cached\":")?;
+        Some((decision, self.flag_and_close()?))
+    }
+
+    // ------------------------------------------------ typed readers
+
     fn decision_request(&mut self) -> ScanResult<DecisionRequestRef<'a>> {
+        self.canonical_or(Self::canonical_request, Self::walk_request)
+    }
+
+    fn activation(&mut self) -> ScanResult<Activation> {
+        self.canonical_or(
+            |s| s.canonical_activation().map(ActivationRef::into_activation),
+            Self::walk_activation,
+        )
+    }
+
+    fn outcome(&mut self) -> ScanResult<RequestOutcome> {
+        self.canonical_or(
+            |s| {
+                let mut activations = Vec::new();
+                let decision = s.canonical_outcome(|a| activations.push(a.into_activation()))?;
+                Some(RequestOutcome {
+                    decision,
+                    activations,
+                })
+            },
+            Self::walk_outcome,
+        )
+    }
+
+    fn decision_response(&mut self) -> ScanResult<DecisionResponse> {
+        self.canonical_or(
+            |s| {
+                let mut activations = Vec::new();
+                let (decision, cached) =
+                    s.canonical_response(|a| activations.push(a.into_activation()))?;
+                Some(DecisionResponse {
+                    outcome: RequestOutcome {
+                        decision,
+                        activations,
+                    },
+                    cached,
+                })
+            },
+            Self::walk_response,
+        )
+    }
+
+    // ------------------------------------------------ field walkers
+
+    /// The field walker: any field order, whitespace and escapes,
+    /// unknown fields skipped, absent options defaulted.
+    fn walk_request(&mut self) -> ScanResult<DecisionRequestRef<'a>> {
         let mut url = None;
         let mut document = None;
         let mut resource_type = None;
@@ -873,7 +1105,7 @@ impl<'a> Scan<'a> {
                 "resource_type" => {
                     let name = s.string()?;
                     resource_type = Some(
-                        resource_type_from_name(&name)
+                        from_name(RESOURCE_TYPES, &name)
                             .ok_or_else(|| format!("unknown resource type {name:?}"))?,
                     );
                 }
@@ -908,7 +1140,7 @@ impl<'a> Scan<'a> {
         })
     }
 
-    fn activation(&mut self) -> ScanResult<Activation> {
+    fn walk_activation(&mut self) -> ScanResult<Activation> {
         let mut filter = None;
         let mut source = None;
         let mut kind = None;
@@ -920,14 +1152,14 @@ impl<'a> Scan<'a> {
                 "source" => {
                     let name = s.string()?;
                     source = Some(
-                        list_source_from_name(&name)
+                        from_name(LIST_SOURCES, &name)
                             .ok_or_else(|| format!("unknown list source {name:?}"))?,
                     );
                 }
                 "kind" => {
                     let name = s.string()?;
                     kind = Some(
-                        match_kind_from_name(&name)
+                        from_name(MATCH_KINDS, &name)
                             .ok_or_else(|| format!("unknown match kind {name:?}"))?,
                     );
                 }
@@ -946,7 +1178,7 @@ impl<'a> Scan<'a> {
         })
     }
 
-    fn outcome(&mut self) -> ScanResult<RequestOutcome> {
+    fn walk_outcome(&mut self) -> ScanResult<RequestOutcome> {
         let mut decision = None;
         let mut activations = None;
         self.object(|s, key| {
@@ -954,7 +1186,7 @@ impl<'a> Scan<'a> {
                 "decision" => {
                     let name = s.string()?;
                     decision = Some(
-                        decision_from_name(&name)
+                        from_name(DECISIONS, &name)
                             .ok_or_else(|| format!("unknown decision {name:?}"))?,
                     );
                 }
@@ -976,7 +1208,7 @@ impl<'a> Scan<'a> {
         })
     }
 
-    fn decision_response(&mut self) -> ScanResult<DecisionResponse> {
+    fn walk_response(&mut self) -> ScanResult<DecisionResponse> {
         let mut outcome = None;
         let mut cached = None;
         self.object(|s, key| {
@@ -1015,7 +1247,7 @@ impl<'a> Scan<'a> {
 
 /// Parse one request line into the borrowed message form.
 pub fn parse_client_message(line: &str) -> Result<ClientMessageRef<'_>, String> {
-    parse_client(line, |_| {})
+    parse_client(Scan::new(line), |_| {})
 }
 
 /// [`parse_client_message`], also reporting where each `DecideBatch`
@@ -1029,14 +1261,13 @@ pub fn parse_client_message_spans<'a>(
     spans: &mut Vec<Range<usize>>,
 ) -> Result<ClientMessageRef<'a>, String> {
     spans.clear();
-    parse_client(line, |span| spans.push(span))
+    parse_client(Scan::new(line), |span| spans.push(span))
 }
 
 fn parse_client<'a>(
-    line: &'a str,
+    mut s: Scan<'a>,
     mut element: impl FnMut(Range<usize>),
 ) -> Result<ClientMessageRef<'a>, String> {
-    let mut s = Scan::new(line);
     s.skip_ws();
     let msg = match s.peek() {
         Some(b'"') => {
@@ -1086,7 +1317,10 @@ fn parse_client<'a>(
 
 /// Parse one reply line into an owned [`ServerMessage`].
 pub fn parse_server_message(line: &str) -> Result<ServerMessage, String> {
-    let mut s = Scan::new(line);
+    parse_server(Scan::new(line))
+}
+
+fn parse_server(mut s: Scan<'_>) -> Result<ServerMessage, String> {
     s.skip_ws();
     let msg = match s.peek() {
         Some(b'"') => {
@@ -1148,12 +1382,17 @@ pub enum DecisionShape {
 /// is cleared, then receives the byte range of each decision object
 /// (the one of a `Decision`, every element of a `Batch`, in order).
 /// The line is checked to be well-formed JSON of one of those two
-/// shapes whose decisions are objects; their fields are not looked at.
-/// Anything else — `Overloaded`, `Error`, a torn line — is an `Err`
-/// for the caller to hand to [`parse_server_message`].
+/// shapes whose decisions are objects. A decision in the writer's
+/// layout is checked by the canonical reader, building nothing; any
+/// other is checked as JSON only, its fields not looked at. Anything
+/// else — `Overloaded`, `Error`, a torn line — is an `Err` for the
+/// caller to hand to [`parse_server_message`].
 pub fn split_decisions(line: &str, spans: &mut Vec<Range<usize>>) -> Result<DecisionShape, String> {
+    split(Scan::new(line), spans)
+}
+
+fn split(mut s: Scan<'_>, spans: &mut Vec<Range<usize>>) -> Result<DecisionShape, String> {
     spans.clear();
-    let mut s = Scan::new(line);
     s.skip_ws();
     s.expect(b'{')?;
     s.skip_ws();
@@ -1166,7 +1405,7 @@ pub fn split_decisions(line: &str, spans: &mut Vec<Range<usize>>) -> Result<Deci
         if s.peek() != Some(b'{') {
             return Err(format!("expected a decision object at offset {start}"));
         }
-        s.skip_value()?;
+        s.canonical_or(|s| s.canonical_response(|_| {}).map(drop), Scan::skip_value)?;
         spans.push(start..s.pos);
         Ok(())
     };
@@ -1186,6 +1425,33 @@ pub fn split_decisions(line: &str, spans: &mut Vec<Range<usize>>) -> Result<Deci
     s.skip_ws();
     s.expect_end()?;
     Ok(shape)
+}
+
+/// The message readers with the canonical readers left out: the field
+/// walker (and, in [`split_decisions`], `skip_value`) alone — the
+/// reference the canonical readers are checked against.
+#[cfg(test)]
+pub(crate) mod walked {
+    use super::*;
+
+    pub(crate) fn parse_client_message_spans<'a>(
+        line: &'a str,
+        spans: &mut Vec<Range<usize>>,
+    ) -> Result<ClientMessageRef<'a>, String> {
+        spans.clear();
+        parse_client(Scan::walker(line), |span| spans.push(span))
+    }
+
+    pub(crate) fn parse_server_message(line: &str) -> Result<ServerMessage, String> {
+        parse_server(Scan::walker(line))
+    }
+
+    pub(crate) fn split_decisions(
+        line: &str,
+        spans: &mut Vec<Range<usize>>,
+    ) -> Result<DecisionShape, String> {
+        split(Scan::walker(line), spans)
+    }
 }
 
 fn splice<'a>(open: &str, elements: impl IntoIterator<Item = &'a [u8]>, out: &mut Vec<u8>) {
@@ -1310,63 +1576,132 @@ mod tests {
         }
     }
 
+    /// Each table entry is serde's spelling of its value, both ways;
+    /// the tables hold every variant (checked where they are built).
     #[test]
     fn enum_names_round_trip_through_serde() {
-        for rt in [
-            ResourceType::Script,
-            ResourceType::Image,
-            ResourceType::Stylesheet,
-            ResourceType::Object,
-            ResourceType::XmlHttpRequest,
-            ResourceType::ObjectSubrequest,
-            ResourceType::Subdocument,
-            ResourceType::Document,
-            ResourceType::Other,
-            ResourceType::Background,
-            ResourceType::Xbl,
-            ResourceType::Ping,
-            ResourceType::Dtd,
-        ] {
-            let wire = serde_json::to_string(&rt).unwrap();
-            assert_eq!(wire, format!("\"{}\"", resource_type_name(rt)));
-            assert_eq!(resource_type_from_name(resource_type_name(rt)), Some(rt));
+        fn check<T>(table: &[(&str, T)])
+        where
+            T: Copy + PartialEq + std::fmt::Debug + Serialize + Deserialize,
+        {
+            for (i, &(name, v)) in table.iter().enumerate() {
+                assert_eq!(serde_json::to_string(&v).unwrap(), format!("\"{name}\""));
+                assert_eq!(
+                    serde_json::from_str::<T>(&format!("\"{name}\"")).unwrap(),
+                    v
+                );
+                assert_eq!(from_name(table, name), Some(v));
+                assert_eq!(table[..i].iter().find(|e| e.0 == name), None);
+            }
+            assert_eq!(from_name(table, "Nope"), None);
         }
-        for d in [
-            Decision::NoMatch,
-            Decision::Block,
-            Decision::AllowedByException,
-        ] {
-            assert_eq!(
-                serde_json::to_string(&d).unwrap(),
-                format!("\"{}\"", decision_name(d))
-            );
-            assert_eq!(decision_from_name(decision_name(d)), Some(d));
+        check(RESOURCE_TYPES);
+        check(DECISIONS);
+        check(LIST_SOURCES);
+        check(MATCH_KINDS);
+    }
+
+    /// `read` over the whole of `obj`: its value if it accepts and
+    /// consumes every byte.
+    fn whole<'a, T>(obj: &'a str, read: impl FnOnce(&mut Scan<'a>) -> Option<T>) -> Option<T> {
+        let mut s = Scan::new(obj);
+        read(&mut s).filter(|_| s.pos == obj.len())
+    }
+
+    /// The writers and the canonical readers stay in step: every object
+    /// a hot writer produces — each enum variant, options present and
+    /// absent, strings that need escapes — is taken by the canonical
+    /// reader, whole, as the value the field walker reads. A field
+    /// added to a writer alone would send every line down the walker
+    /// with no answer changing; this is where that shows.
+    #[test]
+    fn canonical_readers_take_every_written_object() {
+        const TEXTS: [&str; 4] = [
+            "http://ads.example/x.js?a=1&b=2",
+            "",
+            "q\"uote\\ back/slash\n\t\u{1}\u{7f} é😀",
+            "$sitekey=K,donottrack",
+        ];
+        let mut reqs = Vec::new();
+        for (i, &(_, resource_type)) in RESOURCE_TYPES.iter().enumerate() {
+            for sitekey in [None, Some(""), Some("MFwwDQYJKEY"), Some(TEXTS[2])] {
+                for tenant in [None, Some(0), Some(0b1011), Some(u64::MAX)] {
+                    reqs.push(DecisionRequest {
+                        url: TEXTS[i % 4].to_string(),
+                        document: TEXTS[(i + 2) % 4].to_string(),
+                        resource_type,
+                        sitekey: sitekey.map(str::to_string),
+                        tenant,
+                    });
+                }
+            }
         }
-        for s in [
-            ListSource::EasyList,
-            ListSource::AcceptableAds,
-            ListSource::Custom,
-        ] {
-            assert_eq!(
-                serde_json::to_string(&s).unwrap(),
-                format!("\"{}\"", list_source_name(s))
-            );
-            assert_eq!(list_source_from_name(list_source_name(s)), Some(s));
+        let mut line = Vec::new();
+        write_decide_batch(&reqs, &mut line);
+        let line = std::str::from_utf8(&line).unwrap();
+        let mut spans = Vec::new();
+        walked::parse_client_message_spans(line, &mut spans).unwrap();
+        assert_eq!(spans.len(), reqs.len());
+        for (span, r) in spans.into_iter().zip(&reqs) {
+            let obj = &line[span];
+            let walked = Scan::new(obj).walk_request().unwrap();
+            assert_eq!(walked.to_owned_request(), *r);
+            assert_eq!(whole(obj, Scan::canonical_request), Some(walked), "{obj}");
         }
-        for k in [
-            MatchKind::BlockRequest,
-            MatchKind::AllowRequest,
-            MatchKind::HideElement,
-            MatchKind::AllowElement,
-            MatchKind::DocumentAllow,
-            MatchKind::ElemhideAllow,
-            MatchKind::SitekeyAllow,
-        ] {
-            assert_eq!(
-                serde_json::to_string(&k).unwrap(),
-                format!("\"{}\"", match_kind_name(k))
-            );
-            assert_eq!(match_kind_from_name(match_kind_name(k)), Some(k));
+
+        let mut activations = Vec::new();
+        for &(_, source) in LIST_SOURCES {
+            for &(_, kind) in MATCH_KINDS {
+                for donottrack in [false, true] {
+                    let i = activations.len();
+                    activations.push(Activation {
+                        filter: TEXTS[(i + 3) % 4].into(),
+                        source,
+                        kind,
+                        subject: TEXTS[i % 4].into(),
+                        donottrack,
+                    });
+                }
+            }
+        }
+        for &(_, decision) in DECISIONS {
+            for n in [0, 1, 2, activations.len()] {
+                activations.rotate_left(1);
+                for cached in [false, true] {
+                    let resp = DecisionResponse {
+                        outcome: RequestOutcome {
+                            decision,
+                            activations: activations[..n].to_vec(),
+                        },
+                        cached,
+                    };
+                    let mut run = Vec::new();
+                    let outcome = push_decision(&mut run, &resp.outcome, cached);
+                    let mut reply = Vec::new();
+                    write_decision_reply(&resp, &mut reply);
+                    let reply = std::str::from_utf8(&reply).unwrap();
+                    assert_eq!(reply.as_bytes()[DECISION_OPEN.len()..reply.len() - 1], run);
+                    let obj = std::str::from_utf8(&run).unwrap();
+
+                    let walked = Scan::new(obj).walk_response().unwrap();
+                    assert_eq!(walked, resp);
+                    let mut read = Vec::new();
+                    let canonical = whole(obj, |s| {
+                        s.canonical_response(|a| read.push(a.into_activation()))
+                    });
+                    assert_eq!(canonical, Some((decision, cached)), "{obj}");
+                    assert_eq!(read, resp.outcome.activations);
+                    let obj = &obj[outcome];
+                    assert_eq!(whole(obj, |s| s.canonical_outcome(|_| {})), Some(decision));
+                    for a in &resp.outcome.activations {
+                        let mut one = Vec::new();
+                        write_activation(a, &mut one);
+                        let one = std::str::from_utf8(&one).unwrap();
+                        let read = whole(one, Scan::canonical_activation);
+                        assert_eq!(read.map(ActivationRef::into_activation).as_ref(), Some(a));
+                    }
+                }
+            }
         }
     }
 

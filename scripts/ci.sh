@@ -52,6 +52,11 @@ echo "==> abp at 4096 cases in release (engine differential, whole-token soundne
 # them; the engine differential arms run here in release too.
 PROPTEST_CASES=4096 cargo test -q --release -p abp
 
+echo "==> abpd wire_equivalence at 4096 cases in release (hot codec = serde, canonical readers = field walker, foreign reply layouts)"
+# The canonical readers and the field walker they fall back to, checked
+# against serde and each other under the optimizer that serves them.
+PROPTEST_CASES=4096 cargo test -q --release -p abpd --lib wire_equivalence
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
