@@ -686,6 +686,9 @@ struct MatchScratch {
     /// First-party gate hits (restricted filter ids, both sides), trie
     /// walk order.
     gate_hits: Vec<u32>,
+    /// The evaluated matches of the last request, for the callers that
+    /// build [`Activation`]s from them.
+    matched: Vec<(u32, MatchKind)>,
 }
 
 impl MatchScratch {
@@ -960,14 +963,31 @@ impl Engine {
     /// selects an ordered subsequence. `tenant == u64::MAX` is the
     /// union view (every list), `tenant == 0` is "no blocker".
     pub fn match_request_masked(&self, req: &Request, tenant: u64) -> RequestOutcome {
-        if tenant == 0 {
-            // No subscriptions: nothing can match, skip the scan.
-            return RequestOutcome {
-                decision: Decision::NoMatch,
-                activations: Vec::new(),
-            };
-        }
         SCRATCH.with(|s| self.match_request_with(req, tenant, &mut s.borrow_mut()))
+    }
+
+    /// [`Engine::match_request_masked`] without building the outcome:
+    /// `matched` is cleared and receives each matching filter's id and
+    /// how it matched, in the order the outcome lists its activations,
+    /// and the decision is returned. [`Engine::request_filter_parts`]
+    /// reads the rest of an activation off an id. Allocates nothing once
+    /// `matched` and this thread's candidate buffers have grown.
+    pub fn match_request_ids(
+        &self,
+        req: &Request,
+        tenant: u64,
+        matched: &mut Vec<(u32, MatchKind)>,
+    ) -> Decision {
+        SCRATCH.with(|s| self.match_ids_with(req, tenant, &mut s.borrow_mut(), matched))
+    }
+
+    /// What an activation of request filter `id` (an id from
+    /// [`Engine::match_request_ids`]) records besides its kind and
+    /// subject: the filter's verbatim text, its list, and whether it
+    /// carries `donottrack`.
+    pub fn request_filter_parts(&self, id: u32) -> (&str, ListSource, bool) {
+        let sf = &self.request_filters[id as usize];
+        (&sf.raw, sf.source, sf.filter.options.donottrack)
     }
 
     /// Evaluate a batch of requests in order. Produces exactly the
@@ -994,16 +1014,7 @@ impl Engine {
             let scratch = &mut s.borrow_mut();
             reqs.iter()
                 .zip(tenants)
-                .map(|(req, &tenant)| {
-                    if tenant == 0 {
-                        RequestOutcome {
-                            decision: Decision::NoMatch,
-                            activations: Vec::new(),
-                        }
-                    } else {
-                        self.match_request_with(req, tenant, scratch)
-                    }
-                })
+                .map(|(req, &tenant)| self.match_request_with(req, tenant, scratch))
                 .collect()
         })
     }
@@ -1021,6 +1032,7 @@ impl Engine {
             block_tail,
             allow_tail,
             gate_hits,
+            ..
         } = scratch;
         let url = req.url_lower.as_bytes();
         // Each URL token that is a bucket key hands over its bucket.
@@ -1128,65 +1140,80 @@ impl Engine {
         tenant: u64,
         scratch: &mut MatchScratch,
     ) -> RequestOutcome {
-        self.collect_candidates(req, scratch);
-        let MatchScratch {
-            block_hits,
-            allow_hits,
-            ..
-        } = scratch;
-
-        let mut activations = Vec::new();
+        let mut matched = std::mem::take(&mut scratch.matched);
+        let decision = self.match_ids_with(req, tenant, scratch, &mut matched);
         // The subject URL is interned once per request and shared by all
         // of its activations — and not allocated at all on the no-match
         // path.
-        let mut subject: Option<IStr> = None;
-        let mut any_block = false;
-        let mut any_allow = false;
+        let activations = match matched.first() {
+            None => Vec::new(),
+            Some(_) => {
+                let subject = IStr::from(req.url.as_str());
+                matched
+                    .iter()
+                    .map(|&(id, kind)| {
+                        let sf = &self.request_filters[id as usize];
+                        Activation {
+                            filter: sf.raw.clone(),
+                            source: sf.source,
+                            kind,
+                            subject: subject.clone(),
+                            donottrack: sf.filter.options.donottrack,
+                        }
+                    })
+                    .collect()
+            }
+        };
+        scratch.matched = matched;
+        RequestOutcome {
+            decision,
+            activations,
+        }
+    }
 
-        for &id in block_hits.iter() {
+    /// The evaluation stage, the one loop every match runs: the
+    /// candidates visible to `tenant` whose filter matches `req`, blocks
+    /// then exceptions, each in filter-id order, into `matched`; and the
+    /// decision they add up to.
+    fn match_ids_with(
+        &self,
+        req: &Request,
+        tenant: u64,
+        scratch: &mut MatchScratch,
+        matched: &mut Vec<(u32, MatchKind)>,
+    ) -> Decision {
+        matched.clear();
+        if tenant == 0 {
+            // No subscriptions: nothing can match, skip the scan.
+            return Decision::NoMatch;
+        }
+        self.collect_candidates(req, scratch);
+        let visible = |id: u32| {
             let sf = &self.request_filters[id as usize];
-            if sf.mask & tenant != 0 && sf.filter.matches(req) {
-                any_block = true;
-                let subject = subject.get_or_insert_with(|| IStr::from(req.url.as_str()));
-                activations.push(Activation {
-                    filter: sf.raw.clone(),
-                    source: sf.source,
-                    kind: MatchKind::BlockRequest,
-                    subject: subject.clone(),
-                    donottrack: sf.filter.options.donottrack,
-                });
+            (sf.mask & tenant != 0 && sf.filter.matches(req)).then_some(sf)
+        };
+        for &id in &scratch.block_hits {
+            if visible(id).is_some() {
+                matched.push((id, MatchKind::BlockRequest));
             }
         }
-        for &id in allow_hits.iter() {
-            let sf = &self.request_filters[id as usize];
-            if sf.mask & tenant != 0 && sf.filter.matches(req) {
-                any_allow = true;
+        let blocks = matched.len();
+        for &id in &scratch.allow_hits {
+            if let Some(sf) = visible(id) {
                 let kind = if sf.filter.is_sitekey() {
                     MatchKind::SitekeyAllow
                 } else {
                     MatchKind::AllowRequest
                 };
-                let subject = subject.get_or_insert_with(|| IStr::from(req.url.as_str()));
-                activations.push(Activation {
-                    filter: sf.raw.clone(),
-                    source: sf.source,
-                    kind,
-                    subject: subject.clone(),
-                    donottrack: sf.filter.options.donottrack,
-                });
+                matched.push((id, kind));
             }
         }
-
-        let decision = if any_allow {
+        if matched.len() > blocks {
             Decision::AllowedByException
-        } else if any_block {
+        } else if blocks > 0 {
             Decision::Block
         } else {
             Decision::NoMatch
-        };
-        RequestOutcome {
-            decision,
-            activations,
         }
     }
 

@@ -178,6 +178,56 @@ proptest! {
         prop_assert_eq!(crate::request::same_party(&a, &b), want, "{} vs {}", a, b);
     }
 
+    /// One request refilled through a random sequence equals a fresh
+    /// `Request::new` (sitekey attached) at every step, field for field:
+    /// unparseable URLs (which leave it as it was), Unicode whitespace
+    /// around URL and first party, mixed case, and sitekeys coming and
+    /// going.
+    #[test]
+    fn refill_equals_new(
+        steps in proptest::collection::vec(
+            ((
+                prop::sample::select(&[
+                    "http://Ads.Example.com/a/B.js?x=1#f",
+                    "\u{a0}https://cdn.example.co.uk:8443/p\u{2003}",
+                    "http://[::1]:8080/pixel.gif",
+                    "HTTP://u:p@Tracker.NET",
+                    "not a url",
+                    "http:///no-host",
+                    "http://a.com:99999/",
+                    "",
+                ][..]),
+                party_host(),
+                prop::sample::select(&["", " ", "\u{2003}", "\t\u{a0}"][..]),
+            ), (
+                prop::sample::select(&ResourceType::ALL[..]),
+                prop::sample::select(&[None, Some(""), Some("MFwwDQYJKEY"), Some("k2")][..]),
+            )),
+            1..12,
+        ),
+    ) {
+        let mut reused = Request::new("http://seed.example/", "seed.example", ResourceType::Other)
+            .unwrap()
+            .with_sitekey("SEED");
+        for ((url, party, pad), (ty, sitekey)) in steps {
+            let party = format!("{pad}{party}{pad}");
+            let before = reused.clone();
+            let fresh = Request::new(url, &party, ty)
+                .map(|r| match sitekey {
+                    Some(k) => r.with_sitekey(k),
+                    None => r,
+                });
+            match (reused.refill(url, &party, ty, sitekey), fresh) {
+                (Ok(()), Ok(fresh)) => prop_assert_eq!(&reused, &fresh, "{:?}", url),
+                (Err(got), Err(want)) => {
+                    prop_assert_eq!(got, want, "{:?}", url);
+                    prop_assert_eq!(&reused, &before, "{:?}", url);
+                }
+                (got, want) => prop_assert!(false, "{:?}: {:?} vs {:?}", url, got, want),
+            }
+        }
+    }
+
     /// On valid UTF-8 the byte-level kernel is exactly `str::find` —
     /// the property the pattern matcher's dropped boundary bookkeeping
     /// rests on.

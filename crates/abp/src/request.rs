@@ -38,17 +38,55 @@ impl Request {
         first_party: &str,
         resource_type: ResourceType,
     ) -> Result<Self, ParseError> {
-        let url = Url::parse(url)?;
-        let first_party = first_party.trim().to_ascii_lowercase();
-        let third_party = !same_party(url.host(), &first_party);
-        Ok(Request {
-            url_lower: url.as_str().to_ascii_lowercase(),
-            url,
-            first_party,
+        let mut request = Request {
+            url: Url::parse(url)?,
+            url_lower: String::new(),
+            first_party: String::new(),
             resource_type,
-            third_party,
+            third_party: false,
             verified_sitekey: None,
-        })
+        };
+        request.fill(first_party, resource_type, None);
+        Ok(request)
+    }
+
+    /// Make this request what `Request::new(url, first_party,
+    /// resource_type)` with `sitekey` attached would build, reusing its
+    /// strings: once they have held a request as long, nothing is
+    /// allocated (a `Some` sitekey after a `None` allocates its buffer
+    /// anew). On error the request is left as it was.
+    pub fn refill(
+        &mut self,
+        url: &str,
+        first_party: &str,
+        resource_type: ResourceType,
+        sitekey: Option<&str>,
+    ) -> Result<(), ParseError> {
+        self.url.reparse(url)?;
+        self.fill(first_party, resource_type, sitekey);
+        Ok(())
+    }
+
+    /// Everything but the URL: derive `url_lower` and `third_party`
+    /// from the parsed URL, and normalize the rest into this request's
+    /// own buffers.
+    fn fill(&mut self, first_party: &str, resource_type: ResourceType, sitekey: Option<&str>) {
+        self.url_lower.clear();
+        self.url_lower.push_str(self.url.as_str());
+        self.url_lower.make_ascii_lowercase();
+        self.first_party.clear();
+        self.first_party.push_str(first_party.trim());
+        self.first_party.make_ascii_lowercase();
+        self.resource_type = resource_type;
+        self.third_party = !same_party(self.url.host(), &self.first_party);
+        match sitekey {
+            Some(key) => {
+                let kept = self.verified_sitekey.get_or_insert_with(String::new);
+                kept.clear();
+                kept.push_str(key);
+            }
+            None => self.verified_sitekey = None,
+        }
     }
 
     /// Attach a verified sitekey (builder style).

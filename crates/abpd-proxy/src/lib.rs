@@ -9,7 +9,7 @@
 //!
 //! Routing is a consistent-hash ring ([`ring`]) keyed by the same
 //! fields as the decision cache (url, document, resource type,
-//! sitekey), so each shard's LRU cache only ever sees its own slice of
+//! sitekey), so each shard's decision cache only ever sees its own slice of
 //! the keyspace — fleet cache capacity adds up instead of duplicating.
 //! A shard that fails its periodic `Health` probe is routed around; a
 //! request that hits a dead, shedding, or timed-out shard is *hedged*

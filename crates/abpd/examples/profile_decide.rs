@@ -8,7 +8,12 @@
 //! so the engine-layer split of a miss (`Request::new` into `Url::parse`
 //! and `same_party`, then `match_request` into its candidate stage and
 //! evaluation, and `match_request_masked` under `serve-cold`'s tenant
-//! masks) can be re-read without the harness. Its first 16,384 are
+//! masks) can be re-read without the harness. The served miss is timed
+//! as `serve-cold` runs it: the first 262,144 distinct requests, each
+//! with its tenant mask, cycling through one shard with the default
+//! 65,536-entry cache, so that every decision misses and evicts — first
+//! the cache insert alone, then `decide_batch_local` whole. Its first
+//! 16,384 are
 //! the shape of `serve-hot`'s hot set: the codec stages run over those
 //! in the workloads' 256-element framing (`benchmark/`'s four
 //! `wire.*_ns` rows, then the proxy's two reads of the same lines, and
@@ -19,8 +24,9 @@
 //! cached reply bytes), clock and metrics, then times
 //! `decide_batch_local` with its reply line framed: the daemon's whole
 //! share of a hit between request parse and socket. Engine and hot-set
-//! figures alike are ns per item, fastest of [`ROUNDS`] passes; only
-//! the in-process service miss is one pass.
+//! figures alike are ns per item, fastest of [`ROUNDS`] passes; the
+//! steady-state miss rows are the median of [`MISS_PASSES`] passes over
+//! the cold set, after one untimed pass has filled the cache.
 
 use abpd::cache::{request_key_hash, LocalDecisionCache};
 use abpd::metrics::ReactorMetrics;
@@ -40,6 +46,12 @@ const ROUNDS: usize = 25;
 /// Users in the tenant population `serve-cold` stamps its requests
 /// from: request `i` carries user `i`'s mask.
 const TENANT_USERS: u64 = 1_000_000;
+/// The shard cache's capacity (the daemon's default), and `serve-cold`'s
+/// set cycling through it: four times as many distinct requests.
+const CAPACITY: usize = 65_536;
+const COLD: usize = 4 * CAPACITY;
+/// Timed passes over the cold set per steady-state miss row.
+const MISS_PASSES: usize = 8;
 
 /// ns per item of the fastest of [`ROUNDS`] runs of `pass`, which
 /// handles `items` items per run.
@@ -51,6 +63,20 @@ fn best_of(items: usize, mut pass: impl FnMut()) -> f64 {
             t.elapsed().as_nanos() as f64 / items as f64
         })
         .fold(f64::INFINITY, f64::min)
+}
+
+/// ns per item, the median of [`MISS_PASSES`] runs of `pass` over
+/// `items` items each.
+fn median_of(items: usize, mut pass: impl FnMut()) -> f64 {
+    let mut ns: Vec<f64> = (0..MISS_PASSES)
+        .map(|_| {
+            let t = Instant::now();
+            pass();
+            t.elapsed().as_nanos() as f64 / items as f64
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    (ns[MISS_PASSES / 2 - 1] + ns[MISS_PASSES / 2]) / 2.0
 }
 
 /// [`best_of`] a pass over the [`HOT`] set: ns per decision.
@@ -115,12 +141,26 @@ fn encode_ns<T>(items: &[T], write: fn(&[T], &mut Vec<u8>)) -> f64 {
 
 fn main() {
     let n = 65_536usize;
-    let mut seen = HashSet::with_capacity(n);
-    let reqs: Vec<DecisionRequest> = websim::traffic::TrafficGen::new(2015)
+    let mut seen = HashSet::with_capacity(COLD);
+    let population = websim::traffic::TenantPopulation::new(2015, TENANT_USERS);
+    let cold: Vec<DecisionRequest> = websim::traffic::TrafficGen::new(2015)
         .samples()
         .map(|s| abpd::request_of_sample(&s))
         .filter(|r| seen.insert((r.url.clone(), r.document.clone(), r.resource_type)))
-        .take(n)
+        .take(COLD)
+        .enumerate()
+        .map(|(i, r)| DecisionRequest {
+            tenant: Some(population.mask_for(i as u64)),
+            ..r
+        })
+        .collect();
+    drop(seen);
+    let reqs: Vec<DecisionRequest> = cold[..n]
+        .iter()
+        .map(|r| DecisionRequest {
+            tenant: None,
+            ..r.clone()
+        })
         .collect();
 
     let engine = abpd::corpus_engine(2015);
@@ -177,8 +217,7 @@ fn main() {
             black_box(engine.candidate_count(black_box(r)));
         }
     });
-    let population = websim::traffic::TenantPopulation::new(2015, TENANT_USERS);
-    let masks: Vec<u64> = (0..n as u64).map(|i| population.mask_for(i)).collect();
+    let masks: Vec<u64> = cold[..n].iter().map(|r| r.tenant.unwrap()).collect();
     let masked = best_of(n, || {
         for (r, &tenant) in built.iter().zip(&masks) {
             black_box(engine.match_request_masked(black_box(r), tenant));
@@ -208,18 +247,76 @@ fn main() {
     );
     println!("  match_request_masked {masked:6.1}   (serve-cold's tenant masks)");
 
-    // Miss path, the served evaluation route, in process (no TCP): one
-    // shard's `LocalEval`, as a reactor holds it, on an empty cache.
+    // Miss path at steady state, as `serve-cold` runs it: the cold set
+    // cycling through a full 65,536-entry cache, every decision a miss
+    // that evicts. First the cache's write path alone, on the outcomes
+    // the engine gives the cold set, encoded as a miss encodes them.
+    let cold_digests: Vec<u64> = cold
+        .iter()
+        .map(|r| {
+            request_key_hash(
+                &r.url,
+                &r.document,
+                r.resource_type,
+                None,
+                r.tenant.unwrap(),
+            )
+        })
+        .collect();
+    let mut encoded = Vec::new();
+    let cold_outcomes: Vec<(abp::Decision, std::ops::Range<usize>)> = cold
+        .iter()
+        .map(|r| {
+            let req = new_request(r);
+            let got = engine.match_request_masked(&req, r.tenant.unwrap());
+            let mut element = Vec::new();
+            let span = wire::push_decision(&mut element, &got, false);
+            let start = encoded.len();
+            encoded.extend_from_slice(&element[span]);
+            (got.decision, start..encoded.len())
+        })
+        .collect();
+    let mut cold_cache = LocalDecisionCache::new(CAPACITY);
+    let mut insert_cold = || {
+        for ((r, &h), (decision, outcome)) in cold.iter().zip(&cold_digests).zip(&cold_outcomes) {
+            cold_cache.insert(
+                h,
+                0,
+                &r.url,
+                &r.document,
+                r.resource_type,
+                None,
+                r.tenant.unwrap(),
+                *decision,
+                &encoded[outcome.clone()],
+            );
+        }
+    };
+    insert_cold();
+    let insert = median_of(COLD, insert_cold);
+    drop((cold_cache, encoded, cold_outcomes));
+    // Then the served evaluation route whole, in process (no TCP): one
+    // shard's `LocalEval`, as a reactor holds it.
     let svc = abpd::Service::start(abpd::corpus_engine(2015), &ServiceConfig::default());
-    let mut local = svc.local_eval(0, n, 0, Arc::new(ReactorMetrics::default()));
+    let mut local = svc.local_eval(0, CAPACITY, 0, Arc::new(ReactorMetrics::default()));
     let mut scratch = svc.scratch();
-    let t = Instant::now();
-    for chunk in reqs.chunks(BATCH) {
-        let refs: Vec<_> = chunk.iter().map(DecisionRequest::as_request_ref).collect();
-        svc.decide_batch_local(&refs, &mut scratch, &mut local)
-            .unwrap();
-    }
-    println!("service miss:  {:?}/req", t.elapsed() / n as u32);
+    let cold_refs: Vec<_> = cold.iter().map(DecisionRequest::as_request_ref).collect();
+    let mut decide_cold = || {
+        for chunk in cold_refs.chunks(BATCH) {
+            svc.decide_batch_local(chunk, &mut scratch, &mut local)
+                .unwrap();
+        }
+    };
+    decide_cold();
+    let service_miss = median_of(COLD, decide_cold);
+    assert!(scratch.responses().iter().all(|r| !r.cached));
+    drop(cold_refs);
+    println!(
+        "steady miss ({COLD} distinct requests cycling through a {CAPACITY}-entry cache, \
+         ns/request, median of {MISS_PASSES}):"
+    );
+    println!("  cache insert (evicting) {insert:6.1}");
+    println!("  service miss            {service_miss:6.1}   (decide_batch_local, every decision a miss)");
 
     // Everything below is the hit path on the hot set.
     let hot = &reqs[..HOT];
@@ -355,8 +452,13 @@ fn main() {
             metrics.shard.record_tenant(black_box(u64::MAX), true);
         }
     });
-    // `local` holds all 65,536 requests from the miss pass above.
+    // A fresh shard, warmed with one pass over the hot set.
+    let mut local = svc.local_eval(0, CAPACITY, 0, Arc::new(ReactorMetrics::default()));
     let refs: Vec<_> = hot.iter().map(DecisionRequest::as_request_ref).collect();
+    for chunk in refs.chunks(BATCH) {
+        svc.decide_batch_local(chunk, &mut scratch, &mut local)
+            .unwrap();
+    }
     let mut line = Vec::new();
     let whole = best_ns(|| {
         for chunk in refs.chunks(BATCH) {

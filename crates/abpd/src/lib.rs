@@ -7,7 +7,7 @@
 //! [`protocol`]). A connection belongs to one of N evaluation shards;
 //! every batch it sends is evaluated on the thread that read it
 //! ([`service::Service::decide_batch_local`], the only route) and
-//! outcomes are memoized in that shard's LRU cache ([`cache`]). The
+//! outcomes are memoized in that shard's decision cache ([`cache`]). The
 //! socket front is one epoll reactor thread per shard, feeding one verb
 //! dispatch ([`server`]); it is Linux-only, and elsewhere
 //! [`Server::start`] fails with `Unsupported`. A decision for

@@ -3,7 +3,7 @@
 //! changes answers.
 //!
 //! For any request, the service's response — whether the engine just
-//! computed it or the shard's LRU cache replayed it — must serialize
+//! computed it or the shard's decision cache replayed it — must serialize
 //! byte-identically to a direct `Engine::match_request` evaluation,
 //! activation lists included; [`one_route`] holds that across batch
 //! sizes, tenant masks and reloads. The [`wire_equivalence`] module
@@ -112,7 +112,7 @@ proptest! {
     /// the direct evaluation.
     #[test]
     fn tiny_cache_never_changes_answers(
-        hosts in proptest::collection::vec("[a-d]", 12..=24),
+        hosts in proptest::collection::vec("[a-p]", 24..=48),
         resource_type in prop::sample::select(&ResourceType::ALL[..]),
     ) {
         let (svc, mut local) = service(6);

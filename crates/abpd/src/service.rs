@@ -10,9 +10,13 @@
 //! (`tests/hit_path_allocs.rs` holds it to that): the digest is
 //! computed from borrowed fields, the cache memoizes each answer as the
 //! wire bytes of its outcome, and a hit copies those bytes into the
-//! reply elements the caller's [`BatchScratch`] keeps. A miss encodes
-//! the engine's outcome once, into the scratch, and the cache keeps a
-//! copy of that slice — no `RequestOutcome` is cloned on either path.
+//! reply elements the caller's [`BatchScratch`] keeps. A miss refills
+//! the shard's one [`Request`], has the engine write the matched filter
+//! ids into the shard's scratch ([`Engine::match_request_ids`]), encodes
+//! the reply from those ids into the scratch, and appends a copy of that
+//! slice to the cache's log — no `RequestOutcome` is built on either
+//! path, and a steady-state miss allocates nothing either
+//! (`tests/miss_path_allocs.rs`).
 //!
 //! `Stats` counts answered batches only: a batch that fails leaves
 //! every counter — requests, hits, blocks, exceptions, the latency
@@ -46,7 +50,7 @@ use crate::protocol::{
     ServerMessage, StatsReport,
 };
 use crate::wire::{self, DecisionRequestRef};
-use abp::{Decision, Engine, FilterList, ListSource, Request};
+use abp::{Decision, Engine, FilterList, ListSource, MatchKind, Request, ResourceType};
 use parking_lot::{Mutex, RwLock};
 use std::cell::OnceCell;
 use std::fmt;
@@ -63,7 +67,9 @@ pub struct ServiceConfig {
     /// Evaluation shards, one reactor thread each. Defaults to
     /// available parallelism, capped at 8.
     pub shards: usize,
-    /// Total decision-cache entries, split evenly across the shards.
+    /// Total decision-cache entries, split evenly across the shards:
+    /// each shard's cache is sized for its share (see
+    /// [`LocalDecisionCache::new`]), not held to an exact count.
     pub cache_capacity: usize,
     /// Per-batch evaluation deadline. A batch whose evaluation runs
     /// past it fails with [`ServiceError::DeadlineExceeded`] instead of
@@ -241,6 +247,10 @@ impl BatchScratch {
 /// in here is shared until `Stats`/`Health` reads the metrics.
 pub struct LocalEval {
     cache: LocalDecisionCache,
+    /// What a miss reuses instead of allocating: the request it refills
+    /// and the ids of the filters the engine found matching.
+    request: Request,
+    matched: Vec<(u32, MatchKind)>,
     /// Engine generation the local cache's entries belong to; a newer
     /// snapshot generation clears the cache lazily on first use.
     generation_seen: u64,
@@ -432,7 +442,7 @@ impl Service {
         BatchScratch::default()
     }
 
-    /// One shard's evaluation state: a `cache_capacity`-entry cache,
+    /// One shard's evaluation state: a cache for `cache_capacity` entries,
     /// fault draws from `slot`, counters in `metrics`. The service
     /// keeps a handle to `metrics` and folds it into every later
     /// `Stats`/`Health`. The third argument is unused: it was the
@@ -448,6 +458,9 @@ impl Service {
         self.evals.lock().push(metrics.clone());
         LocalEval {
             cache: LocalDecisionCache::new(cache_capacity),
+            request: Request::new("http://localhost/", "", ResourceType::Other)
+                .expect("a valid placeholder URL"),
+            matched: Vec::new(),
             generation_seen: self.generation(),
             metrics,
             slot,
@@ -499,7 +512,7 @@ impl Service {
         let snap = self.snapshot.read().clone();
         if snap.generation != local.generation_seen {
             // Stale entries are already fenced by the stamp; clearing
-            // stops them squatting on LRU capacity.
+            // stops them squatting on the index's ways.
             local.cache.clear();
             local.generation_seen = snap.generation;
         }
@@ -530,19 +543,20 @@ impl Service {
                     // Only misses pay for URL validation: a request
                     // that fails to parse can never have been inserted,
                     // so the hit path above is already covered by it.
-                    let request =
-                        Request::new(&dr.url, &dr.document, dr.resource_type).map_err(|e| {
+                    local
+                        .request
+                        .refill(&dr.url, &dr.document, dr.resource_type, sitekey)
+                        .map_err(|e| {
                             ServiceError::BadRequest(format!(
                                 "request {index}: bad url {:?}: {e:?}",
                                 dr.url
                             ))
                         })?;
-                    let request = match sitekey {
-                        Some(k) => request.with_sitekey(k),
-                        None => request,
-                    };
-                    // The closure touches nothing of `local`: whatever
-                    // unwinds out of it leaves cache and counters whole.
+                    let request = &local.request;
+                    // The closure touches nothing of `local` but the
+                    // matched ids it refills: whatever unwinds out of it
+                    // leaves cache and counters whole.
+                    let matched = &mut local.matched;
                     let evaled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         if let Some(plan) = &self.faults {
                             match plan.eval_fault(slot) {
@@ -551,15 +565,22 @@ impl Service {
                                 EvalFault::None => {}
                             }
                         }
-                        snap.engine.match_request_masked(&request, tenant)
+                        snap.engine.match_request_ids(request, tenant, matched)
                     }));
-                    let Ok(got) = evaled else {
+                    let Ok(decision) = evaled else {
                         local.metrics.eval_panics.fetch_add(1, Ordering::Relaxed);
                         return Err(ServiceError::WorkerLost(format!(
                             "evaluation panicked (shard {slot})"
                         )));
                     };
-                    let outcome = wire::push_decision(&mut scratch.elements, &got, false);
+                    let outcome = wire::push_decision_ids(
+                        &mut scratch.elements,
+                        &snap.engine,
+                        decision,
+                        &local.matched,
+                        request.url.as_str(),
+                        false,
+                    );
                     local.cache.insert(
                         key_hash,
                         snap.generation,
@@ -568,10 +589,10 @@ impl Service {
                         dr.resource_type,
                         sitekey,
                         tenant,
-                        got.decision,
+                        decision,
                         &scratch.elements[outcome],
                     );
-                    (got.decision, false)
+                    (decision, false)
                 }
             };
             let now = Instant::now();
@@ -857,6 +878,12 @@ mod tests {
                 "http://example.com/style.css",
                 "example.com",
                 ResourceType::Stylesheet,
+            ),
+            // Activations name the normalized URL, not the wire's.
+            dr(
+                " HTTP://Ad.DoubleClick.NET/Y.js\u{a0}",
+                " Example.COM ",
+                ResourceType::Script,
             ),
         ];
         let got = svc.decide_batch(&reqs, &mut local).unwrap();

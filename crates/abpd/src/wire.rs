@@ -71,7 +71,7 @@ use crate::protocol::{
     DecisionRequest, DecisionResponse, HealthReport, ReloadDeltaList, ReloadList, ReloadMismatch,
     ReloadReport, ServerMessage, StatsReport,
 };
-use abp::{Activation, Decision, ListSource, MatchKind, RequestOutcome, ResourceType};
+use abp::{Activation, Decision, Engine, ListSource, MatchKind, RequestOutcome, ResourceType};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::io::{BufRead, Write};
@@ -401,7 +401,21 @@ pub fn write_health_request(out: &mut Vec<u8>) {
     push_str(out, "\"Health\"");
 }
 
-fn write_activation(a: &Activation, out: &mut Vec<u8>) {
+impl<'a> ActivationRef<'a> {
+    fn of(a: &'a Activation) -> ActivationRef<'a> {
+        ActivationRef {
+            filter: Cow::Borrowed(&a.filter),
+            source: a.source,
+            kind: a.kind,
+            subject: Cow::Borrowed(&a.subject),
+            donottrack: a.donottrack,
+        }
+    }
+}
+
+/// The one activation writer, whether the activation was built
+/// ([`push_decision`]) or is an engine id ([`push_decision_ids`]).
+fn write_activation(a: &ActivationRef<'_>, out: &mut Vec<u8>) {
     push_str(out, "{\"filter\":");
     write_string(&a.filter, out);
     push_str(out, ",\"source\":\"");
@@ -415,17 +429,25 @@ fn write_activation(a: &Activation, out: &mut Vec<u8>) {
     out.push(b'}');
 }
 
-fn write_outcome(o: &RequestOutcome, out: &mut Vec<u8>) {
+fn write_outcome<'a>(
+    decision: Decision,
+    activations: impl IntoIterator<Item = ActivationRef<'a>>,
+    out: &mut Vec<u8>,
+) {
     push_str(out, "{\"decision\":\"");
-    push_str(out, DECISIONS[o.decision as usize].0);
+    push_str(out, DECISIONS[decision as usize].0);
     push_str(out, "\",\"activations\":[");
-    for (i, a) in o.activations.iter().enumerate() {
+    for (i, a) in activations.into_iter().enumerate() {
         if i > 0 {
             out.push(b',');
         }
-        write_activation(a, out);
+        write_activation(&a, out);
     }
     push_str(out, "]}");
+}
+
+fn write_request_outcome(o: &RequestOutcome, out: &mut Vec<u8>) {
+    write_outcome(o.decision, o.activations.iter().map(ActivationRef::of), out);
 }
 
 /// Opens a `Decision` reply line; one decision object and `}` close it.
@@ -461,7 +483,35 @@ pub fn push_decision(run: &mut Vec<u8>, outcome: &RequestOutcome, cached: bool) 
     if !run.is_empty() {
         run.push(b',');
     }
-    write_response(cached, run, |out| write_outcome(outcome, out))
+    write_response(cached, run, |out| write_request_outcome(outcome, out))
+}
+
+/// [`push_decision`] of the outcome [`Engine::match_request_ids`] left in
+/// `matched` for a request whose normalized URL is `subject`, written
+/// straight from the engine's filters: the same bytes as the built
+/// outcome, and no `Activation` made.
+pub fn push_decision_ids(
+    run: &mut Vec<u8>,
+    engine: &Engine,
+    decision: Decision,
+    matched: &[(u32, MatchKind)],
+    subject: &str,
+    cached: bool,
+) -> Range<usize> {
+    if !run.is_empty() {
+        run.push(b',');
+    }
+    let activations = matched.iter().map(|&(id, kind)| {
+        let (filter, source, donottrack) = engine.request_filter_parts(id);
+        ActivationRef {
+            filter: Cow::Borrowed(filter),
+            source,
+            kind,
+            subject: Cow::Borrowed(subject),
+            donottrack,
+        }
+    });
+    write_response(cached, run, |out| write_outcome(decision, activations, out))
 }
 
 /// [`push_decision`] with the outcome already encoded: copied as it is.
@@ -475,7 +525,9 @@ pub fn push_decision_raw(run: &mut Vec<u8>, outcome: &[u8], cached: bool) {
 /// Append a `Decision` reply line body (no trailing newline).
 pub fn write_decision_reply(resp: &DecisionResponse, out: &mut Vec<u8>) {
     push_str(out, DECISION_OPEN);
-    write_response(resp.cached, out, |out| write_outcome(&resp.outcome, out));
+    write_response(resp.cached, out, |out| {
+        write_request_outcome(&resp.outcome, out)
+    });
     out.push(b'}');
 }
 
@@ -494,7 +546,9 @@ pub fn write_batch_reply(resps: &[DecisionResponse], out: &mut Vec<u8>) {
         if i > 0 {
             out.push(b',');
         }
-        write_response(resp.cached, out, |out| write_outcome(&resp.outcome, out));
+        write_response(resp.cached, out, |out| {
+            write_request_outcome(&resp.outcome, out)
+        });
     }
     push_str(out, "]}");
 }
@@ -1695,7 +1749,7 @@ mod tests {
                     assert_eq!(whole(obj, |s| s.canonical_outcome(|_| {})), Some(decision));
                     for a in &resp.outcome.activations {
                         let mut one = Vec::new();
-                        write_activation(a, &mut one);
+                        write_activation(&ActivationRef::of(a), &mut one);
                         let one = std::str::from_utf8(&one).unwrap();
                         let read = whole(one, Scan::canonical_activation);
                         assert_eq!(read.map(ActivationRef::into_activation).as_ref(), Some(a));

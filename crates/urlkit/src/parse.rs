@@ -116,6 +116,24 @@ impl Url {
     /// `]`), so the parse is byte loops over the input with no `char`
     /// decoding, and every slice it takes lands on a char boundary.
     pub fn parse(input: &str) -> Result<Self, ParseError> {
+        let mut url = Url {
+            raw: String::new(),
+            scheme_end: 0,
+            host_start: 0,
+            host_end: 0,
+            port: None,
+            path_start: 0,
+            query_start: None,
+            fragment_start: None,
+        };
+        url.reparse(input)?;
+        Ok(url)
+    }
+
+    /// Parse `input` into this URL, reusing its buffer: on success `self`
+    /// equals `Url::parse(input)`, and no allocation is made once the
+    /// buffer has held a URL as long. On error `self` is left as it was.
+    pub fn reparse(&mut self, input: &str) -> Result<(), ParseError> {
         let s = input.trim();
         let b = s.as_bytes();
         if b.is_empty() {
@@ -190,7 +208,9 @@ impl Url {
         // tail. It is never longer than the input: userinfo and an empty
         // port are dropped, and a port is rewritten in its fewest digits.
         let tail = &s[auth_end..];
-        let mut raw = String::with_capacity(s.len());
+        let raw = &mut self.raw;
+        raw.clear();
+        raw.reserve(s.len());
         raw.push_str(&s[..auth_start]);
         raw.push_str(&s[host_from..host_to]);
         raw.make_ascii_lowercase();
@@ -214,16 +234,14 @@ impl Url {
             ),
         };
 
-        Ok(Url {
-            scheme_end: sep,
-            host_start,
-            host_end,
-            port,
-            path_start,
-            query_start,
-            fragment_start,
-            raw,
-        })
+        self.scheme_end = sep;
+        self.host_start = host_start;
+        self.host_end = host_end;
+        self.port = port;
+        self.path_start = path_start;
+        self.query_start = query_start;
+        self.fragment_start = fragment_start;
+        Ok(())
     }
 
     /// The full normalized URL string.

@@ -80,6 +80,25 @@ proptest! {
         assert_same_parse(&url);
     }
 
+    /// Reparsing into one reused `Url` equals a fresh parse at every
+    /// step of a sequence, and an input that fails leaves the URL as
+    /// the last good one.
+    #[test]
+    fn reparse_equals_parse(inputs in proptest::collection::vec(url_shape(), 1..8)) {
+        let mut reused = Url::parse("http://seed.example/").unwrap();
+        for input in &inputs {
+            let before = reused.clone();
+            match (reused.reparse(input), Url::parse(input)) {
+                (Ok(()), Ok(fresh)) => prop_assert_eq!(&reused, &fresh, "{:?}", input),
+                (Err(got), Err(want)) => {
+                    prop_assert_eq!(got, want, "{:?}", input);
+                    prop_assert_eq!(&reused, &before, "{:?}", input);
+                }
+                (got, want) => prop_assert!(false, "{:?}: {:?} vs {:?}", input, got, want),
+            }
+        }
+    }
+
     /// The byte-level registrable domain agrees with the reference on
     /// hosts with empty labels, outer dots, digits and mixed case.
     #[test]

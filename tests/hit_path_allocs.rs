@@ -4,68 +4,16 @@
 //! allocation on the calling thread: the digest reads borrowed fields,
 //! and a hit copies the answer's cached bytes into the reply elements
 //! the reused `BatchScratch` already has room for. This binary's global
-//! allocator does the counting.
+//! allocator (`support/counting.rs`) does the counting.
 
 use abp::{Decision, Engine, FilterList, ListSource, ResourceType};
 use abpd::metrics::ReactorMetrics;
 use abpd::{DecisionRequest, Service, ServiceConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
-thread_local! {
-    /// Allocations made on this thread while it counts, if it does.
-    static COUNT: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// The system allocator, counting each allocation (and reallocation)
-/// made on a thread that opted in through [`allocations`].
-struct Counting;
-
-fn note() {
-    // `try_with`: the slot is gone while the thread is torn down.
-    let _ = COUNT.try_with(|c| c.set(c.get().map(|n| n + 1)));
-}
-
-// SAFETY: every method forwards to `System` with its arguments
-// unchanged; the only addition is a thread-local counter bump, which
-// does not allocate.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract,
-        // and `ptr` came from `System` through this allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract,
-        // and `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations `f` makes on the calling thread.
-fn allocations(f: impl FnOnce()) -> usize {
-    COUNT.with(|c| c.set(Some(0)));
-    f();
-    COUNT.with(|c| c.replace(None)).expect("counting was on")
-}
+#[path = "support/counting.rs"]
+mod counting;
+use counting::allocations;
 
 #[test]
 fn a_warm_all_hit_batch_allocates_nothing() {
