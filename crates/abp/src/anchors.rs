@@ -17,16 +17,19 @@
 //!   actually appears. Outputs carry a small `(group, value)` payload.
 //!   On lists with no untokenized tail it is empty and a scan returns
 //!   at once.
-//! * [`HostLabelTrie`] — a reversed-domain-label trie for the element
-//!   hiding index and the request path's first-party gate: walking the
-//!   subject host's labels right-to-left collects every `domain=`-scoped
-//!   rule bucket in one pass, replacing a hash probe per label suffix.
+//! * [`HostIndex`] — every registered `domain=` entry, request and
+//!   element side alike, keyed once: a host's label-boundary suffixes,
+//!   probed longest first, find its deepest registered domain, and
+//!   parent links from there yield the first-party gate's filters, the
+//!   scoped element rules and the hiding-plan key in one walk.
 //!
-//! All three are vendor-free by design and store their string data in a
-//! [`ByteArena`] instead of per-node or per-key heap allocations.
+//! The token table and the host index share one hash core (a private
+//! key index with one probe loop), and all three keep their string
+//! data in a [`ByteArena`] instead of per-node or per-key heap
+//! allocations.
 
 use crate::intern::{ByteArena, Span};
-use std::collections::BTreeMap;
+use crate::scan::memchr;
 
 /// "No node" sentinel in `fail`/`out_link` chains.
 const NONE: u32 = u32::MAX;
@@ -276,14 +279,14 @@ impl Automaton {
     }
 }
 
-/// Hash of a token's bytes for the [`TokenTable`] index: a multiply per
-/// eight bytes, the top bits picking the home slot and the low 32 (with
-/// the high half folded in) tagging it.
+/// Hash of a key's bytes for [`KeyIndex`]: a multiply per eight bytes,
+/// the top bits picking the home slot and the low 32 (with the high half
+/// folded in) tagging it.
 #[inline]
-fn token_hash(token: &[u8]) -> u64 {
+fn key_hash(key: &[u8]) -> u64 {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut h = token.len() as u64;
-    let mut words = token.chunks_exact(8);
+    let mut h = key.len() as u64;
+    let mut words = key.chunks_exact(8);
     for w in &mut words {
         let w = u64::from_le_bytes(w.try_into().expect("chunks_exact yields 8 bytes"));
         h = (h.rotate_left(23) ^ w).wrapping_mul(K);
@@ -297,115 +300,130 @@ fn token_hash(token: &[u8]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// Accumulates `(token, block ids, allow ids)` entries for a
-/// [`TokenTable`].
-#[derive(Debug)]
-pub struct TokenTableBuilder {
+/// The key index both hash tables of this module are built on: distinct
+/// byte strings numbered in insertion order, their bytes in one
+/// [`ByteArena`], under an open-addressing hash table with linear
+/// probing, at most half full. A slot holds a key's 32-bit hash tag and
+/// its number, so most probes that miss never read key bytes.
+///
+/// Only compile time interns. A query looks up and never inserts, so no
+/// URL or host can lengthen a probe sequence: the longest probe any
+/// lookup takes — to the first empty slot after the longest run of
+/// occupied ones — is fixed by the lists the index was built from.
+#[derive(Debug, Clone)]
+struct KeyIndex {
     arena: ByteArena,
     keys: Vec<Span>,
-    id_starts: Vec<u32>,
-    ids: Vec<u32>,
+    /// `tag << 32 | (key number + 1)`, or 0 for an empty slot; a power
+    /// of two long.
+    slots: Box<[u64]>,
+    /// `64 - log2(slots.len())`: a hash's top bits are its home slot.
+    shift: u32,
 }
 
-impl Default for TokenTableBuilder {
-    fn default() -> TokenTableBuilder {
-        TokenTableBuilder {
+impl Default for KeyIndex {
+    fn default() -> KeyIndex {
+        KeyIndex {
             arena: ByteArena::new(),
             keys: Vec::new(),
-            id_starts: vec![0],
-            ids: Vec::new(),
+            slots: vec![0; 2].into_boxed_slice(),
+            shift: 63,
         }
     }
 }
 
-impl TokenTableBuilder {
-    /// An empty builder.
-    pub fn new() -> TokenTableBuilder {
-        TokenTableBuilder::default()
+impl KeyIndex {
+    /// Number of keys.
+    fn len(&self) -> usize {
+        self.keys.len()
     }
 
-    /// File `block` and `allow` under `token`, each in the order given.
-    /// `token` must be a lowercase URL token (at least two
-    /// [`is_token_byte`] bytes) and added once.
-    pub fn add(&mut self, token: &str, block: &[u32], allow: &[u32]) {
-        debug_assert!(token.len() >= 2 && token.bytes().all(is_token_byte));
-        self.keys.push(self.arena.push(token.as_bytes()));
-        self.ids.extend_from_slice(block);
-        self.id_starts.push(self.ids.len() as u32);
-        self.ids.extend_from_slice(allow);
-        self.id_starts.push(self.ids.len() as u32);
+    /// The probe loop: `Ok(key number)` when `key` (of hash `h`) is a
+    /// key, else `Err(slot)` with the empty slot its probe ended at.
+    #[inline]
+    fn probe(&self, h: u64, key: &[u8]) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = (h >> self.shift) as usize;
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                return Err(i);
+            }
+            if (slot >> 32) as u32 == h as u32 {
+                let k = (slot as u32 - 1) as usize;
+                if self.arena.get(self.keys[k]) == key {
+                    return Ok(k);
+                }
+            }
+            i = (i + 1) & mask;
+        }
     }
 
-    /// Build the hash index over the added tokens.
-    pub fn build(self) -> TokenTable {
+    /// The number of `key`, if it is a key.
+    #[inline]
+    fn find(&self, key: &[u8]) -> Option<usize> {
+        self.probe(key_hash(key), key).ok()
+    }
+
+    /// The number of `key`, and whether this call added it.
+    fn intern(&mut self, key: &[u8]) -> (usize, bool) {
+        let h = key_hash(key);
+        let i = match self.probe(h, key) {
+            Ok(k) => return (k, false),
+            Err(i) => i,
+        };
+        let k = self.keys.len();
+        self.keys.push(self.arena.push(key));
+        self.slots[i] = (h << 32) | (k as u64 + 1);
         // At most half full: every probe sequence ends at an empty slot,
         // and the clusters a miss walks to their end stay short.
-        let len = (self.keys.len() * 2).next_power_of_two().max(2);
-        let mut slots = vec![0u64; len].into_boxed_slice();
-        let shift = 64 - len.trailing_zeros();
-        for (k, &span) in self.keys.iter().enumerate() {
-            let h = token_hash(self.arena.get(span));
-            let mut i = (h >> shift) as usize;
-            while slots[i] != 0 {
-                debug_assert!(
-                    self.arena.get(self.keys[(slots[i] as u32 - 1) as usize])
-                        != self.arena.get(span),
-                    "token added twice"
-                );
-                i = (i + 1) & (len - 1);
+        if 2 * self.keys.len() > self.slots.len() {
+            self.slots = vec![0; 2 * self.slots.len()].into_boxed_slice();
+            self.shift -= 1;
+            for (k, &span) in self.keys.iter().enumerate() {
+                let key = self.arena.get(span);
+                let h = key_hash(key);
+                if let Err(i) = self.probe(h, key) {
+                    self.slots[i] = (h << 32) | (k as u64 + 1);
+                }
             }
-            slots[i] = (h << 32) | (k as u64 + 1);
         }
-        TokenTable {
-            arena: self.arena,
-            keys: self.keys,
-            id_starts: self.id_starts,
-            ids: self.ids,
-            slots,
-            shift,
-        }
+        (k, true)
     }
 }
 
 /// URL tokens mapped to the request filters filed under them: each key
 /// is one bucket token of the engine's rarest-token index, its value the
 /// ids of that bucket's block filters and allow filters, in insertion
-/// order.
-///
-/// Keys live in a [`ByteArena`], ids in one CSR array (key `k`'s block
-/// ids, then its allow ids), and the index is an open-addressing hash
-/// table with linear probing, at most half full; a slot holds a key's
-/// 32-bit hash tag and its index, so most probes that miss never read
-/// key bytes.
-///
-/// Only [`TokenTableBuilder::build`] inserts. A request looks up and
-/// never inserts, so no URL can lengthen a probe sequence: the longest
-/// probe any lookup takes — to the first empty slot after the longest
-/// run of occupied ones — is fixed by the lists the table was built
-/// from.
-#[derive(Debug, Clone)]
+/// order. Keys are a [`KeyIndex`], ids one CSR array (key `k`'s block
+/// ids, then its allow ids).
+#[derive(Debug, Clone, Default)]
 pub struct TokenTable {
-    arena: ByteArena,
-    keys: Vec<Span>,
-    /// `2 * keys.len() + 1` offsets into `ids`: key `k`'s block ids are
-    /// `id_starts[2k]..id_starts[2k + 1]`, its allow ids run on to
-    /// `id_starts[2k + 2]`.
+    keys: KeyIndex,
+    /// `2 * keys.len() + 1` offsets into `ids` once a token is added:
+    /// key `k`'s block ids are `id_starts[2k]..id_starts[2k + 1]`, its
+    /// allow ids run on to `id_starts[2k + 2]`.
     id_starts: Vec<u32>,
     ids: Vec<u32>,
-    /// `tag << 32 | (key index + 1)`, or 0 for an empty slot; a power of
-    /// two long.
-    slots: Box<[u64]>,
-    /// `64 - log2(slots.len())`: a hash's top bits are its home slot.
-    shift: u32,
-}
-
-impl Default for TokenTable {
-    fn default() -> TokenTable {
-        TokenTableBuilder::new().build()
-    }
 }
 
 impl TokenTable {
+    /// File `block` and `allow` under `token`, each in the order given.
+    /// `token` must be a lowercase URL token (at least two
+    /// [`is_token_byte`] bytes) and added once.
+    pub fn add(&mut self, token: &str, block: &[u32], allow: &[u32]) {
+        debug_assert!(token.len() >= 2 && token.bytes().all(is_token_byte));
+        let (_, added) = self.keys.intern(token.as_bytes());
+        debug_assert!(added, "token added twice");
+        if self.id_starts.is_empty() {
+            self.id_starts.push(0);
+        }
+        self.ids.extend_from_slice(block);
+        self.id_starts.push(self.ids.len() as u32);
+        self.ids.extend_from_slice(allow);
+        self.id_starts.push(self.ids.len() as u32);
+    }
+
     /// Number of distinct tokens.
     pub fn len(&self) -> usize {
         self.keys.len()
@@ -413,7 +431,7 @@ impl TokenTable {
 
     /// Whether the table holds no token.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.keys.len() == 0
     }
 
     /// The number of ids (block and allow) filed under each token, in
@@ -423,27 +441,6 @@ impl TokenTable {
             .windows(3)
             .step_by(2)
             .map(|w| (w[2] - w[0]) as usize)
-    }
-
-    /// The key index of `token`, if it is a key.
-    #[inline]
-    fn find(&self, token: &[u8]) -> Option<usize> {
-        let h = token_hash(token);
-        let mask = self.slots.len() - 1;
-        let mut i = (h >> self.shift) as usize;
-        loop {
-            let slot = self.slots[i];
-            if slot == 0 {
-                return None;
-            }
-            if (slot >> 32) as u32 == h as u32 {
-                let k = (slot as u32 - 1) as usize;
-                if self.arena.get(self.keys[k]) == token {
-                    return Some(k);
-                }
-            }
-            i = (i + 1) & mask;
-        }
     }
 
     /// Walk the URL tokens of `url_lower` — its maximal `[a-z0-9%]` runs
@@ -469,7 +466,7 @@ impl TokenTable {
             if i - start < 2 {
                 continue;
             }
-            if let Some(k) = self.find(&url_lower[start..i]) {
+            if let Some(k) = self.keys.find(&url_lower[start..i]) {
                 let (lo, mid, hi) = (
                     self.id_starts[2 * k] as usize,
                     self.id_starts[2 * k + 1] as usize,
@@ -481,199 +478,217 @@ impl TokenTable {
     }
 }
 
-/// Build-time trie node for [`HostLabelTrie`].
-#[derive(Debug, Default)]
-struct LabelBuildNode {
-    /// Ordered by label, which is the order the flattened form's edge
-    /// search needs; a node under a popular suffix has thousands.
-    edges: BTreeMap<String, u32>,
-    ids: Vec<u32>,
+/// Accumulates the registered domains of a [`HostIndex`]: each `domain=`
+/// entry a request filter or element rule names, with what it files
+/// under that domain. An empty entry files under the root, which no
+/// host matches, as `urlkit::is_same_or_subdomain_of` matches none to
+/// it.
+#[derive(Debug)]
+pub struct HostIndexBuilder {
+    /// Key 0 is the root: the empty domain, which no host query probes.
+    keys: KeyIndex,
+    gate: Vec<Vec<u32>>,
+    scope: Vec<Vec<u32>>,
+    /// The lists of the element rules that name each entry.
+    lists: Vec<u64>,
 }
 
-/// Accumulates `(domain, id)` pairs for a [`HostLabelTrie`].
-#[derive(Debug, Default)]
-pub struct HostLabelTrieBuilder {
-    nodes: Vec<LabelBuildNode>,
+impl Default for HostIndexBuilder {
+    fn default() -> HostIndexBuilder {
+        let mut b = HostIndexBuilder {
+            keys: KeyIndex::default(),
+            gate: Vec::new(),
+            scope: Vec::new(),
+            lists: Vec::new(),
+        };
+        b.entry("");
+        b
+    }
 }
 
-impl HostLabelTrieBuilder {
-    /// An empty builder.
-    pub fn new() -> HostLabelTrieBuilder {
-        HostLabelTrieBuilder {
-            nodes: vec![LabelBuildNode::default()],
+impl HostIndexBuilder {
+    /// The entry of `domain`, case-folded, interned on first sight.
+    fn entry(&mut self, domain: &str) -> usize {
+        let (k, added) = self.keys.intern(domain.to_ascii_lowercase().as_bytes());
+        if added {
+            self.gate.push(Vec::new());
+            self.scope.push(Vec::new());
+            self.lists.push(0);
         }
+        k
     }
 
-    /// Register `id` under `domain` (lowercase, dot-separated labels).
-    pub fn insert(&mut self, domain: &str, id: u32) {
-        let v = self.walk_or_create(domain);
-        self.nodes[v].ids.push(id);
+    /// File request filter `id` under include domain `domain`: the
+    /// first-party gate.
+    pub fn gate(&mut self, domain: &str, id: u32) {
+        let k = self.entry(domain);
+        self.gate[k].push(id);
     }
 
-    /// Materialize the node path for `domain` without attaching an id.
-    /// Used by tries whose payload lives outside the trie, keyed by
-    /// node index (e.g. the engine's per-suffix hiding plans).
-    pub fn insert_path(&mut self, domain: &str) {
-        self.walk_or_create(domain);
+    /// File element rule `id`, carried by the (non-empty) list set
+    /// `lists`, under include domain `domain`, which makes the domain a
+    /// plan key.
+    pub fn scope(&mut self, domain: &str, id: u32, lists: u64) {
+        let k = self.entry(domain);
+        self.scope[k].push(id);
+        self.lists[k] |= lists;
     }
 
-    fn walk_or_create(&mut self, domain: &str) -> usize {
-        let mut v = 0usize;
-        for label in domain.rsplit('.') {
-            v = match self.nodes[v].edges.get(label) {
-                Some(&child) => child as usize,
-                None => {
-                    let child = self.nodes.len() as u32;
-                    self.nodes[v].edges.insert(label.to_string(), child);
-                    self.nodes.push(LabelBuildNode::default());
-                    child as usize
-                }
-            };
+    /// Note that an element rule carried by `lists` excludes `domain`,
+    /// which makes the domain a plan key.
+    pub fn exclude(&mut self, domain: &str, lists: u64) {
+        let k = self.entry(domain);
+        self.lists[k] |= lists;
+    }
+
+    /// Link every entry to its parent, its plan key and its chain's
+    /// lists, and flatten the id buckets.
+    pub fn build(self) -> HostIndex {
+        let n = self.keys.len();
+        let mut parent = vec![0u32; n];
+        for (k, p) in parent.iter_mut().enumerate().skip(1) {
+            // The longest registered label-boundary suffix: the part
+            // after the first dot that leaves a key, scanning left to
+            // right.
+            let domain = self.keys.arena.get(self.keys.keys[k]);
+            *p = (0..domain.len())
+                .filter(|&i| domain[i] == b'.' && i + 1 < domain.len())
+                .find_map(|i| self.keys.find(&domain[i + 1..]))
+                .map_or(0, |p| p as u32);
         }
-        v
-    }
-
-    /// Flatten into the immutable query form.
-    pub fn build(self) -> HostLabelTrie {
-        let n = self.nodes.len();
-        let mut arena = ByteArena::new();
-        let mut edge_starts = Vec::with_capacity(n + 1);
-        let mut edge_keys = Vec::new();
-        let mut edge_labels = Vec::new();
-        let mut edge_targets = Vec::new();
-        let mut id_starts = Vec::with_capacity(n + 1);
-        let mut ids = Vec::new();
-        edge_starts.push(0u32);
-        id_starts.push(0u32);
-        for node in &self.nodes {
-            for (label, t) in &node.edges {
-                edge_keys.push(label_key(label.as_bytes()));
-                edge_labels.push(arena.push(label.as_bytes()));
-                edge_targets.push(*t);
+        let (plan_key, lists) = (0..n as u32)
+            .map(|k| {
+                let chain = std::iter::successors(Some(k), |&e| Some(parent[e as usize]))
+                    .take_while(|&e| e != 0);
+                let own = |&e: &u32| self.lists[e as usize];
+                let key = chain.clone().find(|e| own(e) != 0).unwrap_or(0);
+                (key, chain.fold(0, |m, e| m | own(&e)))
+            })
+            .unzip();
+        let csr = |buckets: Vec<Vec<u32>>| {
+            let mut starts = Vec::with_capacity(buckets.len() + 1);
+            starts.push(0u32);
+            let mut ids = Vec::new();
+            for bucket in buckets {
+                ids.extend(bucket);
+                starts.push(ids.len() as u32);
             }
-            ids.extend_from_slice(&node.ids);
-            edge_starts.push(edge_labels.len() as u32);
-            id_starts.push(ids.len() as u32);
-        }
-        HostLabelTrie {
-            arena,
-            edge_starts,
-            edge_keys,
-            edge_labels,
-            edge_targets,
-            id_starts,
-            ids,
+            (starts, ids)
+        };
+        let (gate_starts, gate_ids) = csr(self.gate);
+        let (scope_starts, scope_ids) = csr(self.scope);
+        HostIndex {
+            keys: self.keys,
+            parent,
+            plan_key,
+            lists,
+            gate_starts,
+            gate_ids,
+            scope_starts,
+            scope_ids,
         }
     }
 }
 
-/// The first eight bytes of a label, big-endian and zero-padded: byte
-/// strings in lexicographic order are in non-decreasing key order, so a
-/// node's sorted edges can be searched on keys alone and the label bytes
-/// read only to tell equal keys apart.
-fn label_key(label: &[u8]) -> u64 {
-    let mut key = [0u8; 8];
-    let n = label.len().min(8);
-    key[..n].copy_from_slice(&label[..n]);
-    u64::from_be_bytes(key)
-}
-
-/// A reversed-domain-label trie mapping hosts to the id buckets of
-/// every registered domain they equal or are a subdomain of.
+/// Every registered domain of the compiled lists — request filters'
+/// `domain=` includes (the first-party gate) and element rules' includes
+/// and excludes — once each, as the keys of a [`KeyIndex`].
 ///
-/// `insert("example.com", 7)` makes `collect("a.example.com")` yield 7
-/// (label-boundary suffix), while `"goodexample.com"` yields nothing.
+/// A host matches a registered domain when it equals it or is a
+/// subdomain of it (`urlkit::is_same_or_subdomain_of`): when the domain
+/// is one of the host's *label-boundary suffixes*, the host itself and
+/// each part after one of its dots. Each entry links to its *parent*,
+/// its own longest registered label-boundary suffix, so the domains a
+/// host matches are its deepest match and that entry's parent chain:
+/// [`HostIndex::find`] probes the host's suffixes longest first and
+/// stops at the first hit, and [`HostIndex::chain`] follows the links.
+/// Each entry holds its gate ids and its element-scope ids (CSR), its
+/// *plan key*: the nearest entry on its chain that an element rule
+/// names, and the lists of the element rules that name a domain on its
+/// chain. Hosts with the same plan key match the same element-rule
+/// domains, so every element rule's `applies_on` answers them alike.
+///
+/// Entry 0 is the root: the host matches no registered domain.
 #[derive(Debug, Clone)]
-pub struct HostLabelTrie {
-    arena: ByteArena,
-    edge_starts: Vec<u32>,
-    /// [`label_key`] of each edge label: the dense array the per-node
-    /// binary search runs over (a node under a popular suffix has
-    /// thousands of children).
-    edge_keys: Vec<u64>,
-    edge_labels: Vec<Span>,
-    edge_targets: Vec<u32>,
-    id_starts: Vec<u32>,
-    ids: Vec<u32>,
+pub struct HostIndex {
+    keys: KeyIndex,
+    parent: Vec<u32>,
+    plan_key: Vec<u32>,
+    lists: Vec<u64>,
+    gate_starts: Vec<u32>,
+    gate_ids: Vec<u32>,
+    scope_starts: Vec<u32>,
+    scope_ids: Vec<u32>,
 }
 
-impl Default for HostLabelTrie {
-    fn default() -> HostLabelTrie {
-        HostLabelTrieBuilder::new().build()
+impl HostIndex {
+    /// Number of entries, the root included: entries are `0..len()`.
+    pub fn len(&self) -> usize {
+        self.keys.len()
     }
-}
 
-impl HostLabelTrie {
-    /// Whether the trie holds no domains.
+    /// Whether no domain is registered.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.keys.len() == 1
     }
 
-    /// Number of nodes, the root included. Node indices returned by
-    /// [`HostLabelTrie::terminal`] are `< node_count()`.
-    pub fn node_count(&self) -> usize {
-        self.edge_starts.len() - 1
-    }
-
-    /// The number of ids registered under each node, in node order (0
-    /// for the root and for pure path nodes).
-    pub fn bucket_sizes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.id_starts.windows(2).map(|w| (w[1] - w[0]) as usize)
-    }
-
-    /// Walk `host_lower`'s labels right to left as far as edges exist
-    /// and return the node where the walk stops (the root, index 0,
-    /// when the first label already has no edge).
-    ///
-    /// Two hosts stopping at the same node are label-aligned-suffix
-    /// matched by exactly the same set of registered domains: a domain
-    /// matches a host iff the host's reversed-label walk passes through
-    /// that domain's node, and the nodes passed are precisely the
-    /// root-to-terminal path. The engine keys its per-suffix hiding
-    /// plans on this index.
-    pub fn terminal(&self, host_lower: &str) -> u32 {
-        let mut v = 0u32;
-        for label in host_lower.rsplit('.') {
-            match self.child(v, label.as_bytes()) {
-                Some(t) => v = t,
-                None => return v,
+    /// The entry of the longest registered domain that `host_lower`
+    /// equals or is a subdomain of, or 0 (the root).
+    #[inline]
+    pub fn find(&self, host_lower: &str) -> u32 {
+        let host = host_lower.as_bytes();
+        let mut start = 0;
+        while start < host.len() {
+            if let Some(k) = self.keys.find(&host[start..]) {
+                return k as u32;
+            }
+            match memchr(b'.', &host[start..]) {
+                Some(dot) => start += dot + 1,
+                None => break,
             }
         }
-        v
+        0
     }
 
-    /// The child of node `v` along `label`, if that edge exists.
-    fn child(&self, v: u32, label: &[u8]) -> Option<u32> {
-        let lo = self.edge_starts[v as usize] as usize;
-        let hi = self.edge_starts[v as usize + 1] as usize;
-        let key = label_key(label);
-        let mut i = lo + self.edge_keys[lo..hi].partition_point(|&k| k < key);
-        while i < hi && self.edge_keys[i] == key {
-            if self.arena.get(self.edge_labels[i]) == label {
-                return Some(self.edge_targets[i]);
-            }
-            i += 1;
-        }
-        None
+    /// `entry` and its parents, longest first, the root left out: every
+    /// registered domain a host [`HostIndex::find`] maps to `entry`
+    /// matches.
+    pub fn chain(&self, entry: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors(Some(entry), |&e| Some(self.parent[e as usize]))
+            .take_while(|&e| e != 0)
     }
 
-    /// Append the id buckets of every registered domain that
-    /// `host_lower` equals or is a subdomain of. One walk over the
-    /// host's labels, right to left; each edge is a binary search.
-    pub fn collect(&self, host_lower: &str, out: &mut Vec<u32>) {
-        if self.is_empty() {
-            return;
-        }
-        let mut v = 0u32;
-        for label in host_lower.rsplit('.') {
-            match self.child(v, label.as_bytes()) {
-                Some(t) => v = t,
-                None => return,
-            }
-            let ilo = self.id_starts[v as usize] as usize;
-            let ihi = self.id_starts[v as usize + 1] as usize;
-            out.extend_from_slice(&self.ids[ilo..ihi]);
-        }
+    /// The request filters filed under `entry`'s domain, in filing
+    /// order.
+    pub fn gate_ids(&self, entry: u32) -> &[u32] {
+        let e = entry as usize;
+        &self.gate_ids[self.gate_starts[e] as usize..self.gate_starts[e + 1] as usize]
+    }
+
+    /// The element rules filed under `entry`'s domain, in filing order.
+    pub fn scope_ids(&self, entry: u32) -> &[u32] {
+        let e = entry as usize;
+        &self.scope_ids[self.scope_starts[e] as usize..self.scope_starts[e + 1] as usize]
+    }
+
+    /// The registered domain of `entry`, case-folded; empty for the
+    /// root.
+    pub fn domain(&self, entry: u32) -> &str {
+        let bytes = self.keys.arena.get(self.keys.keys[entry as usize]);
+        // Keys are interned from `&str`s: the fallback never runs.
+        std::str::from_utf8(bytes).unwrap_or_default()
+    }
+
+    /// The nearest entry on `entry`'s chain that an element rule names,
+    /// or 0.
+    pub fn plan_key(&self, entry: u32) -> u32 {
+        self.plan_key[entry as usize]
+    }
+
+    /// The lists of the element rules that name a domain on `entry`'s
+    /// chain, includes and excludes alike.
+    pub fn lists(&self, entry: u32) -> u64 {
+        self.lists[entry as usize]
     }
 }
 
@@ -765,11 +780,11 @@ mod tests {
 
     /// A table over `(token, block ids, allow ids)`.
     fn table(entries: &[(&str, &[u32], &[u32])]) -> TokenTable {
-        let mut b = TokenTableBuilder::new();
+        let mut t = TokenTable::default();
         for &(token, block, allow) in entries {
-            b.add(token, block, allow);
+            t.add(token, block, allow);
         }
-        b.build()
+        t
     }
 
     /// Every `(block, allow)` bucket the table hands over for `url`.
@@ -877,11 +892,10 @@ mod tests {
         let keys: Vec<String> = (0..5000u32)
             .map(|i| format!("k{}", "x".repeat((i % 19) as usize)) + &i.to_string())
             .collect();
-        let mut b = TokenTableBuilder::new();
+        let mut t = TokenTable::default();
         for (i, k) in keys.iter().enumerate() {
-            b.add(k, &[i as u32], &[]);
+            t.add(k, &[i as u32], &[]);
         }
-        let t = b.build();
         for (i, k) in keys.iter().enumerate() {
             assert_eq!(block_hits(&t, &format!("/{k}/")), [i as u32], "{k}");
             // Every key ends in a digit, so no key ends in `z`.
@@ -889,104 +903,135 @@ mod tests {
         }
     }
 
-    fn collect(trie: &HostLabelTrie, host: &str) -> Vec<u32> {
-        let mut out = Vec::new();
-        trie.collect(host, &mut out);
-        out
+    /// The gate ids of every registered domain `host` matches, deepest
+    /// domain first.
+    fn gate_hits(index: &HostIndex, host: &str) -> Vec<u32> {
+        let entry = index.find(host);
+        index
+            .chain(entry)
+            .flat_map(|e| index.gate_ids(e).to_vec())
+            .collect()
+    }
+
+    /// A host index over `(domain, gate id)` pairs.
+    fn gate_index(entries: &[(&str, u32)]) -> HostIndex {
+        let mut b = HostIndexBuilder::default();
+        for &(domain, id) in entries {
+            b.gate(domain, id);
+        }
+        b.build()
     }
 
     #[test]
     fn host_trie_label_boundaries() {
-        let mut b = HostLabelTrieBuilder::new();
-        b.insert("example.com", 1);
-        b.insert("sub.example.com", 2);
-        b.insert("other.net", 3);
-        let trie = b.build();
-        assert_eq!(collect(&trie, "example.com"), vec![1]);
-        assert_eq!(collect(&trie, "sub.example.com"), vec![1, 2]);
-        assert_eq!(collect(&trie, "deep.sub.example.com"), vec![1, 2]);
-        assert_eq!(collect(&trie, "goodexample.com"), Vec::<u32>::new());
-        assert_eq!(collect(&trie, "example.com.evil"), Vec::<u32>::new());
-        assert_eq!(collect(&trie, "other.net"), vec![3]);
-        assert_eq!(collect(&trie, "com"), Vec::<u32>::new());
+        let index = gate_index(&[("example.com", 1), ("sub.example.com", 2), ("other.net", 3)]);
+        assert_eq!(gate_hits(&index, "example.com"), [1]);
+        assert_eq!(gate_hits(&index, "sub.example.com"), [2, 1]);
+        assert_eq!(gate_hits(&index, "deep.sub.example.com"), [2, 1]);
+        assert!(gate_hits(&index, "goodexample.com").is_empty());
+        assert!(gate_hits(&index, "example.com.evil").is_empty());
+        assert_eq!(gate_hits(&index, "other.net"), [3]);
+        assert!(gate_hits(&index, "com").is_empty());
+        assert!(gate_hits(&index, "").is_empty());
+        assert!(gate_hits(&index, ".").is_empty());
+        assert_eq!(gate_hits(&index, "x..example.com"), [1], "an empty label");
+        assert!(
+            gate_hits(&index, "example.com.").is_empty(),
+            "a trailing dot"
+        );
     }
 
     #[test]
     fn host_trie_tells_labels_with_equal_key_prefixes_apart() {
-        // Sibling labels agreeing on their first eight bytes share a
-        // search key; so do a label and its NUL-padded twin.
-        let mut b = HostLabelTrieBuilder::new();
-        for (id, domain) in [
+        // Siblings agreeing on their first eight bytes, a domain and its
+        // NUL-padded twin, and one that is a prefix of another.
+        let domains = [
             "publisher-one.example",
             "publisher-two.example",
             "publisher.example",
             "publishe.example",
             "pub.example",
             "pub\0.example",
-        ]
-        .iter()
-        .enumerate()
-        {
-            b.insert(domain, id as u32);
-        }
-        let trie = b.build();
-        assert_eq!(collect(&trie, "www.publisher-one.example"), vec![0]);
-        assert_eq!(collect(&trie, "publisher-two.example"), vec![1]);
-        assert_eq!(collect(&trie, "publisher.example"), vec![2]);
-        assert_eq!(collect(&trie, "publishe.example"), vec![3]);
-        assert_eq!(collect(&trie, "pub.example"), vec![4]);
-        assert_eq!(collect(&trie, "pub\0.example"), vec![5]);
-        assert!(collect(&trie, "publisher-six.example").is_empty());
-        assert!(collect(&trie, "publish.example").is_empty());
-        assert_ne!(trie.terminal("publisher-two.example"), 0);
-        assert_eq!(
-            trie.terminal("publisher-six.example"),
-            trie.terminal("example")
-        );
+        ];
+        let entries: Vec<(&str, u32)> = domains.iter().copied().zip(0..).collect();
+        let index = gate_index(&entries);
+        assert_eq!(gate_hits(&index, "www.publisher-one.example"), [0]);
+        assert_eq!(gate_hits(&index, "publisher-two.example"), [1]);
+        assert_eq!(gate_hits(&index, "publisher.example"), [2]);
+        assert_eq!(gate_hits(&index, "publishe.example"), [3]);
+        assert_eq!(gate_hits(&index, "pub.example"), [4]);
+        assert_eq!(gate_hits(&index, "pub\0.example"), [5]);
+        assert!(gate_hits(&index, "publisher-six.example").is_empty());
+        assert!(gate_hits(&index, "publish.example").is_empty());
+        assert_ne!(index.find("publisher-two.example"), 0);
+        assert_eq!(index.find("publisher-six.example"), 0);
     }
 
     #[test]
     fn host_trie_multiple_ids_per_domain_keep_order() {
-        let mut b = HostLabelTrieBuilder::new();
-        b.insert("reddit.com", 4);
-        b.insert("reddit.com", 1);
-        b.insert("reddit.com", 3);
-        let trie = b.build();
-        assert_eq!(collect(&trie, "www.reddit.com"), vec![4, 1, 3]);
+        let index = gate_index(&[("reddit.com", 4), ("Reddit.com", 1), ("reddit.com", 3)]);
+        assert_eq!(gate_hits(&index, "www.reddit.com"), [4, 1, 3]);
+        assert_eq!(
+            index.len(),
+            2,
+            "one entry per case-folded domain, and the root"
+        );
+        assert_eq!(index.gate_ids(index.find("reddit.com")).len(), 3);
     }
 
     #[test]
     fn terminal_nodes_partition_hosts_by_matched_domain_set() {
-        let mut b = HostLabelTrieBuilder::new();
-        b.insert("example.com", 1);
-        b.insert("a.example.com", 2);
-        b.insert_path("~only.a.path.net");
-        let trie = b.build();
-        // Same matched set {example.com} → same terminal node.
-        let exact = trie.terminal("example.com");
-        let miss_sub = trie.terminal("b.example.com");
-        assert_eq!(exact, miss_sub);
-        // Matching {example.com, a.example.com} lands deeper.
-        assert_ne!(trie.terminal("a.example.com"), exact);
+        let mut b = HostIndexBuilder::default();
+        b.scope("example.com", 1, 0b01);
+        b.scope("a.example.com", 2, 0b10);
+        b.exclude("only.a.path.net", 0b100);
+        b.gate("x.a.example.com", 7);
+        b.gate("gate.example.org", 8);
+        let index = b.build();
+        let plan = |host: &str| index.plan_key(index.find(host));
+        // Same matched set {example.com} → same plan key.
+        let exact = plan("example.com");
+        assert_ne!(exact, 0);
+        assert_eq!(plan("b.example.com"), exact);
+        // Matching {example.com, a.example.com} gets its own key, which
+        // a gate-only domain below it does not split.
+        assert_ne!(plan("a.example.com"), exact);
+        assert_eq!(plan("x.a.example.com"), plan("a.example.com"));
+        assert_ne!(index.find("x.a.example.com"), index.find("a.example.com"));
+        assert_eq!(plan("y.x.a.example.com"), plan("a.example.com"));
+        // Matching no element domain is the root, gate domains or not.
+        assert_eq!(plan("other.org"), 0);
+        assert_eq!(plan("gate.example.org"), 0);
+        assert_eq!(plan("notexample.com"), plan("z.com"));
+        // An exclude-only domain is a plan key without scope ids.
+        let path = index.find("only.a.path.net");
+        assert_ne!(plan("only.a.path.net"), 0);
+        assert!(index.scope_ids(path).is_empty());
         assert_eq!(
-            trie.terminal("x.a.example.com"),
-            trie.terminal("a.example.com")
+            index
+                .chain(index.find("y.x.a.example.com"))
+                .flat_map(|e| index.scope_ids(e).to_vec())
+                .collect::<Vec<_>>(),
+            [2, 1]
         );
-        // Matching nothing lands at the root.
-        assert_eq!(trie.terminal("other.org"), 0);
-        assert_eq!(trie.terminal("notexample.com"), trie.terminal("z.com"));
-        // Path-only inserts materialize nodes without ids.
-        assert_ne!(trie.terminal("~only.a.path.net"), 0);
-        let mut ids = Vec::new();
-        trie.collect("~only.a.path.net", &mut ids);
-        assert!(ids.is_empty());
-        assert!(trie.node_count() > 4);
+        assert_eq!(index.lists(index.find("y.x.a.example.com")), 0b11);
+        assert_eq!(index.lists(index.find("example.com")), 0b01);
+        assert_eq!(index.lists(index.find("gate.example.org")), 0);
+        assert_eq!(index.domain(plan("y.x.a.example.com")), "a.example.com");
+        assert_eq!(index.domain(0), "");
+        assert_eq!(index.len(), 6);
     }
 
     #[test]
     fn empty_host_trie() {
-        let trie = HostLabelTrie::default();
-        assert!(trie.is_empty());
-        assert!(collect(&trie, "example.com").is_empty());
+        let index = HostIndexBuilder::default().build();
+        assert!(index.is_empty());
+        assert_eq!(index.len(), 1);
+        assert!(gate_hits(&index, "example.com").is_empty());
+        assert_eq!(index.plan_key(index.find("example.com")), 0);
+        // The root's empty key is never a match.
+        let index = gate_index(&[("", 9)]);
+        assert!(index.is_empty());
+        assert!(gate_hits(&index, "example.com.").is_empty());
     }
 }

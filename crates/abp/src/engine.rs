@@ -39,10 +39,11 @@
 //!   a request presenting one of those keys ever evaluates them;
 //! * *restricted* request filters (a non-empty `domain=` include list:
 //!   89% of the paper's whitelist, Fig 4) stay out of that table and
-//!   automaton and sit behind a **first-party gate**: a reversed-label
-//!   [`HostLabelTrie`] over their include domains, walked once with the
-//!   request's first party, so a filter whose `domain=` already rules
-//!   it out is never a candidate, whatever the URL says;
+//!   automaton and sit behind a **first-party gate**: their ids are
+//!   filed under their include domains in the [`HostIndex`], and the
+//!   request's first party finds the ones whose `domain=` names it or a
+//!   parent domain in one walk, so a filter whose `domain=` already
+//!   rules it out is never a candidate, whatever the URL says;
 //! * candidates canonicalize to ascending filter-id (list insertion)
 //!   order — one sort+dedup of a short id vector — so evaluation order
 //!   is a pure function of the subscribed lists, not of index layout,
@@ -50,14 +51,18 @@
 //!   compiled engine would produce;
 //! * `$document`/`$elemhide` page gates get their own prebuilt id list
 //!   behind a second anchor automaton, and `domain=`-scoped element
-//!   rules live in a reversed-label [`HostLabelTrie`] with precompiled
+//!   rules are filed in the same [`HostIndex`], with precompiled
 //!   selector-cancellation links, so page-level queries touch only
-//!   plausible rules and never build a per-query selector set.
+//!   plausible rules and never build a per-query selector set;
+//! * the hiding outcome depends on the host only through its *plan
+//!   key* (the deepest element-rule domain it matches) and on the
+//!   tenant only through its *class* (the tenant's bits among the lists
+//!   with element rules that can apply under that key), so resolved
+//!   plans are memoized per `(plan key, class)` in one table whose
+//!   capacity is fixed by the compiled lists.
 
 use crate::activation::{Activation, MatchKind};
-use crate::anchors::{
-    Automaton, AutomatonBuilder, HostLabelTrie, HostLabelTrieBuilder, TokenTable, TokenTableBuilder,
-};
+use crate::anchors::{Automaton, AutomatonBuilder, HostIndex, HostIndexBuilder, TokenTable};
 use crate::filter::{ElementFilter, FilterAction, FilterBody, RequestFilter};
 use crate::intern::IStr;
 use crate::list::{FilterList, ListSource};
@@ -67,7 +72,7 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// The engine's verdict on a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -252,23 +257,12 @@ const LIT_LANES: u32 = 128;
 struct TailCounters {
     prefilter_checked: AtomicU64,
     prefilter_rejected: AtomicU64,
-    hiding_queries: AtomicU64,
-    hiding_plan_hits: AtomicU64,
-}
-
-/// Shape of the first-party gate, counted once when the snapshot is
-/// compiled.
-#[derive(Debug, Clone, Copy, Default)]
-struct GateShape {
-    filters: u64,
-    domains: u64,
-    bucket_max: u64,
 }
 
 /// Snapshot of the engine's tail-optimization counters: how hard the
-/// required-literal prefilter and the per-suffix hiding plans are
-/// working, and the compile-time shape of the first-party gate and the
-/// token table. See [`Engine::tail_stats`].
+/// required-literal prefilter and the hiding-plan memo are working,
+/// and the compile-time shape of the first-party gate and the token
+/// table. See [`Engine::tail_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TailStats {
     /// Untokenized tail candidates that reached the required-literal
@@ -279,9 +273,17 @@ pub struct TailStats {
     pub prefilter_rejected: u64,
     /// `hiding_for_domain` / `hiding_refs_for_domain` queries answered.
     pub hiding_queries: u64,
-    /// Queries served from an already-built per-suffix hiding plan
-    /// (the rest built and memoized one).
+    /// Queries served from an already-built hiding plan (the rest built
+    /// and memoized one).
     pub hiding_plan_hits: u64,
+    /// Plans the memo dropped to make room: a full set of its ways
+    /// gives up its least recently used plan.
+    pub hiding_plan_evictions: u64,
+    /// Plans the memo holds now.
+    pub hiding_plans: u64,
+    /// Most plans the memo can hold: a small multiple of the plan keys
+    /// (element-rule domains, plus the root), fixed at compile time.
+    pub hiding_plan_cap: u64,
     /// Request filters behind the first-party gate (non-empty `domain=`
     /// include list).
     pub restricted_filters: u64,
@@ -299,13 +301,11 @@ pub struct TailStats {
     pub token_bucket_max: u64,
 }
 
-/// A compiled per-suffix hiding plan: everything both hiding entry
-/// points return, resolved once for the set of registered domains a
-/// host matches and memoized on the plan-trie node (see
-/// [`HostLabelTrie::terminal`]). The subjects of a hiding outcome are
-/// selectors, not hosts, so the content is host-independent given the
-/// matched-domain set — serving a plan is a trie walk plus refcount
-/// bumps.
+/// A compiled hiding plan: everything both hiding entry points return,
+/// resolved once per plan key and tenant class and memoized in the
+/// [`PlanMemo`]. The subjects of a hiding outcome are selectors, not
+/// hosts, so the content is host-independent given the matched-domain
+/// set — serving a plan is a host-index walk plus refcount bumps.
 #[derive(Debug, Clone)]
 struct HidingPlan {
     /// `(rule id, action)` — applicable exceptions first, then
@@ -313,6 +313,67 @@ struct HidingPlan {
     refs: Arc<Vec<(u32, FilterAction)>>,
     /// The owned-outcome form served by `hiding_for_domain`.
     outcome: HidingOutcome,
+}
+
+/// Ways per set of the [`PlanMemo`].
+const PLAN_WAYS: usize = 4;
+
+/// One memoized plan: its plan key, its tenant class, the plan.
+type PlanSlot = Option<(u32, u64, HidingPlan)>;
+
+/// The hiding-plan memo: finished plans keyed by `(plan key, class)`,
+/// in sets of [`PLAN_WAYS`] ways, each set most recently used first. It
+/// holds at most [`PLAN_WAYS`] × `sets`, the plan-key count doubled and
+/// rounded up to a power of two (the root is a plan key, so at least
+/// two) — fixed when the snapshot compiles, so the union view's one
+/// class per key fills at most an eighth of the ways and no stream of
+/// tenant masks can grow it.
+#[derive(Debug, Default)]
+struct PlanMemo {
+    /// Allocated on the first hiding query.
+    slots: Vec<PlanSlot>,
+    sets: usize,
+    /// Queries, the ones a memoized plan answered, and plans dropped to
+    /// make room (each its set's least recently used).
+    queries: u64,
+    hits: u64,
+    evictions: u64,
+}
+
+impl PlanMemo {
+    /// The set `(key, class)` lives in, and its way there, if any.
+    fn set(&mut self, key: u32, class: u64) -> (&mut [PlanSlot], Option<usize>) {
+        if self.slots.is_empty() {
+            self.slots.resize_with(self.sets * PLAN_WAYS, || None);
+        }
+        let h = ((u64::from(key) << 32) ^ class).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let set =
+            &mut self.slots[((h >> 32) as usize & (self.sets - 1)) * PLAN_WAYS..][..PLAN_WAYS];
+        let way = set
+            .iter()
+            .position(|w| matches!(w, Some((k, c, _)) if (*k, *c) == (key, class)));
+        (set, way)
+    }
+
+    /// The plan for `(key, class)`, moved to the front of its set.
+    fn get(&mut self, key: u32, class: u64) -> Option<HidingPlan> {
+        self.queries += 1;
+        let (set, way) = self.set(key, class);
+        set[..=way?].rotate_right(1);
+        let plan = set[0].as_ref().map(|(_, _, plan)| plan.clone());
+        self.hits += 1;
+        plan
+    }
+
+    /// Put `plan` at the front of its set, in place of an equal plan a
+    /// racing query built or else of the set's least recently used one.
+    fn insert(&mut self, key: u32, class: u64, plan: HidingPlan) {
+        let (set, way) = self.set(key, class);
+        set[..=way.unwrap_or(PLAN_WAYS - 1)].rotate_right(1);
+        let evicted = way.is_none() && set[0].is_some();
+        set[0] = Some((key, class, plan));
+        self.evictions += u64::from(evicted);
+    }
 }
 
 /// One sitekey's anchorless filters, as ranks into the lists whose
@@ -326,10 +387,11 @@ struct SitekeyRanks {
 }
 
 /// The immutable matching snapshot compiled from the engine's builders:
-/// the token table, the tail anchor automaton, the first-party gate,
-/// the `$document`/`$elemhide` gate automaton, and the element-rule
-/// domain trie with precompiled selector-cancellation links.
-#[derive(Debug, Clone, Default)]
+/// the token table, the tail anchor automaton, the host index (the
+/// first-party gate, element-rule scopes and hiding-plan keys), the
+/// `$document`/`$elemhide` gate automaton, and precompiled
+/// selector-cancellation links.
+#[derive(Debug, Clone)]
 struct Compiled {
     /// Both sides' token buckets: the candidates a URL token hands over.
     tokens: TokenTable,
@@ -337,11 +399,11 @@ struct Compiled {
     /// untokenized request filter without a `domain=` include list,
     /// both sides. Empty when there are none.
     request_auto: Automaton,
-    /// The first-party gate: ids of restricted request filters (block
-    /// and allow alike), bucketed under each of their include domains.
-    /// Restricted filters are in no other request index.
-    restricted: HostLabelTrie,
-    restricted_shape: GateShape,
+    /// Every registered domain: the first-party gate's restricted
+    /// request filters (block and allow alike, under each of their
+    /// include domains; restricted filters are in no other request
+    /// index), the scoped element rules, and the hiding-plan keys.
+    hosts: HostIndex,
     /// Untokenized block/allow filter ids, insertion order. Tail-group
     /// automaton hits are ranks into these lists; merging hit ranks
     /// with the always-scan ranks and sorting restores insertion order.
@@ -379,43 +441,23 @@ struct Compiled {
     /// domain (subject to excludes, re-checked at query time). Built in
     /// id order, so already sorted.
     elem_generic: Vec<u32>,
-    /// `domain=`-scoped element rules, bucketed in a reversed-label
-    /// trie: one walk over the subject host collects every applicable
-    /// bucket.
-    elem_scoped: HostLabelTrie,
     /// CSR per element rule: for a hide rule, the ids of every
     /// element-exception rule sharing its selector. A hide rule is
     /// cancelled on a domain iff any linked exception applies there —
     /// no per-query selector set needed.
     cancel_starts: Vec<u32>,
     cancel_ids: Vec<u32>,
-    /// Plan trie over *every* domain any element rule mentions —
-    /// includes and excludes, hide rules and exceptions alike. Hosts
-    /// whose reversed-label walks terminate at the same node match
-    /// exactly the same registered domains (see
-    /// [`HostLabelTrie::terminal`]), so the hiding outcome is a pure
-    /// function of the terminal node.
-    plan_trie: HostLabelTrie,
-    /// One lazily-built [`HidingPlan`] per plan-trie node. The root
-    /// node's plan generalizes the old all-generic prototype — it also
-    /// covers *conditional* generic rules, since a root-terminated host
-    /// matches no registered domain (excludes included) and therefore
-    /// sees every generic rule's constraint resolve identically.
-    plans: Vec<OnceLock<HidingPlan>>,
-    /// Union of every element rule's subscription mask. A tenant's
-    /// hiding *class* is `tenant & elem_mask_union`: tenants that agree
-    /// on the element-rule-carrying bits share hiding plans verbatim,
-    /// and the full class routes to the lock-free `plans` fast path.
-    elem_mask_union: u64,
-    /// Hiding plans for partial mask classes, keyed by
-    /// `(plan-trie node, class)`. Built lazily like `plans`; behind an
-    /// `Arc` so snapshot clones share one memo (a racing duplicate
-    /// build computes the identical plan and is harmless). A plain
-    /// `Mutex` suffices: the lock guards a memo lookup/insert, and the
-    /// full-mask hot path never takes it.
-    masked_plans: Arc<Mutex<HashMap<(u32, u64), HidingPlan>>>,
-    /// Tail counters (prefilter reject rate, plan hit rate); `Arc` so
-    /// snapshot clones keep one set of running totals.
+    /// The lists with generic element rules. With the lists of the rules
+    /// that name a domain on a plan key's chain, these are all whose
+    /// element rules can apply on a host with that key: a tenant's
+    /// hiding *class* under the key is its bits among them, and tenants
+    /// of one class see the same plan.
+    generic_mask: u64,
+    /// Hiding plans, keyed by `(plan key, class)`; behind an `Arc` so
+    /// snapshot clones share one memo.
+    plans: Arc<Mutex<PlanMemo>>,
+    /// Tail counters (the prefilter's reject rate); `Arc` so snapshot
+    /// clones keep one set of running totals.
     counters: Arc<TailCounters>,
 }
 
@@ -428,7 +470,7 @@ impl Compiled {
             &engine.block_builder.by_token,
             &engine.allow_builder.by_token,
         );
-        let mut tokens = TokenTableBuilder::new();
+        let mut tokens = TokenTable::default();
         for (token, block) in block_tokens {
             let allow = allow_tokens.get(token).map_or(&[][..], Vec::as_slice);
             tokens.add(token, block, allow);
@@ -495,26 +537,18 @@ impl Compiled {
 
         // First-party gate. `DomainConstraint::allows` requires the first
         // party to be same-or-subdomain of an include entry, which is
-        // exactly "the host's reversed-label walk passes that entry's
-        // node" — so the walk yields a superset of the filters whose
-        // `domain=` admits the request (excludes are left to `matches`).
-        // `allows` compares case-insensitively and the walk does not,
-        // hence the fold here and in `with_host_lower` at query time.
-        let mut restricted = HostLabelTrieBuilder::new();
-        let mut restricted_filters = 0u64;
+        // exactly "the entry is one of the host's label-boundary
+        // suffixes" — so the host-index walk yields a superset of the
+        // filters whose `domain=` admits the request (excludes are left
+        // to `matches`). `allows` compares case-insensitively and the
+        // index does not, so it folds its keys, and `with_host_lower`
+        // folds the host at query time.
+        let mut hosts = HostIndexBuilder::default();
         for (id, sf) in engine.request_filters.iter().enumerate() {
-            let include = &sf.filter.options.domains.include;
-            restricted_filters += u64::from(!include.is_empty());
-            for d in include {
-                restricted.insert(&d.to_ascii_lowercase(), id as u32);
+            for d in &sf.filter.options.domains.include {
+                hosts.gate(d, id as u32);
             }
         }
-        let restricted = restricted.build();
-        let restricted_shape = GateShape {
-            filters: restricted_filters,
-            domains: restricted.bucket_sizes().filter(|&n| n > 0).count() as u64,
-            bucket_max: restricted.bucket_sizes().max().unwrap_or(0) as u64,
-        };
 
         // $document/$elemhide gates: prefiltered by their own automaton,
         // with values as ranks into the id-ordered gate list (sorted
@@ -563,18 +597,26 @@ impl Compiled {
         });
         file_by_key(&mut doc_always, &doc_gate, |s| &mut s.doc);
 
+        // Element rules: generic ones in one id-ordered list, scoped ones
+        // under their include domains. Every domain an element rule
+        // names, includes and excludes alike, is a plan key, so
+        // `applies_on` resolves identically for all hosts sharing one.
         let mut elem_generic = Vec::new();
-        let mut elem_scoped = HostLabelTrieBuilder::new();
+        let mut generic_mask = 0u64;
         for (id, sr) in engine.element_rules.iter().enumerate() {
-            if sr.rule.domains.include.is_empty() {
+            let domains = &sr.rule.domains;
+            if domains.include.is_empty() {
                 elem_generic.push(id as u32);
-            } else {
-                // Include domains are lowercased at parse time.
-                for d in &sr.rule.domains.include {
-                    elem_scoped.insert(d, id as u32);
-                }
+                generic_mask |= sr.mask;
+            }
+            for d in &domains.include {
+                hosts.scope(d, id as u32, sr.mask);
+            }
+            for d in &domains.exclude {
+                hosts.exclude(d, sr.mask);
             }
         }
+        let hosts = hosts.build();
         // Selector-cancellation links: hide rule → exception rules with
         // the same selector.
         let mut allow_by_selector: HashMap<&str, Vec<u32>> = HashMap::new();
@@ -598,33 +640,13 @@ impl Compiled {
             cancel_starts.push(cancel_ids.len() as u32);
         }
 
-        // Plan trie: every domain any element rule mentions, includes
-        // and excludes alike, so `applies_on` resolves identically for
-        // all hosts sharing a terminal node. Plans themselves build
-        // lazily on first query per node.
-        let mut plan_builder = HostLabelTrieBuilder::new();
-        for sr in &engine.element_rules {
-            for d in sr
-                .rule
-                .domains
-                .include
-                .iter()
-                .chain(sr.rule.domains.exclude.iter())
-            {
-                plan_builder.insert_path(d);
-            }
-        }
-        let plan_trie = plan_builder.build();
-        let plans = (0..plan_trie.node_count())
-            .map(|_| OnceLock::new())
-            .collect();
-        let elem_mask_union = engine.element_rules.iter().fold(0u64, |m, sr| m | sr.mask);
+        let plan_keys = (0..hosts.len() as u32)
+            .filter(|&e| hosts.plan_key(e) == e)
+            .count();
 
         Compiled {
-            tokens: tokens.build(),
+            tokens,
             request_auto: auto.build(),
-            restricted,
-            restricted_shape,
             block_untok: engine.block_builder.untokenized.clone(),
             allow_untok: engine.allow_builder.untokenized.clone(),
             block_always,
@@ -636,13 +658,14 @@ impl Compiled {
             doc_always,
             sitekeyed,
             elem_generic,
-            elem_scoped: elem_scoped.build(),
             cancel_starts,
             cancel_ids,
-            plan_trie,
-            plans,
-            elem_mask_union,
-            masked_plans: Arc::new(Mutex::new(HashMap::new())),
+            hosts,
+            generic_mask,
+            plans: Arc::new(Mutex::new(PlanMemo {
+                sets: (2 * plan_keys).next_power_of_two(),
+                ..PlanMemo::default()
+            })),
             counters: Arc::new(TailCounters::default()),
         }
     }
@@ -653,19 +676,11 @@ impl Compiled {
         self.sitekeyed.get(req.verified_sitekey.as_deref()?)
     }
 
-    /// Scoped element-rule candidates for a host (already lowercased by
-    /// the caller — see [`with_host_lower`]): the trie buckets, sorted
-    /// to id order with multi-include duplicates removed.
-    fn scoped_elem_candidates(&self, host_lower: &str, scoped: &mut Vec<u32>) {
-        if self.elem_scoped.is_empty() {
-            return;
-        }
-        self.elem_scoped.collect(host_lower, scoped);
-        // A rule listed under several matching include domains appears
-        // in several buckets; candidates are id-ordered and distinct
-        // after this (generic and scoped are disjoint).
-        scoped.sort_unstable();
-        scoped.dedup();
+    /// The plan memo, locked. It only ever holds finished plans — a
+    /// plan is built outside the lock and moved in whole — so a guard
+    /// that a panicking thread poisoned is safe to take over.
+    fn lock_plans(&self) -> std::sync::MutexGuard<'_, PlanMemo> {
+        self.plans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -683,8 +698,8 @@ struct MatchScratch {
     /// with the always-scan ranks, then sorted back to insertion order.
     block_tail: Vec<u32>,
     allow_tail: Vec<u32>,
-    /// First-party gate hits (restricted filter ids, both sides), trie
-    /// walk order.
+    /// First-party gate hits (restricted filter ids, both sides), deepest
+    /// include domain first.
     gate_hits: Vec<u32>,
     /// The evaluated matches of the last request, for the callers that
     /// build [`Activation`]s from them.
@@ -710,8 +725,7 @@ thread_local! {
 
     /// Per-thread lowercase scratch for first-party hosts on the
     /// hiding/element paths: normalize once per query and pass borrowed
-    /// slices down (this used to be a per-trie-walk `Cow::Owned`
-    /// allocation).
+    /// slices down, allocating nothing per lookup.
     static HOST_SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
@@ -1084,11 +1098,14 @@ impl Engine {
                 c.prefilter_rejected.fetch_add(br + ar, Ordering::Relaxed);
             }
         }
-        // One walk of the first party through the gate: the restricted
-        // filters whose include list names it or a parent domain.
-        with_host_lower(&req.first_party, |host| {
-            compiled.restricted.collect(host, gate_hits)
-        });
+        // One walk of the first party through the host index: the
+        // restricted filters whose include list names it or a parent
+        // domain.
+        let hosts = &compiled.hosts;
+        let entry = with_host_lower(&req.first_party, |host| hosts.find(host));
+        for e in hosts.chain(entry) {
+            gate_hits.extend_from_slice(hosts.gate_ids(e));
+        }
 
         #[cfg(debug_assertions)]
         {
@@ -1414,9 +1431,9 @@ impl Engine {
     /// selector cancellation already applied to the hide rules —
     /// applicable exceptions first, then surviving hide rules.
     ///
-    /// Served from the same memoized per-suffix plan as
-    /// [`Engine::hiding_for_domain`]: after the first query for a
-    /// suffix, this is a trie walk plus one id→selector map over the
+    /// Served from the same memoized plan as
+    /// [`Engine::hiding_for_domain`]: after the first query for a plan
+    /// key, this is a host-index walk plus one id→selector map over the
     /// cached ref list, with no `applies_on` or cancellation work.
     pub fn hiding_refs_for_domain(&self, first_party: &str) -> Vec<(u32, &str, FilterAction)> {
         self.hiding_refs_for_domain_masked(first_party, u64::MAX)
@@ -1432,7 +1449,7 @@ impl Engine {
     ) -> Vec<(u32, &str, FilterAction)> {
         let compiled = self.compiled();
         with_host_lower(first_party, |host| {
-            self.hiding_plan_masked(compiled, host, tenant)
+            self.hiding_plan(compiled, host, tenant)
                 .refs
                 .iter()
                 .map(|&(id, action)| {
@@ -1446,66 +1463,36 @@ impl Engine {
         })
     }
 
-    /// The memoized per-suffix hiding plan for a (lowercased) host:
-    /// walk the plan trie to the host's terminal node and serve that
-    /// node's plan, building it on first visit. Hosts sharing a
-    /// terminal node match exactly the same registered domains, so the
-    /// plan is a pure function of the node (see
-    /// [`HostLabelTrie::terminal`]); `OnceLock` makes the memoization
-    /// lock-free after initialization, and a racing duplicate build is
-    /// harmless (both sides compute the identical plan).
-    fn hiding_plan<'a>(&'a self, compiled: &'a Compiled, host_lower: &str) -> &'a HidingPlan {
-        let node = compiled.plan_trie.terminal(host_lower) as usize;
-        let slot = &compiled.plans[node];
-        let c = &compiled.counters;
-        c.hiding_queries.fetch_add(1, Ordering::Relaxed);
-        if let Some(plan) = slot.get() {
-            c.hiding_plan_hits.fetch_add(1, Ordering::Relaxed);
+    /// The memoized hiding plan for `(host, tenant)`: the host reduces
+    /// to its plan key (hosts sharing one match exactly the same
+    /// element-rule domains) and the tenant to its class under that key
+    /// (bits carrying no rule that can apply there cannot change
+    /// hiding), and the plan is built on the first query for the pair.
+    /// Returns by clone: a plan is three `Arc` bumps, not a selector
+    /// copy.
+    fn hiding_plan(&self, compiled: &Compiled, host_lower: &str, tenant: u64) -> HidingPlan {
+        let key = compiled.hosts.plan_key(compiled.hosts.find(host_lower));
+        let class = tenant & (compiled.generic_mask | compiled.hosts.lists(key));
+        if let Some(plan) = compiled.lock_plans().get(key, class) {
             return plan;
         }
-        slot.get_or_init(|| self.build_hiding_plan(compiled, host_lower, u64::MAX))
-    }
-
-    /// The memoized hiding plan for `(host, tenant)`. Tenants reduce to
-    /// their *class* — `tenant & elem_mask_union` — since bits carrying
-    /// no element rules cannot change hiding. The full class serves
-    /// from the lock-free per-node `plans` slots (the single-config hot
-    /// path, untouched); partial classes memoize in the shared
-    /// `(node, class)` map. Returns by clone: a plan is four `Arc`
-    /// bumps, not a selector copy.
-    fn hiding_plan_masked(&self, compiled: &Compiled, host_lower: &str, tenant: u64) -> HidingPlan {
-        let class = tenant & compiled.elem_mask_union;
-        if class == compiled.elem_mask_union {
-            return self.hiding_plan(compiled, host_lower).clone();
-        }
-        let node = compiled.plan_trie.terminal(host_lower);
-        let c = &compiled.counters;
-        c.hiding_queries.fetch_add(1, Ordering::Relaxed);
-        if let Some(plan) = compiled.masked_plans.lock().unwrap().get(&(node, class)) {
-            c.hiding_plan_hits.fetch_add(1, Ordering::Relaxed);
-            return plan.clone();
-        }
         // Build outside the lock (plan construction can be heavy); a
-        // racing duplicate computes the identical plan, and the second
-        // insert just overwrites it with an equal value.
-        let plan = self.build_hiding_plan(compiled, host_lower, class);
-        compiled
-            .masked_plans
-            .lock()
-            .unwrap()
-            .insert((node, class), plan.clone());
+        // racing duplicate computes the identical plan and takes the
+        // first one's way.
+        let plan = self.build_hiding_plan(compiled, key, class);
+        compiled.lock_plans().insert(key, class, plan.clone());
         plan
     }
 
-    /// Resolve the full hiding state for one representative host of a
-    /// plan-trie node: both the ref list and the owned outcome, in one
+    /// Resolve the full hiding state for the hosts of plan key `key`
+    /// under `mask`: both the ref list and the owned outcome, in one
     /// pass over the applicable rules.
-    fn build_hiding_plan(&self, compiled: &Compiled, host_lower: &str, mask: u64) -> HidingPlan {
+    fn build_hiding_plan(&self, compiled: &Compiled, key: u32, mask: u64) -> HidingPlan {
         let mut refs: Vec<(u32, FilterAction)> = Vec::new();
         let mut hidden: Vec<(u32, FilterAction)> = Vec::new();
         let mut active = Vec::with_capacity(compiled.elem_generic.len());
         let mut exceptions = Vec::new();
-        self.for_each_applicable_element_rule(compiled, host_lower, mask, |id, sr, action| {
+        self.for_each_applicable_element_rule(compiled, key, mask, |id, sr, action| {
             let (ref_bucket, out_bucket, kind) = match action {
                 FilterAction::Allow => (&mut refs, &mut exceptions, MatchKind::AllowElement),
                 FilterAction::Block => (&mut hidden, &mut active, MatchKind::HideElement),
@@ -1535,13 +1522,16 @@ impl Engine {
     }
 
     /// Core of plan construction: visit every element rule applicable
-    /// on `host_lower` — exceptions and surviving (un-cancelled) hide
-    /// rules — in rule-id order.
+    /// on the hosts of plan key `key` — exceptions and surviving
+    /// (un-cancelled) hide rules — in rule-id order. The key's own
+    /// domain stands for them: it has that plan key itself (and the
+    /// root's, the empty host, matches no registered domain).
     ///
     /// Candidates come from a single merge of the (pre-sorted) generic
-    /// list with the domain trie's buckets — no per-query clone or full
-    /// sort — and hide-rule cancellation walks the precompiled selector
-    /// links instead of building a selector hash set. An exception
+    /// list with the rules scoped to plan key `key`'s chain — no
+    /// per-query clone or full sort of the generic list — and hide-rule
+    /// cancellation walks the precompiled selector links instead of
+    /// building a selector hash set. An exception
     /// cancels a hide rule exactly when it `applies_on` the domain
     /// *and* is visible under `mask`, which also implies it was a
     /// candidate, so the link check is equivalent to the old
@@ -1549,12 +1539,21 @@ impl Engine {
     fn for_each_applicable_element_rule<'a>(
         &'a self,
         compiled: &Compiled,
-        host_lower: &str,
+        key: u32,
         mask: u64,
         mut visit: impl FnMut(u32, &'a StoredElementRule, FilterAction),
     ) {
-        let mut scoped: Vec<u32> = Vec::new();
-        compiled.scoped_elem_candidates(host_lower, &mut scoped);
+        let hosts = &compiled.hosts;
+        let host = hosts.domain(key);
+        let mut scoped: Vec<u32> = (hosts.chain(key))
+            .flat_map(|e| hosts.scope_ids(e))
+            .copied()
+            .collect();
+        // A rule listed under several matching include domains appears
+        // in several buckets; candidates are id-ordered and distinct
+        // after this (generic and scoped are disjoint).
+        scoped.sort_unstable();
+        scoped.dedup();
         let generic = &compiled.elem_generic;
         let (mut gi, mut si) = (0usize, 0usize);
         loop {
@@ -1579,7 +1578,7 @@ impl Engine {
                 (None, None) => break,
             };
             let sr = &self.element_rules[id as usize];
-            if sr.mask & mask == 0 || !sr.rule.applies_on(host_lower) {
+            if sr.mask & mask == 0 || !sr.rule.applies_on(host) {
                 continue;
             }
             match sr.rule.action {
@@ -1589,7 +1588,7 @@ impl Engine {
                     let hi = compiled.cancel_starts[id as usize + 1] as usize;
                     let cancelled = compiled.cancel_ids[lo..hi].iter().any(|&aid| {
                         let ar = &self.element_rules[aid as usize];
-                        ar.mask & mask != 0 && ar.rule.applies_on(host_lower)
+                        ar.mask & mask != 0 && ar.rule.applies_on(host)
                     });
                     if !cancelled {
                         visit(id, sr, FilterAction::Block);
@@ -1628,28 +1627,28 @@ impl Engine {
     /// Compute the element-hiding state for a first-party domain:
     /// selectors that will hide elements, and the applicable exceptions.
     ///
-    /// Served from the memoized per-suffix plan: the first query for a
-    /// domain suffix resolves the applicable rules (the old evaluation
-    /// path) and caches the outcome on the suffix's plan-trie node;
-    /// every later query for any host sharing that node is a trie walk
-    /// plus two `Arc` bumps. All hosts on one node share one outcome
-    /// allocation — the generalization of the old all-generic
-    /// prototype, now covering conditional and scoped rules too.
+    /// Served from the memoized plan of the host's plan key (the deepest
+    /// element-rule domain it matches, see [`HostIndex`]): the first
+    /// query for a key resolves the applicable rules and memoizes the
+    /// outcome; every later query for any host sharing that key is a
+    /// host-index walk plus two `Arc` bumps. All hosts of one key share
+    /// one outcome allocation, generic, conditional and scoped rules
+    /// alike.
     pub fn hiding_for_domain(&self, first_party: &str) -> HidingOutcome {
         let compiled = self.compiled();
         with_host_lower(first_party, |host| {
-            self.hiding_plan(compiled, host).outcome.clone()
+            self.hiding_plan(compiled, host, u64::MAX).outcome
         })
     }
 
     /// [`Engine::hiding_for_domain`] restricted to one tenant's
     /// subscribed lists. Byte-identical to an engine compiled from
-    /// exactly the tenant's lists; served from the `(node, mask-class)`
-    /// plan memo, so repeat queries are a trie walk plus `Arc` bumps.
+    /// exactly the tenant's lists; served from the `(plan key, class)`
+    /// memo, so repeat queries are a host-index walk plus `Arc` bumps.
     pub fn hiding_for_domain_masked(&self, first_party: &str, tenant: u64) -> HidingOutcome {
         let compiled = self.compiled();
         with_host_lower(first_party, |host| {
-            self.hiding_plan_masked(compiled, host, tenant).outcome
+            self.hiding_plan(compiled, host, tenant).outcome
         })
     }
 
@@ -1659,14 +1658,22 @@ impl Engine {
     pub fn tail_stats(&self) -> TailStats {
         let compiled = self.compiled();
         let c = &compiled.counters;
+        let plans = compiled.lock_plans();
+        let hosts = &compiled.hosts;
+        let gate = || (0..hosts.len() as u32).map(|e| hosts.gate_ids(e).len());
         TailStats {
             prefilter_checked: c.prefilter_checked.load(Ordering::Relaxed),
             prefilter_rejected: c.prefilter_rejected.load(Ordering::Relaxed),
-            hiding_queries: c.hiding_queries.load(Ordering::Relaxed),
-            hiding_plan_hits: c.hiding_plan_hits.load(Ordering::Relaxed),
-            restricted_filters: compiled.restricted_shape.filters,
-            restricted_domains: compiled.restricted_shape.domains,
-            restricted_bucket_max: compiled.restricted_shape.bucket_max,
+            hiding_queries: plans.queries,
+            hiding_plan_hits: plans.hits,
+            hiding_plan_evictions: plans.evictions,
+            hiding_plans: plans.slots.iter().flatten().count() as u64,
+            hiding_plan_cap: (plans.sets * PLAN_WAYS) as u64,
+            restricted_filters: (self.request_filters.iter())
+                .filter(|sf| sf.filter.is_restricted())
+                .count() as u64,
+            restricted_domains: gate().filter(|&n| n > 0).count() as u64,
+            restricted_bucket_max: gate().max().unwrap_or(0) as u64,
             token_count: compiled.tokens.len() as u64,
             token_bucket_max: compiled.tokens.bucket_sizes().max().unwrap_or(0) as u64,
         }
@@ -2168,7 +2175,7 @@ reddit.com#@##siteTable_organic
         assert!(elsewhere.exceptions.is_empty());
 
         // Refs and owned outcomes agree, including on a host that needs
-        // case folding for the trie walk.
+        // case folding for the host-index walk.
         let refs = e.hiding_refs_for_domain("NEWS.example");
         assert_eq!(refs.len(), 2);
         assert_eq!(refs[0].2, FilterAction::Allow);
@@ -2401,7 +2408,7 @@ reddit.com#@##siteTable_organic
         let union = engine();
         let easy_only = Engine::from_lists([&easylist()]);
 
-        // Full mask reuses the legacy plan path.
+        // The full mask is the union view's class: the same plan.
         let full = union.hiding_for_domain_masked("www.reddit.com", u64::MAX);
         let legacy = union.hiding_for_domain("www.reddit.com");
         assert_eq!(full.active, legacy.active);
@@ -2416,7 +2423,7 @@ reddit.com#@##siteTable_organic
         let active: Vec<&str> = masked.active.iter().map(|(s, _)| s.as_str()).collect();
         assert!(active.contains(&"#siteTable_organic"));
 
-        // Repeat query is served from the (node, class) memo and stays equal.
+        // Repeat query is served from the (plan key, class) memo and stays equal.
         let again = union.hiding_for_domain_masked("www.reddit.com", 0b01);
         assert_eq!(again.active, masked.active);
 
@@ -2424,6 +2431,64 @@ reddit.com#@##siteTable_organic
         let none = union.hiding_for_domain_masked("www.reddit.com", 0);
         assert!(none.active.is_empty());
         assert!(none.exceptions.is_empty());
+    }
+
+    /// Sixteen lists of generic, conditional and scoped element rules
+    /// and exceptions under a few shared domains make 2^16 tenant
+    /// classes per plan key: cycling through 10,000 of them must evict
+    /// from the plan memo rather than grow it, and must not change an
+    /// answer.
+    #[test]
+    fn hiding_plan_memo_stays_under_its_cap_while_masks_cycle() {
+        const DOMAINS: [&str; 4] = ["a.example", "b.example", "sub.a.example", "c.example"];
+        let lists: Vec<FilterList> = (0..16)
+            .map(|i| {
+                let (d, e) = (DOMAINS[i % 4], DOMAINS[(i + 1) % 4]);
+                let text = format!(
+                    "##.gen-{i}\n##.shared\n~{e}##.cond-{i}\n{d},{e}##.scoped-{i}\n\
+                     {d}#@#.gen-{}\n{e}#@#.shared\n{d},~{e}#@#.scoped-{}\n",
+                    (i + 1) % 16,
+                    (i + 3) % 16
+                );
+                FilterList::parse(ListSource::Custom, &text)
+            })
+            .collect();
+        let union = Engine::from_lists(&lists);
+        let hosts = [
+            "a.example",
+            "x.sub.a.example",
+            "b.example",
+            "C.example",
+            "other.example",
+        ];
+        for j in 1..=10_000u64 {
+            // An odd multiplier permutes the 16-bit masks: all distinct.
+            let mask = (j * 40_503) & 0xffff;
+            for host in hosts {
+                let got = union.hiding_for_domain_masked(host, mask);
+                if j % 100 == 0 {
+                    let subset: Vec<&FilterList> = (lists.iter().enumerate())
+                        .filter(|&(i, _)| mask & (1 << i) != 0)
+                        .map(|(_, l)| l)
+                        .collect();
+                    let want = Engine::from_lists(subset).hiding_for_domain(host);
+                    assert_eq!(got, want, "{host} under {mask:#06x}");
+                }
+            }
+            let st = union.tail_stats();
+            assert!(st.hiding_plans <= st.hiding_plan_cap);
+        }
+        let st = union.tail_stats();
+        // Five plan keys (four domains and the root): 16 sets of 4 ways.
+        assert_eq!(st.hiding_plan_cap, 64);
+        assert_eq!(st.hiding_plans, 64, "the memo fills up to its cap");
+        assert!(st.hiding_plan_evictions > 0);
+        assert_eq!(st.hiding_queries, 50_000);
+        assert_eq!(
+            st.hiding_queries - st.hiding_plan_hits,
+            st.hiding_plans + st.hiding_plan_evictions,
+            "every miss built a plan that is held or was evicted"
+        );
     }
 
     #[test]

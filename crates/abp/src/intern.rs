@@ -188,11 +188,12 @@ impl Span {
 
 /// An append-only contiguous byte arena.
 ///
-/// The anchor automaton and the host-label trie store thousands of
-/// short byte strings (literal anchors, domain labels); one `String`
-/// each would mean one heap allocation and pointer chase apiece. The
-/// arena packs them into a single `Vec<u8>` and hands out [`Span`]s —
-/// cheap to copy, cache-friendly to read back.
+/// The anchor automaton, the token table and the host index store
+/// thousands of short byte strings (literal anchors, URL tokens,
+/// registered domains); one `String` each would mean one heap
+/// allocation and pointer chase apiece. The arena packs them into a
+/// single `Vec<u8>` and hands out [`Span`]s — cheap to copy,
+/// cache-friendly to read back.
 #[derive(Debug, Default, Clone)]
 pub struct ByteArena {
     bytes: Vec<u8>,

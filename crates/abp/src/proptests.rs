@@ -398,6 +398,178 @@ mod elem_props {
     }
 }
 
+/// The host index against the linear definition it replaces: a host
+/// matches a registered domain iff `urlkit::is_same_or_subdomain_of`
+/// says so, and hosts sharing a plan key are alike to every element
+/// rule.
+#[cfg(test)]
+mod host_index_props {
+    use super::*;
+    use crate::anchors::{HostIndex, HostIndexBuilder};
+    use crate::options::DomainConstraint;
+    use proptest::TestRng;
+
+    /// Labels registered domains and hosts are glued from: a few shared
+    /// ones so that they overlap, case variants, an empty label, and the
+    /// pieces of IP literals.
+    const LABELS: [&str; 13] = [
+        "a",
+        "b",
+        "ab",
+        "ads",
+        "com",
+        "Com",
+        "",
+        "x-y",
+        "1",
+        "10",
+        "0",
+        "[::1]",
+        "[2001:db8::1]",
+    ];
+
+    /// One to `max_labels - 1` labels joined by dots.
+    fn name(rng: &mut TestRng, max_labels: usize) -> String {
+        let labels: Vec<&str> = (0..rng.usize_in(1, max_labels))
+            .map(|_| LABELS[rng.below(LABELS.len() as u64) as usize])
+            .collect();
+        labels.join(".")
+    }
+
+    /// A registered-domain set: glued names, and some IP literals.
+    fn domains(rng: &mut TestRng) -> Vec<String> {
+        (0..rng.usize_in(0, 24))
+            .map(|_| match rng.below(8) {
+                0 => ["10.0.0.1", "0.0.1", "[::1]", "[2001:db8::1]"][rng.below(4) as usize].into(),
+                _ => name(rng, 4),
+            })
+            .collect()
+    }
+
+    /// A host: a glued name; one with a leading or a trailing dot; an
+    /// IPv4 or bracketed IPv6 literal; a subdomain of a registered
+    /// domain; or one longer than any key. Half of them get uppercase.
+    fn host(rng: &mut TestRng, domains: &[String]) -> String {
+        let registered = |rng: &mut TestRng| match domains.len() {
+            0 => name(rng, 3),
+            n => domains[rng.below(n as u64) as usize].clone(),
+        };
+        let host = match rng.below(7) {
+            0 => name(rng, 6),
+            1 => format!(".{}", name(rng, 4)),
+            2 => format!("{}.", name(rng, 4)),
+            3 => ["10.0.0.1", "192.168.0.10", "[::1]", "[2001:db8::1]", "1.10"]
+                [rng.below(5) as usize]
+                .into(),
+            4 => registered(rng),
+            5 => format!("{}.{}", name(rng, 3), registered(rng)),
+            _ => format!("{}.{}", "long-label".repeat(12), registered(rng)),
+        };
+        match rng.below(2) {
+            0 => host.to_ascii_uppercase(),
+            _ => host,
+        }
+    }
+
+    /// What the index files for `host`: gate ids and scope ids, sorted.
+    fn index_hits(index: &HostIndex, host: &str) -> (Vec<u32>, Vec<u32>) {
+        let entry = index.find(&host.to_ascii_lowercase());
+        let mut gate: Vec<u32> = index
+            .chain(entry)
+            .flat_map(|e| index.gate_ids(e).to_vec())
+            .collect();
+        let mut scope: Vec<u32> = index
+            .chain(entry)
+            .flat_map(|e| index.scope_ids(e).to_vec())
+            .collect();
+        gate.sort_unstable();
+        scope.sort_unstable();
+        (gate, scope)
+    }
+
+    proptest! {
+        /// Gate and scope hits equal the linear walk over every
+        /// registered domain, and hosts with one plan key see every
+        /// element rule's `applies_on` alike.
+        #[test]
+        fn host_index_equals_the_linear_suffix_walk(seed in any::<u64>()) {
+            let mut rng = TestRng::deterministic(&format!("host_index_{seed}"));
+            let domains = domains(&mut rng);
+            // Request filters file under includes; element rules under
+            // includes and, as plan keys only, excludes.
+            let mut gate: Vec<(&str, u32)> = Vec::new();
+            let mut rules: Vec<(DomainConstraint, u64)> = Vec::new();
+            let mut b = HostIndexBuilder::default();
+            let pick = |rng: &mut TestRng| domains[rng.below(domains.len() as u64) as usize].as_str();
+            for id in 0..rng.usize_in(0, 12) as u32 {
+                if domains.is_empty() {
+                    break;
+                }
+                for _ in 0..rng.usize_in(1, 3) {
+                    let d = pick(&mut rng);
+                    gate.push((d, id));
+                    b.gate(d, id);
+                }
+            }
+            for id in 0..rng.usize_in(0, 12) as u32 {
+                let lists = 1 << rng.below(4);
+                let mut rule = DomainConstraint::any();
+                if !domains.is_empty() {
+                    for _ in 0..rng.usize_in(0, 3) {
+                        rule.include.push(pick(&mut rng).to_string());
+                    }
+                    for _ in 0..rng.usize_in(0, 3) {
+                        rule.exclude.push(pick(&mut rng).to_string());
+                    }
+                }
+                for d in &rule.include {
+                    b.scope(d, id, lists);
+                }
+                for d in &rule.exclude {
+                    b.exclude(d, lists);
+                }
+                rules.push((rule, lists));
+            }
+            let index = b.build();
+
+            let mut by_key: std::collections::HashMap<u32, (String, Vec<bool>)> =
+                std::collections::HashMap::new();
+            for _ in 0..64 {
+                let host = host(&mut rng, &domains);
+                let mut want_gate: Vec<u32> = (gate.iter())
+                    .filter(|(d, _)| urlkit::is_same_or_subdomain_of(&host, d))
+                    .map(|&(_, id)| id)
+                    .collect();
+                want_gate.sort_unstable();
+                let mut want_scope: Vec<u32> = Vec::new();
+                for (id, (rule, _)) in rules.iter().enumerate() {
+                    for d in &rule.include {
+                        if urlkit::is_same_or_subdomain_of(&host, d) {
+                            want_scope.push(id as u32);
+                        }
+                    }
+                }
+                want_scope.sort_unstable();
+                prop_assert_eq!(index_hits(&index, &host), (want_gate, want_scope), "{:?} over {:?}", host, domains);
+
+                let entry = index.find(&host.to_ascii_lowercase());
+                let key = index.plan_key(entry);
+                let applies: Vec<bool> = rules.iter().map(|(r, _)| r.allows(&host)).collect();
+                // The lists of every scoped rule that applies are among
+                // the key's.
+                for (rule, lists) in &rules {
+                    if rule.is_restricted() && rule.allows(&host) {
+                        prop_assert_eq!(lists & !index.lists(key), 0);
+                    }
+                }
+                prop_assert_eq!(index.lists(entry), index.lists(key));
+                let (first, seen) = by_key.entry(key).or_insert_with(|| (host.clone(), applies.clone()));
+                prop_assert_eq!(&applies, seen, "{:?} and {:?} share plan key {}", host, first, key);
+            }
+        }
+    }
+}
+
 /// Differential test: the compiled engine (CSR token index, stamped
 /// dedup, domain-bucketed element rules, prebuilt document gates) must
 /// agree with a brute-force reference matcher that linearly evaluates

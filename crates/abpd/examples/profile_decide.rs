@@ -8,7 +8,10 @@
 //! so the engine-layer split of a miss (`Request::new` into `Url::parse`
 //! and `same_party`, then `match_request` into its candidate stage and
 //! evaluation, and `match_request_masked` under `serve-cold`'s tenant
-//! masks) can be re-read without the harness. The served miss is timed
+//! masks) can be re-read without the harness, beside the hiding path
+//! for the same first parties (`hiding_for_domain` from a warm plan
+//! memo, then `hiding_for_domain_masked` under those masks, with the
+//! memo's fill and evictions). The served miss is timed
 //! as `serve-cold` runs it: the first 262,144 distinct requests, each
 //! with its tenant mask, cycling through one shard with the default
 //! 65,536-entry cache, so that every decision misses and evicts — first
@@ -223,6 +226,23 @@ fn main() {
             black_box(engine.match_request_masked(black_box(r), tenant));
         }
     });
+    // Element hiding for the same first parties, warm: one untimed pass
+    // memoizes their plans, then each pass serves them from the memo —
+    // first the union view, then under serve-cold's tenant masks.
+    let first_parties: Vec<&str> = reqs.iter().map(|r| r.document.as_str()).collect();
+    let hide = |masked: bool| {
+        for (fp, &tenant) in first_parties.iter().zip(&masks) {
+            black_box(match masked {
+                false => engine.hiding_for_domain(black_box(fp)),
+                true => engine.hiding_for_domain_masked(black_box(fp), tenant),
+            });
+        }
+    };
+    hide(false);
+    let hiding = best_of(n, || hide(false));
+    hide(true);
+    let hiding_masked = best_of(n, || hide(true));
+    let memo = engine.tail_stats();
     let outcomes = engine.match_many(&built);
     let activations: usize = outcomes.iter().map(|o| o.activations.len()).sum();
     let (block, allow) = built.iter().fold((0, 0), |(b, a), r| {
@@ -246,6 +266,12 @@ fn main() {
         matched - candidates
     );
     println!("  match_request_masked {masked:6.1}   (serve-cold's tenant masks)");
+    println!("  hiding_for_domain    {hiding:6.1}   (the first parties, warm plan memo)");
+    println!(
+        "    ..._masked         {hiding_masked:6.1}   (serve-cold's tenant masks; the memo holds {} of \
+         {} plans, {} evicted)",
+        memo.hiding_plans, memo.hiding_plan_cap, memo.hiding_plan_evictions
+    );
 
     // Miss path at steady state, as `serve-cold` runs it: the cold set
     // cycling through a full 65,536-entry cache, every decision a miss

@@ -84,6 +84,25 @@ mod tests {
     use abp::{MatchKind, Request, ResourceType};
     use std::collections::HashSet;
 
+    /// The first-party gate's shape on the serving corpus, as
+    /// `profile_decide`'s header line prints it: 3,257 restricted
+    /// filters under 3,544 include domains, at most 3 under one, beside
+    /// 13,299 token-table keys. The host index files the gate under
+    /// exactly these domains and buckets.
+    #[test]
+    fn corpus_gate_shape_is_pinned() {
+        let st = crate::corpus_engine(2015).tail_stats();
+        assert_eq!(
+            (
+                st.restricted_filters,
+                st.restricted_domains,
+                st.restricted_bucket_max,
+                st.token_count
+            ),
+            (3257, 3544, 3, 13_299)
+        );
+    }
+
     /// The candidate stage on the corpus lists, where its cost lives:
     /// the 25 anchorless `@@$sitekey=…` filters (4 keys, §4) are no
     /// one's candidates but a keyed request's. 27.6 candidates per

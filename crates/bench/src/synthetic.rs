@@ -114,7 +114,7 @@ pub fn adversarial_untokenized_list(anchored: usize, hostile: usize) -> FilterLi
 /// rule), the scoped rules sit on deep suffixes with per-subdomain
 /// exception chains (cancellation links walked per query), and the
 /// query population below ([`hiding_hostile_domains`]) is dominated by
-/// near-miss suffixes that walk the scope trie without ever matching.
+/// near-miss hosts that probe the host index without ever matching.
 pub fn hiding_hostile_lists() -> (FilterList, FilterList) {
     let mut bl = String::new();
     let mut wl = String::new();
@@ -254,8 +254,9 @@ mod tests {
         }
     }
 
-    /// Near-miss suffixes stop at the same trie node, so the hostile
-    /// query mix must be served from memoized plans, not rebuilt.
+    /// Near-miss hosts match no element-rule domain and share the
+    /// root's plan key, so the hostile query mix must be served from
+    /// memoized plans, not rebuilt.
     #[test]
     fn hiding_plans_serve_the_hostile_query_mix() {
         let (bl, wl) = hiding_hostile_lists();

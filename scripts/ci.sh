@@ -48,10 +48,13 @@ done
 echo "==> urlkit differential at 4096 cases (byte-level Url::parse and registrable_domain_str = the char-pattern reference)"
 PROPTEST_CASES=4096 cargo test -q --release -p urlkit
 
-echo "==> abp at 4096 cases in release (engine differential, whole-token soundness, token table = reference walk)"
+echo "==> abp at 4096 cases in release (engine differential, whole-token soundness, token table = reference walk, host index = linear suffix reference)"
 # The token table's candidates, and the whole-token property of
-# Pattern::tokens it rests on, checked under the optimizer that serves
-# them; the engine differential arms run here in release too.
+# Pattern::tokens it rests on, and the host index (gate and scope hits
+# equal a linear urlkit::is_same_or_subdomain_of walk over every
+# registered domain; hosts sharing a plan key are alike to every element
+# rule), checked under the optimizer that serves them; the engine
+# differential arms run here in release too.
 PROPTEST_CASES=4096 cargo test -q --release -p abp
 
 echo "==> abpd wire_equivalence at 4096 cases in release (hot codec = serde, canonical readers = field walker, foreign reply layouts)"
