@@ -49,11 +49,12 @@
 //!   is a pure function of the subscribed lists, not of index layout,
 //!   and a masked subscription subset sees exactly the order its own
 //!   compiled engine would produce;
-//! * `$document`/`$elemhide` page gates get their own prebuilt id list
-//!   behind a second anchor automaton, and `domain=`-scoped element
-//!   rules are filed in the same [`HostIndex`], with precompiled
-//!   selector-cancellation links, so page-level queries touch only
-//!   plausible rules and never build a per-query selector set;
+//! * `$document`/`$elemhide` page gates are allow request filters, so
+//!   the document request runs the same candidate stage and evaluates
+//!   only its gate candidates; `domain=`-scoped element rules are filed
+//!   in the same [`HostIndex`], with precompiled selector-cancellation
+//!   links, so page-level queries touch only plausible rules and never
+//!   build a per-query selector set;
 //! * the hiding outcome depends on the host only through its *plan
 //!   key* (the deepest element-rule domain it matches) and on the
 //!   tenant only through its *class* (the tenant's bits among the lists
@@ -266,7 +267,8 @@ struct TailCounters {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TailStats {
     /// Untokenized tail candidates that reached the required-literal
-    /// mask check.
+    /// mask check. Request and document queries share the candidate
+    /// stage, so both count.
     pub prefilter_checked: u64,
     /// Of those, candidates rejected by the mask without touching
     /// `Pattern::matches`.
@@ -377,20 +379,20 @@ impl PlanMemo {
 }
 
 /// One sitekey's anchorless filters, as ranks into the lists whose
-/// always-scan share they would otherwise be: `block_untok`,
-/// `allow_untok` and `doc_gate`.
+/// always-scan share they would otherwise be: `block_untok` and
+/// `allow_untok`.
 #[derive(Debug, Clone, Default)]
 struct SitekeyRanks {
     block: Vec<u32>,
     allow: Vec<u32>,
-    doc: Vec<u32>,
 }
 
 /// The immutable matching snapshot compiled from the engine's builders:
 /// the token table, the tail anchor automaton, the host index (the
-/// first-party gate, element-rule scopes and hiding-plan keys), the
-/// `$document`/`$elemhide` gate automaton, and precompiled
-/// selector-cancellation links.
+/// first-party gate, element-rule scopes and hiding-plan keys), and
+/// precompiled selector-cancellation links. The `$document`/`$elemhide`
+/// gate has no index of its own: its filters are allow request
+/// filters, found by the same candidate stage.
 #[derive(Debug, Clone)]
 struct Compiled {
     /// Both sides' token buckets: the candidates a URL token hands over.
@@ -421,15 +423,6 @@ struct Compiled {
     /// never occur are rejected without touching `Pattern::matches`.
     block_tail_req: Vec<u128>,
     allow_tail_req: Vec<u128>,
-    /// Ids of allow filters carrying `$document` or `$elemhide`, in id
-    /// order — the only filters `document_allowlist` must evaluate.
-    doc_gate: Vec<u32>,
-    /// Anchor automaton over the gate filters; values are ranks into
-    /// `doc_gate`.
-    doc_auto: Automaton,
-    /// Gate ranks with no extractable anchor and no sitekey: evaluated
-    /// for every document.
-    doc_always: Vec<u32>,
     /// Anchorless sitekey filters (`@@$sitekey=K,document` and kin),
     /// filed under each of their keys instead of in the always-scan
     /// lists above. Such a filter matches only a request whose verified
@@ -550,27 +543,6 @@ impl Compiled {
             }
         }
 
-        // $document/$elemhide gates: prefiltered by their own automaton,
-        // with values as ranks into the id-ordered gate list (sorted
-        // ranks restore evaluation order).
-        let mut doc_gate = Vec::new();
-        for (id, sf) in engine.request_filters.iter().enumerate() {
-            if sf.filter.action == FilterAction::Allow
-                && (sf.filter.options.document || sf.filter.options.elemhide)
-            {
-                doc_gate.push(id as u32);
-            }
-        }
-        let mut doc_auto = AutomatonBuilder::new();
-        let mut doc_always = Vec::new();
-        for (rank, &id) in doc_gate.iter().enumerate() {
-            let sf = &engine.request_filters[id as usize];
-            match sf.filter.pattern.anchor() {
-                Some(a) => doc_auto.add(&a, 0, rank as u32),
-                None => doc_always.push(rank as u32),
-            }
-        }
-
         // Anchorless sitekey filters leave the always-scan lists for the
         // index under each of their keys (`sitekey=A|B` under both). A
         // rank keeps its list's meaning, so a keyed request merges its
@@ -595,7 +567,6 @@ impl Compiled {
         file_by_key(&mut allow_always, &engine.allow_builder.untokenized, |s| {
             &mut s.allow
         });
-        file_by_key(&mut doc_always, &doc_gate, |s| &mut s.doc);
 
         // Element rules: generic ones in one id-ordered list, scoped ones
         // under their include domains. Every domain an element rule
@@ -653,9 +624,6 @@ impl Compiled {
             allow_always,
             block_tail_req,
             allow_tail_req,
-            doc_gate,
-            doc_auto: doc_auto.build(),
-            doc_always,
             sitekeyed,
             elem_generic,
             cancel_starts,
@@ -718,9 +686,8 @@ impl MatchScratch {
 }
 
 thread_local! {
-    /// Per-thread scratch so single `match_request` calls reuse the
-    /// hit allocations across calls, like `match_many` does within a
-    /// batch.
+    /// Per-thread scratch so every `match_request` and
+    /// `document_allowlist` call reuses the hit allocations of the last.
     static SCRATCH: RefCell<MatchScratch> = RefCell::new(MatchScratch::default());
 
     /// Per-thread lowercase scratch for first-party hosts on the
@@ -1002,35 +969,6 @@ impl Engine {
     pub fn request_filter_parts(&self, id: u32) -> (&str, ListSource, bool) {
         let sf = &self.request_filters[id as usize];
         (&sf.raw, sf.source, sf.filter.options.donottrack)
-    }
-
-    /// Evaluate a batch of requests in order. Produces exactly the
-    /// outcomes `match_request` would, but reuses the token and
-    /// dedup scratch allocations across requests, which matters at
-    /// service throughput (one call per page, not per request).
-    pub fn match_many(&self, reqs: &[Request]) -> Vec<RequestOutcome> {
-        SCRATCH.with(|s| {
-            let scratch = &mut s.borrow_mut();
-            reqs.iter()
-                .map(|req| self.match_request_with(req, u64::MAX, scratch))
-                .collect()
-        })
-    }
-
-    /// Evaluate one request per tenant in order — the multi-tenant
-    /// analogue of [`Engine::match_many`]. `reqs` and `tenants` must
-    /// be the same length; element `i` is evaluated exactly as
-    /// [`Engine::match_request_masked`] with `tenants[i]` would, with
-    /// the scratch allocations reused across the batch.
-    pub fn match_many_masked(&self, reqs: &[Request], tenants: &[u64]) -> Vec<RequestOutcome> {
-        assert_eq!(reqs.len(), tenants.len(), "one tenant mask per request");
-        SCRATCH.with(|s| {
-            let scratch = &mut s.borrow_mut();
-            reqs.iter()
-                .zip(tenants)
-                .map(|(req, &tenant)| self.match_request_with(req, tenant, scratch))
-                .collect()
-        })
     }
 
     /// The candidate stage: leave in `scratch.block_hits` /
@@ -1358,11 +1296,13 @@ impl Engine {
     /// Evaluate page-level gates (`$document`, `$elemhide`, sitekeys)
     /// against the top-level document request.
     ///
-    /// Only the prebuilt `$document`/`$elemhide` gate filters are
-    /// evaluated — not the whole filter set — and of those, only the
-    /// ones whose literal anchor occurs in the document URL, plus the
-    /// anchorless always-scan few and the anchorless sitekey gates filed
-    /// under the document's verified key.
+    /// Every gate filter is an allow request filter, so the request
+    /// path's candidate stage finds it: by URL token, tail anchor,
+    /// always-scan or the document's verified key, or through the
+    /// first-party gate when it names `domain=` includes. The stage
+    /// never reads the resource type. Of the allow candidates, in id
+    /// order, only those carrying `$document` or `$elemhide` are
+    /// evaluated, type aside.
     pub fn document_allowlist(&self, doc_req: &Request) -> DocumentStatus {
         self.document_allowlist_masked(doc_req, u64::MAX)
     }
@@ -1375,53 +1315,45 @@ impl Engine {
         if tenant == 0 {
             return status;
         }
-        let compiled = self.compiled();
         let mut subject: Option<IStr> = None;
-        let mut ranks: Vec<u32> = Vec::with_capacity(compiled.doc_always.len());
-        compiled
-            .doc_auto
-            .scan(doc_req.url_lower.as_bytes(), |_group, rank| {
-                ranks.push(rank)
-            });
-        // `doc_gate` is in id order, so sorted ranks restore the exact
-        // evaluation order the unfiltered loop had.
-        ranks.extend_from_slice(&compiled.doc_always);
-        if let Some(keyed) = compiled.keyed_ranks(doc_req) {
-            ranks.extend_from_slice(&keyed.doc);
-        }
-        ranks.sort_unstable();
-        ranks.dedup();
-        for &rank in &ranks {
-            let id = compiled.doc_gate[rank as usize];
-            let sf = &self.request_filters[id as usize];
-            if sf.mask & tenant == 0 || !sf.filter.matches_ignoring_type(doc_req) {
-                continue;
+        SCRATCH.with(|s| {
+            let scratch = &mut s.borrow_mut();
+            self.collect_candidates(doc_req, scratch);
+            for &id in &scratch.allow_hits {
+                let sf = &self.request_filters[id as usize];
+                let opts = &sf.filter.options;
+                if !(opts.document || opts.elemhide)
+                    || sf.mask & tenant == 0
+                    || !sf.filter.matches_ignoring_type(doc_req)
+                {
+                    continue;
+                }
+                let kind = if sf.filter.is_sitekey() {
+                    MatchKind::SitekeyAllow
+                } else {
+                    MatchKind::DocumentAllow
+                };
+                let subject = subject.get_or_insert_with(|| IStr::from(doc_req.url.as_str()));
+                if opts.document {
+                    status.document_allow.push(Activation {
+                        filter: sf.raw.clone(),
+                        source: sf.source,
+                        kind,
+                        subject: subject.clone(),
+                        donottrack: opts.donottrack,
+                    });
+                }
+                if opts.elemhide {
+                    status.elemhide_allow.push(Activation {
+                        filter: sf.raw.clone(),
+                        source: sf.source,
+                        kind: MatchKind::ElemhideAllow,
+                        subject: subject.clone(),
+                        donottrack: opts.donottrack,
+                    });
+                }
             }
-            let kind = if sf.filter.is_sitekey() {
-                MatchKind::SitekeyAllow
-            } else {
-                MatchKind::DocumentAllow
-            };
-            let subject = subject.get_or_insert_with(|| IStr::from(doc_req.url.as_str()));
-            if sf.filter.options.document {
-                status.document_allow.push(Activation {
-                    filter: sf.raw.clone(),
-                    source: sf.source,
-                    kind,
-                    subject: subject.clone(),
-                    donottrack: sf.filter.options.donottrack,
-                });
-            }
-            if sf.filter.options.elemhide {
-                status.elemhide_allow.push(Activation {
-                    filter: sf.raw.clone(),
-                    source: sf.source,
-                    kind: MatchKind::ElemhideAllow,
-                    subject: subject.clone(),
-                    donottrack: sf.filter.options.donottrack,
-                });
-            }
-        }
+        });
         status
     }
 
@@ -2013,38 +1945,6 @@ reddit.com#@##siteTable_organic
     }
 
     #[test]
-    fn match_many_agrees_with_match_request() {
-        let e = engine();
-        let reqs = vec![
-            req(
-                "http://ad.doubleclick.net/x.js",
-                "example.com",
-                ResourceType::Script,
-            ),
-            req(
-                "http://static.adzerk.net/reddit/ads.html",
-                "www.reddit.com",
-                ResourceType::Subdocument,
-            ),
-            req(
-                "https://example.com/style.css",
-                "example.com",
-                ResourceType::Stylesheet,
-            ),
-            req(
-                "https://fonts.gstatic.com/s/roboto.woff",
-                "example.com",
-                ResourceType::Other,
-            ),
-        ];
-        let batched = e.match_many(&reqs);
-        assert_eq!(batched.len(), reqs.len());
-        for (r, b) in reqs.iter().zip(&batched) {
-            assert_eq!(&e.match_request(r), b);
-        }
-    }
-
-    #[test]
     fn wildcard_pattern_reachable_via_untokenized_bucket() {
         // A filter whose only literal parts touch wildcards has no tokens;
         // it must still match via the untokenized tail — here through the
@@ -2145,6 +2045,11 @@ reddit.com#@##siteTable_organic
             let status = e.document_allowlist(&doc);
             assert!(status.whole_page_allowed(), "pub{i}");
             assert_eq!(status.document_allow.len(), 1);
+            // The candidate stage hands over this host's gate and at
+            // most `pub0`'s, filed under the longer token `example` when
+            // neither of its tokens had a bucket yet: not all 51.
+            let (block, allow) = e.candidate_count(&doc);
+            assert!(block == 0 && allow <= 2, "pub{i}: {allow} candidates");
         }
         let doc = Request::document("http://other.example/")
             .unwrap()
@@ -2535,27 +2440,6 @@ reddit.com#@##siteTable_organic
             e.match_request_masked(&r("d.example"), 4).decision,
             Decision::Block
         );
-    }
-
-    #[test]
-    fn match_many_masked_equals_per_request_masked_path() {
-        let e = engine();
-        let reqs: Vec<Request> = [
-            "https://ads.example.com/banner.png",
-            "https://cdn.site.example/app.js",
-            "https://tracker.example.net/pixel.gif",
-            "https://site.example/index.html",
-        ]
-        .iter()
-        .map(|u| Request::new(u, "https://site.example/", ResourceType::Image).unwrap())
-        .collect();
-        let tenants = [u64::MAX, 0b01, 0, 0b10];
-        let batch = e.match_many_masked(&reqs, &tenants);
-        for ((req, &tenant), got) in reqs.iter().zip(&tenants).zip(&batch) {
-            let want = e.match_request_masked(req, tenant);
-            assert_eq!(want.decision, got.decision);
-            assert_eq!(want.activations, got.activations);
-        }
     }
 
     #[test]

@@ -571,9 +571,10 @@ mod host_index_props {
 }
 
 /// Differential test: the compiled engine (CSR token index, stamped
-/// dedup, domain-bucketed element rules, prebuilt document gates) must
-/// agree with a brute-force reference matcher that linearly evaluates
-/// every filter, on randomly generated lists × requests.
+/// dedup, domain-bucketed element rules, document gates through the
+/// request candidate stage) must agree with a brute-force reference
+/// matcher that linearly evaluates every filter, on randomly generated
+/// lists × requests.
 ///
 /// The vendored `proptest!` macro runs `proptest::cases()` (default 64)
 /// cases, so this suite drives its own deterministic loop to guarantee
@@ -751,9 +752,17 @@ mod differential {
     }
 
     /// A top-level document request for a pool host, keyed like
-    /// [`random_request`].
+    /// [`random_request`]: the site's root, or a page on it with a path
+    /// and sometimes a query, so gates found by a URL token or a tail
+    /// anchor past the host are exercised too.
     fn random_document(rng: &mut TestRng) -> Request {
-        let doc = Request::document(&format!("http://{}/", pool_host(rng))).unwrap();
+        let host = pool_host(rng);
+        let url = match rng.below(3) {
+            0 => format!("http://{host}/"),
+            1 => format!("http://{host}{}", pool_path(rng)),
+            _ => format!("http://{host}{}?{}", pool_path(rng), &pool_path(rng)[1..]),
+        };
+        let doc = Request::document(&url).unwrap();
         with_sitekey(doc, request_sitekey(rng))
     }
 
@@ -809,7 +818,7 @@ mod differential {
     }
 
     /// Brute-force `$document`/`$elemhide` gate evaluation over every
-    /// filter (what `document_allowlist` did before the prebuilt index).
+    /// filter, with no candidate stage.
     fn reference_document(lists: &[&FilterList], doc: &Request) -> DocumentStatus {
         let mut status = DocumentStatus::default();
         for list in lists {
@@ -922,9 +931,6 @@ mod differential {
                         .all(|a| a.kind.is_exception()),
                     "case {case}: exception activation ordered before a block"
                 );
-                // Batched evaluation agrees with one-at-a-time exactly.
-                let batched = engine.match_many(std::slice::from_ref(&req));
-                assert_eq!(batched[0], got, "case {case}: match_many diverged");
             }
 
             // Document gates agree with the full-scan reference, in
@@ -1025,10 +1031,8 @@ mod differential {
                     .collect();
                 let subset = Engine::from_lists(subset_lists.iter().copied());
 
-                let reqs: Vec<Request> = (0..3).map(|_| random_request(&mut rng)).collect();
-                let tenants = vec![mask; reqs.len()];
-                let batched = union.match_many_masked(&reqs, &tenants);
-                for (req, from_batch) in reqs.iter().zip(&batched) {
+                for _ in 0..3 {
+                    let req = &random_request(&mut rng);
                     let got = union.match_request_masked(req, mask);
                     let want = subset.match_request(req);
                     assert_eq!(
@@ -1041,10 +1045,6 @@ mod differential {
                         got,
                         reference_match(&subset_lists, req),
                         "pair {pairs}: mask {mask:#b} left the linear reference for {req:?}"
-                    );
-                    assert_eq!(
-                        *from_batch, got,
-                        "pair {pairs}: match_many_masked diverged from per-request path"
                     );
                     // Byte-identical on the wire, not merely Eq.
                     assert_eq!(
@@ -1248,15 +1248,20 @@ mod differential {
                 }
             }
 
-            // Page gates on a gate site's own document, keyed or not.
+            // Page gates on a gate site's own document (its root or a
+            // page the shared patterns match), keyed or not, and on a
+            // random document.
             let site = GATE_SITES[rng.usize_in(0, GATE_SITES.len())];
-            let doc = Request::document(&format!("http://{site}/")).unwrap();
+            let page = ["/", "/banner/top.html", "/pagead/x?banner=1"][rng.usize_in(0, 3)];
+            let doc = Request::document(&format!("http://{site}{page}")).unwrap();
             let doc = with_sitekey(doc, request_sitekey(&mut rng));
-            assert_eq!(
-                engine.document_allowlist(&doc),
-                reference_document(&refs, &doc),
-                "case {case}: document gates diverged on {doc:?}"
-            );
+            for doc in [doc, random_document(&mut rng)] {
+                assert_eq!(
+                    engine.document_allowlist(&doc),
+                    reference_document(&refs, &doc),
+                    "case {case}: document gates diverged on {doc:?}"
+                );
+            }
         }
     }
 

@@ -4,27 +4,28 @@
 //!
 //! The request set is the first 65,536 *distinct* requests of the
 //! browsing stream on the corpus lists — what a cache miss sees, and
-//! what `benchmark/`'s `abp.request_new_ns` / `abp.match_ns` rows time —
-//! so the engine-layer split of a miss (`Request::new` into `Url::parse`
-//! and `same_party`, then `match_request` into its candidate stage and
-//! evaluation, and `match_request_masked` under `serve-cold`'s tenant
-//! masks) can be re-read without the harness, beside the hiding path
-//! for the same first parties (`hiding_for_domain` from a warm plan
-//! memo, then `hiding_for_domain_masked` under those masks, with the
-//! memo's fill and evictions). The served miss is timed
-//! as `serve-cold` runs it: the first 262,144 distinct requests, each
-//! with its tenant mask, cycling through one shard with the default
-//! 65,536-entry cache, so that every decision misses and evicts — first
-//! the cache insert alone, then `decide_batch_local` whole. Its first
-//! 16,384 are
-//! the shape of `serve-hot`'s hot set: the codec stages run over those
-//! in the workloads' 256-element framing (`benchmark/`'s four
-//! `wire.*_ns` rows, then the proxy's two reads of the same lines, and
-//! the reply decode once more on lines in a layout no writer produces,
-//! which the field walker reads instead of the canonical readers), and
-//! a hit pass splits what `benchmark/` can only show as
-//! `service.decide_hit_ns` into digest, cache read (verify and copy the
-//! cached reply bytes), clock and metrics, then times
+//! what `benchmark/`'s `abp.request_new_ns` / `abp.match_ns` rows time
+//! — so the engine-layer split of a miss (`Request::new` into
+//! `Url::parse` and `same_party`, then `match_request` into its
+//! candidate stage and evaluation, and `match_request_masked` under
+//! `serve-cold`'s tenant masks) can be re-read without the harness,
+//! beside the hiding path for the same first parties
+//! (`hiding_for_domain` from a warm plan memo, then
+//! `hiding_for_domain_masked` under those masks, with the memo's fill
+//! and evictions) and the page gate on their documents
+//! (`document_allowlist` on `http://{first party}/`). The served miss
+//! is timed as `serve-cold` runs it: the first 262,144 distinct
+//! requests, each with its tenant mask, cycling through one shard with
+//! the default 65,536-entry cache, so that every decision misses and
+//! evicts — first the cache insert alone, then `decide_batch_local`
+//! whole. Its first 16,384 are the shape of `serve-hot`'s hot set: the
+//! codec stages run over those in the workloads' 256-element framing
+//! (`benchmark/`'s four `wire.*_ns` rows, then the proxy's two reads of
+//! the same lines, and the reply decode once more on lines in a layout
+//! no writer produces, which the field walker reads instead of the
+//! canonical readers), and a hit pass splits what `benchmark/` can only
+//! show as `service.decide_hit_ns` into digest, cache read (verify and
+//! copy the cached reply bytes), clock and metrics, then times
 //! `decide_batch_local` with its reply line framed: the daemon's whole
 //! share of a hit between request parse and socket. Engine and hot-set
 //! figures alike are ns per item, fastest of [`ROUNDS`] passes; the
@@ -243,7 +244,18 @@ fn main() {
     hide(true);
     let hiding_masked = best_of(n, || hide(true));
     let memo = engine.tail_stats();
-    let outcomes = engine.match_many(&built);
+    // The page gate on each request's first party as a document.
+    let docs: Vec<abp::Request> = first_parties
+        .iter()
+        .map(|fp| abp::Request::document(&format!("http://{fp}/")).unwrap())
+        .collect();
+    let doc_gate = best_of(n, || {
+        for d in &docs {
+            black_box(engine.document_allowlist(black_box(d)));
+        }
+    });
+    let outcomes: Vec<abp::RequestOutcome> =
+        built.iter().map(|r| engine.match_request(r)).collect();
     let activations: usize = outcomes.iter().map(|o| o.activations.len()).sum();
     let (block, allow) = built.iter().fold((0, 0), |(b, a), r| {
         let (cb, ca) = engine.candidate_count(r);
@@ -271,6 +283,9 @@ fn main() {
         "    ..._masked         {hiding_masked:6.1}   (serve-cold's tenant masks; the memo holds {} of \
          {} plans, {} evicted)",
         memo.hiding_plans, memo.hiding_plan_cap, memo.hiding_plan_evictions
+    );
+    println!(
+        "  document_allowlist   {doc_gate:6.1}   (the first parties as http://{{fp}}/, ns/doc)"
     );
 
     // Miss path at steady state, as `serve-cold` runs it: the cold set

@@ -241,7 +241,9 @@ mod tests {
         let reqs = requests(2_000);
         for (anchored, hostile) in [(375, 25), (0, 200)] {
             let engine = Engine::from_lists([&adversarial_untokenized_list(anchored, hostile)]);
-            engine.match_many(&reqs);
+            for r in &reqs {
+                engine.match_request(r);
+            }
             let st = engine.tail_stats();
             assert!(
                 st.prefilter_checked > 0,
@@ -282,7 +284,9 @@ mod tests {
         let engine = Engine::from_lists([&bl, &wl]);
         let reqs = requests(10_000);
         let masks: Vec<u64> = TenantPopulation::new(2015, 10_000).masks().collect();
-        engine.match_many_masked(&reqs, &masks);
+        for (r, &mask) in reqs.iter().zip(&masks) {
+            engine.match_request_masked(r, mask);
+        }
         assert_eq!(engine.compile_count(), 1);
     }
 }

@@ -9,6 +9,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo build --release -p bench --benches (compile only)"
+# Nothing else builds crates/bench/benches: a change to the engine API
+# they call must fail here, not at the next `cargo bench`.
+cargo build --release -p bench --benches
+
 echo "==> cargo test -q"
 cargo test -q
 
