@@ -252,7 +252,7 @@ const GROUP_LIT: u8 = 2;
 const LIT_LANES: u32 = 128;
 
 /// Monotonic tail-path counters, shared by clones of a compiled
-/// snapshot (relaxed atomics: these feed rates in bench output, not
+/// snapshot (relaxed atomics: these feed counter reports, not
 /// cross-thread ordering).
 #[derive(Debug, Default)]
 struct TailCounters {
@@ -881,8 +881,8 @@ impl Engine {
 
     /// How many times this engine — and every clone of it, which shares
     /// the counter — compiled its matching snapshot. One compiled core
-    /// serving N tenant masks reads 1; the multi-tenant bench and the
-    /// survey gate on that.
+    /// serving N tenant masks reads 1; the tenant-population drill and
+    /// the survey gate on that.
     pub fn compile_count(&self) -> u64 {
         self.compiles.load(Ordering::Relaxed)
     }

@@ -1,16 +1,74 @@
-//! Deterministic synthetic filter lists and request traffic at service
-//! scale (10k filters × 100k URLs), each list built to stress one
-//! engine mechanism. The Criterion groups in `benches/engine_micro.rs`
-//! time them; the tests below hold the prefilter, hiding-plan and
-//! single-compile guarantees as counter assertions.
+//! Synthetic filter lists and request traffic at service scale (10k
+//! filters × 10k requests), each list built to stress one engine
+//! mechanism, and the drills that hold the prefilter, hiding-plan and
+//! single-compile guarantees on them as counter assertions.
 
-use abp::{FilterList, ListSource, Request, ResourceType};
+use abp::{Engine, FilterList, ListSource, Request, ResourceType};
 use sitekey::rng::SplitMix64;
+use websim::traffic::TenantPopulation;
+
+/// Neither adversarial list has a filter whose literals all occur in
+/// the synthetic traffic, so the required-literal prefilter must
+/// reject every tail candidate it checks: one that reaches
+/// `Pattern::matches` is the always-scan tail coming back.
+#[test]
+fn prefilter_rejects_every_hostile_tail_candidate() {
+    let reqs = requests(2_000);
+    for (anchored, hostile) in [(375, 25), (0, 200)] {
+        let engine = Engine::from_lists([&adversarial_untokenized_list(anchored, hostile)]);
+        for r in &reqs {
+            engine.match_request(r);
+        }
+        let st = engine.tail_stats();
+        assert!(
+            st.prefilter_checked > 0,
+            "({anchored}, {hostile}): no tail candidate reached the prefilter"
+        );
+        assert_eq!(
+            st.prefilter_rejected, st.prefilter_checked,
+            "({anchored}, {hostile}): a tail candidate got past the prefilter"
+        );
+    }
+}
+
+/// Near-miss hosts match no element-rule domain and share the
+/// root's plan key, so the hostile query mix must be served from
+/// memoized plans, not rebuilt.
+#[test]
+fn hiding_plans_serve_the_hostile_query_mix() {
+    let (bl, wl) = hiding_hostile_lists();
+    let engine = Engine::from_lists([&bl, &wl]);
+    for d in hiding_hostile_domains(1_000) {
+        engine.hiding_for_domain(&d);
+    }
+    let st = engine.tail_stats();
+    assert_eq!(st.hiding_queries, 1_000);
+    assert!(
+        st.hiding_plan_hits * 10 >= st.hiding_queries * 9,
+        "hiding plans hit only {} of {} queries",
+        st.hiding_plan_hits,
+        st.hiding_queries
+    );
+}
+
+/// One compiled engine serves a whole subscription population: the
+/// only per-tenant state is the mask the caller holds.
+#[test]
+fn tenant_population_is_served_by_one_compile() {
+    let (bl, wl) = lists_10k();
+    let engine = Engine::from_lists([&bl, &wl]);
+    let reqs = requests(10_000);
+    let masks: Vec<u64> = TenantPopulation::new(2015, 10_000).masks().collect();
+    for (r, &mask) in reqs.iter().zip(&masks) {
+        engine.match_request_masked(r, mask);
+    }
+    assert_eq!(engine.compile_count(), 1);
+}
 
 /// Deterministic 10k-filter list pair: host-anchored blocks, path
 /// filters, restricted filters, exceptions, `$document`/`$elemhide`
 /// page gates, plus generic and domain-scoped element rules.
-pub fn lists_10k() -> (FilterList, FilterList) {
+fn lists_10k() -> (FilterList, FilterList) {
     let mut bl = String::new();
     let mut wl = String::new();
     for i in 0..7_000 {
@@ -59,17 +117,6 @@ pub fn lists_10k() -> (FilterList, FilterList) {
     )
 }
 
-/// An untokenized-only list (wildcard-bracketed rare needles): every
-/// filter is a candidate for every request — the token index's worst
-/// case.
-pub fn untokenized_list(n: usize) -> FilterList {
-    let mut text = String::new();
-    for i in 0..n {
-        text.push_str(&format!("*wj{i}k*\n"));
-    }
-    FilterList::parse(ListSource::EasyList, &text)
-}
-
 /// An adversarial untokenized corpus: `anchored` wildcard-bracketed
 /// filters whose literal fragments never occur in the synthetic URLs
 /// (prunable by a literal prefilter, but scanned in full by a bucket
@@ -79,7 +126,7 @@ pub fn untokenized_list(n: usize) -> FilterList {
 ///
 /// EasyList's real wildcard long tail is overwhelmingly of the first
 /// kind, so the ratio defaults callers pass should keep `hostile` small.
-pub fn adversarial_untokenized_list(anchored: usize, hostile: usize) -> FilterList {
+fn adversarial_untokenized_list(anchored: usize, hostile: usize) -> FilterList {
     let mut text = String::new();
     for i in 0..anchored {
         match i % 3 {
@@ -115,7 +162,7 @@ pub fn adversarial_untokenized_list(anchored: usize, hostile: usize) -> FilterLi
 /// exception chains (cancellation links walked per query), and the
 /// query population below ([`hiding_hostile_domains`]) is dominated by
 /// near-miss hosts that probe the host index without ever matching.
-pub fn hiding_hostile_lists() -> (FilterList, FilterList) {
+fn hiding_hostile_lists() -> (FilterList, FilterList) {
     let mut bl = String::new();
     let mut wl = String::new();
     // Conditional generic hides: each excluded on two opt-out hosts.
@@ -147,7 +194,7 @@ pub fn hiding_hostile_lists() -> (FilterList, FilterList) {
 /// exception subdomains themselves, opt-out hosts carrying the generic
 /// excludes, and a large population of near-miss suffixes that share
 /// the `hostile.example` tail but match no scope.
-pub fn hiding_hostile_domains(n: usize) -> Vec<String> {
+fn hiding_hostile_domains(n: usize) -> Vec<String> {
     (0..n)
         .map(|i| match i % 4 {
             0 => format!("s{}.hostile.example", i % 120),
@@ -161,7 +208,7 @@ pub fn hiding_hostile_domains(n: usize) -> Vec<String> {
 /// `n` deterministic requests: ~10% hit ad hosts in [`lists_10k`], the
 /// rest benign URLs with varied token vocabularies (the realistic
 /// mostly-miss traffic shape).
-pub fn requests(n: usize) -> Vec<Request> {
+fn requests(n: usize) -> Vec<Request> {
     let mut rng = SplitMix64::new(0x5eed_2015);
     let types = [
         ResourceType::Image,
@@ -197,96 +244,4 @@ pub fn requests(n: usize) -> Vec<Request> {
         out.push(Request::new(&url, &first, ty).expect("synthetic url parses"));
     }
     out
-}
-
-/// Top-level document requests for the `document_allowlist` path: a
-/// spread of gated (`pub{i}`/`forum{i}`) and ungated hosts.
-pub fn document_requests(n: usize) -> Vec<Request> {
-    let mut rng = SplitMix64::new(7);
-    (0..n)
-        .map(|i| {
-            let url = match i % 5 {
-                0 => format!("http://pub{}.example/", rng.below(100)),
-                1 => format!("http://forum{}.example/", rng.below(100)),
-                _ => format!("http://news{}.example/front/page{}", rng.below(1_000), i),
-            };
-            Request::document(&url).expect("doc url parses")
-        })
-        .collect()
-}
-
-/// First-party domains for the hiding paths: a mix of domains with
-/// scoped rules (`site{i}`) and without (`news{i}`).
-pub fn hiding_domains(n: usize) -> Vec<String> {
-    (0..n)
-        .map(|i| match i % 3 {
-            0 => format!("site{}.example", i % 500),
-            _ => format!("news{}.example", i % 1_000),
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use abp::Engine;
-    use websim::traffic::TenantPopulation;
-
-    /// Neither adversarial list has a filter whose literals all occur in
-    /// the synthetic traffic, so the required-literal prefilter must
-    /// reject every tail candidate it checks: one that reaches
-    /// `Pattern::matches` is the always-scan tail coming back.
-    #[test]
-    fn prefilter_rejects_every_hostile_tail_candidate() {
-        let reqs = requests(2_000);
-        for (anchored, hostile) in [(375, 25), (0, 200)] {
-            let engine = Engine::from_lists([&adversarial_untokenized_list(anchored, hostile)]);
-            for r in &reqs {
-                engine.match_request(r);
-            }
-            let st = engine.tail_stats();
-            assert!(
-                st.prefilter_checked > 0,
-                "({anchored}, {hostile}): no tail candidate reached the prefilter"
-            );
-            assert_eq!(
-                st.prefilter_rejected, st.prefilter_checked,
-                "({anchored}, {hostile}): a tail candidate got past the prefilter"
-            );
-        }
-    }
-
-    /// Near-miss hosts match no element-rule domain and share the
-    /// root's plan key, so the hostile query mix must be served from
-    /// memoized plans, not rebuilt.
-    #[test]
-    fn hiding_plans_serve_the_hostile_query_mix() {
-        let (bl, wl) = hiding_hostile_lists();
-        let engine = Engine::from_lists([&bl, &wl]);
-        for d in hiding_hostile_domains(1_000) {
-            engine.hiding_for_domain(&d);
-        }
-        let st = engine.tail_stats();
-        assert_eq!(st.hiding_queries, 1_000);
-        assert!(
-            st.hiding_plan_hits * 10 >= st.hiding_queries * 9,
-            "hiding plans hit only {} of {} queries",
-            st.hiding_plan_hits,
-            st.hiding_queries
-        );
-    }
-
-    /// One compiled engine serves a whole subscription population: the
-    /// only per-tenant state is the mask the caller holds.
-    #[test]
-    fn tenant_population_is_served_by_one_compile() {
-        let (bl, wl) = lists_10k();
-        let engine = Engine::from_lists([&bl, &wl]);
-        let reqs = requests(10_000);
-        let masks: Vec<u64> = TenantPopulation::new(2015, 10_000).masks().collect();
-        for (r, &mask) in reqs.iter().zip(&masks) {
-            engine.match_request_masked(r, mask);
-        }
-        assert_eq!(engine.compile_count(), 1);
-    }
 }

@@ -168,6 +168,7 @@ const RETAINED_HISTORY: usize = 16;
 /// The list bodies the fleet currently serves, plus a bounded history
 /// of superseded states keyed by serving checksum. Populated by
 /// converged fan-out reloads; consulted by the prober's rejoin path.
+#[derive(Default)]
 struct RetainedBodies {
     current: Option<(u64, Arc<Vec<ReloadList>>)>,
     history: VecDeque<(u64, Arc<Vec<ReloadList>>)>,
@@ -190,14 +191,8 @@ impl RetainedBodies {
     /// Make `(checksum, lists)` the current state, demoting the old
     /// current into the bounded history.
     fn advance(&mut self, checksum: u64, lists: Arc<Vec<ReloadList>>) {
-        if let Some((old_ck, old)) = self.current.take() {
-            if old_ck != checksum {
-                self.history.retain(|(c, _)| *c != old_ck);
-                self.history.push_back((old_ck, old));
-                while self.history.len() > RETAINED_HISTORY {
-                    self.history.pop_front();
-                }
-            }
+        if let Some((old_ck, old)) = self.current.take().filter(|(ck, _)| *ck != checksum) {
+            self.demote(old_ck, old);
         }
         self.current = Some((checksum, lists));
     }
@@ -207,14 +202,18 @@ impl RetainedBodies {
     /// into history so the prober never "catches a shard up" to a
     /// state the fleet has already left (a rollback, not a rejoin).
     fn invalidate_if_stale(&mut self, checksum: u64) {
-        let stale = self.current.as_ref().is_some_and(|(ck, _)| *ck != checksum);
-        if stale {
-            let (old_ck, old) = self.current.take().expect("just checked");
-            self.history.retain(|(c, _)| *c != old_ck);
-            self.history.push_back((old_ck, old));
-            while self.history.len() > RETAINED_HISTORY {
-                self.history.pop_front();
-            }
+        if let Some((old_ck, old)) = self.current.take_if(|(ck, _)| *ck != checksum) {
+            self.demote(old_ck, old);
+        }
+    }
+
+    /// Push a superseded state as the newest history entry: one entry
+    /// per checksum, at most `RETAINED_HISTORY`, oldest dropped first.
+    fn demote(&mut self, checksum: u64, lists: Arc<Vec<ReloadList>>) {
+        self.history.retain(|(c, _)| *c != checksum);
+        self.history.push_back((checksum, lists));
+        while self.history.len() > RETAINED_HISTORY {
+            self.history.pop_front();
         }
     }
 }
@@ -406,10 +405,7 @@ impl Proxy {
             hedge_rate: config.hedge_budget_per_sec.max(0.0),
             hedge_burst: config.hedge_budget_burst.max(0.0),
             hedge_denied: AtomicU64::new(0),
-            retained: parking_lot::Mutex::new(RetainedBodies {
-                current: None,
-                history: VecDeque::new(),
-            }),
+            retained: parking_lot::Mutex::new(RetainedBodies::default()),
         });
 
         for slot in 0..shared.backends.len() {
@@ -1228,6 +1224,11 @@ fn fanout_reload(
     if let Some(e) = failure {
         return FanoutOutcome::Failed(e);
     }
+    // Cannot fire: at least one shard was tried, and every tried shard
+    // either set `report` or returned above.
+    let Some(report) = report else {
+        return FanoutOutcome::Failed("no shard reported its reload".to_string());
+    };
     // Every reached shard applied: verify they converged to one
     // checksum.
     let mut checksum: Option<u64> = None;
@@ -1276,7 +1277,7 @@ fn fanout_reload(
             _ => retained.invalidate_if_stale(c),
         }
     }
-    FanoutOutcome::Converged(report.expect("at least one shard reloaded"))
+    FanoutOutcome::Converged(report)
 }
 
 /// Aggregate fleet health: worst state wins, generation and reloads
@@ -1488,5 +1489,77 @@ fn handle_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr) {
         if writer.write_all(&out).is_err() {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use abp::ListSource;
+
+    fn bodies(tag: u64) -> Arc<Vec<ReloadList>> {
+        Arc::new(vec![ReloadList {
+            source: ListSource::EasyList,
+            content: format!("||ads{tag}.example^\n"),
+        }])
+    }
+
+    fn history(r: &RetainedBodies) -> Vec<u64> {
+        r.history.iter().map(|(c, _)| *c).collect()
+    }
+
+    #[test]
+    fn lookup_finds_current_and_historical_bodies() {
+        let mut r = RetainedBodies::default();
+        assert_eq!(r.lookup(1), None);
+        r.advance(1, bodies(1));
+        r.advance(2, bodies(2));
+        assert_eq!(r.lookup(2), Some(bodies(2)));
+        assert_eq!(r.lookup(1), Some(bodies(1)));
+        assert_eq!(r.lookup(3), None);
+    }
+
+    #[test]
+    fn history_holds_the_newest_retained_history_states() {
+        let mut r = RetainedBodies::default();
+        for ck in 1..=20 {
+            r.advance(ck, bodies(ck));
+        }
+        // 19 states were superseded; the oldest fell off the front.
+        let oldest_kept = 20 - RETAINED_HISTORY as u64;
+        assert_eq!(history(&r), (oldest_kept..20).collect::<Vec<_>>());
+        for ck in 1..oldest_kept {
+            assert_eq!(r.lookup(ck), None, "checksum {ck} outlived the bound");
+        }
+        assert_eq!(r.lookup(oldest_kept), Some(bodies(oldest_kept)));
+    }
+
+    #[test]
+    fn history_holds_each_checksum_once() {
+        let mut r = RetainedBodies::default();
+        r.advance(1, bodies(1));
+        r.advance(2, bodies(2));
+        r.advance(2, bodies(2));
+        assert_eq!(history(&r), [1]);
+        // A rollback to 1 and on to 3: 1 is demoted a second time and
+        // moves to the newest end instead of appearing twice.
+        r.advance(1, bodies(1));
+        r.advance(3, bodies(3));
+        assert_eq!(history(&r), [2, 1]);
+    }
+
+    #[test]
+    fn invalidate_if_stale_demotes_only_a_superseded_current() {
+        let mut r = RetainedBodies::default();
+        r.advance(1, bodies(1));
+        r.advance(2, bodies(2));
+        r.invalidate_if_stale(2);
+        assert_eq!(r.current, Some((2, bodies(2))));
+        assert_eq!(history(&r), [1]);
+        r.invalidate_if_stale(3);
+        assert_eq!(r.current, None);
+        assert_eq!(history(&r), [1, 2]);
+        assert_eq!(r.lookup(1), Some(bodies(1)));
+        assert_eq!(r.lookup(2), Some(bodies(2)));
     }
 }

@@ -5,7 +5,7 @@
 //! measured against the synthetic-but-calibrated substrate crates
 //! (`corpus`, `websim`, `crawler`, `sitekey`, …). Every table and
 //! figure of the evaluation has a regeneration entry point here; the
-//! `bench` crate and the examples drive them.
+//! `repro` binary and the examples drive them.
 //!
 //! | module | paper artifact |
 //! |--------|----------------|
@@ -47,7 +47,7 @@ pub mod survey_exp;
 pub mod transparency;
 pub mod undocumented;
 
-/// Common imports for the examples and benches.
+/// Common imports for the examples.
 pub mod prelude {
     pub use crate::history::{mine_history, HistoryReport};
     pub use crate::parked::{scan_table3, Table3Report};

@@ -9,11 +9,6 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo build --release -p bench --benches (compile only)"
-# Nothing else builds crates/bench/benches: a change to the engine API
-# they call must fail here, not at the next `cargo bench`.
-cargo build --release -p bench --benches
-
 echo "==> cargo test -q"
 cargo test -q
 
@@ -81,6 +76,20 @@ if grep -rnF "position(|&b| b == b'\n')" crates/abpd/src crates/abpd-proxy/src; 
 fi
 if grep -rln "allow(unsafe_code)" crates/abpd/src crates/abpd-proxy/src | grep -v '/poll\.rs$'; then
     echo "allow(unsafe_code) outside poll.rs" >&2
+    exit 1
+fi
+
+echo "==> one measurement stack: no criterion suite"
+# The paper's outputs come from repro and the examples, and the served
+# path is measured by benchmark/ alone: no workspace manifest declares
+# a [[bench]] target or names criterion, and the vendored criterion
+# stand-in stays deleted.
+if grep -rn --include=Cargo.toml -e '^\[\[bench\]\]' -e 'criterion' Cargo.toml crates vendor; then
+    echo "a criterion bench is back: measure in benchmark/, print paper outputs from repro or an example" >&2
+    exit 1
+fi
+if [ -e vendor/criterion ]; then
+    echo "vendor/criterion is back" >&2
     exit 1
 fi
 
