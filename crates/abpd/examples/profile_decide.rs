@@ -24,13 +24,15 @@
 //! the same lines, and the reply decode once more on lines in a layout
 //! no writer produces, which the field walker reads instead of the
 //! canonical readers), and a hit pass splits what `benchmark/` can only
-//! show as `service.decide_hit_ns` into digest, cache read (verify and
-//! copy the cached reply bytes), clock and metrics, then times
-//! `decide_batch_local` with its reply line framed: the daemon's whole
-//! share of a hit between request parse and socket. Engine and hot-set
-//! figures alike are ns per item, fastest of [`ROUNDS`] passes; the
-//! steady-state miss rows are the median of [`MISS_PASSES`] passes over
-//! the cold set, after one untimed pass has filled the cache.
+//! show as `service.decide_hit_ns` into digest, cache read (verify the
+//! entry and render the reply from its filter ids), clock and metrics,
+//! then times `decide_batch_local` with its reply line framed: the
+//! daemon's whole share of a hit between request parse and socket. It
+//! also prints the mean cache entry (header, key, filter-id payload)
+//! over the miss set and the hot set. Engine and hot-set figures alike are ns per item,
+//! fastest of [`ROUNDS`] passes; the steady-state miss rows are the
+//! median of [`MISS_PASSES`] passes over the cold set, after one
+//! untimed pass has filled the cache.
 
 use abpd::cache::{request_key_hash, LocalDecisionCache};
 use abpd::metrics::ReactorMetrics;
@@ -179,7 +181,6 @@ fn main() {
         shape.token_count,
         shape.token_bucket_max
     );
-
     // Miss path, engine layers, ns/request best of ROUNDS over all `n`
     // (warm: a round reuses what the one before it freed): Request::new,
     // then its two halves, then each request matched once.
@@ -288,10 +289,38 @@ fn main() {
         "  document_allowlist   {doc_gate:6.1}   (the first parties as http://{{fp}}/, ns/doc)"
     );
 
+    // What a miss memoizes of a request's outcome under `tenant`: its
+    // decision, and its filter ids and subject as the cache payload.
+    let payload_of = |r: &DecisionRequest, tenant: u64, out: &mut Vec<u8>| {
+        let req = new_request(r);
+        let mut matched = Vec::new();
+        let decision = engine.match_request_ids(&req, tenant, &mut matched);
+        assert!(wire::write_payload(&matched, req.url.as_str(), &r.url, out));
+        decision
+    };
+    // A cache entry's bytes: header, key fields, payload.
+    let entry_bytes = |r: &DecisionRequest, payload: &[u8]| {
+        abpd::cache::HEADER
+            + r.url.len()
+            + r.document.len()
+            + r.sitekey.as_ref().map_or(0, String::len)
+            + payload.len()
+    };
+    let mut payload = Vec::new();
+    let natural_entry = reqs
+        .iter()
+        .map(|r| {
+            payload_of(r, u64::MAX, &mut payload);
+            entry_bytes(r, &payload)
+        })
+        .sum::<usize>() as f64
+        / n as f64;
+    println!("  cache entry          {natural_entry:6.1} B   (mean over the set: the natural stream's entries)");
+
     // Miss path at steady state, as `serve-cold` runs it: the cold set
     // cycling through a full 65,536-entry cache, every decision a miss
     // that evicts. First the cache's write path alone, on the outcomes
-    // the engine gives the cold set, encoded as a miss encodes them.
+    // the engine gives the cold set, as a miss writes them.
     let cold_digests: Vec<u64> = cold
         .iter()
         .map(|r| {
@@ -308,13 +337,10 @@ fn main() {
     let cold_outcomes: Vec<(abp::Decision, std::ops::Range<usize>)> = cold
         .iter()
         .map(|r| {
-            let req = new_request(r);
-            let got = engine.match_request_masked(&req, r.tenant.unwrap());
-            let mut element = Vec::new();
-            let span = wire::push_decision(&mut element, &got, false);
+            let decision = payload_of(r, r.tenant.unwrap(), &mut payload);
             let start = encoded.len();
-            encoded.extend_from_slice(&element[span]);
-            (got.decision, start..encoded.len())
+            encoded.extend_from_slice(&payload);
+            (decision, start..encoded.len())
         })
         .collect();
     let mut cold_cache = LocalDecisionCache::new(CAPACITY);
@@ -443,9 +469,10 @@ fn main() {
     });
     let digests: Vec<u64> = hot.iter().map(digest_of).collect();
     let mut cache = LocalDecisionCache::new(n);
-    for ((r, &h), outcome) in hot.iter().zip(&digests).zip(&outcomes) {
-        let mut element = Vec::new();
-        let encoded = wire::push_decision(&mut element, outcome, true);
+    let mut hot_entry = 0;
+    for (r, &h) in hot.iter().zip(&digests) {
+        let decision = payload_of(r, u64::MAX, &mut payload);
+        hot_entry += entry_bytes(r, &payload);
         cache.insert(
             h,
             0,
@@ -454,19 +481,20 @@ fn main() {
             r.resource_type,
             r.sitekey.as_deref(),
             u64::MAX,
-            outcome.decision,
-            &element[encoded],
+            decision,
+            &payload,
         );
     }
-    // Verify, then copy the cached bytes into a line's run of
-    // decision objects, as a hit does.
+    // Verify, then read the entry's filter ids back and render the
+    // decision object from them into a line's run, as a hit does.
+    let mut matched = Vec::new();
     let mut elements = Vec::new();
     let cache_get = best_ns(|| {
         for (i, (r, &h)) in hot.iter().zip(&digests).enumerate() {
             if i % BATCH == 0 {
                 elements.clear();
             }
-            let (_, outcome) = cache
+            let (decision, payload) = cache
                 .get(
                     h,
                     0,
@@ -477,7 +505,9 @@ fn main() {
                     u64::MAX,
                 )
                 .expect("the hot set is cached");
-            wire::push_decision_raw(&mut elements, outcome, true);
+            let subject = wire::read_payload(payload, &r.url, &engine, &mut matched)
+                .expect("a payload the miss wrote reads back");
+            wire::push_decision_ids(&mut elements, &engine, decision, &matched, subject, true);
         }
         black_box(&elements);
     });
@@ -512,7 +542,10 @@ fn main() {
     });
     assert!(scratch.responses().iter().all(|r| r.cached));
     println!("  request_key_hash     {digest:6.1}");
-    println!("  cache get            {cache_get:6.1}   (verify + copy)");
+    println!(
+        "  cache get            {cache_get:6.1}   (verify + render; entries {:.1} B mean)",
+        hot_entry as f64 / HOT as f64
+    );
     println!("  Instant::now         {clock:6.1}   (per read)");
     println!("  latency+tenant count {counters:6.1}");
     println!(

@@ -14,8 +14,10 @@
 //!
 //! `--shards` is the number of evaluation shards, each an epoll reactor
 //! thread behind its own `SO_REUSEPORT` listener with its own slice of
-//! the `--cache-capacity` decision cache (N entries' worth of log, N ×
-//! 320 bytes, not an exact entry count); every batch is evaluated on
+//! the `--cache-capacity` decision cache (a byte budget, not an entry
+//! count: N × 320 bytes of log, which hold about 3 N natural-traffic
+//! decisions, since an entry keeps filter ids, not reply JSON); every
+//! batch is evaluated on
 //! the thread that read it. The reactors are Linux-only: elsewhere the
 //! daemon exits reporting an `Unsupported` error. A `--addr` port that
 //! another process already listens on fails the start (`AddrInUse`).

@@ -9,14 +9,16 @@
 //! `max_line_bytes`, and a cache-hit decision allocates nothing
 //! (`tests/hit_path_allocs.rs` holds it to that): the digest is
 //! computed from borrowed fields, the cache memoizes each answer as the
-//! wire bytes of its outcome, and a hit copies those bytes into the
-//! reply elements the caller's [`BatchScratch`] keeps. A miss refills
-//! the shard's one [`Request`], has the engine write the matched filter
-//! ids into the shard's scratch ([`Engine::match_request_ids`]), encodes
-//! the reply from those ids into the scratch, and appends a copy of that
-//! slice to the cache's log — no `RequestOutcome` is built on either
-//! path, and a steady-state miss allocates nothing either
-//! (`tests/miss_path_allocs.rs`).
+//! `(filter id, MatchKind)` pairs of its activations (plus its subject
+//! when the normalized URL is not the wire's), and a hit renders those
+//! ids into the reply elements the caller's [`BatchScratch`] keeps. A
+//! miss refills the shard's one [`Request`], has the engine write the
+//! matched filter ids into the shard's scratch
+//! ([`Engine::match_request_ids`]), renders the reply from those ids,
+//! and appends them to the cache's log. Both render through one writer,
+//! [`wire::push_decision_ids`], from the snapshot's engine: no
+//! `RequestOutcome` is built on either path, and a steady-state miss
+//! allocates nothing either (`tests/miss_path_allocs.rs`).
 //!
 //! `Stats` counts answered batches only: a batch that fails leaves
 //! every counter — requests, hits, blocks, exceptions, the latency
@@ -67,9 +69,11 @@ pub struct ServiceConfig {
     /// Evaluation shards, one reactor thread each. Defaults to
     /// available parallelism, capped at 8.
     pub shards: usize,
-    /// Total decision-cache entries, split evenly across the shards:
-    /// each shard's cache is sized for its share (see
-    /// [`LocalDecisionCache::new`]), not held to an exact count.
+    /// The decision cache's byte budget, in entries of
+    /// [`crate::cache::BYTES_PER_ENTRY`] (320) bytes, split evenly
+    /// across the shards (see [`LocalDecisionCache::new`]). Not an
+    /// exact count: an entry keeps its key and its activations' filter
+    /// ids, so N is worth about 3 N decisions on natural traffic.
     pub cache_capacity: usize,
     /// Per-batch evaluation deadline. A batch whose evaluation runs
     /// past it fails with [`ServiceError::DeadlineExceeded`] instead of
@@ -126,7 +130,6 @@ impl std::error::Error for ServiceError {}
 struct EngineSnapshot {
     generation: u64,
     engine: Arc<Engine>,
-    filter_count: usize,
     /// The list bodies this engine was compiled from — the bases that
     /// [`Service::reload_delta`] patches. Empty when the service was
     /// started from a pre-compiled engine ([`Service::start`]), in
@@ -135,6 +138,17 @@ struct EngineSnapshot {
     lists: Arc<Vec<ReloadList>>,
     /// [`serving_checksum`] of `lists` (0 when `lists` is empty).
     list_checksum: u64,
+}
+
+impl EngineSnapshot {
+    fn new(generation: u64, engine: Engine, lists: Vec<ReloadList>) -> EngineSnapshot {
+        EngineSnapshot {
+            generation,
+            engine: Arc::new(engine),
+            list_checksum: serving_checksum(&lists),
+            lists: Arc::new(lists),
+        }
+    }
 }
 
 /// Strong checksum over a set of serving list bodies, canonically
@@ -232,6 +246,8 @@ impl BatchScratch {
         self.decoded.get_or_init(|| {
             let mut line = Vec::new();
             wire::splice_batch_reply([&self.elements[..]], &mut line);
+            // Cannot fire: every byte is a `wire` writer's, which writes
+            // `&str`s and ASCII punctuation only.
             let line = std::str::from_utf8(&line).expect("the wire writers write UTF-8");
             match wire::parse_server_message(line) {
                 Ok(ServerMessage::Batch(resps)) => resps,
@@ -247,10 +263,12 @@ impl BatchScratch {
 /// in here is shared until `Stats`/`Health` reads the metrics.
 pub struct LocalEval {
     cache: LocalDecisionCache,
-    /// What a miss reuses instead of allocating: the request it refills
-    /// and the ids of the filters the engine found matching.
+    /// What a miss reuses instead of allocating: the request it refills,
+    /// the ids of the filters the engine found matching (which a hit
+    /// reads its entry's ids back into) and the cache payload.
     request: Request,
     matched: Vec<(u32, MatchKind)>,
+    payload: Vec<u8>,
     /// Engine generation the local cache's entries belong to; a newer
     /// snapshot generation clears the cache lazily on first use.
     generation_seen: u64,
@@ -359,16 +377,8 @@ impl Service {
     }
 
     fn start_inner(engine: Engine, lists: Vec<ReloadList>, config: &ServiceConfig) -> Service {
-        let filter_count = engine.request_filter_count();
-        let list_checksum = serving_checksum(&lists);
         let service = Service {
-            snapshot: RwLock::new(Arc::new(EngineSnapshot {
-                generation: 0,
-                engine: Arc::new(engine),
-                filter_count,
-                lists: Arc::new(lists),
-                list_checksum,
-            })),
+            snapshot: RwLock::new(Arc::new(EngineSnapshot::new(0, engine, lists))),
             shards: config.shards.clamp(1, MAX_SHARDS),
             cache_capacity: config.cache_capacity,
             deadline: config.deadline,
@@ -428,7 +438,7 @@ impl Service {
 
     /// Request filters loaded in the serving engine generation.
     pub fn filter_count(&self) -> usize {
-        self.snapshot.read().filter_count
+        self.snapshot.read().engine.request_filter_count()
     }
 
     /// The engine generation currently serving (0 at startup, bumped
@@ -442,7 +452,8 @@ impl Service {
         BatchScratch::default()
     }
 
-    /// One shard's evaluation state: a cache for `cache_capacity` entries,
+    /// One shard's evaluation state: a cache of `cache_capacity` × 320
+    /// bytes (about 3 × `cache_capacity` natural-traffic decisions),
     /// fault draws from `slot`, counters in `metrics`. The service
     /// keeps a handle to `metrics` and folds it into every later
     /// `Stats`/`Health`. The third argument is unused: it was the
@@ -458,9 +469,12 @@ impl Service {
         self.evals.lock().push(metrics.clone());
         LocalEval {
             cache: LocalDecisionCache::new(cache_capacity),
+            // Cannot fire: a constant URL that `Url::parse` accepts
+            // (every test that starts a service runs it).
             request: Request::new("http://localhost/", "", ResourceType::Other)
                 .expect("a valid placeholder URL"),
             matched: Vec::new(),
+            payload: Vec::new(),
             generation_seen: self.generation(),
             metrics,
             slot,
@@ -525,17 +539,35 @@ impl Service {
             let tenant = dr.tenant.unwrap_or(u64::MAX);
             let key_hash =
                 request_key_hash(&dr.url, &dr.document, dr.resource_type, sitekey, tenant);
-            let (decision, cached) = match local.cache.get(
-                key_hash,
-                snap.generation,
-                &dr.url,
-                &dr.document,
-                dr.resource_type,
-                sitekey,
-                tenant,
-            ) {
-                Some((decision, outcome)) => {
-                    wire::push_decision_raw(&mut scratch.elements, outcome, true);
+            let hit = local
+                .cache
+                .get(
+                    key_hash,
+                    snap.generation,
+                    &dr.url,
+                    &dr.document,
+                    dr.resource_type,
+                    sitekey,
+                    tenant,
+                )
+                .and_then(|(decision, payload)| {
+                    // `get` matched the entry's stamp to `snap.generation`,
+                    // so its ids are `snap.engine`'s filter ids. An entry
+                    // that does not read back is a miss.
+                    let subject =
+                        wire::read_payload(payload, &dr.url, &snap.engine, &mut local.matched)?;
+                    Some((decision, subject))
+                });
+            let (decision, cached) = match hit {
+                Some((decision, subject)) => {
+                    wire::push_decision_ids(
+                        &mut scratch.elements,
+                        &snap.engine,
+                        decision,
+                        &local.matched,
+                        subject,
+                        true,
+                    );
                     hits += 1;
                     (decision, true)
                 }
@@ -573,25 +605,28 @@ impl Service {
                             "evaluation panicked (shard {slot})"
                         )));
                     };
-                    let outcome = wire::push_decision_ids(
+                    let subject = request.url.as_str();
+                    wire::push_decision_ids(
                         &mut scratch.elements,
                         &snap.engine,
                         decision,
                         &local.matched,
-                        request.url.as_str(),
+                        subject,
                         false,
                     );
-                    local.cache.insert(
-                        key_hash,
-                        snap.generation,
-                        &dr.url,
-                        &dr.document,
-                        dr.resource_type,
-                        sitekey,
-                        tenant,
-                        decision,
-                        &scratch.elements[outcome],
-                    );
+                    if wire::write_payload(&local.matched, subject, &dr.url, &mut local.payload) {
+                        local.cache.insert(
+                            key_hash,
+                            snap.generation,
+                            &dr.url,
+                            &dr.document,
+                            dr.resource_type,
+                            sitekey,
+                            tenant,
+                            decision,
+                            &local.payload,
+                        );
+                    }
                     (decision, false)
                 }
             };
@@ -691,20 +726,12 @@ impl Service {
             return Err("Reload needs at least one list".to_string());
         }
         let engine = compile_lists(&lists)?;
-        let filter_count = engine.request_filter_count();
-        let list_checksum = serving_checksum(&lists);
-        let generation;
-        {
-            let mut slot = self.snapshot.write();
-            generation = slot.generation + 1;
-            *slot = Arc::new(EngineSnapshot {
-                generation,
-                engine: Arc::new(engine),
-                filter_count,
-                lists: Arc::new(lists),
-                list_checksum,
-            });
-        }
+        // The caller holds `reload_lock`, so no other swap can land
+        // between this read and the write below.
+        let generation = self.generation() + 1;
+        let next = Arc::new(EngineSnapshot::new(generation, engine, lists));
+        let filters = next.engine.request_filter_count() as u64;
+        *self.snapshot.write() = next;
         self.reloads.fetch_add(1, Ordering::Relaxed);
         // Persist *after* the swap, *before* the ack is sent: if the
         // process dies mid-save, the caller never saw a success, so
@@ -717,7 +744,7 @@ impl Service {
         self.persist_snapshot(fault);
         Ok(ReloadReport {
             generation,
-            filters: filter_count as u64,
+            filters,
         })
     }
 
@@ -790,6 +817,7 @@ impl Service {
         local: &mut LocalEval,
     ) -> Result<DecisionResponse, ServiceError> {
         let mut out = self.decide_batch(std::slice::from_ref(req), local)?;
+        // Cannot fire: an answered batch has one response per request.
         Ok(out.pop().expect("one response per request"))
     }
 
@@ -1471,6 +1499,200 @@ mod tests {
         // What the stalled evaluation computed was kept: the retry is a
         // cache hit, and a hit never stalls.
         assert!(svc.decide(&req, &mut local).unwrap().cached);
+    }
+
+    /// `req`'s reply element as `svc` answers it on `local`.
+    fn element(svc: &Service, req: &DecisionRequest, local: &mut LocalEval) -> (Vec<u8>, bool) {
+        let mut scratch = svc.scratch();
+        svc.decide_batch_local(&[req.as_request_ref()], &mut scratch, local)
+            .unwrap();
+        (scratch.elements().to_vec(), scratch.responses()[0].cached)
+    }
+
+    /// What a miss wrote with `"cached":false`, a hit of the same request
+    /// writes with `true`, and nothing else differs: hits render from the
+    /// cached ids through the miss's own writer.
+    fn as_hit(miss: &[u8]) -> Vec<u8> {
+        String::from_utf8(miss.to_vec())
+            .unwrap()
+            .replace(r#","cached":false}"#, r#","cached":true}"#)
+            .into_bytes()
+    }
+
+    /// A natural-stream sample, batch by batch: the second time round,
+    /// every decision hits and its bytes are the miss's, `cached` aside.
+    #[test]
+    fn hits_render_the_bytes_their_miss_wrote() {
+        let svc = Service::start(crate::corpus_engine(2015), &config());
+        let mut local = svc.test_eval(65_536);
+        let mut seen = std::collections::HashSet::new();
+        let reqs: Vec<DecisionRequest> = websim::traffic::TrafficGen::new(7)
+            .samples()
+            .map(|s| crate::request_of_sample(&s))
+            .filter(|r| seen.insert((r.url.clone(), r.document.clone(), r.resource_type)))
+            .take(2_048)
+            .collect();
+        let refs: Vec<_> = reqs.iter().map(DecisionRequest::as_request_ref).collect();
+        let (mut miss, mut hit) = (svc.scratch(), svc.scratch());
+        let mut activations = 0;
+        for chunk in refs.chunks(256) {
+            svc.decide_batch_local(chunk, &mut miss, &mut local)
+                .unwrap();
+            svc.decide_batch_local(chunk, &mut hit, &mut local).unwrap();
+            assert!(miss.responses().iter().all(|r| !r.cached));
+            assert!(hit.responses().iter().all(|r| r.cached));
+            assert_eq!(hit.elements(), as_hit(miss.elements()));
+            activations += hit
+                .responses()
+                .iter()
+                .map(|r| r.outcome.activations.len())
+                .sum::<usize>();
+        }
+        assert!(activations > 1_000, "{activations} activations rendered");
+    }
+
+    /// A URL the request parser rewrites is rendered, hit and miss
+    /// alike, with the rewritten URL as every activation's subject.
+    #[test]
+    fn a_rewritten_url_hits_with_its_normalized_subject() {
+        let (svc, mut local) = service();
+        let req = dr(
+            " HTTP://Ad.DoubleClick.NET/Y.js\u{a0}",
+            " Example.COM ",
+            ResourceType::Script,
+        );
+        let normalized = Request::new(&req.url, &req.document, req.resource_type).unwrap();
+        let normalized = normalized.url.as_str();
+        assert_ne!(normalized, req.url);
+        let (miss, miss_cached) = element(&svc, &req, &mut local);
+        let (hit, hit_cached) = element(&svc, &req, &mut local);
+        assert!(!miss_cached && hit_cached);
+        assert_eq!(hit, as_hit(&miss));
+        let resp = svc.decide(&req, &mut local).unwrap();
+        assert!(resp.cached && !resp.outcome.activations.is_empty());
+        for a in &resp.outcome.activations {
+            assert_eq!(&*a.subject, normalized);
+        }
+    }
+
+    /// Entries whose payload does not read back — written here under a
+    /// live request's digest, generation and key — are misses: the
+    /// request is evaluated, answered right, and memoized afresh.
+    #[test]
+    fn forged_payloads_read_as_misses_and_answer_correctly() {
+        let (svc, mut local) = service();
+        let req = dr(
+            "http://ad.doubleclick.net/x.js",
+            "example.com",
+            ResourceType::Script,
+        );
+        let (miss, _) = element(&svc, &req, &mut local);
+        let mut valid = Vec::new();
+        assert!(wire::write_payload(
+            &[(0, MatchKind::BlockRequest)],
+            "http://ad.doubleclick.net/x.js?subject",
+            &req.url,
+            &mut valid,
+        ));
+        let out_of_range = svc.filter_count() as u32;
+        let mut forged = Vec::new();
+        for (what, at, bytes) in [
+            ("an out-of-range id", 4, &out_of_range.to_le_bytes()[..]),
+            ("the largest id", 4, &u32::MAX.to_le_bytes()[..]),
+            ("a bad kind byte", 8, &[7][..]),
+            ("a kind byte past every kind", 8, &[0xFF][..]),
+            ("a subject length past the end", 2, &[40, 0][..]),
+            ("a record count past the end", 0, &[2, 0][..]),
+        ] {
+            let mut payload = valid.clone();
+            payload[at..at + bytes.len()].copy_from_slice(bytes);
+            forged.push((what, payload));
+        }
+        forged.push(("a truncated record", valid[..8].to_vec()));
+        forged.push(("a truncated subject", valid[..valid.len() - 1].to_vec()));
+        forged.push(("an empty payload", Vec::new()));
+        let hash = request_key_hash(&req.url, &req.document, req.resource_type, None, u64::MAX);
+        let memoize = |local: &mut LocalEval, payload: &[u8]| {
+            local.cache.insert(
+                hash,
+                svc.generation(),
+                &req.url,
+                &req.document,
+                req.resource_type,
+                None,
+                u64::MAX,
+                Decision::Block,
+                payload,
+            );
+        };
+        // The payload the forgeries start from reads back: a hit.
+        memoize(&mut local, &valid);
+        assert!(element(&svc, &req, &mut local).1);
+        for (what, payload) in &forged {
+            memoize(&mut local, payload);
+            let (got, cached) = element(&svc, &req, &mut local);
+            assert!(!cached, "{what}: read as a miss");
+            assert_eq!(got, miss, "{what}: answered as evaluated");
+            let (again, cached) = element(&svc, &req, &mut local);
+            assert!(cached, "{what}: memoized afresh");
+            assert_eq!(again, as_hit(&miss), "{what}");
+        }
+    }
+
+    /// Prepending one filter renumbers every filter of the list. Entries
+    /// of the old generation are fenced by their stamp alone — the shard's
+    /// sweep of its cache on a new generation is skipped here — so the
+    /// same requests miss once and then render the new engine's texts.
+    #[test]
+    fn a_reload_that_renumbers_every_filter_renders_the_new_texts() {
+        let easylist = "||doubleclick.net^\n||adzerk.net^$third-party\n";
+        let lists = |easylist: String| {
+            vec![
+                ReloadList {
+                    source: ListSource::EasyList,
+                    content: easylist,
+                },
+                ReloadList {
+                    source: ListSource::AcceptableAds,
+                    content: "@@||adzerk.net/reddit/$subdocument,domain=reddit.com\n".to_string(),
+                },
+            ]
+        };
+        let (svc, mut local) =
+            started(Service::start_with_lists(lists(easylist.to_string()), &config()).unwrap());
+        let reqs = vec![
+            dr(
+                "http://ad.doubleclick.net/x.js",
+                "example.com",
+                ResourceType::Script,
+            ),
+            dr(
+                "http://static.adzerk.net/reddit/a.html",
+                "www.reddit.com",
+                ResourceType::Subdocument,
+            ),
+            dr(
+                "http://static.adzerk.net/b.js",
+                "example.com",
+                ResourceType::Script,
+            ),
+        ];
+        for _ in 0..2 {
+            svc.decide_batch(&reqs, &mut local).unwrap();
+        }
+        let next = lists(format!("||prepended.example^\n{easylist}"));
+        svc.reload(&next).unwrap();
+        local.generation_seen = svc.generation();
+        let engine = compile_lists(&next).unwrap();
+        for pass in 0..2 {
+            let got = svc.decide_batch(&reqs, &mut local).unwrap();
+            for (req, resp) in reqs.iter().zip(&got) {
+                assert_eq!(resp.cached, pass == 1, "{}", req.url);
+                let request = Request::new(&req.url, &req.document, req.resource_type).unwrap();
+                assert_eq!(resp.outcome, engine.match_request(&request), "{}", req.url);
+                assert!(!resp.outcome.activations.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -24,11 +24,15 @@
 //! * **Splicing** ([`parse_client_message_spans`], [`split_decisions`],
 //!   [`splice_decide_batch`], [`splice_batch_reply`]): a router that
 //!   only re-groups decisions finds where each one sits in a line and
-//!   copies those bytes, instead of decoding and re-encoding them. The
-//!   daemon's cache does the same: an outcome is encoded once, on the
-//!   miss ([`push_decision`]), and each hit copies those bytes
-//!   ([`push_decision_raw`]) into the run of decision objects that
-//!   [`splice_batch_reply`] / `write_decision_reply_raw` frame.
+//!   copies those bytes, instead of decoding and re-encoding them.
+//! * **Activations by id** ([`push_decision_ids`]): the daemon renders
+//!   a decision from the `(filter id, MatchKind)` pairs the engine
+//!   matched, reading each filter's text and list from the engine, into
+//!   the run of decision objects that [`splice_batch_reply`] /
+//!   `write_decision_reply_raw` frame. Its cache keeps those pairs, not
+//!   the JSON: [`write_payload`] writes what an entry memoizes and
+//!   [`read_payload`] checks it back, so a hit renders through the same
+//!   writer as the miss that stored it.
 //! * **Canonical decode**: each hot object — request, activation,
 //!   outcome, decision — has exactly one writer here and so one byte
 //!   layout, and daemon, client library and router all write through
@@ -450,6 +454,81 @@ fn write_request_outcome(o: &RequestOutcome, out: &mut Vec<u8>) {
     write_outcome(o.decision, o.activations.iter().map(ActivationRef::of), out);
 }
 
+/// Bytes ahead of a payload's records: the record count and the subject
+/// length, a `u16` each.
+const PAYLOAD_PREFIX: usize = 4;
+/// One record: a filter id (`u32`) and a [`MatchKind`] (`u8`).
+const RECORD: usize = 5;
+
+/// Write into `out` (cleared first) what a decision cache memoizes of
+/// an outcome besides its decision: the `(filter id, kind)` pairs
+/// [`Engine::match_request_ids`] left in `matched` and its subject, the
+/// request's normalized URL. The layout is the record count and the
+/// subject length (`u16` LE each), one [`RECORD`] per activation in
+/// outcome order (id `u32` LE, kind `u8`), then the subject, written
+/// only when it differs from `key_url`, the URL the cache keys the entry
+/// by: an empty subject means the key's URL. Returns `false`, writing
+/// nothing, for an outcome past the `u16` fields (over 65,535
+/// activations, or a rewritten URL over 64 KiB): leave it unmemoized.
+pub fn write_payload(
+    matched: &[(u32, MatchKind)],
+    subject: &str,
+    key_url: &str,
+    out: &mut Vec<u8>,
+) -> bool {
+    let subject = if subject == key_url { "" } else { subject };
+    let (Ok(count), Ok(subject_len)) = (u16::try_from(matched.len()), u16::try_from(subject.len()))
+    else {
+        return false;
+    };
+    out.clear();
+    out.extend_from_slice(&count.to_le_bytes());
+    out.extend_from_slice(&subject_len.to_le_bytes());
+    for &(id, kind) in matched {
+        out.extend_from_slice(&id.to_le_bytes());
+        out.push(kind as u8);
+    }
+    push_str(out, subject);
+    true
+}
+
+/// Read a [`write_payload`] payload back for rendering with `engine`:
+/// its pairs into `matched` (cleared first) and its subject returned,
+/// `key_url` when it stored none. Nothing is trusted: a payload whose
+/// length disagrees with its count and subject length, or holding an id
+/// past `engine`'s request filters, a kind byte no [`MatchKind`] has,
+/// or a subject that is not UTF-8, reads as `None` — a miss, never a
+/// panic.
+pub fn read_payload<'a>(
+    payload: &'a [u8],
+    key_url: &'a str,
+    engine: &Engine,
+    matched: &mut Vec<(u32, MatchKind)>,
+) -> Option<&'a str> {
+    let (&[c0, c1, s0, s1], rest) = payload.split_first_chunk::<PAYLOAD_PREFIX>()?;
+    let count = usize::from(u16::from_le_bytes([c0, c1]));
+    let (records, subject) = rest.split_at_checked(count * RECORD)?;
+    if subject.len() != usize::from(u16::from_le_bytes([s0, s1])) {
+        return None;
+    }
+    matched.clear();
+    for record in records.chunks_exact(RECORD) {
+        let &[a, b, c, d, kind] = record else {
+            return None;
+        };
+        let id = u32::from_le_bytes([a, b, c, d]);
+        if id as usize >= engine.request_filter_count() {
+            return None;
+        }
+        matched.push((id, MATCH_KINDS.get(usize::from(kind))?.1));
+    }
+    if subject.is_empty() {
+        Some(key_url)
+    } else {
+        std::str::from_utf8(subject).ok()
+    }
+}
+
 /// Opens a `Decision` reply line; one decision object and `}` close it.
 const DECISION_OPEN: &str = "{\"Decision\":";
 /// Opens a `Batch` reply line; comma-joined decision objects and `]}`
@@ -476,9 +555,7 @@ fn write_response(
 /// Append `outcome` as one more decision object to `run`, a
 /// comma-joined run of them: the body of a `Batch` reply, which
 /// [`splice_batch_reply`] frames. Returns the range of `run` holding
-/// the encoded outcome, `{"decision":…,"activations":[…]}` — the bytes
-/// a cache keeps to answer the same request with
-/// [`push_decision_raw`].
+/// the encoded outcome, `{"decision":…,"activations":[…]}`.
 pub fn push_decision(run: &mut Vec<u8>, outcome: &RequestOutcome, cached: bool) -> Range<usize> {
     if !run.is_empty() {
         run.push(b',');
@@ -486,10 +563,12 @@ pub fn push_decision(run: &mut Vec<u8>, outcome: &RequestOutcome, cached: bool) 
     write_response(cached, run, |out| write_request_outcome(outcome, out))
 }
 
-/// [`push_decision`] of the outcome [`Engine::match_request_ids`] left in
-/// `matched` for a request whose normalized URL is `subject`, written
-/// straight from the engine's filters: the same bytes as the built
-/// outcome, and no `Activation` made.
+/// [`push_decision`] of an outcome given as `(filter id, kind)` pairs
+/// in outcome order — what [`Engine::match_request_ids`] leaves, or what
+/// [`read_payload`] reads back from a cache entry — for a request whose
+/// normalized URL is `subject`, written straight from the filters of
+/// `engine`, the engine that matched those ids: the same bytes as the
+/// built outcome, and no `Activation` made.
 pub fn push_decision_ids(
     run: &mut Vec<u8>,
     engine: &Engine,
@@ -497,7 +576,7 @@ pub fn push_decision_ids(
     matched: &[(u32, MatchKind)],
     subject: &str,
     cached: bool,
-) -> Range<usize> {
+) {
     if !run.is_empty() {
         run.push(b',');
     }
@@ -511,15 +590,7 @@ pub fn push_decision_ids(
             donottrack,
         }
     });
-    write_response(cached, run, |out| write_outcome(decision, activations, out))
-}
-
-/// [`push_decision`] with the outcome already encoded: copied as it is.
-pub fn push_decision_raw(run: &mut Vec<u8>, outcome: &[u8], cached: bool) {
-    if !run.is_empty() {
-        run.push(b',');
-    }
-    write_response(cached, run, |out| out.extend_from_slice(outcome));
+    write_response(cached, run, |out| write_outcome(decision, activations, out));
 }
 
 /// Append a `Decision` reply line body (no trailing newline).
@@ -1628,6 +1699,38 @@ mod tests {
             sitekey: sitekey.map(str::to_string),
             tenant: None,
         }
+    }
+
+    /// A payload reads back as the pairs and subject it was written
+    /// from; the key's URL is not stored again.
+    #[test]
+    fn payloads_round_trip() {
+        let list = abp::FilterList::parse(ListSource::EasyList, "||a.example^\n@@||b.example^\n");
+        let engine = Engine::from_lists([&list]);
+        let pairs = [(1, MatchKind::AllowRequest), (0, MatchKind::BlockRequest)];
+        let key = "HTTP://A.example/x";
+        let mut payload = Vec::new();
+        let mut read = Vec::new();
+        for (matched, subject, stored) in [
+            (&pairs[..], "http://a.example/x", 18),
+            (&pairs[..], key, 0),
+            (&[][..], key, 0),
+        ] {
+            assert!(write_payload(matched, subject, key, &mut payload));
+            assert_eq!(
+                payload.len(),
+                PAYLOAD_PREFIX + RECORD * matched.len() + stored
+            );
+            assert_eq!(
+                read_payload(&payload, key, &engine, &mut read),
+                Some(subject)
+            );
+            assert_eq!(read, matched);
+        }
+        let many = vec![(0, MatchKind::BlockRequest); usize::from(u16::MAX) + 1];
+        assert!(!write_payload(&many, key, key, &mut payload));
+        let long = "x".repeat(usize::from(u16::MAX) + 1);
+        assert!(!write_payload(&pairs, &long, key, &mut payload));
     }
 
     /// Each table entry is serde's spelling of its value, both ways;

@@ -62,6 +62,12 @@ echo "==> abpd wire_equivalence at 4096 cases in release (hot codec = serde, can
 # against serde and each other under the optimizer that serves them.
 PROPTEST_CASES=4096 cargo test -q --release -p abpd --lib wire_equivalence
 
+echo "==> abpd cache on the whole natural stream in release (service payloads: one shard >= 0.90, two halves >= 0.98)"
+# The tier-1 test replays one request in eight of the stream; its
+# ignored twin, the same function, replays all 400,128. It reuses the
+# release build of the stage above: ~2 s on a 2-vCPU VM.
+cargo test -q --release -p abpd --lib -- --ignored service_payloads_hold_the_natural_stream_unsampled
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

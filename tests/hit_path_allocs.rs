@@ -2,7 +2,8 @@
 //! a batch whose every request is already cached — outcomes carrying
 //! activations, sitekeys and tenant masks included — makes no heap
 //! allocation on the calling thread: the digest reads borrowed fields,
-//! and a hit copies the answer's cached bytes into the reply elements
+//! and a hit reads the entry's filter ids back into the shard's reused
+//! scratch and renders the answer from them into the reply elements
 //! the reused `BatchScratch` already has room for. This binary's global
 //! allocator (`support/counting.rs`) does the counting.
 
