@@ -11,7 +11,9 @@
 //! verb (which also shuts the shards down). Decisions route by
 //! consistent hash; `Reload`/`ReloadDelta` fan out to every shard with
 //! a post-swap convergence check; `Health`/`Stats` aggregate the
-//! fleet.
+//! fleet. Client connections are served by `abpd`'s epoll reactors, one
+//! per available core (at most 8), so the router is Linux-only like the
+//! daemon: elsewhere it exits with `Unsupported` at start.
 
 use abpd_proxy::{Proxy, ProxyConfig};
 use std::time::Duration;

@@ -3,9 +3,18 @@
 //! One abpd process serves one core count's worth of decisions; the
 //! paper's crawl workloads want more. This crate puts a router in
 //! front of N abpd shards, speaking the *same* NDJSON wire protocol on
-//! both sides, so every existing client ([`abpd::Client`],
-//! [`abpd::RetryClient`], the `benchmark/` harness) works against a
-//! fleet unchanged.
+//! both sides, so every client of one daemon ([`abpd::Client`], the
+//! `benchmark/` harness) works against a fleet unchanged.
+//!
+//! The router answers on the daemon's own socket front,
+//! [`abpd::reactor`]: one epoll reactor per available core (at most 8,
+//! as `abpd --shards` defaults), each with its own connections to the
+//! shards, so an idle client connection costs an fd and a line buffer,
+//! never a thread, and a shard sees one connection per proxy reactor.
+//! A reactor routes a line to completion before it reads the next: it
+//! waits on that line's shards, bounded by
+//! [`ProxyConfig::reply_timeout`]. Like the daemon, the proxy is
+//! Linux-only: elsewhere [`Proxy::start`] fails with `Unsupported`.
 //!
 //! Routing is a consistent-hash ring ([`ring`]) keyed by the same
 //! fields as the decision cache (url, document, resource type,
@@ -47,14 +56,14 @@ use abpd::protocol::{
     HealthReport, HealthState, ReloadDeltaList, ReloadList, ReloadMismatch, ReloadReport,
     ServerMessage, StatsReport,
 };
-use abpd::wire::{self, ClientMessageRef, DecisionRequestRef, DecisionShape, LineRead};
+use abpd::reactor::{self, Answer, Front};
+use abpd::wire::{self, ClientMessageRef, DecisionRequestRef, DecisionShape};
 use abpd::{serving_checksum, Client};
 use ring::HashRing;
 use std::collections::VecDeque;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -69,8 +78,9 @@ pub struct ProxyConfig {
     pub vnodes: usize,
     /// How often the prober re-checks each shard's health.
     pub probe_interval: Duration,
-    /// Reply timeout for forwarded requests; a shard that exceeds it
-    /// is marked unhealthy and the request is hedged.
+    /// How long any one step of a shard exchange may take: connecting,
+    /// writing a request line, reading its reply. A shard that exceeds
+    /// it is marked unhealthy and the request is hedged.
     pub reply_timeout: Duration,
     /// Longest accepted line in either direction. Reload lines carry
     /// whole list bodies, so this defaults to 16 MiB.
@@ -112,7 +122,9 @@ impl Default for ProxyConfig {
 /// address behind it may change when a shard respawns — `epoch` bumps
 /// on every address change so cached connections know to reconnect.
 struct BackendState {
-    addr: parking_lot::RwLock<String>,
+    /// Poisoning: taken over. A writer only assigns a whole `String`,
+    /// so a panic cannot leave it half-written.
+    addr: RwLock<String>,
     epoch: AtomicU64,
     healthy: AtomicBool,
     /// Requests this slot answered (decisions, not lines).
@@ -229,20 +241,27 @@ struct HedgeBucket {
 struct Shared {
     backends: Vec<BackendState>,
     ring: HashRing,
+    /// Cleared when the proxy stops: the prober's exit flag.
     running: AtomicBool,
-    open_connections: AtomicUsize,
     reply_timeout: Duration,
     max_line_bytes: usize,
     /// Reference instant for breaker deadlines (`open_until_ms`).
     started: Instant,
     breaker_threshold: u32,
     breaker_open: Duration,
-    hedge: parking_lot::Mutex<HedgeBucket>,
+    /// Poisoning: taken over. The critical section is float
+    /// arithmetic on two fields, which cannot panic between writes.
+    hedge: Mutex<HedgeBucket>,
     hedge_rate: f64,
     hedge_burst: f64,
     /// Hedge/retry attempts denied because the budget ran dry.
     hedge_denied: AtomicU64,
-    retained: parking_lot::Mutex<RetainedBodies>,
+    /// Poisoning: taken over. Every `RetainedBodies` step leaves a
+    /// state the prober may use: a panic between its writes could at
+    /// worst leave no current state (no catch-up until the next
+    /// converged reload) or drop history entries (a full reload where
+    /// a delta would do), never a wrong catch-up.
+    retained: Mutex<RetainedBodies>,
 }
 
 impl Shared {
@@ -260,7 +279,12 @@ impl Shared {
         // reads we cache the *new* address under the *old* epoch and
         // simply reconnect one time more than strictly needed.
         let epoch = b.epoch.load(Ordering::SeqCst);
-        (b.addr.read().clone(), epoch)
+        let addr = b.addr.read().unwrap_or_else(PoisonError::into_inner);
+        (addr.clone(), epoch)
+    }
+
+    fn retained(&self) -> MutexGuard<'_, RetainedBodies> {
+        self.retained.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn now_ms(&self) -> u64 {
@@ -336,7 +360,7 @@ impl Shared {
     /// instead of retrying.
     fn take_hedge(&self, n: u64) -> bool {
         let want = n as f64;
-        let mut b = self.hedge.lock();
+        let mut b = self.hedge.lock().unwrap_or_else(PoisonError::into_inner);
         let now = Instant::now();
         let dt = now.duration_since(b.last).as_secs_f64();
         b.last = now;
@@ -354,27 +378,25 @@ impl Shared {
 /// A running router; stop it with [`Proxy::shutdown`] or the
 /// `Shutdown` wire verb (which also shuts the shards down).
 pub struct Proxy {
-    local_addr: SocketAddr,
+    front: Front,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    prober: Option<JoinHandle<()>>,
+    prober: JoinHandle<()>,
 }
 
 impl Proxy {
-    /// Bind the router and probe every shard once so routing works
-    /// immediately. Shards that are down at start are simply unhealthy
-    /// until the prober sees them answer.
+    /// Probe every shard once so routing works immediately, then bind
+    /// the router, start its reactors and the prober. Shards that are
+    /// down at start are simply unhealthy until the prober sees them
+    /// answer.
     pub fn start(config: &ProxyConfig) -> std::io::Result<Proxy> {
         if config.backends.is_empty() {
             return Err(std::io::Error::other("at least one backend is required"));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
         let backends: Vec<BackendState> = config
             .backends
             .iter()
             .map(|addr| BackendState {
-                addr: parking_lot::RwLock::new(addr.clone()),
+                addr: RwLock::new(addr.clone()),
                 epoch: AtomicU64::new(0),
                 healthy: AtomicBool::new(false),
                 forwarded: AtomicU64::new(0),
@@ -392,25 +414,33 @@ impl Proxy {
             ring: HashRing::new(backends.len(), config.vnodes),
             backends,
             running: AtomicBool::new(true),
-            open_connections: AtomicUsize::new(0),
             reply_timeout: config.reply_timeout,
             max_line_bytes: config.max_line_bytes.max(64),
             started: Instant::now(),
             breaker_threshold: config.breaker_failure_threshold.max(1),
             breaker_open: config.breaker_open.max(Duration::from_millis(1)),
-            hedge: parking_lot::Mutex::new(HedgeBucket {
+            hedge: Mutex::new(HedgeBucket {
                 tokens: config.hedge_budget_burst.max(0.0),
                 last: Instant::now(),
             }),
             hedge_rate: config.hedge_budget_per_sec.max(0.0),
             hedge_burst: config.hedge_budget_burst.max(0.0),
             hedge_denied: AtomicU64::new(0),
-            retained: parking_lot::Mutex::new(RetainedBodies::default()),
+            retained: Mutex::new(RetainedBodies::default()),
         });
 
         for slot in 0..shared.backends.len() {
             probe_slot(&shared, slot);
         }
+
+        let routers = (0..reactor::default_reactors())
+            .map(|_| Router {
+                shared: shared.clone(),
+                conns: BackendConns::new(shared.backends.len()),
+                splice: Splice::default(),
+            })
+            .collect();
+        let front = Front::start(&config.addr, routers, config.max_line_bytes, None)?;
 
         let prober = {
             let shared = shared.clone();
@@ -448,46 +478,24 @@ impl Proxy {
                             .max(Duration::from_millis(1));
                         std::thread::sleep(nap);
                     }
-                })?
+                })
         };
-
-        let acceptor = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("abpd-proxy-accept".to_string())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if !shared.running.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { continue };
-                        let _ = stream.set_nodelay(true);
-                        let shared = shared.clone();
-                        shared.open_connections.fetch_add(1, Ordering::SeqCst);
-                        let _ = std::thread::Builder::new()
-                            .name("abpd-proxy-conn".to_string())
-                            .spawn(move || {
-                                let _open = ConnGuard(&shared);
-                                handle_connection(stream, &shared, local_addr);
-                            });
-                    }
-                    while shared.open_connections.load(Ordering::SeqCst) > 0 {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                })?
-        };
-
-        Ok(Proxy {
-            local_addr,
-            shared,
-            acceptor: Some(acceptor),
-            prober: Some(prober),
-        })
+        match prober {
+            Ok(prober) => Ok(Proxy {
+                front,
+                shared,
+                prober,
+            }),
+            Err(e) => {
+                front.kill();
+                Err(e)
+            }
+        }
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// Point slot `slot` at a respawned shard on `addr` and probe it
@@ -495,7 +503,7 @@ impl Proxy {
     /// it owned comes straight back to it.
     pub fn update_backend(&self, slot: usize, addr: impl Into<String>) {
         let b = &self.shared.backends[slot];
-        *b.addr.write() = addr.into();
+        *b.addr.write().unwrap_or_else(PoisonError::into_inner) = addr.into();
         b.epoch.fetch_add(1, Ordering::SeqCst);
         // A swapped-in backend is in an unknown serving state; drop to
         // unhealthy first so the probe takes the rejoin path and
@@ -511,7 +519,7 @@ impl Proxy {
             .iter()
             .enumerate()
             .map(|(slot, b)| BackendReport {
-                addr: b.addr.read().clone(),
+                addr: self.shared.addr_of(slot).0,
                 healthy: b.healthy.load(Ordering::SeqCst),
                 forwarded: b.forwarded.load(Ordering::SeqCst),
                 hedged_away: b.hedged_away.load(Ordering::SeqCst),
@@ -532,38 +540,21 @@ impl Proxy {
 
     /// Stop accepting, wait for open client connections, stop probing.
     /// Shards keep running — they belong to whoever started them.
-    pub fn shutdown(mut self) {
-        trigger_stop(&self.shared, self.local_addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        if let Some(p) = self.prober.take() {
-            let _ = p.join();
-        }
+    pub fn shutdown(self) {
+        self.stop(Front::shutdown);
     }
 
     /// Block until the router stops (via the `Shutdown` verb).
-    pub fn join(mut self) {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        if let Some(p) = self.prober.take() {
-            let _ = p.join();
-        }
+    pub fn join(self) {
+        self.stop(Front::join);
     }
-}
 
-struct ConnGuard<'a>(&'a Shared);
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        self.0.open_connections.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-fn trigger_stop(shared: &Shared, addr: SocketAddr) {
-    if shared.running.swap(false, Ordering::SeqCst) {
-        let _ = TcpStream::connect(addr);
+    /// Stop the reactors with `front` (each drops its shard
+    /// connections as it exits), then the prober.
+    fn stop(self, front: impl FnOnce(Front)) {
+        front(self.front);
+        self.shared.running.store(false, Ordering::SeqCst);
+        let _ = self.prober.join();
     }
 }
 
@@ -589,12 +580,9 @@ fn jittered_interval(interval: Duration, slot: u64, round: u64) -> Duration {
 /// checksum is caught up from the proxy's retained bodies.
 fn probe_slot(shared: &Shared, slot: usize) {
     let (addr, _) = shared.addr_of(slot);
-    let probed = (|| -> std::io::Result<u64> {
-        let mut c = Client::connect(&*addr)?;
-        c.reply_timeout(Some(shared.reply_timeout))?;
-        let h = c.health()?;
-        Ok(h.list_checksum)
-    })();
+    let probed = Client::connect_timeout(&*addr, shared.reply_timeout)
+        .and_then(|mut c| c.health())
+        .map(|h| h.list_checksum);
     match probed {
         Ok(checksum) => {
             shared.backends[slot]
@@ -628,7 +616,7 @@ fn probe_slot(shared: &Shared, slot: usize) {
 /// match what the shard actually serves).
 fn catch_up(shared: &Shared, slot: usize, addr: &str, seen: u64) {
     let (current_checksum, current_lists, base) = {
-        let retained = shared.retained.lock();
+        let retained = shared.retained();
         let Some((ck, lists)) = retained.current.clone() else {
             // The proxy has not yet seen a converged reload, so it has
             // no bodies to offer; it cannot tell stale from fresh.
@@ -670,8 +658,7 @@ fn catch_up(shared: &Shared, slot: usize, addr: &str, seen: u64) {
     }
 
     let ship = |line: &[u8]| -> std::io::Result<bool> {
-        let mut c = Client::connect(addr)?;
-        c.reply_timeout(Some(shared.reply_timeout))?;
+        let mut c = Client::connect_timeout(addr, shared.reply_timeout)?;
         c.max_reply_bytes(shared.max_line_bytes);
         c.send_raw(line)?;
         match c.read_reply_raw().and_then(parse_reply_line)? {
@@ -726,8 +713,9 @@ fn catch_up(shared: &Shared, slot: usize, addr: &str, seen: u64) {
     }
 }
 
-/// Lazily-opened, epoch-checked connections from one proxy connection
-/// thread to the shards it has talked to.
+/// Lazily-opened, epoch-checked connections from one proxy reactor to
+/// the shards it has talked to. They close with the reactor, so a
+/// shard draining for `Shutdown` sees them go.
 struct BackendConns {
     conns: Vec<Option<(u64, Client)>>,
 }
@@ -749,8 +737,7 @@ impl BackendConns {
         };
         if stale {
             self.conns[slot] = None;
-            let mut c = Client::connect(&*addr)?;
-            c.reply_timeout(Some(shared.reply_timeout))?;
+            let mut c = Client::connect_timeout(&*addr, shared.reply_timeout)?;
             c.max_reply_bytes(shared.max_line_bytes);
             self.conns[slot] = Some((epoch, c));
         }
@@ -812,7 +799,7 @@ struct Group {
     state: Forward,
 }
 
-/// A connection thread's splice buffers, reused line after line.
+/// A reactor's splice buffers, reused line after line.
 #[derive(Default)]
 struct Splice {
     /// Where each element of the client's batch sits in its line.
@@ -997,6 +984,7 @@ fn route_batch(
     out: &mut Vec<u8>,
 ) {
     let (spans, place, groups) = (&splice.spans, &mut splice.place, &mut splice.groups);
+    groups.resize_with(shared.backends.len(), Group::default);
     // Group the elements by owning slot. Breaker-open slots are routed
     // around for free — their keys go to walk successors.
     place.clear();
@@ -1106,7 +1094,7 @@ fn reload_target(shared: &Shared, msg: ClientMessageRef<'_>) -> Option<Arc<Vec<R
     match msg {
         ClientMessageRef::Reload(lists) => Some(Arc::new(lists)),
         ClientMessageRef::ReloadDelta(deltas) => {
-            let current = shared.retained.lock().current.clone()?.1;
+            let current = shared.retained().current.clone()?.1;
             let mut next: Vec<ReloadList> = current.as_ref().clone();
             for d in deltas {
                 match next.iter_mut().find(|l| l.source == d.source) {
@@ -1271,7 +1259,7 @@ fn fanout_reload(
     // bodies could not be derived at all, the stale current entry is
     // demoted so the prober cannot roll rejoining shards back to it.
     if let Some(c) = checksum {
-        let mut retained = shared.retained.lock();
+        let mut retained = shared.retained();
         match target {
             Some(lists) if serving_checksum(&lists) == c => retained.advance(c, lists),
             _ => retained.invalidate_if_stale(c),
@@ -1401,94 +1389,67 @@ fn sum_into(acc: &mut Vec<u64>, add: &[u64]) {
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr) {
-    // Sized for a 256-decision request line (~34 KB) in one read.
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::with_capacity(64 * 1024, read_half);
-    let mut writer = stream;
-    let mut line = Vec::new();
-    let mut out: Vec<u8> = Vec::with_capacity(4096);
-    let mut conns = BackendConns::new(shared.backends.len());
-    let mut splice = Splice::default();
-    splice
-        .groups
-        .resize_with(shared.backends.len(), Group::default);
+/// One proxy reactor's answerer: its connections to the shards and its
+/// splice buffers.
+struct Router {
+    shared: Arc<Shared>,
+    conns: BackendConns,
+    splice: Splice,
+}
 
-    loop {
-        out.clear();
-        match wire::read_line_limited(&mut reader, &mut line, shared.max_line_bytes) {
-            Err(_) | Ok(LineRead::Eof) | Ok(LineRead::EofMidLine) => return,
-            Ok(LineRead::TooLong(n)) => {
-                wire::write_error(
-                    &format!(
-                        "request line too long: {n} bytes exceeds the {} byte limit",
-                        shared.max_line_bytes
-                    ),
-                    &mut out,
-                );
+impl Answer for Router {
+    fn answer(&mut self, line: &[u8], out: &mut Vec<u8>) -> bool {
+        let (shared, conns, splice) = (&*self.shared, &mut self.conns, &mut self.splice);
+        let Ok(text) = std::str::from_utf8(line) else {
+            wire::write_error("unparseable message: request line is not UTF-8", out);
+            out.push(b'\n');
+            return false;
+        };
+        if text.trim().is_empty() {
+            return false;
+        }
+        let mut shutdown = false;
+        match wire::parse_client_message_spans(text, &mut splice.spans) {
+            Err(e) => wire::write_error(&format!("unparseable message: {e}"), out),
+            Ok(ClientMessageRef::Ping) => wire::write_pong(out),
+            Ok(ClientMessageRef::Stats) => {
+                wire::write_stats_reply(&aggregate_stats(conns, shared), out)
             }
-            Ok(LineRead::Line) => match std::str::from_utf8(&line) {
-                Err(_) => {
-                    wire::write_error("unparseable message: request line is not UTF-8", &mut out);
+            Ok(ClientMessageRef::Health) => {
+                wire::write_health_reply(&aggregate_health(conns, shared), out)
+            }
+            Ok(ClientMessageRef::Decide(req)) => {
+                route_one(conns, shared, &req, line, &mut splice.single, out)
+            }
+            Ok(ClientMessageRef::DecideBatch(reqs)) => {
+                route_batch(conns, shared, &reqs, line, splice, out)
+            }
+            Ok(msg @ (ClientMessageRef::Reload(_) | ClientMessageRef::ReloadDelta(_))) => {
+                // Forward the client's bytes verbatim — reload lines
+                // carry whole list bodies and re-encoding them would
+                // double the copy. The proxy also derives the resulting
+                // bodies for itself, so a converged fan-out can retain
+                // them for rejoins.
+                let target = reload_target(shared, msg);
+                match fanout_reload(conns, shared, line, target) {
+                    FanoutOutcome::Converged(r) => wire::write_reloaded(&r, out),
+                    FanoutOutcome::Mismatch(m) => wire::write_reload_base_mismatch(&m, out),
+                    FanoutOutcome::Failed(e) => wire::write_error(&e, out),
                 }
-                Ok(text) if text.trim().is_empty() => continue,
-                Ok(text) => match wire::parse_client_message_spans(text, &mut splice.spans) {
-                    Err(e) => wire::write_error(&format!("unparseable message: {e}"), &mut out),
-                    Ok(ClientMessageRef::Ping) => wire::write_pong(&mut out),
-                    Ok(ClientMessageRef::Stats) => {
-                        wire::write_stats_reply(&aggregate_stats(&mut conns, shared), &mut out)
-                    }
-                    Ok(ClientMessageRef::Health) => {
-                        wire::write_health_reply(&aggregate_health(&mut conns, shared), &mut out)
-                    }
-                    Ok(ClientMessageRef::Decide(req)) => route_one(
-                        &mut conns,
-                        shared,
-                        &req,
-                        &line,
-                        &mut splice.single,
-                        &mut out,
-                    ),
-                    Ok(ClientMessageRef::DecideBatch(reqs)) => {
-                        route_batch(&mut conns, shared, &reqs, &line, &mut splice, &mut out)
-                    }
-                    Ok(msg @ (ClientMessageRef::Reload(_) | ClientMessageRef::ReloadDelta(_))) => {
-                        // Forward the client's bytes verbatim — reload
-                        // lines carry whole list bodies and re-encoding
-                        // them would double the copy. The proxy also
-                        // derives the resulting bodies for itself, so a
-                        // converged fan-out can retain them for rejoins.
-                        let target = reload_target(shared, msg);
-                        match fanout_reload(&mut conns, shared, &line, target) {
-                            FanoutOutcome::Converged(r) => wire::write_reloaded(&r, &mut out),
-                            FanoutOutcome::Mismatch(m) => {
-                                wire::write_reload_base_mismatch(&m, &mut out)
-                            }
-                            FanoutOutcome::Failed(e) => wire::write_error(&e, &mut out),
-                        }
-                    }
-                    Ok(ClientMessageRef::Shutdown) => {
-                        // Take the fleet down with the router: each
-                        // shard gets the verb over this thread's cached
-                        // connection (or a fresh one).
-                        for slot in 0..shared.backends.len() {
-                            let _ = conns.get(shared, slot).and_then(|c| c.shutdown_server());
-                        }
-                        wire::write_shutting_down(&mut out);
-                        out.push(b'\n');
-                        let _ = writer.write_all(&out);
-                        trigger_stop(shared, addr);
-                        return;
-                    }
-                },
-            },
+            }
+            Ok(ClientMessageRef::Shutdown) => {
+                // Take the fleet down with the router: each shard gets
+                // the verb over this reactor's connection (or a fresh
+                // one).
+                for slot in 0..shared.backends.len() {
+                    let _ = conns.get(shared, slot).and_then(|c| c.shutdown_server());
+                }
+                wire::write_shutting_down(out);
+                shutdown = true;
+            }
         }
         out.push(b'\n');
-        if writer.write_all(&out).is_err() {
-            return;
-        }
+        shutdown
     }
 }
 

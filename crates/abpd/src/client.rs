@@ -13,8 +13,8 @@
 //!
 //! # Failure handling
 //!
-//! Every read carries a reply timeout (default 30 s) so a dead server
-//! surfaces as an [`std::io::ErrorKind::TimedOut`] error instead of a
+//! Every read and every write carries a timeout (default 30 s) so a
+//! dead or stalled server surfaces as an error instead of a
 //! forever-block. Once any transport operation fails — timeout,
 //! truncated reply, EOF — the connection is marked *broken*: replies
 //! may still be in flight for requests this client will never read, so
@@ -96,23 +96,41 @@ fn protocol_error(msg: impl Into<String>) -> std::io::Error {
 }
 
 impl Client {
-    /// Connect to a server. Replies time out after
-    /// [`DEFAULT_REPLY_TIMEOUT`]; tune with [`Client::reply_timeout`].
+    /// Connect to a server, waiting at most [`DEFAULT_REPLY_TIMEOUT`]
+    /// for the connection, each reply and each request write; tune the
+    /// last two with [`Client::reply_timeout`].
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(DEFAULT_REPLY_TIMEOUT))?;
-        // A 256-decision reply line is ~54 KB: one read, one newline
-        // search, where the default 8 KiB buffer took seven of each.
-        let reader = BufReader::with_capacity(64 * 1024, stream.try_clone()?);
-        Ok(Client {
-            reader,
-            writer: stream,
-            wbuf: Vec::with_capacity(4096),
-            line: Vec::new(),
-            max_reply_bytes: DEFAULT_MAX_REPLY_BYTES,
-            broken: false,
-        })
+        Client::connect_timeout(addr, DEFAULT_REPLY_TIMEOUT)
+    }
+
+    /// Connect within `timeout` (tried per resolved address), and time
+    /// out replies and request writes after the same `timeout`.
+    pub fn connect_timeout(addr: impl ToSocketAddrs, timeout: Duration) -> std::io::Result<Client> {
+        let timeout = timeout.max(Duration::from_millis(1));
+        let mut last = None;
+        for addr in addr.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&addr, timeout) {
+                Ok(stream) => {
+                    stream.set_nodelay(true)?;
+                    stream.set_read_timeout(Some(timeout))?;
+                    stream.set_write_timeout(Some(timeout))?;
+                    // A 256-decision reply line is ~54 KB: one read, one
+                    // newline search, where the default 8 KiB buffer took
+                    // seven of each.
+                    let reader = BufReader::with_capacity(64 * 1024, stream.try_clone()?);
+                    return Ok(Client {
+                        reader,
+                        writer: stream,
+                        wbuf: Vec::with_capacity(4096),
+                        line: Vec::new(),
+                        max_reply_bytes: DEFAULT_MAX_REPLY_BYTES,
+                        broken: false,
+                    });
+                }
+                Err(e) => last = Some(e),
+            }
+        }
+        Err(last.unwrap_or_else(|| std::io::ErrorKind::AddrNotAvailable.into()))
     }
 
     /// Bound the longest reply line this client will buffer; longer
@@ -122,12 +140,15 @@ impl Client {
         self
     }
 
-    /// How long to wait for each reply line; `None` waits forever.
+    /// How long to wait for each reply line, and for the server to
+    /// take each request write; `None` waits forever. A server that
+    /// stops reading fails the write instead of blocking the caller.
     pub fn reply_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<&mut Self> {
         // Zero is "no timeout" to the OS but an error to std; treat it
         // as the smallest real timeout instead of surprising callers.
         let timeout = timeout.map(|t| t.max(Duration::from_millis(1)));
-        self.reader.get_ref().set_read_timeout(timeout)?;
+        self.writer.set_read_timeout(timeout)?;
+        self.writer.set_write_timeout(timeout)?;
         Ok(self)
     }
 

@@ -8,9 +8,10 @@
 //! every batch it sends is evaluated on the thread that read it
 //! ([`service::Service::decide_batch_local`], the only route) and
 //! outcomes are memoized in that shard's decision cache ([`cache`]). The
-//! socket front is one epoll reactor thread per shard, feeding one verb
-//! dispatch ([`server`]); it is Linux-only, and elsewhere
-//! [`Server::start`] fails with `Unsupported`. A decision for
+//! socket front is one epoll reactor thread per shard ([`reactor`]),
+//! feeding one verb dispatch ([`server`]); `abpd-proxy` runs the same
+//! front with its router as the answerer. It is Linux-only, and
+//! elsewhere [`Server::start`] fails with `Unsupported`. A decision for
 //! a fixed engine is a pure function of `(url, document, resource
 //! type, sitekey, tenant)`, so cached responses are byte-identical to
 //! fresh engine evaluations — property-tested in this crate's test
@@ -32,7 +33,7 @@ pub mod faults;
 pub mod metrics;
 pub mod poll;
 pub mod protocol;
-pub(crate) mod reactor;
+pub mod reactor;
 pub mod server;
 pub mod service;
 pub mod state;

@@ -1,16 +1,18 @@
-//! The socket front: one reactor thread per shard, each owning an
-//! epoll instance, a `SO_REUSEPORT` listener, its nonblocking
-//! connections, and all the hot state a decision touches — read/write
-//! buffers, [`BatchScratch`], a [`LocalEval`] with its unsynchronized
-//! decision cache, and cache-line-padded metrics. A shard *is* a
-//! reactor: `--shards N` is N of these threads, and an idle connection
-//! costs a [`LineBuf`] and an fd, never a thread.
+//! The socket front of both binaries: one reactor thread per
+//! answerer, each owning an epoll instance, a `SO_REUSEPORT` listener,
+//! its nonblocking connections and the state its [`Answer`] keeps
+//! between lines. An idle connection costs a [`LineBuf`] and an fd,
+//! never a thread.
 //!
-//! A connection is accepted by exactly one reactor and never migrates:
-//! parse → evaluate → corked reply all run on that core, so the steady
-//! state shares no cache line between cores. Every complete line goes
-//! to [`answer_line`], the verb dispatch, which evaluates batches of
-//! any size on this thread through [`Service::decide_batch_local`].
+//! What a reactor does with a complete line is its answerer's
+//! business. In `abpd` it is the verb dispatch over one evaluation
+//! shard (`server::Decider`): a shard *is* a reactor, and `--shards N`
+//! is N of these threads. In `abpd-proxy` it is the router over one
+//! set of shard connections, so a shard sees one connection per proxy
+//! reactor, not one per client. An answer runs to completion on the
+//! reactor's thread: a connection is accepted by exactly one reactor
+//! and never migrates, and the steady state shares no cache line
+//! between cores.
 //!
 //! Replies stay corked per readiness burst: every line parsed from one
 //! drained read burst appends to the connection's write buffer, which
@@ -20,14 +22,15 @@
 //! for that connection, arms `EPOLLOUT`, and resumes where it left off
 //! once the kernel accepts the backlog — one slow reader never holds
 //! buffers or the reactor hostage.
+//!
+//! The reactors are Linux-only: elsewhere [`Front::start`] fails with
+//! `std::io::ErrorKind::Unsupported`.
 
 use crate::faults::{FaultPlan, WriteFault};
 use crate::poll::{self, Poller, WakeFd};
-use crate::server::{answer_line, ServerConfig};
-use crate::service::{BatchScratch, LocalEval, Service};
 use crate::wire;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -46,15 +49,32 @@ const TOKEN_WAKE: u64 = 0;
 const TOKEN_LISTEN: u64 = 1;
 const TOKEN_CONN_BASE: u64 = 2;
 
-/// State shared by the reactors and the [`Server`](crate::Server)
-/// handle.
-pub(crate) struct Shared {
-    pub(crate) service: Service,
+/// How many reactors a front runs unless told otherwise: one per
+/// available core, at most 8. `abpd`'s default `--shards` and
+/// `abpd-proxy`'s reactor count.
+pub fn default_reactors() -> usize {
+    std::thread::available_parallelism()
+        .map_or(4, |n| n.get())
+        .clamp(1, 8)
+}
+
+/// What a reactor does with a complete line.
+pub trait Answer: Send + 'static {
+    /// Append the reply to one request line (within the length limit,
+    /// terminator and trailing `\r` stripped) to `out`, newline
+    /// included; a line that gets no reply appends nothing. Returns
+    /// `true` once a `Shutdown` verb has been acknowledged: the front
+    /// then stops, and later lines on this connection go unanswered.
+    fn answer(&mut self, line: &[u8], out: &mut Vec<u8>) -> bool;
+}
+
+/// State shared by the reactors and the [`Front`] handle.
+struct Shared {
     running: AtomicBool,
     kill: AtomicBool,
     max_line_bytes: usize,
     /// The reply-path fault plan (torn writes / disconnects); `None` in
-    /// production. Evaluation faults live inside the service.
+    /// production.
     write_faults: Option<FaultPlan>,
     /// Each reactor's eventfd, for waking it out of `epoll_wait`.
     wakers: Vec<Arc<WakeFd>>,
@@ -64,18 +84,106 @@ impl Shared {
     /// Flip `running` and wake every reactor out of `epoll_wait` — also
     /// when already stopping (the `Shutdown` verb got there first), so
     /// a joiner can't race a missed edge.
-    pub(crate) fn stop(&self) {
+    fn stop(&self) {
         self.running.store(false, Ordering::SeqCst);
         for w in &self.wakers {
             w.wake();
         }
     }
+}
 
-    /// Stop, and have every reactor slam its connections shut instead
-    /// of draining them.
-    pub(crate) fn kill(&self) {
-        self.kill.store(true, Ordering::SeqCst);
-        self.stop();
+/// A running socket front: its reactor threads. Dropping the handle
+/// does **not** stop them; [`Front::shutdown`], [`Front::kill`] or an
+/// answered `Shutdown` verb does.
+pub struct Front {
+    local_addr: SocketAddr,
+    shared: Arc<Shared>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Front {
+    /// Bind `addr` and serve it with one reactor per answerer (at least
+    /// one is required). Lines longer than `max_line_bytes` are
+    /// discarded and answered with an `Error` naming their byte count;
+    /// `write_faults` tears or drops reply bursts (chaos drills only).
+    pub fn start<A: Answer>(
+        addr: &str,
+        answerers: Vec<A>,
+        max_line_bytes: usize,
+        write_faults: Option<FaultPlan>,
+    ) -> io::Result<Front> {
+        if answerers.is_empty() {
+            return Err(io::Error::other("a front needs at least one answerer"));
+        }
+        let listeners = bind_listeners(addr, answerers.len())?;
+        let local_addr = listeners[0].local_addr()?;
+        let wakers = (0..listeners.len())
+            .map(|_| WakeFd::new().map(Arc::new))
+            .collect::<io::Result<Vec<_>>>()?;
+        let pollers = (0..listeners.len())
+            .map(|_| Poller::new())
+            .collect::<io::Result<Vec<_>>>()?;
+        let shared = Arc::new(Shared {
+            running: AtomicBool::new(true),
+            kill: AtomicBool::new(false),
+            max_line_bytes: max_line_bytes.max(64),
+            write_faults,
+            wakers,
+        });
+
+        let reactors = listeners.into_iter().zip(pollers).zip(answerers);
+        let threads = reactors
+            .enumerate()
+            .map(|(idx, ((listener, poller), answerer))| {
+                let reactor = Reactor {
+                    idx,
+                    shared: shared.clone(),
+                    poller,
+                    wake: shared.wakers[idx].clone(),
+                    listener: Some(listener),
+                    conns: Vec::new(),
+                    free: Vec::new(),
+                    open: 0,
+                    answerer,
+                    rbuf: vec![0u8; 64 * 1024],
+                };
+                std::thread::Builder::new()
+                    .name(format!("abpd-reactor-{idx}"))
+                    .spawn(move || reactor.run())
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        Ok(Front {
+            local_addr,
+            shared,
+            threads,
+        })
+    }
+
+    /// The bound address (useful with port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// Stop accepting, serve open connections until their peers close,
+    /// then return.
+    pub fn shutdown(self) {
+        self.shared.stop();
+        self.join();
+    }
+
+    /// Stop accepting, then slam every open connection shut instead of
+    /// draining it: to a peer, the process was killed.
+    pub fn kill(self) {
+        self.shared.kill.store(true, Ordering::SeqCst);
+        self.shutdown();
+    }
+
+    /// Block until every reactor has stopped (after an answered
+    /// `Shutdown` verb, or [`Front::shutdown`] from another handle).
+    pub fn join(self) {
+        for t in self.threads {
+            let _ = t.join();
+        }
     }
 }
 
@@ -90,7 +198,7 @@ impl Shared {
 /// process of the same user already serving that port, and the kernel
 /// would split new connections between the two. A busy port fails with
 /// `AddrInUse` instead.
-pub(crate) fn bind_listeners(addr: &str, n: usize) -> io::Result<Vec<TcpListener>> {
+fn bind_listeners(addr: &str, n: usize) -> io::Result<Vec<TcpListener>> {
     let addr = addr
         .to_socket_addrs()?
         .next()
@@ -105,60 +213,6 @@ pub(crate) fn bind_listeners(addr: &str, n: usize) -> io::Result<Vec<TcpListener
         listeners.push(poll::listen_reuseport(resolved)?);
     }
     Ok(listeners)
-}
-
-/// Spawn one reactor per listener — one per service shard — and start
-/// serving; the returned threads end once the reactors stop.
-pub(crate) fn spawn(
-    service: Service,
-    listeners: Vec<TcpListener>,
-    config: &ServerConfig,
-) -> io::Result<(Arc<Shared>, Vec<JoinHandle<()>>)> {
-    let evals = service.shard_evals();
-    let wakers = (0..listeners.len())
-        .map(|_| WakeFd::new().map(Arc::new))
-        .collect::<io::Result<Vec<_>>>()?;
-    let pollers = (0..listeners.len())
-        .map(|_| Poller::new())
-        .collect::<io::Result<Vec<_>>>()?;
-    let shared = Arc::new(Shared {
-        service,
-        running: AtomicBool::new(true),
-        kill: AtomicBool::new(false),
-        max_line_bytes: config.max_line_bytes.max(64),
-        write_faults: config
-            .service
-            .faults
-            .as_ref()
-            .filter(|c| c.torn_write_per_million > 0 || c.disconnect_per_million > 0)
-            .cloned()
-            .map(FaultPlan::new),
-        wakers,
-    });
-
-    let mut threads = Vec::with_capacity(listeners.len());
-    let shards = listeners.into_iter().zip(pollers).zip(evals);
-    for (idx, ((listener, poller), local)) in shards.enumerate() {
-        let reactor = Reactor {
-            idx,
-            shared: shared.clone(),
-            poller,
-            wake: shared.wakers[idx].clone(),
-            listener: Some(listener),
-            conns: Vec::new(),
-            free: Vec::new(),
-            open: 0,
-            scratch: shared.service.scratch(),
-            local,
-            rbuf: vec![0u8; 64 * 1024],
-        };
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("abpd-reactor-{idx}"))
-                .spawn(move || reactor.run())?,
-        );
-    }
-    Ok((shared, threads))
 }
 
 /// A connection's unparsed input and the framing state over it.
@@ -241,7 +295,7 @@ struct Conn {
     cur_write: bool,
 }
 
-struct Reactor {
+struct Reactor<A> {
     idx: usize,
     shared: Arc<Shared>,
     poller: Poller,
@@ -251,12 +305,11 @@ struct Reactor {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     open: usize,
-    scratch: BatchScratch,
-    local: LocalEval,
+    answerer: A,
     rbuf: Vec<u8>,
 }
 
-impl Reactor {
+impl<A: Answer> Reactor<A> {
     fn run(mut self) {
         if self
             .poller
@@ -458,13 +511,7 @@ impl Reactor {
                     conn.out.push(b'\n');
                 }
                 Some(Frame::Line(line)) => {
-                    shutdown = answer_line(
-                        &self.shared.service,
-                        &conn.input.buf[line],
-                        &mut self.scratch,
-                        &mut self.local,
-                        &mut conn.out,
-                    );
+                    shutdown = self.answerer.answer(&conn.input.buf[line], &mut conn.out);
                     if shutdown {
                         // Once the shutdown ack is corked, later
                         // pipelined lines on this connection go

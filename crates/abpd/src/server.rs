@@ -1,9 +1,9 @@
 //! The TCP front of the decision service, and the one verb dispatch it
 //! runs.
 //!
-//! A [`Server`] is a set of epoll reactors (the `reactor` module), one
-//! per evaluation shard, each with its own `SO_REUSEPORT` listener and
-//! its own [`LocalEval`]. Clients send newline-delimited
+//! A [`Server`] is a [`Front`] of epoll reactors, one per evaluation
+//! shard, each with its own `SO_REUSEPORT` listener and its own
+//! [`LocalEval`]. Clients send newline-delimited
 //! [`ClientMessage`](crate::protocol::ClientMessage) lines and get one
 //! [`ServerMessage`](crate::protocol::ServerMessage) line per request,
 //! in order; every complete line goes to [`answer_line`]. Line length
@@ -16,14 +16,14 @@
 //! The reactors are Linux-only: elsewhere [`Server::start`] fails with
 //! `std::io::ErrorKind::Unsupported`.
 
+use crate::faults::FaultPlan;
 use crate::protocol::{ReloadList, ReloadMismatch};
-use crate::reactor;
+use crate::reactor::{Answer, Front};
 use crate::service::{BatchScratch, LocalEval, ReloadDeltaError, Service, ServiceConfig};
 use crate::wire::{self, ClientMessageRef};
 use abp::Engine;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Server configuration: bind address plus service tuning.
 #[derive(Debug, Clone)]
@@ -52,9 +52,8 @@ impl Default for ServerConfig {
 /// **not** stop it — call [`Server::shutdown`] or send the `Shutdown`
 /// verb.
 pub struct Server {
-    local_addr: SocketAddr,
-    shared: Arc<reactor::Shared>,
-    threads: Vec<JoinHandle<()>>,
+    service: Arc<Service>,
+    front: Front,
 }
 
 impl Server {
@@ -78,19 +77,30 @@ impl Server {
     }
 
     fn start_with_service(service: Service, config: &ServerConfig) -> std::io::Result<Server> {
-        let listeners = reactor::bind_listeners(&config.addr, service.shard_count())?;
-        let local_addr = listeners[0].local_addr()?;
-        let (shared, threads) = reactor::spawn(service, listeners, config)?;
-        Ok(Server {
-            local_addr,
-            shared,
-            threads,
-        })
+        let service = Arc::new(service);
+        let deciders = service
+            .shard_evals()
+            .into_iter()
+            .map(|local| Decider {
+                service: service.clone(),
+                scratch: service.scratch(),
+                local,
+            })
+            .collect();
+        let write_faults = config
+            .service
+            .faults
+            .as_ref()
+            .filter(|c| c.torn_write_per_million > 0 || c.disconnect_per_million > 0)
+            .cloned()
+            .map(FaultPlan::new);
+        let front = Front::start(&config.addr, deciders, config.max_line_bytes, write_faults)?;
+        Ok(Server { service, front })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// Request filters loaded in the engine.
@@ -108,14 +118,13 @@ impl Server {
     /// [`Service::reload`]/[`Service::health`] without a loopback
     /// connection.
     pub fn service(&self) -> &Service {
-        &self.shared.service
+        &self.service
     }
 
     /// Stop accepting, serve open connections until their peers close,
     /// then return.
     pub fn shutdown(self) {
-        self.shared.stop();
-        self.join();
+        self.front.shutdown();
     }
 
     /// Abrupt stop for chaos drills: stop accepting, then slam every
@@ -124,15 +133,26 @@ impl Server {
     /// process being killed, which is exactly what fleet failover
     /// exercises need from an in-process shard.
     pub fn kill(self) {
-        self.shared.kill();
-        self.join();
+        self.front.kill();
     }
 
     /// Block until the server stops (via the `Shutdown` verb).
     pub fn join(self) {
-        for t in self.threads {
-            let _ = t.join();
-        }
+        self.front.join();
+    }
+}
+
+/// One reactor's answerer: the service and the evaluation shard the
+/// reactor owns.
+struct Decider {
+    service: Arc<Service>,
+    scratch: BatchScratch,
+    local: LocalEval,
+}
+
+impl Answer for Decider {
+    fn answer(&mut self, line: &[u8], out: &mut Vec<u8>) -> bool {
+        answer_line(&self.service, line, &mut self.scratch, &mut self.local, out)
     }
 }
 

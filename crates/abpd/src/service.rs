@@ -67,7 +67,8 @@ const MAX_SHARDS: usize = 64;
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Evaluation shards, one reactor thread each. Defaults to
-    /// available parallelism, capped at 8.
+    /// [`crate::reactor::default_reactors`]: available parallelism,
+    /// capped at 8.
     pub shards: usize,
     /// The decision cache's byte budget, in entries of
     /// [`crate::cache::BYTES_PER_ENTRY`] (320) bytes, split evenly
@@ -91,9 +92,8 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        let parallelism = std::thread::available_parallelism().map_or(4, |n| n.get());
         ServiceConfig {
-            shards: parallelism.clamp(1, 8),
+            shards: crate::reactor::default_reactors(),
             cache_capacity: 65_536,
             deadline: None,
             faults: None,

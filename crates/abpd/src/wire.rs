@@ -1608,7 +1608,7 @@ pub fn splice_batch_reply<'a>(elements: impl IntoIterator<Item = &'a [u8]>, out:
 
 /// Outcome of one bounded line read.
 #[derive(Debug, PartialEq, Eq)]
-pub enum LineRead {
+pub(crate) enum LineRead {
     /// A complete line is in the buffer (terminator stripped).
     Line,
     /// Clean end of stream at a line boundary.
@@ -1623,8 +1623,9 @@ pub enum LineRead {
 /// Read one `\n`-terminated line into `out` (cleared first), refusing
 /// to buffer more than `max` bytes. Oversized lines are consumed and
 /// discarded to keep the stream in sync, and reported with their total
-/// length.
-pub fn read_line_limited<R: std::io::Read>(
+/// length. The blocking [`Client`](crate::Client)'s reply reader; the
+/// reactors frame their input themselves.
+pub(crate) fn read_line_limited<R: std::io::Read>(
     reader: &mut std::io::BufReader<R>,
     out: &mut Vec<u8>,
     max: usize,

@@ -757,3 +757,116 @@ fn stale_respawn_rejoins_via_delta_catch_up() {
     assert_eq!(health.list_checksum, v2, "fleet did not converge on v2");
     shutdown_fleet(shards, proxy, client);
 }
+
+/// A kernel limit from `/proc/sys/net/ipv4/<name>`: the `nth`
+/// whitespace-separated number (`tcp_wmem`'s third is its maximum).
+fn tcp_mem(name: &str, nth: usize) -> Option<usize> {
+    let text = std::fs::read_to_string(format!("/proc/sys/net/ipv4/{name}")).ok()?;
+    text.split_whitespace().nth(nth)?.parse().ok()
+}
+
+#[test]
+fn a_shard_that_stops_reading_is_hedged_within_the_reply_timeout() {
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    // A shard that answers `Health` on every connection, but stops
+    // reading a connection for good at its first other line.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
+    let addr = listener.local_addr().unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let serve = |mut stream: TcpStream, stop: &AtomicBool| {
+        let mut health = Vec::new();
+        wire::write_health_reply(
+            &abpd::HealthReport {
+                state: abpd::HealthState::Ok,
+                generation: 0,
+                reloads: 0,
+                shard_restarts: Vec::new(),
+                shed: 0,
+                deadline_timeouts: 0,
+                list_checksum: 0,
+                distinct_tenants: 0,
+            },
+            &mut health,
+        );
+        health.push(b'\n');
+        let mut head = [0u8; 9];
+        while stream.read_exact(&mut head).is_ok() {
+            if &head != b"\"Health\"\n" {
+                // Hold the connection, reading nothing, until the test
+                // ends.
+                while !stop.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                return;
+            }
+            if stream.write_all(&health).is_err() {
+                return;
+            }
+        }
+    };
+    let acceptor = {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            let mut conns = Vec::new();
+            for stream in listener.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let (stream, stop) = (stream.expect("accept"), stop.clone());
+                conns.push(std::thread::spawn(move || serve(stream, &stop)));
+            }
+            for c in conns {
+                c.join().expect("fake shard connection");
+            }
+        })
+    };
+
+    // A line larger than both loopback buffers can hold: the proxy's
+    // write of it to the shard cannot complete.
+    let wmem = tcp_mem("tcp_wmem", 2).unwrap_or(4 << 20);
+    let rmem = tcp_mem("tcp_rmem", 1).unwrap_or(128 << 10);
+    let line_bytes = 2 * (wmem + rmem) + (1 << 20);
+    let reply_timeout = Duration::from_millis(300);
+    let proxy = Proxy::start(&ProxyConfig {
+        backends: vec![addr.to_string()],
+        probe_interval: Duration::from_secs(3600),
+        reply_timeout,
+        max_line_bytes: line_bytes + (1 << 20),
+        ..ProxyConfig::default()
+    })
+    .expect("start proxy");
+    assert!(proxy.backend_report()[0].healthy, "the start probe failed");
+
+    let mut client = Client::connect(proxy.local_addr()).expect("connect");
+    let client_timeout = Duration::from_secs(20);
+    client.reply_timeout(Some(client_timeout)).unwrap();
+    let req = dr(
+        &format!("http://big.example/{}", "a".repeat(line_bytes)),
+        "big.example",
+        ResourceType::Script,
+    );
+    let started = Instant::now();
+    let e = client.decide(&req).expect_err("the shard never answers");
+    let took = started.elapsed();
+    assert!(abpd::client::is_overloaded(&e), "not Overloaded: {e}");
+    assert!(
+        took < client_timeout / 4,
+        "{took:?} to shed a line the shard stopped reading"
+    );
+    let report = proxy.backend_report();
+    assert!(!report[0].healthy, "the stalled shard is still healthy");
+    assert_eq!(report[0].hedged_away, 1);
+    // The router is not wedged: the next line is answered.
+    client.ping().expect("ping after the stall");
+
+    drop(client);
+    proxy.shutdown();
+    stop.store(true, Ordering::SeqCst);
+    drop(TcpStream::connect(addr));
+    acceptor.join().expect("fake shard");
+}
