@@ -21,9 +21,10 @@
 //!
 //! ## Compiled representation
 //!
-//! Filters are *added* into mutable builders, and the first match query
-//! compiles them into an immutable, cache-friendly snapshot (rebuilt
-//! lazily after further adds):
+//! Filters are *added* to the engine's filter vectors, its one source of
+//! truth, and the first match query compiles them into an immutable,
+//! cache-friendly snapshot (rebuilt lazily after further adds; what
+//! only the compile needs is dropped when it ends):
 //!
 //! * filter text, and the per-request subject URL, are interned
 //!   ([`IStr`]) so recording an activation never copies string bytes;
@@ -197,11 +198,13 @@ struct StoredElementRule {
     mask: u64,
 }
 
-/// Mutable token-bucketed index over the request filters that have no
-/// `domain=` include list, used while filters are being added.
-/// [`Compiled::build`] compiles its buckets into the [`TokenTable`] and
-/// its untokenized filters into the anchor automaton.
-#[derive(Debug, Default, Clone)]
+/// One side's token buckets over the request filters that have no
+/// `domain=` include list, as inserting them one by one in id order
+/// files them. [`Compiled::build`] replays that insertion, compiles the
+/// buckets into the [`TokenTable`] and the untokenized filters into the
+/// anchor automaton, and drops the maps: the serving engine keeps no
+/// build-time copy of its index.
+#[derive(Debug, Default)]
 struct TokenIndexBuilder {
     by_token: HashMap<String, Vec<u32>>,
     untokenized: Vec<u32>,
@@ -387,7 +390,7 @@ struct SitekeyRanks {
     allow: Vec<u32>,
 }
 
-/// The immutable matching snapshot compiled from the engine's builders:
+/// The immutable matching snapshot compiled from the engine's filters:
 /// the token table, the tail anchor automaton, the host index (the
 /// first-party gate, element-rule scopes and hiding-plan keys), and
 /// precompiled selector-cancellation links. The `$document`/`$elemhide`
@@ -452,17 +455,36 @@ struct Compiled {
     /// Tail counters (the prefilter's reject rate); `Arc` so snapshot
     /// clones keep one set of running totals.
     counters: Arc<TailCounters>,
+    /// The block and allow bucket maps `tokens` was built from, kept in
+    /// debug builds only: the per-request guard holds the table to
+    /// them (`Engine::debug_assert_candidate_order`).
+    #[cfg(debug_assertions)]
+    buckets: [HashMap<String, Vec<u32>>; 2],
 }
 
 impl Compiled {
     fn build(engine: &Engine) -> Compiled {
         engine.compiles.fetch_add(1, Ordering::Relaxed);
+        // Token buckets: replay insertion over the unrestricted request
+        // filters in id order, so each is filed under the rarest of its
+        // tokens among the filters before it (restricted filters are
+        // indexed by first party, below). The maps live until this
+        // compile ends.
+        let mut block_side = TokenIndexBuilder::default();
+        let mut allow_side = TokenIndexBuilder::default();
+        for (id, sf) in engine.request_filters.iter().enumerate() {
+            let rf = &sf.filter;
+            if !rf.is_restricted() {
+                let side = match rf.action {
+                    FilterAction::Block => &mut block_side,
+                    FilterAction::Allow => &mut allow_side,
+                };
+                side.insert(id as u32, &rf.pattern.tokens());
+            }
+        }
         // Tokenized side: one table entry per bucket token, both sides'
         // buckets in insertion order.
-        let (block_tokens, allow_tokens) = (
-            &engine.block_builder.by_token,
-            &engine.allow_builder.by_token,
-        );
+        let (block_tokens, allow_tokens) = (&block_side.by_token, &allow_side.by_token);
         let mut tokens = TokenTable::default();
         for (token, block) in block_tokens {
             let allow = allow_tokens.get(token).map_or(&[][..], Vec::as_slice);
@@ -514,14 +536,14 @@ impl Compiled {
         let mut block_tail_req = Vec::new();
         let mut allow_tail_req = Vec::new();
         let mut block_always = tail(
-            &engine.block_builder.untokenized,
+            &block_side.untokenized,
             GROUP_BLOCK_TAIL,
             &mut auto,
             &mut lit_bits,
             &mut block_tail_req,
         );
         let mut allow_always = tail(
-            &engine.allow_builder.untokenized,
+            &allow_side.untokenized,
             GROUP_ALLOW_TAIL,
             &mut auto,
             &mut lit_bits,
@@ -561,12 +583,8 @@ impl Compiled {
                     keys.is_empty()
                 })
             };
-        file_by_key(&mut block_always, &engine.block_builder.untokenized, |s| {
-            &mut s.block
-        });
-        file_by_key(&mut allow_always, &engine.allow_builder.untokenized, |s| {
-            &mut s.allow
-        });
+        file_by_key(&mut block_always, &block_side.untokenized, |s| &mut s.block);
+        file_by_key(&mut allow_always, &allow_side.untokenized, |s| &mut s.allow);
 
         // Element rules: generic ones in one id-ordered list, scoped ones
         // under their include domains. Every domain an element rule
@@ -618,8 +636,8 @@ impl Compiled {
         Compiled {
             tokens,
             request_auto: auto.build(),
-            block_untok: engine.block_builder.untokenized.clone(),
-            allow_untok: engine.allow_builder.untokenized.clone(),
+            block_untok: block_side.untokenized,
+            allow_untok: allow_side.untokenized,
             block_always,
             allow_always,
             block_tail_req,
@@ -635,6 +653,8 @@ impl Compiled {
                 ..PlanMemo::default()
             })),
             counters: Arc::new(TailCounters::default()),
+            #[cfg(debug_assertions)]
+            buckets: [block_side.by_token, allow_side.by_token],
         }
     }
 
@@ -762,8 +782,6 @@ fn for_each_url_token(url_lower: &str, mut f: impl FnMut(&str)) {
 pub struct Engine {
     request_filters: Vec<StoredRequestFilter>,
     element_rules: Vec<StoredElementRule>,
-    block_builder: TokenIndexBuilder,
-    allow_builder: TokenIndexBuilder,
     /// Subscription slots assigned so far: each `add_list` call (and
     /// each run of standalone `add_filter` calls) claims the next bit.
     /// Slots past 63 all share bit 63 — see [`Engine::list_bit`].
@@ -788,8 +806,6 @@ impl Clone for Engine {
         Engine {
             request_filters: self.request_filters.clone(),
             element_rules: self.element_rules.clone(),
-            block_builder: self.block_builder.clone(),
-            allow_builder: self.allow_builder.clone(),
             next_slot: self.next_slot,
             loose_open: self.loose_open,
             loose_mask: self.loose_mask,
@@ -892,16 +908,6 @@ impl Engine {
         self.compiled = OnceLock::new();
         match body {
             FilterBody::Request(rf) => {
-                let id = self.request_filters.len() as u32;
-                // Restricted filters are indexed by first party at
-                // compile time, not by URL token.
-                if !rf.is_restricted() {
-                    let tokens = rf.pattern.tokens();
-                    match rf.action {
-                        FilterAction::Block => self.block_builder.insert(id, &tokens),
-                        FilterAction::Allow => self.allow_builder.insert(id, &tokens),
-                    }
-                }
                 self.request_filters.push(StoredRequestFilter {
                     filter: rf.clone(),
                     raw: IStr::from(raw),
@@ -1049,14 +1055,14 @@ impl Engine {
         {
             self.debug_assert_candidate_order(
                 &req.url_lower,
-                &self.block_builder,
+                &compiled.buckets[0],
                 block_hits,
                 block_tail,
                 &compiled.block_untok,
             );
             self.debug_assert_candidate_order(
                 &req.url_lower,
-                &self.allow_builder,
+                &compiled.buckets[1],
                 allow_hits,
                 allow_tail,
                 &compiled.allow_untok,
@@ -1212,13 +1218,13 @@ impl Engine {
     }
 
     /// The reference walk: the buckets of `url_lower`'s tokens read
-    /// from the builder's map, in URL-token order, a repeated token's
-    /// bucket once per occurrence.
+    /// from a bucket map, in URL-token order, a repeated token's bucket
+    /// once per occurrence.
     #[cfg(any(test, debug_assertions))]
-    fn reference_token_walk(url_lower: &str, builder: &TokenIndexBuilder) -> Vec<u32> {
+    fn reference_token_walk(url_lower: &str, buckets: &HashMap<String, Vec<u32>>) -> Vec<u32> {
         let mut ids = Vec::new();
         for_each_url_token(url_lower, |t| {
-            if let Some(bucket) = builder.by_token.get(t) {
+            if let Some(bucket) = buckets.get(t) {
                 ids.extend_from_slice(bucket);
             }
         });
@@ -1237,14 +1243,14 @@ impl Engine {
     fn debug_assert_candidate_order(
         &self,
         url_lower: &str,
-        builder: &TokenIndexBuilder,
+        buckets: &HashMap<String, Vec<u32>>,
         hits: &[u32],
         tail_ranks: &[u32],
         untok: &[u32],
     ) {
         assert_eq!(
             hits,
-            Engine::reference_token_walk(url_lower, builder),
+            Engine::reference_token_walk(url_lower, buckets),
             "token-table hits must replay the bucket chain for {url_lower:?}"
         );
         // Ranks are sorted and unique, and index the insertion-ordered
@@ -1632,8 +1638,25 @@ impl Engine {
         (scratch.block_hits, scratch.allow_hits)
     }
 
+    /// The token buckets rebuilt for the reference: each unrestricted
+    /// request filter inserted in id order by a loop of the reference's
+    /// own, so it shares the rarest-token rule with
+    /// [`Compiled::build`]'s replay but not the replay itself.
+    #[cfg(test)]
+    fn reference_buckets(&self) -> [TokenIndexBuilder; 2] {
+        let mut sides = [TokenIndexBuilder::default(), TokenIndexBuilder::default()];
+        for (id, sf) in self.request_filters.iter().enumerate() {
+            if !sf.filter.is_restricted() {
+                let side = usize::from(sf.filter.action == FilterAction::Allow);
+                sides[side].insert(id as u32, &sf.filter.pattern.tokens());
+            }
+        }
+        sides
+    }
+
     /// What [`Engine::candidate_ids`] must return, built without any
-    /// compiled index: the reference token walk, each untokenized filter
+    /// compiled index: the reference token walk over
+    /// [`Engine::reference_buckets`], each untokenized filter
     /// whose trigger holds (its anchor occurs in the URL; or, anchorless,
     /// it names no sitekey or the request's key) and all of whose
     /// literals occur, and the restricted filters whose include list
@@ -1648,11 +1671,8 @@ impl Engine {
         let url = req.url_lower.as_str();
         let key = req.verified_sitekey.as_deref();
         let mut sides = [Vec::new(), Vec::new()];
-        for (side, builder) in sides
-            .iter_mut()
-            .zip([&self.block_builder, &self.allow_builder])
-        {
-            side.extend(Engine::reference_token_walk(url, builder));
+        for (side, builder) in sides.iter_mut().zip(self.reference_buckets()) {
+            side.extend(Engine::reference_token_walk(url, &builder.by_token));
             side.extend(builder.untokenized.iter().copied().filter(|&id| {
                 let filter = &self.request_filters[id as usize].filter;
                 let pattern = &filter.pattern;

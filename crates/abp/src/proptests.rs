@@ -1272,8 +1272,8 @@ mod differential {
 
     proptest! {
         /// The candidate stage hands evaluation exactly the reference's
-        /// candidates — the reference walk over the builders' token
-        /// maps, the untokenized filters whose trigger and literals
+        /// candidates — the reference walk over token buckets it
+        /// rebuilds itself, the untokenized filters whose trigger and literals
         /// occur, and the gate's restricted filters — on URLs glued from
         /// the lists' own tokens and anchors. The debug assertion checks
         /// the token half on every request of the differential arms;

@@ -199,6 +199,10 @@ fn watch_loop(
 }
 
 fn main() {
+    // First, before the corpus is generated: the first trim pins the
+    // allocator's trim threshold, so what boot frees goes back to the
+    // OS instead of staying resident beside the engine.
+    abpd::poll::trim_heap();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
@@ -259,40 +263,25 @@ fn main() {
         }
     }
 
-    // Keep the list bodies server-side so `ReloadDelta` has a base to
-    // patch and `Health` reports the serving checksum.
+    // The server keeps the list bodies, so `ReloadDelta` has a base to
+    // patch and `Health` reports the serving checksum; they are its one
+    // copy unless `--watch` needs its own (the watcher's delta base).
     let seed_boot = |seed: u64| {
         eprintln!("abpd: generating corpus (seed {seed})...");
         let corpus = corpus::Corpus::generate(seed);
-        let easylist = corpus.easylist.to_text();
-        let whitelist = corpus.whitelist.to_text();
-        let lists = vec![
+        vec![
             ReloadList {
                 source: abp::ListSource::EasyList,
-                content: easylist.clone(),
+                content: corpus.easylist.to_text(),
             },
             ReloadList {
                 source: abp::ListSource::AcceptableAds,
-                content: whitelist.clone(),
+                content: corpus.whitelist.to_text(),
             },
-        ];
-        (lists, easylist, whitelist)
+        ]
     };
-    let snapshot_boot = recovered.map(|state| {
-        let body_of = |src: abp::ListSource| {
-            state
-                .lists
-                .iter()
-                .find(|l| l.source == src)
-                .map(|l| l.content.clone())
-                .unwrap_or_default()
-        };
-        let easylist = body_of(abp::ListSource::EasyList);
-        let whitelist = body_of(abp::ListSource::AcceptableAds);
-        (state.lists, easylist, whitelist)
-    });
-    let mut from_snapshot = snapshot_boot.is_some();
-    let (mut lists, mut easylist, mut whitelist) = snapshot_boot.unwrap_or_else(|| seed_boot(seed));
+    let mut from_snapshot = recovered.is_some();
+    let mut lists = recovered.map_or_else(|| seed_boot(seed), |state| state.lists);
     let server = loop {
         match Server::start_with_lists(lists, &config) {
             Ok(s) => break s,
@@ -304,7 +293,7 @@ fn main() {
                     "abpd: cannot serve the recovered snapshot ({e}); falling back to seed lists"
                 );
                 from_snapshot = false;
-                (lists, easylist, whitelist) = seed_boot(seed);
+                lists = seed_boot(seed);
             }
             Err(e) => {
                 eprintln!("abpd: cannot bind {}: {e}", config.addr);
@@ -320,6 +309,18 @@ fn main() {
     );
     if let Some(path) = watch {
         let addr = server.local_addr();
+        // The watcher's own copies of the serving bodies: its first
+        // delta base, and the EasyList text a full reload re-ships.
+        let serving = server.service().serving_lists();
+        let body_of = |src: abp::ListSource| {
+            serving
+                .iter()
+                .find(|l| l.source == src)
+                .map(|l| l.content.clone())
+                .unwrap_or_default()
+        };
+        let easylist = body_of(abp::ListSource::EasyList);
+        let whitelist = body_of(abp::ListSource::AcceptableAds);
         let interval = Duration::from_millis(watch_interval.max(1));
         eprintln!("abpd: watching {path} every {}ms", interval.as_millis());
         let spawned = std::thread::Builder::new()

@@ -5,7 +5,7 @@
 //! wraps them into std types (`TcpListener` via `FromRawFd`) or RAII
 //! guards at the earliest opportunity, and exposes only a safe API.
 //!
-//! Three things live here:
+//! Four things live here:
 //!
 //! * [`Poller`] — an `epoll` instance: level-triggered readiness for
 //!   raw fds carrying a caller-chosen `u64` token.
@@ -16,11 +16,16 @@
 //!   and the kernel load-balances incoming connections across them.
 //!   std can't do this: `TcpListener::bind` binds before any socket
 //!   option can be set, and `SO_REUSEPORT` must precede `bind`.
+//! * [`trim_heap`] — glibc's `malloc_trim(0)` (and, once, a fixed
+//!   trim threshold): hand the heap's free pages back to the OS once an
+//!   engine compile or a retired engine generation has freed megabytes
+//!   of them.
 //!
 //! On non-Linux targets everything compiles to stubs whose
 //! constructors return `std::io::ErrorKind::Unsupported`, and that is
 //! the error `Server::start` reports there: the server has no second
-//! backend.
+//! backend. [`trim_heap`] does nothing where the C library is not
+//! glibc.
 #![allow(unsafe_code)]
 
 /// One readiness event out of [`Poller::wait`].
@@ -385,6 +390,49 @@ mod sys {
 }
 
 pub use sys::{listen_reuseport, raw_fd, Poller, WakeFd};
+
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+extern "C" {
+    fn malloc_trim(pad: usize) -> std::ffi::c_int;
+    fn mallopt(param: std::ffi::c_int, value: std::ffi::c_int) -> std::ffi::c_int;
+}
+
+/// `mallopt` parameter: the free space at the top of an arena above
+/// which `free` hands it back to the OS.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+const M_TRIM_THRESHOLD: std::ffi::c_int = -1;
+
+/// Return the free memory of every malloc arena to the OS. glibc keeps
+/// freed heap pages resident until something trims them, so without
+/// this the transient heap of an engine compile (the parsed lists, the
+/// index maps) and the pages of a retired engine generation stay in
+/// the process's RSS. About a millisecond on a shard's heap: call it
+/// after work that frees megabytes, never per request.
+///
+/// `malloc_trim` releases free pages inside an arena, but not the free
+/// top of a thread's arena: that goes back only when `free` finds it
+/// past the trim threshold, which glibc raises as large blocks come
+/// and go, up to 64 MiB. So the first call also pins the threshold at
+/// glibc's initial 128 KiB, which keeps large blocks in `mmap` and
+/// lets every arena's top go back as it frees (call it once at process
+/// start for that to cover everything the process allocates). A no-op
+/// where the C library is not glibc.
+pub fn trim_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        static PINNED: std::sync::Once = std::sync::Once::new();
+        // SAFETY: `mallopt` and `malloc_trim` take plain integers,
+        // touch only the allocator's own state under its own locks, and
+        // may be called from any thread at any time.
+        PINNED.call_once(|| unsafe {
+            mallopt(M_TRIM_THRESHOLD, 128 * 1024);
+        });
+        // SAFETY: as above.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
 
 #[cfg(all(test, target_os = "linux"))]
 mod tests {

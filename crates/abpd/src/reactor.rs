@@ -398,7 +398,9 @@ impl<A: Answer> Reactor<A> {
         self.conns[idx] = Some(Conn {
             sock,
             input: LineBuf::default(),
-            out: Vec::with_capacity(4096),
+            // Empty until the first reply: an idle connection holds no
+            // reply buffer.
+            out: Vec::new(),
             out_pos: 0,
             paused: false,
             eof: false,

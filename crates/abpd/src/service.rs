@@ -138,6 +138,10 @@ struct EngineSnapshot {
     lists: Arc<Vec<ReloadList>>,
     /// [`serving_checksum`] of `lists` (0 when `lists` is empty).
     list_checksum: u64,
+    /// Declared last: fields drop in declaration order, so a retired
+    /// generation's pages go back to the OS after its engine and
+    /// bodies are freed, on whichever thread drops its last reference.
+    _trim: TrimOnDrop,
 }
 
 impl EngineSnapshot {
@@ -147,7 +151,17 @@ impl EngineSnapshot {
             engine: Arc::new(engine),
             list_checksum: serving_checksum(&lists),
             lists: Arc::new(lists),
+            _trim: TrimOnDrop,
         }
+    }
+}
+
+/// Runs [`crate::poll::trim_heap`] when dropped.
+struct TrimOnDrop;
+
+impl Drop for TrimOnDrop {
+    fn drop(&mut self) {
+        crate::poll::trim_heap();
     }
 }
 
@@ -285,8 +299,17 @@ impl LocalEval {
 
 /// Validate filter list payloads and compile them into an engine —
 /// the shared front half of [`Service::start_with_lists`] and both
-/// reload paths.
+/// reload paths. Accepted or rejected, the compile's transient heap
+/// (the parsed lists, the index maps) is free by the time this returns,
+/// and its pages go back to the OS instead of staying resident beside
+/// the engine that serves.
 fn compile_lists(lists: &[ReloadList]) -> Result<Engine, String> {
+    let compiled = parse_and_compile(lists);
+    crate::poll::trim_heap();
+    compiled
+}
+
+fn parse_and_compile(lists: &[ReloadList]) -> Result<Engine, String> {
     let mut parsed = Vec::with_capacity(lists.len());
     for list in lists {
         let fl = FilterList::parse(list.source, &list.content);
@@ -731,7 +754,10 @@ impl Service {
         let generation = self.generation() + 1;
         let next = Arc::new(EngineSnapshot::new(generation, engine, lists));
         let filters = next.engine.request_filter_count() as u64;
-        *self.snapshot.write() = next;
+        let retired = std::mem::replace(&mut *self.snapshot.write(), next);
+        // Outside the lock: freeing and trimming the retired generation
+        // (when no batch still holds it) must not stall the readers.
+        drop(retired);
         self.reloads.fetch_add(1, Ordering::Relaxed);
         // Persist *after* the swap, *before* the ack is sent: if the
         // process dies mid-save, the caller never saw a success, so

@@ -12,7 +12,7 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> determinism (abp + acceptable-ads + abpd lib tests: 5x default runner; abp + acceptable-ads 2x --test-threads 1; fleet, fleet_connection_scale, chaos, service_smoke, connection_scale, hit_path_allocs, miss_path_allocs: 5x release)"
+echo "==> determinism (abp + acceptable-ads + abpd lib tests: 5x default runner; abp + acceptable-ads 2x --test-threads 1; fleet, fleet_connection_scale, chaos, service_smoke, connection_scale, hit_path_allocs, miss_path_allocs, reload_rss: 5x release)"
 # Tier-1 must be green on every run, not most runs: the two crates whose
 # tests compile engines side by side run again and again under both
 # schedules, and the first red run fails the stage. abpd's lib tests
@@ -24,12 +24,15 @@ echo "==> determinism (abp + acceptable-ads + abpd lib tests: 5x default runner;
 # panics, torn writes and mid-batch shutdown, connection_scale holds
 # 2,000 connections open on the real binary (sockets and timing) and
 # fleet_connection_scale holds as many on the real abpd-proxy binary in
-# front of two shards (0.7-1.1 s a run on a 2-vCPU VM), and
+# front of two shards (0.7-1.1 s a run on a 2-vCPU VM); both drills
+# hold each binary's resident growth to at most 1,024 B per connection.
 # hit_path_allocs and miss_path_allocs count the allocations of a warm
 # all-hit batch and of a steady all-miss cycle (zero each) under the
 # optimizer that serves them (debug builds of abp cross-check the
-# engine with allocating reference walks), so all six repeat in
-# release, under the default runner.
+# engine with allocating reference walks), and reload_rss holds a
+# shard's VmRSS after 20 served corpus reloads to its boot VmRSS +
+# 4 MiB (about 1 s a run), so all eight repeat in release, under the
+# default runner.
 for run in 1 2 3 4 5; do
     cargo test -q -p abp -p acceptable-ads --lib ||
         { echo "determinism: default-runner run $run failed" >&2; exit 1; }
@@ -43,8 +46,8 @@ done
 for run in 1 2 3 4 5; do
     cargo test -q --release --test fleet --test fleet_connection_scale ||
         { echo "determinism: fleet + fleet_connection_scale run $run failed" >&2; exit 1; }
-    cargo test -q --release --test chaos --test service_smoke --test connection_scale --test hit_path_allocs --test miss_path_allocs ||
-        { echo "determinism: chaos + service_smoke + connection_scale + hit_path_allocs + miss_path_allocs run $run failed" >&2; exit 1; }
+    cargo test -q --release --test chaos --test service_smoke --test connection_scale --test hit_path_allocs --test miss_path_allocs --test reload_rss ||
+        { echo "determinism: chaos + service_smoke + connection_scale + hit_path_allocs + miss_path_allocs + reload_rss run $run failed" >&2; exit 1; }
 done
 
 echo "==> urlkit differential at 4096 cases (byte-level Url::parse and registrable_domain_str = the char-pattern reference)"

@@ -7,14 +7,16 @@
 //!
 //! The drill (`support/drill.rs`) shrinks to fit a host whose
 //! open-file limit is below what 2,000 connections need on both ends.
-//! It prints the daemon's resident growth per connection and asserts
-//! nothing about it.
+//! The daemon's resident growth may come to at most
+//! `MAX_BYTES_PER_CONNECTION` (1,024 B) per connection, counted after
+//! the active traffic has been decided once, so that it counts
+//! connections and not the first touch of the decision cache's pages.
 
 #[path = "support/drill.rs"]
 mod drill;
 
 use abpd::Client;
-use drill::{Drill, Spawned, HELD_BYTES};
+use drill::{bytes_per_connection, Drill, Spawned, HELD_BYTES, MAX_BYTES_PER_CONNECTION};
 
 #[test]
 fn idle_connections_cost_no_thread_and_every_held_line_is_answered_once() {
@@ -27,6 +29,10 @@ fn idle_connections_cost_no_thread_and_every_held_line_is_answered_once() {
     let engine = abpd::corpus_engine(2015);
     let mut drill = Drill::new();
     let (connections, idle) = (drill.connections, drill.idle);
+    // The cache's index and log are allocated untouched at boot: decide
+    // the active traffic once before the first reading, so that the
+    // second pass hits and the growth below is the connections'.
+    drill.run_active(&daemon.addr, &engine);
 
     let threads_before = daemon.status("Threads:");
     let rss_before = daemon.status("VmRSS:");
@@ -46,11 +52,16 @@ fn idle_connections_cost_no_thread_and_every_held_line_is_answered_once() {
         "{idle} idle connections changed the daemon's thread count"
     );
     let rss_after = daemon.status("VmRSS:");
+    let per_connection = bytes_per_connection(rss_before, rss_after, connections);
     println!(
         "connection_scale: {connections} connections ({idle} idle, {} holding {HELD_BYTES} B); \
-         threads {threads_before}; RSS {rss_before} -> {rss_after} KiB, {:.0} B per connection",
-        drill.held(),
-        (rss_after.saturating_sub(rss_before) * 1024) as f64 / connections as f64
+         threads {threads_before}; RSS {rss_before} -> {rss_after} KiB, {per_connection} B per \
+         connection",
+        drill.held()
+    );
+    assert!(
+        per_connection <= MAX_BYTES_PER_CONNECTION,
+        "{per_connection} B of RSS per connection (at most {MAX_BYTES_PER_CONNECTION})"
     );
 
     drill.finish_held(&engine);

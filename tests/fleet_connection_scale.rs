@@ -9,14 +9,14 @@
 //!
 //! The drill (`support/drill.rs`) shrinks to fit a host whose
 //! open-file limit is below what 2,000 connections need on both ends.
-//! It prints the proxy's resident growth per connection and asserts
-//! nothing about it.
+//! The proxy's resident growth may come to at most
+//! `MAX_BYTES_PER_CONNECTION` (1,024 B) per connection.
 
 #[path = "support/drill.rs"]
 mod drill;
 
 use abpd::{Client, Server, ServerConfig, ServiceConfig};
-use drill::{open_fds, Drill, Spawned, HELD_BYTES};
+use drill::{bytes_per_connection, open_fds, Drill, Spawned, HELD_BYTES, MAX_BYTES_PER_CONNECTION};
 
 /// Shards behind the proxy.
 const SHARDS: usize = 2;
@@ -77,12 +77,16 @@ fn idle_fleet_connections_cost_no_thread_and_reach_each_shard_once_per_reactor()
         "{connections} connections took the proxy from {fds_before} to {fds_after} fds"
     );
     let rss_after = proxy.status("VmRSS:");
+    let per_connection = bytes_per_connection(rss_before, rss_after, connections);
     println!(
         "fleet_connection_scale: {connections} connections ({idle} idle, {} holding \
          {HELD_BYTES} B), {reactors} reactors; threads {threads_before}; fds {fds_before} -> \
-         {fds_after}; RSS {rss_before} -> {rss_after} KiB, {:.0} B per connection",
-        drill.held(),
-        (rss_after.saturating_sub(rss_before) * 1024) as f64 / connections as f64
+         {fds_after}; RSS {rss_before} -> {rss_after} KiB, {per_connection} B per connection",
+        drill.held()
+    );
+    assert!(
+        per_connection <= MAX_BYTES_PER_CONNECTION,
+        "{per_connection} B of RSS per connection (at most {MAX_BYTES_PER_CONNECTION})"
     );
 
     drill.finish_held(&engine);

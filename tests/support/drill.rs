@@ -25,6 +25,16 @@ pub const HELD_BYTES: usize = 200;
 /// Descriptors kept free below the soft limit for everything that is
 /// not a drill connection, in this process and in the server.
 const FD_HEADROOM: usize = 64;
+/// Resident bytes one open connection may add to the serving binary:
+/// its slot, its first read's input buffer and the kernel's share, but
+/// no reply buffer before its first reply.
+pub const MAX_BYTES_PER_CONNECTION: u64 = 1024;
+
+/// Resident growth per connection, in bytes, between two `VmRSS:`
+/// readings in KiB.
+pub fn bytes_per_connection(rss_before_kib: u64, rss_after_kib: u64, connections: usize) -> u64 {
+    rss_after_kib.saturating_sub(rss_before_kib) * 1024 / connections as u64
+}
 
 /// A spawned serving binary, killed if a failed assertion leaves it
 /// behind.
@@ -124,6 +134,8 @@ pub struct Drill {
     /// Connections held open while the active ones decide.
     pub idle: usize,
     active_reqs: Vec<DecisionRequest>,
+    /// Times the active traffic ran ([`Drill::run_active`]).
+    active_passes: usize,
     idle_reqs: Vec<DecisionRequest>,
     conns: Vec<TcpStream>,
     /// Each holding connection's index and its whole line.
@@ -150,6 +162,7 @@ impl Drill {
             connections,
             idle,
             active_reqs: traffic,
+            active_passes: 0,
             idle_reqs,
             conns: Vec::with_capacity(idle),
             held: Vec::new(),
@@ -176,9 +189,11 @@ impl Drill {
 
     /// Lockstep decisions on the active connections, each checked
     /// against `engine`.
-    pub fn run_active(&self, addr: &str, engine: &Engine) {
+    pub fn run_active(&mut self, addr: &str, engine: &Engine) {
+        self.active_passes += 1;
+        let active_reqs = &self.active_reqs;
         std::thread::scope(|scope| {
-            for reqs in self.active_reqs.chunks(DECISIONS_PER_ACTIVE) {
+            for reqs in active_reqs.chunks(DECISIONS_PER_ACTIVE) {
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).expect("connect an active client");
                     for req in reqs {
@@ -227,7 +242,7 @@ impl Drill {
 
     /// Decisions the server made for the drill.
     pub fn decided(&self) -> u64 {
-        (self.active_reqs.len() + self.held.len()) as u64
+        (self.active_passes * self.active_reqs.len() + self.held.len()) as u64
     }
 
     /// Close every drill connection (a `Shutdown` drains open ones).
