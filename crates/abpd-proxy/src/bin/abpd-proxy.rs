@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! abpd-proxy --backends HOST:PORT,HOST:PORT,... [--addr HOST:PORT]
-//!            [--vnodes N] [--probe-interval-ms N]
-//!            [--reply-timeout-ms N] [--max-line-bytes N]
+//!            [--probe-interval-ms N] [--reply-timeout-ms N]
+//!            [--max-line-bytes N]
 //! ```
 //!
 //! Binds a router speaking the abpd NDJSON wire protocol in front of
@@ -38,8 +38,8 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: abpd-proxy --backends HOST:PORT,... [--addr HOST:PORT] \
-             [--vnodes N] [--probe-interval-ms N] \
-             [--reply-timeout-ms N] [--max-line-bytes N]"
+             [--probe-interval-ms N] [--reply-timeout-ms N] \
+             [--max-line-bytes N]"
         );
         return;
     }
@@ -58,9 +58,6 @@ fn main() {
         .filter(|s| !s.is_empty())
         .map(str::to_string)
         .collect();
-    if let Some(n) = parse_flag(&args, "--vnodes") {
-        config.vnodes = n;
-    }
     if let Some(ms) = parse_flag::<u64>(&args, "--probe-interval-ms") {
         config.probe_interval = Duration::from_millis(ms.max(1));
     }

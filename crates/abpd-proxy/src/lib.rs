@@ -20,9 +20,10 @@
 //! fields as the decision cache (url, document, resource type,
 //! sitekey), so each shard's decision cache only ever sees its own slice of
 //! the keyspace — fleet cache capacity adds up instead of duplicating.
-//! A shard that fails its periodic `Health` probe is routed around; a
-//! request that hits a dead, shedding, or timed-out shard is *hedged*
-//! to the next distinct shard on its ring walk.
+//! A slot is routed to if and only if it is healthy: a `Decide` and
+//! the same request inside a `DecideBatch` go to the first healthy
+//! slot on the key's ring walk. A request that hits a dead, shedding,
+//! or timed-out shard is *hedged* to the next healthy slot.
 //!
 //! The router evaluates nothing, so it decodes nothing it does not
 //! hash: a request line is parsed once for its routing keys and for
@@ -40,12 +41,13 @@
 //! ships it a per-list [`abpdelta`] delta from its retained body
 //! history (or a full `Reload` when the stale base is unknown).
 //!
-//! Two overload guards protect the fleet itself: a per-backend
-//! *circuit breaker* (consecutive transport failures open it; an open
-//! slot is skipped outright; after a cooldown a single half-open trial
-//! request decides whether it recloses) and a token-bucket *hedge
-//! budget* that caps failure-triggered retries fleet-wide, so a
-//! flapping shard cannot amplify load onto its neighbours.
+//! One failure detector guards the fleet: any failed exchange with a
+//! shard (transport error, timeout, torn reply) marks its slot down at
+//! once, and only a successful periodic `Health` probe marks it back
+//! up, so no client request pays to find out whether a shard is back.
+//! A token-bucket *hedge budget* caps failure-triggered retries
+//! fleet-wide, so a flapping shard cannot amplify load onto its
+//! neighbours.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,7 +64,7 @@ use abpd::{serving_checksum, Client};
 use ring::HashRing;
 use std::collections::VecDeque;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -74,8 +76,6 @@ pub struct ProxyConfig {
     pub addr: String,
     /// Backend shard addresses (`host:port`), one per ring slot.
     pub backends: Vec<String>,
-    /// Ring points per shard; more points, smoother key split.
-    pub vnodes: usize,
     /// How often the prober re-checks each shard's health.
     pub probe_interval: Duration,
     /// How long any one step of a shard exchange may take: connecting,
@@ -85,17 +85,10 @@ pub struct ProxyConfig {
     /// Longest accepted line in either direction. Reload lines carry
     /// whole list bodies, so this defaults to 16 MiB.
     pub max_line_bytes: usize,
-    /// Consecutive transport failures that open a slot's circuit
-    /// breaker. An open slot is skipped by routing and fan-out until
-    /// its cooldown elapses.
-    pub breaker_failure_threshold: u32,
-    /// How long an opened breaker rejects work before allowing one
-    /// half-open trial request.
-    pub breaker_open: Duration,
     /// Token-bucket refill rate for failure-triggered hedge/retry
-    /// attempts, in decisions per second. Routing around a
-    /// breaker-open slot is free; only extra attempts after an actual
-    /// failure draw from the budget.
+    /// attempts, in decisions per second. Routing around an unhealthy
+    /// slot is free; only extra attempts after an actual failure draw
+    /// from the budget.
     pub hedge_budget_per_sec: f64,
     /// Token-bucket burst capacity for hedge/retry attempts.
     pub hedge_budget_burst: f64,
@@ -106,17 +99,18 @@ impl Default for ProxyConfig {
         ProxyConfig {
             addr: "127.0.0.1:0".to_string(),
             backends: Vec::new(),
-            vnodes: 64,
             probe_interval: Duration::from_millis(500),
             reply_timeout: Duration::from_secs(10),
             max_line_bytes: 16 * 1024 * 1024,
-            breaker_failure_threshold: 5,
-            breaker_open: Duration::from_millis(500),
             hedge_budget_per_sec: 500.0,
             hedge_budget_burst: 1000.0,
         }
     }
 }
+
+/// Ring points per shard slot: with 64, a 3-shard ring splits the key
+/// space within a few percent of even.
+const VNODES: usize = 64;
 
 /// One shard slot's live state. The slot (ring position) is fixed; the
 /// address behind it may change when a shard respawns — `epoch` bumps
@@ -126,6 +120,8 @@ struct BackendState {
     /// so a panic cannot leave it half-written.
     addr: RwLock<String>,
     epoch: AtomicU64,
+    /// The one routing gate: cleared by any failed exchange, set only
+    /// by a successful probe.
     healthy: AtomicBool,
     /// Requests this slot answered (decisions, not lines).
     forwarded: AtomicU64,
@@ -133,16 +129,6 @@ struct BackendState {
     hedged_away: AtomicU64,
     /// Serving checksum seen by the last successful probe.
     last_checksum: AtomicU64,
-    /// Transport failures since the last success; feeds the breaker.
-    consecutive_failures: AtomicU32,
-    /// Breaker state: 0 = closed. Non-zero = open until this many
-    /// milliseconds after the proxy started; once that instant passes
-    /// the breaker is *half-open* until a trial request settles it.
-    open_until_ms: AtomicU64,
-    /// Half-open gate: at most one in-flight trial request at a time.
-    half_open_trial: AtomicBool,
-    /// Times the breaker transitioned closed -> open.
-    breaker_opens: AtomicU64,
     /// Bytes shipped to this slot as rejoin catch-up deltas.
     rejoin_delta_bytes: AtomicU64,
     /// Bytes shipped to this slot as rejoin full-body reloads.
@@ -154,7 +140,8 @@ struct BackendState {
 pub struct BackendReport {
     /// Current address behind the slot.
     pub addr: String,
-    /// Did the last probe (or forward) succeed?
+    /// Is the slot routed to? A failed exchange clears it; only a
+    /// successful probe sets it again.
     pub healthy: bool,
     /// Decisions this slot answered.
     pub forwarded: u64,
@@ -162,10 +149,6 @@ pub struct BackendReport {
     pub hedged_away: u64,
     /// Serving checksum at the last successful probe.
     pub last_checksum: u64,
-    /// Is the slot's circuit breaker currently rejecting work?
-    pub breaker_open: bool,
-    /// Times the breaker transitioned closed -> open.
-    pub breaker_opens: u64,
     /// Bytes shipped to this slot as rejoin catch-up deltas.
     pub rejoin_delta_bytes: u64,
     /// Bytes shipped to this slot as rejoin full-body reloads.
@@ -245,10 +228,6 @@ struct Shared {
     running: AtomicBool,
     reply_timeout: Duration,
     max_line_bytes: usize,
-    /// Reference instant for breaker deadlines (`open_until_ms`).
-    started: Instant,
-    breaker_threshold: u32,
-    breaker_open: Duration,
     /// Poisoning: taken over. The critical section is float
     /// arithmetic on two fields, which cannot panic between writes.
     hedge: Mutex<HedgeBucket>,
@@ -285,74 +264,6 @@ impl Shared {
 
     fn retained(&self) -> MutexGuard<'_, RetainedBodies> {
         self.retained.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn now_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
-    }
-
-    /// Side-effect-free: is `slot`'s breaker currently rejecting work?
-    /// (Half-open counts as *not* rejecting; the CAS in
-    /// [`Shared::breaker_allows`] limits trials to one at a time.)
-    fn breaker_open_now(&self, slot: usize) -> bool {
-        let open_until = self.backends[slot].open_until_ms.load(Ordering::SeqCst);
-        open_until != 0 && self.now_ms() < open_until
-    }
-
-    /// Routing gate for one attempt: closed lets everything through,
-    /// open rejects, half-open admits exactly one trial request (the
-    /// CAS winner) whose outcome recloses or reopens the breaker.
-    fn breaker_allows(&self, slot: usize) -> bool {
-        let b = &self.backends[slot];
-        let open_until = b.open_until_ms.load(Ordering::SeqCst);
-        if open_until == 0 {
-            return true;
-        }
-        if self.now_ms() < open_until {
-            return false;
-        }
-        b.half_open_trial
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    }
-
-    /// A transport failure against `slot`: count it, and open (or
-    /// re-open, after a failed half-open trial) the breaker once the
-    /// consecutive-failure threshold is crossed.
-    fn record_failure(&self, slot: usize) {
-        let b = &self.backends[slot];
-        let failures = b.consecutive_failures.fetch_add(1, Ordering::SeqCst) + 1;
-        let open_until = b.open_until_ms.load(Ordering::SeqCst);
-        let now = self.now_ms();
-        let was_open = open_until != 0;
-        let half_open = was_open && now >= open_until;
-        if failures >= self.breaker_threshold || half_open {
-            // `open_until_ms` of 0 means closed, so floor the deadline
-            // at 1ms past start.
-            let deadline = (now + self.breaker_open.as_millis() as u64).max(1);
-            b.open_until_ms.store(deadline, Ordering::SeqCst);
-            b.half_open_trial.store(false, Ordering::SeqCst);
-            if !was_open {
-                b.breaker_opens.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-    }
-
-    /// Any successful exchange with `slot` (forward, probe, or typed
-    /// reply): the transport works, so the breaker closes.
-    fn record_success(&self, slot: usize) {
-        let b = &self.backends[slot];
-        b.consecutive_failures.store(0, Ordering::SeqCst);
-        b.open_until_ms.store(0, Ordering::SeqCst);
-        b.half_open_trial.store(false, Ordering::SeqCst);
-    }
-
-    /// Release a half-open trial slot without settling the breaker
-    /// (the trial ended in `Overloaded`: transport fine, shard busy).
-    fn release_trial(&self, slot: usize) {
-        self.backends[slot]
-            .half_open_trial
-            .store(false, Ordering::SeqCst);
     }
 
     /// Draw `n` decisions' worth of hedge budget. Returns false (and
@@ -402,23 +313,16 @@ impl Proxy {
                 forwarded: AtomicU64::new(0),
                 hedged_away: AtomicU64::new(0),
                 last_checksum: AtomicU64::new(0),
-                consecutive_failures: AtomicU32::new(0),
-                open_until_ms: AtomicU64::new(0),
-                half_open_trial: AtomicBool::new(false),
-                breaker_opens: AtomicU64::new(0),
                 rejoin_delta_bytes: AtomicU64::new(0),
                 rejoin_full_bytes: AtomicU64::new(0),
             })
             .collect();
         let shared = Arc::new(Shared {
-            ring: HashRing::new(backends.len(), config.vnodes),
+            ring: HashRing::new(backends.len(), VNODES),
             backends,
             running: AtomicBool::new(true),
             reply_timeout: config.reply_timeout,
             max_line_bytes: config.max_line_bytes.max(64),
-            started: Instant::now(),
-            breaker_threshold: config.breaker_failure_threshold.max(1),
-            breaker_open: config.breaker_open.max(Duration::from_millis(1)),
             hedge: Mutex::new(HedgeBucket {
                 tokens: config.hedge_budget_burst.max(0.0),
                 last: Instant::now(),
@@ -524,8 +428,6 @@ impl Proxy {
                 forwarded: b.forwarded.load(Ordering::SeqCst),
                 hedged_away: b.hedged_away.load(Ordering::SeqCst),
                 last_checksum: b.last_checksum.load(Ordering::SeqCst),
-                breaker_open: self.shared.breaker_open_now(slot),
-                breaker_opens: b.breaker_opens.load(Ordering::SeqCst),
                 rejoin_delta_bytes: b.rejoin_delta_bytes.load(Ordering::SeqCst),
                 rejoin_full_bytes: b.rejoin_full_bytes.load(Ordering::SeqCst),
             })
@@ -573,11 +475,10 @@ fn jittered_interval(interval: Duration, slot: u64, round: u64) -> Duration {
 
 /// One short-lived probe: connect, fetch `Health`, record the serving
 /// checksum. Shards drain open connections on shutdown, so the probe
-/// never keeps a connection alive between ticks. Probes bypass the
-/// breaker gate (they *are* the recovery detector) but feed its
-/// counters: a probe success closes the breaker, a probe failure
-/// counts toward opening it. A healthy shard found serving a stale
-/// checksum is caught up from the proxy's retained bodies.
+/// never keeps a connection alive between ticks. The probe is the only
+/// way back into routing: a success marks the slot healthy, a failure
+/// marks it down. A shard coming back healthy and found serving a
+/// stale checksum is caught up from the proxy's retained bodies.
 fn probe_slot(shared: &Shared, slot: usize) {
     let (addr, _) = shared.addr_of(slot);
     let probed = Client::connect_timeout(&*addr, shared.reply_timeout)
@@ -588,7 +489,6 @@ fn probe_slot(shared: &Shared, slot: usize) {
             shared.backends[slot]
                 .last_checksum
                 .store(checksum, Ordering::SeqCst);
-            shared.record_success(slot);
             let was_healthy = shared.backends[slot].healthy.swap(true, Ordering::SeqCst);
             // Catch up only on the rejoin edge — a shard coming back
             // from failure (or a freshly swapped address, which
@@ -600,10 +500,7 @@ fn probe_slot(shared: &Shared, slot: usize) {
                 catch_up(shared, slot, &addr, checksum);
             }
         }
-        Err(_) => {
-            shared.record_failure(slot);
-            shared.mark(slot, false);
-        }
+        Err(_) => shared.mark(slot, false),
     }
 }
 
@@ -681,7 +578,6 @@ fn catch_up(shared: &Shared, slot: usize, addr: &str, seen: u64) {
         }
         Err(_) => {
             // Transport trouble mid-catch-up; the next probe retries.
-            shared.record_failure(slot);
             shared.mark(slot, false);
             return;
         }
@@ -695,7 +591,6 @@ fn catch_up(shared: &Shared, slot: usize, addr: &str, seen: u64) {
         applied = match ship(&line) {
             Ok(applied) => applied,
             Err(_) => {
-                shared.record_failure(slot);
                 shared.mark(slot, false);
                 return;
             }
@@ -829,13 +724,12 @@ fn send(conns: &mut BackendConns, shared: &Shared, slot: usize, line: &[u8]) -> 
     if sent.is_ok() {
         return Forward::Ok;
     }
-    shared.record_failure(slot);
     shared.mark(slot, false);
     Forward::Transport
 }
 
-/// Read `slot`'s answer to the line last sent to it into `reply` and
-/// settle the slot's breaker by it. `Ok` means `count` decisions in
+/// Read `slot`'s answer to the line last sent to it into `reply`; a
+/// failed read marks the slot down. `Ok` means `count` decisions in
 /// `shape`, located but not decoded, and credited to the slot as
 /// `forwarded`; every other reply goes through the typed parser to
 /// find out what it is.
@@ -855,7 +749,6 @@ fn gather(
         Err(_) => {
             // Every failed read leaves the connection out of step.
             conns.drop_slot(slot);
-            shared.record_failure(slot);
             shared.mark(slot, false);
             return Forward::Transport;
         }
@@ -876,11 +769,6 @@ fn gather(
             },
         },
     };
-    if !matches!(outcome, Forward::Overloaded) {
-        // Any typed answer proves the transport works; a shed one
-        // settles the breaker neither way.
-        shared.record_success(slot);
-    }
     if matches!(outcome, Forward::Ok) {
         let forwarded = &shared.backends[slot].forwarded;
         forwarded.fetch_add(count as u64, Ordering::Relaxed);
@@ -914,13 +802,13 @@ fn key_of(req: &DecisionRequestRef<'_>) -> u64 {
     )
 }
 
-/// Drive one `Decide` line down its ring walk, as the client sent it:
-/// the owner first, then each healthy successor, relaying the first
-/// `Decision` line as the shard sent it. Every failover bumps the
-/// failed slot's `hedged_away`. Breaker-open slots are skipped without
-/// cost; attempts *after* a failed attempt draw from the fleet hedge
-/// budget, and when the bucket runs dry the request is shed instead of
-/// retried.
+/// Drive one `Decide` line down its ring walk, as the client sent it,
+/// relaying the first `Decision` line a shard sends. Unhealthy slots,
+/// the owner included, are skipped without cost, so the key goes where
+/// [`route_batch`] would send it. Every failover bumps the failed
+/// slot's `hedged_away` and draws from the fleet hedge budget. A
+/// request with no healthy slot left, or with the bucket dry, is shed:
+/// `Overloaded` tells retrying clients to back off and come again.
 fn route_one(
     conns: &mut BackendConns,
     shared: &Shared,
@@ -929,17 +817,9 @@ fn route_one(
     reply: &mut Reply,
     out: &mut Vec<u8>,
 ) {
-    let walk = shared.ring.walk(key_of(req));
     let mut attempted = false;
-    for (nth, &slot) in walk.iter().enumerate() {
-        // The owner is tried even when marked unhealthy (the probe may
-        // lag a respawn); later slots must be healthy to be worth a
-        // hop. The breaker gates every attempt, owner included — that
-        // is the point: a slot failing hard stops eating connections.
-        if nth > 0 && !shared.healthy(slot) {
-            continue;
-        }
-        if !shared.breaker_allows(slot) {
+    for &slot in &shared.ring.walk(key_of(req)) {
+        if !shared.healthy(slot) {
             continue;
         }
         if attempted && !shared.take_hedge(1) {
@@ -949,25 +829,13 @@ fn route_one(
         match exchange(conns, shared, slot, line, DecisionShape::Single, 1, reply) {
             Forward::Ok => return out.extend_from_slice(&reply.line),
             Forward::Rejected(e) => return wire::write_error(&e, out),
-            Forward::Overloaded => {
-                // Busy, not broken: release any half-open trial claim
-                // without settling the breaker either way.
-                shared.release_trial(slot);
-            }
-            Forward::Transport => {}
+            Forward::Overloaded | Forward::Transport => {}
         }
         shared.backends[slot]
             .hedged_away
             .fetch_add(1, Ordering::Relaxed);
     }
-    if attempted {
-        // Every candidate shed, died mid-request, or the hedge budget
-        // ran dry; `Overloaded` tells retrying clients to back off and
-        // come again.
-        wire::write_overloaded(out);
-    } else {
-        wire::write_error("no healthy shard for this request", out);
-    }
+    wire::write_overloaded(out);
 }
 
 /// Route one `DecideBatch` line by splicing: scatter each owning
@@ -985,16 +853,15 @@ fn route_batch(
 ) {
     let (spans, place, groups) = (&splice.spans, &mut splice.place, &mut splice.groups);
     groups.resize_with(shared.backends.len(), Group::default);
-    // Group the elements by owning slot. Breaker-open slots are routed
-    // around for free — their keys go to walk successors.
+    // Group the elements by the first healthy slot on their walk.
+    // Unhealthy slots are routed around for free — their keys go to
+    // walk successors.
     place.clear();
     for g in groups.iter_mut() {
         g.members.clear();
     }
     for (i, r) in reqs.iter().enumerate() {
-        match shared.ring.route(key_of(r), |s| {
-            shared.healthy(s) && !shared.breaker_open_now(s)
-        }) {
+        match shared.ring.route(key_of(r), |s| shared.healthy(s)) {
             Some(slot) => {
                 place.push((slot, groups[slot].members.len()));
                 groups[slot].members.push(i);
@@ -1044,7 +911,7 @@ fn route_batch(
             .hedged_away
             .fetch_add(n as u64, Ordering::Relaxed);
         for &alt in &shared.ring.walk(key_of(&reqs[g.members[0]])) {
-            if alt == slot || !shared.healthy(alt) || shared.breaker_open_now(alt) {
+            if alt == slot || !shared.healthy(alt) {
                 continue;
             }
             if !shared.take_hedge(n as u64) {
@@ -1131,9 +998,9 @@ enum FanoutOutcome {
 /// Ship the client's raw `Reload`/`ReloadDelta` line to every
 /// *healthy* shard (scatter first, gather after, so the engine
 /// compiles overlap), then verify the reached shards converged to one
-/// serving checksum. Down or breaker-open shards are skipped rather
-/// than failing the fleet reload — they rejoin through the prober's
-/// [`catch_up`] path once they answer probes again.
+/// serving checksum. Unhealthy shards are skipped rather than failing
+/// the fleet reload — they rejoin through the prober's [`catch_up`]
+/// path once they answer probes again.
 ///
 /// `target` carries the proxy's own copy of the post-reload bodies
 /// (when it could derive them from the client line); on convergence it
@@ -1148,7 +1015,7 @@ fn fanout_reload(
     let mut sent: Vec<bool> = vec![false; nslots];
     let mut tried: Vec<bool> = vec![false; nslots];
     for slot in 0..nslots {
-        if !shared.healthy(slot) || shared.breaker_open_now(slot) {
+        if !shared.healthy(slot) {
             continue;
         }
         tried[slot] = true;
@@ -1173,12 +1040,10 @@ fn fanout_reload(
             .and_then(|c| c.read_reply_raw().and_then(parse_reply_line));
         if conns.cached(slot).map_or(true, |c| c.is_broken()) {
             conns.drop_slot(slot);
-            shared.record_failure(slot);
             shared.mark(slot, false);
         }
         match res {
             Ok(ServerMessage::Reloaded(r)) => {
-                shared.record_success(slot);
                 report = Some(match report.take() {
                     // Report the fleet floor: the *lowest* generation
                     // any shard is serving.
@@ -1187,7 +1052,6 @@ fn fanout_reload(
                 });
             }
             Ok(ServerMessage::ReloadBaseMismatch(m)) => {
-                shared.record_success(slot);
                 mismatch.get_or_insert(m);
             }
             Ok(ServerMessage::Error(e)) => {

@@ -45,6 +45,15 @@ const CORK_FLUSH_BYTES: usize = 64 * 1024;
 /// kernel accepts the backlog.
 pub(crate) const WRITE_BACKPRESSURE_BYTES: usize = 256 * 1024;
 
+/// A line longer than this (a `Reload` body; a 256-request batch line
+/// is ~32 KB) makes its [`LineBuf`] give its capacity back once it
+/// next empties.
+const LONG_LINE_BYTES: usize = 256 * 1024;
+
+/// The capacity a [`LineBuf`] keeps when it gives a long line's back:
+/// one read burst.
+const LINE_BUF_KEPT_BYTES: usize = 64 * 1024;
+
 const TOKEN_WAKE: u64 = 0;
 const TOKEN_LISTEN: u64 = 1;
 const TOKEN_CONN_BASE: u64 = 2;
@@ -229,6 +238,9 @@ struct LineBuf {
     /// Bytes discarded so far of an oversized line (reply owed at its
     /// newline).
     discarding: Option<usize>,
+    /// A line longer than [`LONG_LINE_BYTES`] was handed out since the
+    /// capacity was last given back.
+    held_long_line: bool,
 }
 
 /// What [`LineBuf::next_frame`] found.
@@ -260,6 +272,7 @@ impl LineBuf {
         self.start = end + 1;
         self.searched = end + 1;
         let len = self.discarding.take().unwrap_or(0) + line.len();
+        self.held_long_line |= len > LONG_LINE_BYTES;
         if len > max {
             return Some(Frame::TooLong(len));
         }
@@ -267,11 +280,20 @@ impl LineBuf {
         Some(Frame::Line(line.start..line.end - cr))
     }
 
-    /// Drop the bytes already handed out.
+    /// Drop the bytes already handed out. Once a long line has gone
+    /// and nothing is left, give back the capacity it took: a
+    /// connection that sent one corpus `Reload` would otherwise hold
+    /// ~0.9 MB until it closes. The trigger is a line's length, not the
+    /// bytes buffered, so pipelined batch lines never shrink and regrow
+    /// the buffer.
     fn compact(&mut self) {
         self.buf.drain(..self.start);
         self.searched -= self.start;
         self.start = 0;
+        if self.held_long_line && self.buf.is_empty() {
+            self.buf.shrink_to(LINE_BUF_KEPT_BYTES);
+            self.held_long_line = false;
+        }
     }
 }
 
@@ -669,6 +691,62 @@ mod tests {
         assert_eq!(frame, Some(Frame::Line(0..LINE)));
         assert_eq!(cursor, LINE + 1, "the cursor ends just past the newline");
         assert_eq!(looked_at, input.len(), "each byte is looked at once");
+    }
+
+    /// A 1 MB line's capacity is given back once the buffer empties, not
+    /// while a partial next line still sits behind it.
+    #[test]
+    fn a_long_line_gives_its_capacity_back_once_the_buffer_empties() {
+        let mut lines = LineBuf::default();
+        let mut input = vec![b'x'; 1 << 20];
+        input.extend_from_slice(b"\n\"Pi");
+        lines.buf.extend_from_slice(&input);
+        assert_eq!(lines.next_frame(2 << 20), Some(Frame::Line(0..1 << 20)));
+        assert_eq!(lines.next_frame(2 << 20), None);
+        lines.compact();
+        assert!(
+            lines.buf.capacity() > 1 << 20,
+            "shrunk under a partial line"
+        );
+        lines.buf.extend_from_slice(b"ng\"\n");
+        assert_eq!(lines.next_frame(2 << 20), Some(Frame::Line(0..6)));
+        lines.compact();
+        assert!(
+            lines.buf.capacity() <= 64 * 1024,
+            "a 1 MB line left {} bytes of capacity",
+            lines.buf.capacity()
+        );
+    }
+
+    /// Rounds of eight pipelined 32 KB lines (a depth-8 stream of
+    /// 256-request batches), buffered whole, keep the capacity they
+    /// reached in the first round: the buffer never shrinks and
+    /// regrows.
+    #[test]
+    fn pipelined_batch_lines_keep_their_capacity() {
+        let mut line = vec![b'x'; 32 * 1024];
+        line.push(b'\n');
+        let round = line.repeat(8);
+        let mut lines = LineBuf::default();
+        let mut warm = 0;
+        for r in 0..10 {
+            lines.buf.extend_from_slice(&round);
+            let mut framed = 0;
+            while let Some(frame) = lines.next_frame(1 << 20) {
+                assert_eq!(
+                    frame,
+                    Frame::Line(framed * line.len()..(framed + 1) * line.len() - 1)
+                );
+                framed += 1;
+            }
+            assert_eq!(framed, 8);
+            lines.compact();
+            if r == 0 {
+                warm = lines.buf.capacity();
+                assert!(warm >= round.len());
+            }
+            assert_eq!(lines.buf.capacity(), warm, "round {r}");
+        }
     }
 
     /// What comes out of the framing step depends on the bytes, not on

@@ -99,6 +99,16 @@ if grep -rn -e '\.incoming()' -e 'read_line_limited' crates/abpd-proxy/src; then
     exit 1
 fi
 
+echo "==> one failure detector"
+# The proxy routes to a shard slot if and only if the slot is healthy:
+# a failed exchange marks it down, and only a successful probe marks it
+# up again. No second detector (a circuit breaker with its open,
+# half-open and closed states) gates routing beside the flag.
+if grep -rni -e 'breaker' -e 'half_open' -e 'open_until' crates/abpd-proxy/src; then
+    echo "abpd-proxy has a second failure detector: route on the healthy flag alone" >&2
+    exit 1
+fi
+
 echo "==> one measurement stack: no criterion suite"
 # The paper's outputs come from repro and the examples, and the served
 # path is measured by benchmark/ alone: no workspace manifest declares

@@ -2,8 +2,10 @@
 //! localhost TCP. Covers router-vs-direct-engine equivalence, delta
 //! reloads converging across the fleet, stale-delta base mismatch with
 //! the full-reload fallback, abrupt shard death with hedging plus
-//! respawn via [`Proxy::update_backend`], and the splice data path:
-//! replies that are byte for byte what the shards encoded.
+//! respawn via [`Proxy::update_backend`], health-gated routing (a slot
+//! the prober marked down costs no request anything, single or batch),
+//! and the splice data path: replies that are byte for byte what the
+//! shards encoded.
 
 use abp::{Decision, Engine, FilterList, ListSource, Request, ResourceType};
 use abpd::protocol::{ReloadDeltaList, ReloadList};
@@ -52,7 +54,7 @@ fn start_fleet(n: usize, wl: &str) -> (Vec<Option<Server>>, Proxy) {
 }
 
 /// Like [`start_fleet`], but lets the test turn the router's knobs
-/// (breaker threshold, hedge budget, probe cadence) before it starts.
+/// (hedge budget, probe cadence) before it starts.
 fn start_fleet_cfg(
     n: usize,
     wl: &str,
@@ -284,7 +286,12 @@ fn stale_delta_reports_base_mismatch_and_full_reload_resyncs() {
 
 #[test]
 fn killed_shard_hedges_and_respawned_shard_rejoins() {
-    let (mut shards, proxy) = start_fleet(3, WHITELIST_V1);
+    // Requests must discover the death: a prober that found it first
+    // would mark the shard down, and its keys would be routed around
+    // without a failed attempt to hedge.
+    let (mut shards, proxy) = start_fleet_cfg(3, WHITELIST_V1, |c| {
+        c.probe_interval = Duration::from_secs(3600);
+    });
     let mut client = Client::connect(proxy.local_addr()).expect("connect");
     let reqs = sample_requests();
     for req in &reqs {
@@ -345,9 +352,8 @@ fn batch_survives_each_shard_killed() {
         for warm in [true, false] {
             let (mut shards, proxy) = start_fleet_cfg(3, WHITELIST_V1, |c| {
                 // The batch itself must discover the death: no prober
-                // to route around it first, no breaker to open.
+                // to mark it down first.
                 c.probe_interval = Duration::from_secs(3600);
-                c.breaker_failure_threshold = 1_000_000;
             });
             let mut client = Client::connect(proxy.local_addr()).expect("connect");
             if warm {
@@ -590,33 +596,36 @@ fn misbehaving_shard_replies_become_bounded_typed_errors() {
 }
 
 #[test]
-fn breaker_opens_on_dead_shard_and_recloses_on_recovery() {
+fn a_shard_the_prober_finds_dead_costs_no_request_a_failure() {
     let (mut shards, proxy) = start_fleet(3, WHITELIST_V1);
     let mut client = Client::connect(proxy.local_addr()).expect("connect");
     let reqs = sample_requests();
 
-    // The 50ms prober hammers the dead socket; five consecutive
-    // failures trip the default breaker with zero client traffic.
-    // Poll the transition *counter*, not the `breaker_open` flag —
-    // the flag legitimately flickers false during half-open trials.
+    // The 50ms prober finds the dead shard with no client traffic.
+    // Wait on the health flag, the one thing routing reads.
     shards[1].take().unwrap().kill();
     wait_until(
-        || proxy.backend_report()[1].breaker_opens >= 1,
-        "the dead shard's breaker to open",
+        || !proxy.backend_report()[1].healthy,
+        "the prober to mark the dead shard",
     );
 
-    // An open breaker is routed around for free: every request is
-    // still answered, and none of them had to fail first.
+    // A slot marked down is routed around for free, even for the keys
+    // it owns: every request is answered, and none of them had to
+    // fail there first.
     for req in &reqs {
-        client.decide(req).expect("decide with breaker open");
+        client
+            .decide(req)
+            .expect("decide with the dead shard marked");
     }
     let report = proxy.backend_report();
-    assert!(!report[1].healthy, "dead shard still marked healthy");
-    assert!(report[1].breaker_opens >= 1);
+    assert!(!report[1].healthy, "dead shard marked healthy again");
+    assert_eq!(
+        report[1].hedged_away, 0,
+        "requests were sent to a shard the prober had marked dead"
+    );
 
     // Respawn on a fresh port. `update_backend` probes synchronously,
-    // and a single successful exchange fully recloses the breaker —
-    // no cooldown to wait out.
+    // and that probe is the way back in.
     let replacement =
         Server::start_with_lists(lists(WHITELIST_V1), &shard_config()).expect("respawn shard");
     let new_addr = replacement.local_addr().to_string();
@@ -624,31 +633,74 @@ fn breaker_opens_on_dead_shard_and_recloses_on_recovery() {
     proxy.update_backend(1, new_addr);
     let report = proxy.backend_report();
     assert!(report[1].healthy, "respawned shard not probed healthy");
-    assert!(
-        !report[1].breaker_open,
-        "breaker still open after a successful probe"
-    );
 
     let before = report[1].forwarded;
     for req in &reqs {
-        client.decide(req).expect("decide after breaker reclosed");
+        client.decide(req).expect("decide after respawn");
     }
     assert!(
         proxy.backend_report()[1].forwarded > before,
-        "reclosed slot gets no traffic"
+        "respawned slot gets no traffic"
     );
+    shutdown_fleet(shards, proxy, client);
+}
+
+#[test]
+fn singles_and_batches_send_an_unhealthy_slots_keys_to_the_same_shard() {
+    let (mut shards, proxy) = start_fleet_cfg(3, WHITELIST_V1, |c| {
+        // No hedge budget: a key reaches a shard by routing alone,
+        // never by a retry after a failure.
+        c.hedge_budget_per_sec = 0.0;
+        c.hedge_budget_burst = 0.0;
+    });
+    let mut client = Client::connect(proxy.local_addr()).expect("connect");
+    let reqs = sample_requests();
+
+    shards[1].take().unwrap().kill();
+    wait_until(
+        || !proxy.backend_report()[1].healthy,
+        "the prober to mark the dead shard",
+    );
+
+    // Decisions each slot answered between two readings.
+    let forwarded = || {
+        let report = proxy.backend_report();
+        report.iter().map(|b| b.forwarded).collect::<Vec<u64>>()
+    };
+    let delta = |from: &[u64], to: &[u64]| -> Vec<u64> {
+        from.iter().zip(to).map(|(a, b)| b - a).collect()
+    };
+    let start = forwarded();
+    let answered = reqs.iter().filter(|r| client.decide(r).is_ok()).count();
+    let after_singles = forwarded();
+    let batch = client
+        .decide_batch(&reqs)
+        .expect("batch with the dead shard marked");
+    let after_batch = forwarded();
+
+    let (singles, batched) = (
+        delta(&start, &after_singles),
+        delta(&after_singles, &after_batch),
+    );
+    assert_eq!(
+        singles, batched,
+        "the same keys went to different shards as singles and in a batch"
+    );
+    assert_eq!(batched[1], 0, "the dead shard answered");
+    assert_eq!(answered, reqs.len(), "a single was not answered");
+    assert_eq!(batch.len(), reqs.len());
     shutdown_fleet(shards, proxy, client);
 }
 
 #[test]
 fn exhausted_hedge_budget_sheds_load_as_typed_overload() {
     let (mut shards, proxy) = start_fleet_cfg(2, WHITELIST_V1, |c| {
-        // Freeze every adaptive layer: the prober never notices the
-        // death, the breaker never opens, and the hedge budget is dry
-        // from the start. Each failure must then surface as a typed
-        // overload instead of fueling a retry storm.
+        // The prober never notices the death and the hedge budget is
+        // dry from the start: the first request for a key of the dead
+        // shard fails there and marks it down, and its hedge is denied.
+        // The failure must surface as a typed overload instead of
+        // fueling a retry storm.
         c.probe_interval = Duration::from_secs(3600);
-        c.breaker_failure_threshold = 1_000_000;
         c.hedge_budget_per_sec = 0.0;
         c.hedge_budget_burst = 0.0;
     });

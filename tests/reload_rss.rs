@@ -21,9 +21,11 @@ use std::net::TcpStream;
 
 /// Reloads sent after boot.
 const RELOADS: usize = 20;
-/// What the reloads may add to the process's resident set: the
-/// connection's input buffer, grown to a reload line's size, and heap
-/// fragmentation — not an engine per reload.
+/// What the reloads may add to the process's resident set: heap
+/// fragmentation, not an engine per reload. The connection's input
+/// buffer gives a reload line's capacity back once the line is
+/// answered; the drill reads +1.8–2.5 MB (+3.0 MB while the buffer
+/// kept it) on a 2-vCPU x86-64 Linux VM.
 const GROWTH_BUDGET_KIB: u64 = 4 * 1024;
 
 /// This process's resident set, in KiB.
