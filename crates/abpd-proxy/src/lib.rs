@@ -817,8 +817,15 @@ fn route_one(
     reply: &mut Reply,
     out: &mut Vec<u8>,
 ) {
+    let key = key_of(req);
+    let Some(first) = shared.ring.route(key, |s| shared.healthy(s)) else {
+        return wire::write_overloaded(out);
+    };
+    // `route` allocates nothing; the walk is built only if `first`
+    // fails, and the slots before `first` on it were just unhealthy.
+    let rest = [key].into_iter().flat_map(|key| shared.ring.walk(key));
     let mut attempted = false;
-    for &slot in &shared.ring.walk(key_of(req)) {
+    for slot in std::iter::once(first).chain(rest.skip_while(|&s| s != first).skip(1)) {
         if !shared.healthy(slot) {
             continue;
         }

@@ -48,21 +48,19 @@ impl HashRing {
         HashRing { points, slots }
     }
 
-    /// Number of logical slots.
-    pub fn slots(&self) -> usize {
-        self.slots
+    /// Every point's slot, clockwise from `key`'s position.
+    fn clockwise(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
+        let (before, after) = self
+            .points
+            .split_at(self.points.partition_point(|&(h, _)| h < key));
+        after.iter().chain(before).map(|&(_, slot)| slot)
     }
 
     /// Every slot in walk order for `key`: the owner first, then each
     /// distinct successor. `walk(key)[1]` is the hedge target.
     pub fn walk(&self, key: u64) -> Vec<usize> {
         let mut order = Vec::with_capacity(self.slots);
-        if self.points.is_empty() {
-            return order;
-        }
-        let start = self.points.partition_point(|&(h, _)| h < key);
-        for i in 0..self.points.len() {
-            let slot = self.points[(start + i) % self.points.len()].1;
+        for slot in self.clockwise(key) {
             if !order.contains(&slot) {
                 order.push(slot);
                 if order.len() == self.slots {
@@ -73,19 +71,10 @@ impl HashRing {
         order
     }
 
-    /// The first slot on `key`'s walk that passes `healthy`.
+    /// The first slot on `key`'s walk that passes `healthy`; allocates
+    /// nothing.
     pub fn route(&self, key: u64, healthy: impl Fn(usize) -> bool) -> Option<usize> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let start = self.points.partition_point(|&(h, _)| h < key);
-        for i in 0..self.points.len() {
-            let slot = self.points[(start + i) % self.points.len()].1;
-            if healthy(slot) {
-                return Some(slot);
-            }
-        }
-        None
+        self.clockwise(key).find(|&slot| healthy(slot))
     }
 }
 

@@ -3,13 +3,12 @@
 //! [`Client`] keeps a reusable write buffer and a reusable reply-line
 //! buffer, encodes requests with the zero-copy [`wire`](crate::wire)
 //! codec, and bounds how large a reply line it will buffer
-//! ([`Client::max_reply_bytes`]). Besides the classic lockstep calls
-//! (`decide`, `decide_batch`), it offers pipelined evaluation
-//! ([`Client::decide_pipelined`], [`Client::decide_batch_pipelined`]):
-//! up to `depth` requests are written before the first reply is read,
-//! and because the server answers every line in order, replies are
-//! matched back to requests by position. Pipelining changes throughput,
-//! never semantics — the responses are identical to lockstep calls.
+//! ([`Client::max_reply_bytes`]). Each typed call (`decide`,
+//! `decide_batch`, `stats`, `reload`, ...) writes one line and reads
+//! its reply. A caller that keeps several lines in flight writes them
+//! with [`Client::send_raw`] and reads one reply per line with
+//! [`Client::read_reply_raw`]: the server answers every line in order,
+//! so replies match their lines by position.
 //!
 //! # Failure handling
 //!
@@ -19,18 +18,14 @@
 //! truncated reply, EOF — the connection is marked *broken*: replies
 //! may still be in flight for requests this client will never read, so
 //! every later call fails fast instead of desynchronizing. Reconnect
-//! by building a new `Client`, or let [`RetryClient`] do it: it wraps
-//! the pipelined path with transparent reconnects, resends of
-//! unanswered chunks (decisions are pure, so resending is safe), and
-//! exponential backoff with jitter on `Overloaded` replies.
+//! by building a new `Client`; decisions are pure, so resending an
+//! unanswered request over it cannot change an answer.
 
-use crate::faults::splitmix64;
 use crate::protocol::{
     DecisionRequest, DecisionResponse, HealthReport, ReloadDeltaList, ReloadList, ReloadMismatch,
     ReloadReport, ServerMessage, StatsReport,
 };
 use crate::wire::{self, LineRead};
-use std::collections::VecDeque;
 use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -231,100 +226,6 @@ impl Client {
         }
     }
 
-    /// Evaluate `reqs` with up to `depth` single `Decide` lines in
-    /// flight, returning responses in request order. Semantically
-    /// identical to calling [`Client::decide`] in a loop; the window
-    /// just overlaps the network and the server's evaluation.
-    pub fn decide_pipelined(
-        &mut self,
-        reqs: &[DecisionRequest],
-        depth: usize,
-    ) -> std::io::Result<Vec<DecisionResponse>> {
-        self.run_pipeline(reqs.len(), depth, |wbuf, i| {
-            wire::write_decide(&reqs[i], wbuf);
-            1
-        })
-    }
-
-    /// Evaluate `reqs` chopped into `DecideBatch` lines of `batch`
-    /// requests, with up to `depth` batch lines in flight. Responses
-    /// come back flattened, in request order.
-    pub fn decide_batch_pipelined(
-        &mut self,
-        reqs: &[DecisionRequest],
-        batch: usize,
-        depth: usize,
-    ) -> std::io::Result<Vec<DecisionResponse>> {
-        let batch = batch.max(1);
-        let chunks: Vec<&[DecisionRequest]> = reqs.chunks(batch).collect();
-        self.run_pipeline(chunks.len(), depth, |wbuf, i| {
-            wire::write_decide_batch(chunks[i], wbuf);
-            chunks[i].len()
-        })
-    }
-
-    /// The shared pipeline driver: `messages` lines total, at most
-    /// `depth` unread at any moment. `encode` appends line `i` (without
-    /// its newline) to the write buffer and returns how many responses
-    /// that line must produce.
-    ///
-    /// Any mid-pipeline failure — including a semantic `Error` or
-    /// `Overloaded` reply — abandons replies still in flight, so it
-    /// also marks the connection broken.
-    fn run_pipeline(
-        &mut self,
-        messages: usize,
-        depth: usize,
-        mut encode: impl FnMut(&mut Vec<u8>, usize) -> usize,
-    ) -> std::io::Result<Vec<DecisionResponse>> {
-        self.ensure_usable()?;
-        let depth = depth.max(1);
-        let mut responses = Vec::new();
-        let mut expected: VecDeque<usize> = VecDeque::with_capacity(depth);
-        let mut next = 0usize;
-        while next < messages || !expected.is_empty() {
-            // Fill the window: encode every line it has room for, then
-            // ship them with one write.
-            while next < messages && expected.len() < depth {
-                expected.push_back(encode(&mut self.wbuf, next));
-                self.wbuf.push(b'\n');
-                next += 1;
-            }
-            if !self.wbuf.is_empty() {
-                self.send()?;
-            }
-            // Drain one reply, opening one window slot. Replies arrive
-            // in send order, so the front of `expected` is always the
-            // reply being read.
-            let want = expected.pop_front().expect("a reply is outstanding");
-            // If the pipeline aborts while later replies are still in
-            // flight, the stream is permanently out of step — poison
-            // the connection so nothing reads a misaligned reply.
-            let outstanding = !expected.is_empty() || next < messages;
-            let err = match self.read_reply()? {
-                ServerMessage::Decision(d) if want == 1 => {
-                    responses.push(d);
-                    continue;
-                }
-                ServerMessage::Batch(b) if b.len() == want => {
-                    responses.extend(b);
-                    continue;
-                }
-                ServerMessage::Batch(b) => {
-                    protocol_error(format!("expected {want} responses, got {}", b.len()))
-                }
-                ServerMessage::Overloaded => overloaded_error(),
-                ServerMessage::Error(e) => protocol_error(e),
-                other => protocol_error(format!("unexpected reply: {other:?}")),
-            };
-            if outstanding {
-                self.broken = true;
-            }
-            return Err(err);
-        }
-        Ok(responses)
-    }
-
     /// Fetch service statistics.
     pub fn stats(&mut self) -> std::io::Result<StatsReport> {
         self.ensure_usable()?;
@@ -385,9 +286,11 @@ impl Client {
         }
     }
 
-    /// Send one pre-encoded request line (without its newline) as-is.
-    /// Exists for proxies that forward lines verbatim instead of
-    /// re-encoding; pair each call with [`Client::read_reply_raw`].
+    /// Send pre-encoded request lines (without the last newline) as-is,
+    /// in one write. Proxies forward lines verbatim with it, and
+    /// pipelining callers keep lines in flight: a body of several
+    /// `\n`-joined lines goes out as one burst. Read one
+    /// [`Client::read_reply_raw`] per line sent.
     pub fn send_raw(&mut self, line_body: &[u8]) -> std::io::Result<()> {
         self.ensure_usable()?;
         self.wbuf.extend_from_slice(line_body);
@@ -465,313 +368,5 @@ impl Client {
             ServerMessage::ShuttingDown => Ok(()),
             other => Err(protocol_error(format!("unexpected reply: {other:?}"))),
         }
-    }
-}
-
-/// Retry behavior for [`RetryClient`].
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Attempts per chunk (first try included) before an `Overloaded`
-    /// or `Error` answer sticks, and consecutive transport failures
-    /// tolerated before giving up.
-    pub max_attempts: u32,
-    /// First backoff; doubles per consecutive failure.
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-    /// Seed for deterministic backoff jitter.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            base_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(500),
-            seed: 0x5eed,
-        }
-    }
-}
-
-/// Counters kept by [`RetryClient`]; read them after a run to see how
-/// rough the ride was.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryStats {
-    /// Retry passes forced by transport failures (timeouts, torn
-    /// replies, disconnects).
-    pub transport_retries: u64,
-    /// Reconnects after the first successful connection.
-    pub reconnects: u64,
-    /// `Overloaded` replies received (each chunk may count several).
-    pub overloaded_replies: u64,
-    /// `Error` replies received.
-    pub error_replies: u64,
-    /// Reply timeouts hit.
-    pub timeouts: u64,
-}
-
-/// The final word on one request driven through
-/// [`RetryClient::decide_batch_pipelined`].
-#[derive(Debug, Clone)]
-pub enum ItemAnswer {
-    /// The server evaluated it.
-    Decision(DecisionResponse),
-    /// The server answered the item's chunk with a typed `Error` on
-    /// every attempt; this is the last message.
-    Rejected(String),
-    /// The server shed the item's chunk with `Overloaded` on every
-    /// attempt.
-    Shed,
-}
-
-/// What a chunk's retries concluded (shared by all its items).
-enum ChunkAnswer {
-    Decisions(Vec<DecisionResponse>),
-    Rejected(String),
-    Shed,
-}
-
-/// A self-healing pipelined client: wraps [`Client`] with reply
-/// timeouts, transparent reconnects, resends of unanswered chunks, and
-/// exponential backoff with deterministic jitter. Safe because
-/// decisions are pure — resending an unanswered chunk cannot change
-/// any outcome.
-pub struct RetryClient {
-    addr: String,
-    policy: RetryPolicy,
-    reply_timeout: Option<Duration>,
-    client: Option<Client>,
-    connected_once: bool,
-    rng: u64,
-    stats: RetryStats,
-}
-
-impl RetryClient {
-    /// Build a retrying client for `addr` (connects lazily).
-    pub fn new(addr: impl Into<String>, policy: RetryPolicy) -> RetryClient {
-        let rng = splitmix64(policy.seed ^ 0x9e37_79b9);
-        RetryClient {
-            addr: addr.into(),
-            policy,
-            reply_timeout: Some(DEFAULT_REPLY_TIMEOUT),
-            client: None,
-            connected_once: false,
-            rng,
-            stats: RetryStats::default(),
-        }
-    }
-
-    /// How long each reply may take before the attempt is abandoned
-    /// and the chunk resent over a fresh connection.
-    pub fn reply_timeout(&mut self, timeout: Option<Duration>) -> &mut Self {
-        self.reply_timeout = timeout;
-        self
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> RetryStats {
-        self.stats
-    }
-
-    /// Sleep a uniform `[0, backoff]` where backoff doubles with
-    /// `consecutive` (capped) — *full* jitter, not `backoff/2 +
-    /// jitter/2`: when a shard dies under N pipelined load threads,
-    /// every thread hits the same failure in the same instant, and
-    /// half-jitter still concentrates their reconnects in the back
-    /// half of the window. Spreading over the whole window keeps the
-    /// respawned shard from eating a synchronized reconnect storm.
-    fn sleep_backoff(&mut self, consecutive: u32) {
-        let exp = consecutive.min(10);
-        let backoff = self
-            .policy
-            .base_backoff
-            .saturating_mul(2u32.saturating_pow(exp))
-            .min(self.policy.max_backoff);
-        self.rng = splitmix64(self.rng);
-        let span = backoff.as_micros() as u64;
-        let jitter = if span == 0 { 0 } else { self.rng % (span + 1) };
-        std::thread::sleep(Duration::from_micros(jitter));
-    }
-
-    /// A usable connection, reconnecting (with backoff) if the current
-    /// one is missing or broken.
-    fn connection(&mut self) -> std::io::Result<&mut Client> {
-        if self.client.as_ref().is_none_or(Client::is_broken) {
-            self.client = None;
-            let mut last_err = None;
-            for attempt in 0..self.policy.max_attempts.max(1) {
-                if attempt > 0 {
-                    self.sleep_backoff(attempt - 1);
-                }
-                match Client::connect(&*self.addr) {
-                    Ok(mut c) => {
-                        c.reply_timeout(self.reply_timeout)?;
-                        if self.connected_once {
-                            self.stats.reconnects += 1;
-                        }
-                        self.connected_once = true;
-                        self.client = Some(c);
-                        last_err = None;
-                        break;
-                    }
-                    Err(e) => last_err = Some(e),
-                }
-            }
-            if let Some(e) = last_err {
-                return Err(e);
-            }
-        }
-        Ok(self.client.as_mut().expect("connection established"))
-    }
-
-    /// Evaluate one request, retrying through overload and transport
-    /// failures.
-    pub fn decide(&mut self, req: &DecisionRequest) -> std::io::Result<DecisionResponse> {
-        let answers = self.decide_batch_pipelined(std::slice::from_ref(req), 1, 1)?;
-        match answers.into_iter().next().expect("one answer per request") {
-            ItemAnswer::Decision(d) => Ok(d),
-            ItemAnswer::Rejected(e) => Err(protocol_error(e)),
-            ItemAnswer::Shed => Err(overloaded_error()),
-        }
-    }
-
-    /// Drive `reqs` through the server in `DecideBatch` chunks of
-    /// `batch`, `depth` chunks in flight, retrying as needed. Returns
-    /// one [`ItemAnswer`] per request, in request order; the call
-    /// itself only fails when the server stays unreachable (or keeps
-    /// tearing connections) past the policy's patience.
-    pub fn decide_batch_pipelined(
-        &mut self,
-        reqs: &[DecisionRequest],
-        batch: usize,
-        depth: usize,
-    ) -> std::io::Result<Vec<ItemAnswer>> {
-        let batch = batch.max(1);
-        let depth = depth.max(1);
-        let chunks: Vec<&[DecisionRequest]> = reqs.chunks(batch).collect();
-        let mut answers: Vec<Option<ChunkAnswer>> = Vec::new();
-        answers.resize_with(chunks.len(), || None);
-        let mut attempts: Vec<u32> = vec![0; chunks.len()];
-        let mut consecutive_failures = 0u32;
-
-        loop {
-            let pending: Vec<usize> = (0..chunks.len())
-                .filter(|&i| answers[i].is_none())
-                .collect();
-            if pending.is_empty() {
-                break;
-            }
-            let max_attempts = self.policy.max_attempts.max(1);
-            self.connection()?;
-            // Re-borrow just the field so `self.stats` stays usable.
-            let client = self.client.as_mut().expect("connection established");
-
-            // One pipelined pass over the still-unanswered chunks.
-            let mut inflight: VecDeque<usize> = VecDeque::with_capacity(depth);
-            let mut cursor = 0usize;
-            let mut transport_err: Option<std::io::Error> = None;
-            let mut progressed = false;
-            while cursor < pending.len() || !inflight.is_empty() {
-                while cursor < pending.len() && inflight.len() < depth {
-                    let ci = pending[cursor];
-                    wire::write_decide_batch(chunks[ci], &mut client.wbuf);
-                    client.wbuf.push(b'\n');
-                    inflight.push_back(ci);
-                    cursor += 1;
-                }
-                if !client.wbuf.is_empty() {
-                    if let Err(e) = client.send() {
-                        transport_err = Some(e);
-                        break;
-                    }
-                }
-                let ci = *inflight.front().expect("a chunk is in flight");
-                match client.read_reply() {
-                    Ok(ServerMessage::Batch(b)) if b.len() == chunks[ci].len() => {
-                        answers[ci] = Some(ChunkAnswer::Decisions(b));
-                        progressed = true;
-                    }
-                    Ok(ServerMessage::Overloaded) => {
-                        self.stats.overloaded_replies += 1;
-                        attempts[ci] += 1;
-                        if attempts[ci] >= max_attempts {
-                            answers[ci] = Some(ChunkAnswer::Shed);
-                        }
-                    }
-                    Ok(ServerMessage::Error(e)) => {
-                        self.stats.error_replies += 1;
-                        attempts[ci] += 1;
-                        if attempts[ci] >= max_attempts {
-                            answers[ci] = Some(ChunkAnswer::Rejected(e));
-                        }
-                    }
-                    Ok(ServerMessage::Batch(b)) => {
-                        transport_err = Some(protocol_error(format!(
-                            "expected {} responses, got {}",
-                            chunks[ci].len(),
-                            b.len()
-                        )));
-                        break;
-                    }
-                    Ok(other) => {
-                        transport_err =
-                            Some(protocol_error(format!("unexpected reply: {other:?}")));
-                        break;
-                    }
-                    Err(e) => {
-                        if e.kind() == std::io::ErrorKind::TimedOut {
-                            self.stats.timeouts += 1;
-                        }
-                        transport_err = Some(e);
-                        break;
-                    }
-                }
-                inflight.pop_front();
-            }
-
-            if progressed {
-                consecutive_failures = 0;
-            }
-            if let Some(e) = transport_err {
-                // The connection is out of sync or gone; everything
-                // still pending is resent over a fresh one. Decisions
-                // are pure, so a reply the server computed but we never
-                // read costs nothing to recompute.
-                self.stats.transport_retries += 1;
-                self.client = None;
-                consecutive_failures += 1;
-                if consecutive_failures >= self.policy.max_attempts.max(1) {
-                    return Err(e);
-                }
-                self.sleep_backoff(consecutive_failures - 1);
-            } else if answers.iter().any(Option::is_none) {
-                // Only Overloaded/Error chunks remain: back off before
-                // hammering an overloaded server again.
-                self.sleep_backoff(0);
-            }
-        }
-
-        let mut out = Vec::with_capacity(reqs.len());
-        for (ci, chunk) in chunks.iter().enumerate() {
-            match answers[ci].take().expect("every chunk answered") {
-                ChunkAnswer::Decisions(ds) => out.extend(ds.into_iter().map(ItemAnswer::Decision)),
-                ChunkAnswer::Rejected(e) => {
-                    out.extend((0..chunk.len()).map(|_| ItemAnswer::Rejected(e.clone())))
-                }
-                ChunkAnswer::Shed => out.extend((0..chunk.len()).map(|_| ItemAnswer::Shed)),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Health probe over the managed connection.
-    pub fn health(&mut self) -> std::io::Result<HealthReport> {
-        self.connection()?.health()
-    }
-
-    /// Liveness probe over the managed connection.
-    pub fn ping(&mut self) -> std::io::Result<()> {
-        self.connection()?.ping()
     }
 }

@@ -39,7 +39,7 @@ pub mod service;
 pub mod state;
 pub mod wire;
 
-pub use client::{Client, ReloadDeltaOutcome, RetryClient, RetryPolicy};
+pub use client::{Client, ReloadDeltaOutcome};
 pub use faults::FaultConfig;
 pub use protocol::{DecisionRequest, DecisionResponse, HealthReport, HealthState, StatsReport};
 pub use server::{Server, ServerConfig};

@@ -8,7 +8,7 @@
 //! activation lists included; [`one_route`] holds that across batch
 //! sizes, tenant masks and reloads. The [`wire_equivalence`] module
 //! holds the codec properties; [`pipelining`] drives a real TCP server
-//! at random depths against the lockstep client.
+//! with raw-line bursts at random depths against the lockstep client.
 
 use crate::protocol::DecisionRequest;
 use crate::service::{LocalEval, Service, ServiceConfig};
@@ -1369,8 +1369,9 @@ mod scan_kernel {
 /// and the direct engine evaluation.
 mod pipelining {
     use super::*;
+    use crate::protocol::ServerMessage;
     use crate::server::{Server, ServerConfig};
-    use crate::Client;
+    use crate::{wire, Client};
 
     proptest! {
         #[test]
@@ -1416,12 +1417,35 @@ mod pipelining {
                 .map(|r| lockstep.decide(r).unwrap())
                 .collect();
 
+            // A pipelining caller's raw lines: up to `depth` `Decide` or
+            // `DecideBatch` lines in one write, then one reply per line.
+            let per_line = if use_batches { batch } else { 1 };
+            let lines: Vec<&[DecisionRequest]> = reqs.chunks(per_line).collect();
             let mut piped = Client::connect(server.local_addr()).unwrap();
-            let got = if use_batches {
-                piped.decide_batch_pipelined(&reqs, batch, depth).unwrap()
-            } else {
-                piped.decide_pipelined(&reqs, depth).unwrap()
-            };
+            let mut got = Vec::new();
+            let mut body = Vec::new();
+            for window in lines.chunks(depth) {
+                body.clear();
+                for line in window {
+                    body.push(b'\n');
+                    if use_batches {
+                        wire::write_decide_batch(line, &mut body);
+                    } else {
+                        wire::write_decide(&line[0], &mut body);
+                    }
+                }
+                piped.send_raw(&body[1..]).unwrap();
+                for line in window {
+                    let reply = std::str::from_utf8(piped.read_reply_raw().unwrap()).unwrap();
+                    match wire::parse_server_message(reply).unwrap() {
+                        ServerMessage::Decision(d) if !use_batches => got.push(d),
+                        ServerMessage::Batch(b) if use_batches && b.len() == line.len() => {
+                            got.extend(b)
+                        }
+                        other => prop_assert!(false, "a line answered {:?}", other),
+                    }
+                }
+            }
 
             prop_assert_eq!(got.len(), expected.len());
             for ((req, e), g) in reqs.iter().zip(&expected).zip(&got) {

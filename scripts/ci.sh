@@ -109,6 +109,16 @@ if grep -rni -e 'breaker' -e 'half_open' -e 'open_until' crates/abpd-proxy/src; 
     exit 1
 fi
 
+echo "==> one client"
+# abpd::Client is the only client: each typed call writes one line and
+# reads its reply, and a caller that pipelines writes raw lines
+# (send_raw / read_reply_raw), as benchmark/ does. No retrying twin and
+# no pipelined calls come back beside it.
+if grep -rn -e 'RetryClient' -e 'RetryPolicy' -e 'ItemAnswer' -e '_pipelined' crates/abpd/src crates/abpd-proxy/src; then
+    echo "a second client or a pipelined call is back: pipeline on raw lines through abpd::Client" >&2
+    exit 1
+fi
+
 echo "==> one measurement stack: no criterion suite"
 # The paper's outputs come from repro and the examples, and the served
 # path is measured by benchmark/ alone: no workspace manifest declares

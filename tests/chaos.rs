@@ -7,11 +7,12 @@
 //! `abpd::faults`), so these tests cannot flake on the fault draw —
 //! only rates and totals are asserted, never exact fault positions.
 
-use abpd::client::ItemAnswer;
-use abpd::protocol::ReloadList;
+#[path = "support/resend.rs"]
+mod resend;
+
+use abpd::protocol::{ReloadList, ServerMessage};
 use abpd::{
-    Client, DecisionRequest, FaultConfig, HealthState, RetryClient, RetryPolicy, Server,
-    ServerConfig, ServiceConfig,
+    Client, DecisionRequest, FaultConfig, HealthState, Server, ServerConfig, ServiceConfig,
 };
 
 use abp::{Decision, Engine, FilterList, ListSource, Request, ResourceType};
@@ -56,7 +57,8 @@ fn requests(n: usize) -> Vec<DecisionRequest> {
 
 /// The headline chaos gate: 1% evaluation panics, 1% 10ms stalls, torn
 /// writes and disconnects on the reply path — and still every request
-/// is answered (decision, typed rejection, or shed), every decision
+/// is answered (a decision, or the `Error` its line drew on its last
+/// send; `support/resend.rs` resends), every decision
 /// matches a direct engine evaluation, and the server reports healthy
 /// afterwards. The panics are real `panic!`s raised inside the one
 /// evaluation route and caught by its `catch_unwind` — the only
@@ -87,24 +89,23 @@ fn chaos_run_answers_every_request_event() {
     let engine = test_engine();
     let reqs = requests(20_000);
 
-    let mut client = RetryClient::new(server.local_addr().to_string(), RetryPolicy::default());
-    client.reply_timeout(Some(Duration::from_secs(10)));
-    let answers = client
-        .decide_batch_pipelined(&reqs, 32, 8)
-        .expect("retry budget must survive the chaos run");
+    // 32-request batch lines, eight per write, so the reply-path faults
+    // draw on corked multi-reply flushes.
+    let (answers, resends) = resend::decide_resending(server.local_addr(), &reqs, 32, 8);
 
     assert_eq!(answers.len(), reqs.len(), "every request needs an answer");
     let mut ok = 0usize;
     for (req, answer) in reqs.iter().zip(&answers) {
         match answer {
-            ItemAnswer::Decision(resp) => {
+            Some(Ok(resp)) => {
                 let direct = engine.match_request(
                     &Request::new(&req.url, &req.document, req.resource_type).unwrap(),
                 );
                 assert_eq!(resp.outcome, direct, "mismatched reply for {}", req.url);
                 ok += 1;
             }
-            ItemAnswer::Rejected(_) | ItemAnswer::Shed => {}
+            Some(Err(_)) => {}
+            None => panic!("every request needs an answer: {} got no reply", req.url),
         }
     }
     assert!(
@@ -112,11 +113,7 @@ fn chaos_run_answers_every_request_event() {
         "availability too low: {ok}/{}",
         reqs.len()
     );
-    let stats = client.stats();
-    assert!(
-        stats.transport_retries > 0 || stats.error_replies > 0,
-        "the fault schedule must actually have fired: {stats:?}"
-    );
+    assert!(resends > 0, "the fault schedule must actually have fired");
 
     // A caught panic costs one line, never a thread: the server is
     // healthy the moment the run ends, with the panics on record.
@@ -131,20 +128,18 @@ fn chaos_run_answers_every_request_event() {
     // The same shards, the same caches, after the panics: with the
     // schedule still armed, clean draws answer what the engine answers
     // and repeats hit entries made before and between the panics.
-    let again = client
-        .decide_batch_pipelined(&reqs[..2_000], 32, 8)
-        .expect("the shards keep serving");
+    let (again, _) = resend::decide_resending(server.local_addr(), &reqs[..2_000], 32, 8);
     for (req, answer) in reqs.iter().zip(&again) {
-        if let ItemAnswer::Decision(resp) = answer {
+        let resp = answer.as_ref().expect("the shards keep serving");
+        if let Ok(resp) = resp {
             let direct = engine
                 .match_request(&Request::new(&req.url, &req.document, req.resource_type).unwrap());
             assert_eq!(resp.outcome, direct, "post-panic reply for {}", req.url);
         }
     }
-    // Close both client connections before shutdown — the drain waits
-    // for every open connection.
+    // Close the probe before shutdown — the drain waits for every open
+    // connection.
     drop(probe);
-    drop(client);
     server.shutdown();
 }
 
@@ -244,12 +239,32 @@ fn reload_under_load_swaps_cleanly_and_rolls_back_event() {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).expect("connect loader");
                 let reqs = requests(200);
+                let mut body = Vec::new();
                 let mut rounds = 0usize;
                 while !stop.load(Ordering::Relaxed) {
-                    let resps = client
-                        .decide_pipelined(&reqs, 8)
-                        .unwrap_or_else(|e| panic!("loader {t} failed: {e}"));
-                    assert_eq!(resps.len(), reqs.len());
+                    // Eight `Decide` lines per write, then their replies.
+                    let mut answered = 0;
+                    for window in reqs.chunks(8) {
+                        body.clear();
+                        for req in window {
+                            body.push(b'\n');
+                            abpd::wire::write_decide(req, &mut body);
+                        }
+                        client
+                            .send_raw(&body[1..])
+                            .unwrap_or_else(|e| panic!("loader {t} failed: {e}"));
+                        for _ in window {
+                            let reply = client
+                                .read_reply_raw()
+                                .unwrap_or_else(|e| panic!("loader {t} failed: {e}"));
+                            let reply = std::str::from_utf8(reply).expect("UTF-8 reply");
+                            match abpd::wire::parse_server_message(reply) {
+                                Ok(ServerMessage::Decision(_)) => answered += 1,
+                                other => panic!("loader {t} failed: {other:?}"),
+                            }
+                        }
+                    }
+                    assert_eq!(answered, reqs.len());
                     rounds += 1;
                 }
                 rounds

@@ -146,47 +146,6 @@ fn malformed_lines_get_error_replies_event() {
 }
 
 #[test]
-fn pipelined_decisions_match_lockstep_event() {
-    let server = start_server();
-    let engine = test_engine();
-    let reqs: Vec<DecisionRequest> = (0..60)
-        .map(|i| {
-            dr(
-                &format!("http://host{}.doubleclick.net/u{i}.js", i % 5),
-                "news.example",
-                ResourceType::Script,
-            )
-        })
-        .collect();
-
-    let mut lockstep = Client::connect(server.local_addr()).expect("connect");
-    let expected: Vec<_> = reqs
-        .iter()
-        .map(|r| lockstep.decide(r).expect("lockstep decide"))
-        .collect();
-
-    let mut piped = Client::connect(server.local_addr()).expect("connect");
-    let got = piped.decide_pipelined(&reqs, 16).expect("pipelined");
-    assert_eq!(got.len(), expected.len());
-    for ((req, e), g) in reqs.iter().zip(&expected).zip(&got) {
-        assert_eq!(e.outcome, g.outcome, "order preserved for {}", req.url);
-        let direct = engine
-            .match_request(&Request::new(&req.url, &req.document, req.resource_type).unwrap());
-        assert_eq!(g.outcome, direct);
-    }
-
-    let batched = piped
-        .decide_batch_pipelined(&reqs, 7, 4)
-        .expect("batch pipelined");
-    assert_eq!(batched.len(), reqs.len());
-    for (e, g) in expected.iter().zip(&batched) {
-        assert_eq!(e.outcome, g.outcome);
-    }
-    drop((lockstep, piped));
-    server.shutdown();
-}
-
-#[test]
 fn oversized_lines_get_bounded_error_and_resync_event() {
     use std::io::{BufRead, BufReader, Write};
 
